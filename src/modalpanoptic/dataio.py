@@ -137,6 +137,9 @@ def read_sequence(root, name: str, period: float | None = None) -> SweepSequence
     else:
         step = period if period else 0.1
         times = [i * step for i in range(len(frames))]
+    for path, count in ((seq_dir / "poses.txt", len(pose_lines)), (times_path, len(times))):
+        if count < len(frames):
+            raise ValueError(f"{path}: {count} entries for {len(frames)} frames")
     sweeps = []
     for idx, frame in enumerate(frames):
         pts4 = read_point_bin(seq_dir / "velodyne" / f"{frame}.bin")

@@ -271,10 +271,9 @@ def build_training_pairs(
             if pair_cfg.include_point_features or pair_cfg.include_bev:
                 if provider is None:
                     raise ValueError("feature configuration requires a provider")
-                if pair_cfg.include_point_features:
-                    feats = provider.point_features(sweep)
+                feats = provider.point_features(sweep)
                 if pair_cfg.include_bev:
-                    bev = provider.bev_map(sweep)
+                    bev = provider.bev_map(sweep, feats)
             xyz = sweep.xyz
             inst = sweep.inst_labels
             sem = sweep.sem_labels
@@ -293,7 +292,7 @@ def build_training_pairs(
                     continue
                 rows.append(assemble_pair_features(
                     xyz[roi], sem[roi], det, pair_cfg,
-                    point_features=None if feats is None else feats[roi],
+                    point_features=feats[roi] if pair_cfg.include_point_features else None,
                     bev=bev,
                 ))
                 labels.append(membership_target(members, roi))

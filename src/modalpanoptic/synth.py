@@ -30,6 +30,7 @@ PEDESTRIAN = 2
 GROUND = 3
 
 _NEIGHBOR_RADIUS = 0.6  # meters, for the handcrafted local features
+_PAIR_CHUNK = 1 << 13  # candidate pairs expanded at a time by point_features
 
 
 def default_taxonomy(min_instance_points: int = 15) -> Taxonomy:
@@ -387,6 +388,15 @@ class HandcraftedFeatures(FeatureProvider):
     range / 10. The centroid-offset channels are what let the pair scorer
     recognize which body a boundary point sits on: the local mass of a point
     near an instance gap leans toward its own object.
+
+    The neighborhood of a point is every point within 0.6 m in the plane,
+    found among the 9 surrounding 0.6 m grid cells. Its centroid is a
+    sequential float64 sum divided by the count, taken over the cells in
+    ``dx`` order then ``dy`` order (each over -1, 0, 1) and, within a cell,
+    over points in ascending index; the distance test is
+    ``sqrt(dx*dx + dy*dy) <= 0.6``. Outputs are fixed bit for bit by that
+    contract, which ``tests/oracles.handcrafted_features_reference`` spells
+    out as a per-point loop.
     """
 
     DIM = 6
@@ -400,46 +410,53 @@ class HandcraftedFeatures(FeatureProvider):
         out = np.zeros((n, self.DIM))
         if n == 0:
             return out
-        ground = np.percentile(xyz[:, 2], 5.0)
-        cells: dict[tuple[int, int], list[int]] = {}
+        # Occupied cells as CSR ranges of `order`: cell keys encoded so that
+        # sorted codes follow (kx, ky) order and a neighbor is code + dx*span + dy.
         keys = np.floor(xyz[:, :2] / _NEIGHBOR_RADIUS).astype(np.int64)
-        for i, key in enumerate(map(tuple, keys)):
-            cells.setdefault(key, []).append(i)
-        for i in range(n):
-            kx, ky = keys[i]
-            neighborhood = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    neighborhood.extend(cells.get((kx + dx, ky + dy), ()))
-            nb = np.asarray(neighborhood)
-            close = nb[np.linalg.norm(xyz[nb, :2] - xyz[i, :2], axis=1) <= _NEIGHBOR_RADIUS]
-            centroid = xyz[close].mean(axis=0)
-            out[i, 0] = np.log1p(close.size)
-            out[i, 1] = xyz[i, 2] - ground
-            out[i, 2:5] = centroid - xyz[i]
-            out[i, 5] = np.hypot(xyz[i, 0], xyz[i, 1]) / 10.0
+        keys -= keys.min(axis=0) - 1
+        span = int(keys[:, 1].max()) + 2
+        code = keys[:, 0] * span + keys[:, 1]
+        order = np.argsort(code, kind="stable")  # ascending index within a cell
+        sorted_code = code[order]
+        starts = np.flatnonzero(np.concatenate([[True], sorted_code[1:] != sorted_code[:-1]]))
+        cell_code = sorted_code[starts]
+        cell_size = np.diff(np.append(starts, n))
+        step = np.array([-1, 0, 1])
+        nb_code = cell_code[:, None] + (step[:, None] * span + step[None, :]).ravel()
+        nb = np.minimum(np.searchsorted(cell_code, nb_code), cell_code.size - 1)
+        hit = cell_code[nb] == nb_code
+        nb_start = np.where(hit, starts[nb], 0)  # (cells, 9), dx-major
+        nb_size = np.where(hit, cell_size[nb], 0)
+        # Expand (point, candidate) pairs a bounded chunk of whole points at a time.
+        point_cell = np.repeat(np.arange(cell_code.size), cell_size)  # per sorted point
+        point_pairs = nb_size.sum(axis=1)[point_cell]
+        chunk = (np.cumsum(point_pairs) - point_pairs) // _PAIR_CHUNK
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [n]])
+        sorted_xyz = [xyz[order, axis] for axis in range(3)]
+        sx, sy = sorted_xyz[:2]
+        for p0, p1 in zip(cuts[:-1], cuts[1:]):
+            seg_size = nb_size[point_cell[p0:p1]].ravel()
+            seg_start = nb_start[point_cell[p0:p1]].ravel()
+            owner = np.repeat(np.arange(p1 - p0), point_pairs[p0:p1])
+            cand = np.arange(owner.size) - np.repeat(np.cumsum(seg_size) - seg_size - seg_start,
+                                                     seg_size)
+            dx = sx[cand] - sx[p0 + owner]
+            dy = sy[cand] - sy[p0 + owner]
+            close = np.sqrt(dx * dx + dy * dy) <= _NEIGHBOR_RADIUS
+            owner, cand = owner[close], cand[close]
+            count = np.bincount(owner, minlength=p1 - p0)
+            me = order[p0:p1]
+            out[me, 0] = np.log1p(count)
+            for axis, coord in enumerate(sorted_xyz):
+                total = np.bincount(owner, weights=coord[cand], minlength=p1 - p0)
+                out[me, 2 + axis] = total / count - coord[p0:p1]
+        out[:, 1] = xyz[:, 2] - np.percentile(xyz[:, 2], 5.0)
+        out[:, 5] = np.hypot(xyz[:, 0], xyz[:, 1]) / 10.0
         return out
 
-    def bev_map(self, sweep: PointCloudSweep) -> BevMap:
-        feats = self.point_features(sweep)
-        grid = voxelize(sweep.points, self.spec, features=feats, feature_reduce="mean")
+    def bev_map(self, sweep: PointCloudSweep, point_features: np.ndarray) -> BevMap:
+        grid = voxelize(sweep.points, self.spec, features=point_features, feature_reduce="mean")
         return flatten_bev(grid, reducer="mean")
-
-
-class ZeroFeatures(FeatureProvider):
-    """Featureless provider for geometry-only runs."""
-
-    DIM = 0
-
-    def __init__(self, spec: GridSpec):
-        self.spec = spec
-
-    def point_features(self, sweep: PointCloudSweep) -> np.ndarray:
-        return np.zeros((len(sweep), 0))
-
-    def bev_map(self, sweep: PointCloudSweep) -> BevMap:
-        return BevMap(np.zeros((self.spec.bev_width, self.spec.bev_depth, 0)),
-                      self.spec.bev_cell_size, self.spec.planar_range)
 
 
 def simulate_detector(
@@ -504,9 +521,13 @@ def simulate_detector(
             peaks.append(conf)
         rendered = render_bev_targets(instances, velocities, spec, taxonomy.num_channels,
                                       extents=extents, peak_scale=peaks)
-        point_feats = provider.point_features(sweep) if provider is not None else np.zeros((len(sweep), 0))
-        bev_feats = provider.bev_map(sweep) if provider is not None else BevMap(
-            np.zeros((spec.bev_width, spec.bev_depth, 0)), spec.bev_cell_size, spec.planar_range)
+        if provider is not None:
+            point_feats = provider.point_features(sweep)
+            bev_feats = provider.bev_map(sweep, point_feats)
+        else:
+            point_feats = np.zeros((len(sweep), 0))
+            bev_feats = BevMap(np.zeros((spec.bev_width, spec.bev_depth, 0)),
+                               spec.bev_cell_size, spec.planar_range)
         maps.append(PredictedMaps(rendered.heatmaps, rendered.height, rendered.velocity,
                                   sem_pred, bev_feats, point_feats))
     return maps

@@ -122,12 +122,14 @@ class FeatureProvider(Protocol):
 
     Stands in for the convolutional backbone: implementations supply the
     point-level feature rows and the flattened planar feature map consumed by
-    the membership stage.
+    the membership stage. ``bev_map`` pools the rows ``point_features``
+    returned for the same sweep, so a caller computes them once per sweep and
+    passes them in.
     """
 
     def point_features(self, sweep: PointCloudSweep) -> np.ndarray: ...
 
-    def bev_map(self, sweep: PointCloudSweep) -> "BevMap": ...
+    def bev_map(self, sweep: PointCloudSweep, point_features: np.ndarray) -> "BevMap": ...
 
 
 def voxelize(
@@ -161,23 +163,34 @@ def voxelize(
         dts = dts[order]
         boundaries = np.flatnonzero(np.any(np.diff(vox, axis=0) != 0, axis=1)) + 1
         starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [vox.shape[0]]])
-        for s, e in zip(starts, ends):
-            key = (int(vox[s, 0]), int(vox[s, 1]), int(vox[s, 2]))
-            idx = np.sort(src[s:e])
-            feat = None
-            if features is not None:
-                rows = np.asarray(features, dtype=np.float64)[idx]
-                if feature_reduce == "mean":
-                    feat = rows.mean(axis=0)
-                elif feature_reduce == "max":
-                    feat = rows.max(axis=0)
-                elif feature_reduce == "sum":
-                    feat = rows.sum(axis=0)
-                else:
-                    raise ValueError(f"unknown feature_reduce {feature_reduce!r}")
-            cells[key] = VoxelCell(idx, feat, bool(np.any(dts[s:e] == 0.0)))
+        feats = [None] * starts.size
+        if features is not None:
+            feats = _reduce_cells(np.asarray(features, dtype=np.float64)[src], starts,
+                                  feature_reduce)
+        current = np.logical_or.reduceat(dts == 0.0, starts).tolist()
+        cells = {key: VoxelCell(idx, feat, cur) for key, idx, feat, cur in
+                 zip(map(tuple, vox[starts].tolist()), np.split(src, boundaries), feats, current)}
     return SparseVoxelGrid(spec, cells, dropped)
+
+
+def _reduce_cells(rows: np.ndarray, starts: np.ndarray, how: str) -> np.ndarray:
+    """Per-cell reduction of the consecutive row runs that begin at ``starts``.
+
+    Sums accumulate sequentially in row order, so ``mean`` and ``sum`` equal
+    ``run.mean(axis=0)`` and ``run.sum(axis=0)`` bit for bit.
+    """
+    if how == "max":
+        return np.maximum.reduceat(rows, starts, axis=0)
+    if how not in ("mean", "sum"):
+        raise ValueError(f"unknown feature_reduce {how!r}")
+    sizes = np.diff(np.append(starts, rows.shape[0]))
+    cell = np.repeat(np.arange(starts.size), sizes)
+    out = np.zeros((starts.size, rows.shape[1]))
+    for j in range(rows.shape[1]):
+        out[:, j] = np.bincount(cell, weights=rows[:, j], minlength=starts.size)
+    if how == "mean":
+        out /= sizes[:, None]
+    return out
 
 
 def majority_vote_labels(

@@ -216,3 +216,76 @@ def fuse_reference(points_xyz, point_sem, detections, membership_table,
                 assigned[i] = True
             next_id += 1
     return sem_out, inst_out
+
+
+def handcrafted_features_reference(xyz, radius=0.6):
+    """Per-point loop over a dict of planar cells: the handcrafted feature contract.
+
+    For each point the candidates are the points of the 9 surrounding cells,
+    visited in dx order then dy order (each over -1, 0, 1), in ascending index
+    within a cell; the centroid of the candidates within ``radius`` is their
+    sequential float64 mean. Returns (N, 6) rows [log1p(count), z - ground,
+    centroid - p, planar range / 10].
+    """
+    xyz = np.asarray(xyz, dtype=np.float64)
+    n = xyz.shape[0]
+    out = np.zeros((n, 6))
+    if n == 0:
+        return out
+    ground = np.percentile(xyz[:, 2], 5.0)
+    cells = {}
+    keys = np.floor(xyz[:, :2] / radius).astype(np.int64)
+    for i, key in enumerate(map(tuple, keys)):
+        cells.setdefault(key, []).append(i)
+    for i in range(n):
+        kx, ky = keys[i]
+        neighborhood = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                neighborhood.extend(cells.get((kx + dx, ky + dy), ()))
+        nb = np.asarray(neighborhood)
+        close = nb[np.linalg.norm(xyz[nb, :2] - xyz[i, :2], axis=1) <= radius]
+        centroid = xyz[close].mean(axis=0)
+        out[i, 0] = np.log1p(close.size)
+        out[i, 1] = xyz[i, 2] - ground
+        out[i, 2:5] = centroid - xyz[i]
+        out[i, 5] = np.hypot(xyz[i, 0], xyz[i, 1]) / 10.0
+    return out
+
+
+def voxel_features_reference(points, spec, features, how="mean"):
+    """{voxel key: reduced feature row} in ascending key order, one cell at a time.
+
+    Each in-range point joins the cell of its voxel index; a cell reduces its
+    rows, taken in ascending point index, with ``mean``, ``sum`` or ``max``.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    feats = np.asarray(features, dtype=np.float64)
+    members = {}
+    for i in range(pts.shape[0]):
+        if spec.in_range(pts[i])[0]:
+            members.setdefault(tuple(int(v) for v in spec.voxel_index(pts[i])[0]), []).append(i)
+    reduce = {"mean": np.mean, "sum": np.sum, "max": np.max}[how]
+    return {key: reduce(feats[members[key]], axis=0) for key in sorted(members)}
+
+
+def bev_mean_reference(points, spec, features):
+    """Dense (W', D', F) BEV map: the mean over each column's voxel means.
+
+    Voxels enter their column in ascending key order and their feature rows
+    are summed one at a time, then divided by the column's voxel count.
+    """
+    cells = voxel_features_reference(points, spec, features, "mean")
+    dim = np.asarray(features).shape[1]
+    data = np.zeros((spec.bev_width, spec.bev_depth, dim))
+    counts = np.zeros((spec.bev_width, spec.bev_depth), dtype=np.int64)
+    ds = spec.bev_downsample
+    for (ix, iy, _), feat in cells.items():
+        bx, by = ix // ds, iy // ds
+        data[bx, by] = feat if counts[bx, by] == 0 else data[bx, by] + feat
+        counts[bx, by] += 1
+    for bx in range(spec.bev_width):
+        for by in range(spec.bev_depth):
+            if counts[bx, by]:
+                data[bx, by] /= counts[bx, by]
+    return data

@@ -238,6 +238,17 @@ class TestCli:
                      str(tmp_path / "nope2"), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("name", ["poses.txt", "times.txt"])
+    def test_short_sequence_file_exit_code(self, tmp_path, name, capsys):
+        data = tmp_path / "data"
+        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
+        path = data / "sequences" / "0000" / name
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        code = main(["infer", "--data", str(data), "--out", str(tmp_path / "pred"),
+                     "--membership", "oracle"])
+        assert code == 4
+        assert f"{name}: 1 entries for 3 frames" in capsys.readouterr().err
+
     def test_unknown_flag_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "modalpanoptic.cli",
                                "synth", "--bogus-flag"], capture_output=True)

@@ -9,8 +9,11 @@ from modalpanoptic.synth import (
     _sample_face,
     visible_faces,
 )
+from modalpanoptic.membership import MembershipTrainConfig, build_training_pairs
 from modalpanoptic.targets import build_trajectories, modal_center, extent_sw
 from modalpanoptic.voxels import GridSpec
+
+from oracles import bev_mean_reference, handcrafted_features_reference
 
 TAX = mp.default_taxonomy()
 SPEC = GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
@@ -256,5 +259,104 @@ class TestHandcraftedFeatures:
         f2 = provider.point_features(seq.sweeps[0])
         assert f1.shape == (len(seq.sweeps[0]), HandcraftedFeatures.DIM)
         np.testing.assert_array_equal(f1, f2)
-        bev = provider.bev_map(seq.sweeps[0])
+        bev = provider.bev_map(seq.sweeps[0], f1)
         assert bev.data.shape == (SPEC.bev_width, SPEC.bev_depth, HandcraftedFeatures.DIM)
+
+
+def bench_row_cfg(seed):
+    """Row scenes with the benchmark's settings: 0.1-0.35 m gaps between boxes."""
+    return mp.SceneConfig(seed=seed, sweep_count=1, motion="drift", count_range=(2, 3),
+                          min_separation=10.0, max_range=24.0, pair_gap_range=(0.1, 0.35),
+                          row_partners=2, speed_range=(0.5, 1.5), points_per_m2=40.0)
+
+
+FEATURE_SCENES = {
+    "row-a": bench_row_cfg(1_000_000),
+    "row-b": bench_row_cfg(2_000_007),
+    "crowded-pass": mp.SceneConfig(seed=31, sweep_count=2, count_range=(8, 12),
+                                   min_separation=4.0, points_per_m2=40.0),
+    "near-orbit": mp.SceneConfig(seed=53, sweep_count=2, ego_motion="orbit", max_range=12.0,
+                                 count_range=(3, 5), points_per_m2=40.0),
+}
+
+
+def bare_sweep(xyz):
+    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
+    points = np.zeros((xyz.shape[0], 5))
+    points[:, :3] = xyz
+    n = xyz.shape[0]
+    return mp.PointCloudSweep(0.0, points, np.zeros(n, np.int32), np.zeros(n, np.int32))
+
+
+class TestHandcraftedFeaturesOracle:
+    """Array features must equal the per-point loop byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(FEATURE_SCENES))
+    @pytest.mark.parametrize("spec", [SPEC, GridSpec()], ids=["test-grid", "default-grid"])
+    def test_scene_bytes(self, name, spec):
+        seq, _ = mp.generate_sequence(FEATURE_SCENES[name], TAX)
+        provider = HandcraftedFeatures(spec)
+        for sweep in seq.sweeps:
+            feats = provider.point_features(sweep)
+            ref = handcrafted_features_reference(sweep.xyz)
+            assert feats.tobytes() == ref.tobytes()
+            bev = provider.bev_map(sweep, feats)
+            assert bev.data.tobytes() == bev_mean_reference(sweep.points, spec, ref).tobytes()
+
+    @pytest.mark.parametrize("xyz", [
+        np.zeros((0, 3)),
+        [[1.3, -2.7, 0.4]],
+        [[0.5, 0.5, 0.1]] * 4 + [[0.5, 0.9, 0.2]] * 3 + [[0.5, 0.5, 0.1]],
+        [[0.6 * i, -0.6 * j, 0.1 * (i + j)] for i in range(-3, 4) for j in range(-3, 4)],
+        [[1.2, 0.0, 0.0], [0.6, 0.0, 0.0], [-0.6, 0.6, 0.0], [0.0, -0.6, 1.0], [-1.2, -1.2, 0.5]],
+        # Points within an ulp or two of 0.6 m from the origin, where the
+        # distance test decides membership in the last bit.
+        [[0.0, 0.0, 0.0]] + [[np.nextafter(0.6 * np.cos(a), k), 0.6 * np.sin(a), 0.0]
+                             for a in np.linspace(0.0, 2 * np.pi, 90, endpoint=False)
+                             for k in (-1.0, 1.0)],
+    ], ids=["empty", "single", "duplicates", "on-cell-edges", "radius-apart", "radius-ring"])
+    def test_edge_case_bytes(self, xyz):
+        sweep = bare_sweep(xyz)
+        feats = HandcraftedFeatures(SPEC).point_features(sweep)
+        assert feats.shape == (len(sweep), HandcraftedFeatures.DIM)
+        assert feats.tobytes() == handcrafted_features_reference(sweep.xyz).tobytes()
+
+    def test_dense_cell_spans_chunks(self):
+        # One crowded patch expands far more candidate pairs than one chunk holds.
+        rng = np.random.default_rng(11)
+        xyz = np.concatenate([rng.uniform(-0.9, 0.9, size=(900, 3)),
+                              rng.uniform(-20, 20, size=(300, 3))])
+        sweep = bare_sweep(xyz)
+        feats = HandcraftedFeatures(SPEC).point_features(sweep)
+        assert feats.tobytes() == handcrafted_features_reference(sweep.xyz).tobytes()
+
+
+class CountingFeatures(HandcraftedFeatures):
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.calls = 0
+
+    def point_features(self, sweep):
+        self.calls += 1
+        return super().point_features(sweep)
+
+
+class TestFeaturesOncePerSweep:
+    def test_simulate_detector(self):
+        seq, reg = mp.generate_sequence(simple_cfg(seed=5, sweep_count=3), TAX)
+        provider = CountingFeatures(SPEC)
+        maps = mp.simulate_detector(seq, reg, NO_NOISE, SPEC, TAX, provider=provider)
+        assert provider.calls == len(seq.sweeps)
+        assert maps[0].bev_features.data.tobytes() == provider.bev_map(
+            seq.sweeps[0], maps[0].point_features).data.tobytes()
+
+    @pytest.mark.parametrize("include_point", [True, False])
+    def test_build_training_pairs(self, include_point):
+        seq, _ = mp.generate_sequence(simple_cfg(seed=6, sweep_count=3), TAX)
+        provider = CountingFeatures(SPEC)
+        cfg = MembershipTrainConfig(num_classes=TAX.num_channels,
+                                    point_feature_dim=HandcraftedFeatures.DIM,
+                                    bev_feature_dim=HandcraftedFeatures.DIM,
+                                    include_point_features=include_point, include_bev=True)
+        build_training_pairs([seq], TAX, cfg, provider)
+        assert provider.calls == len(seq.sweeps)

@@ -11,7 +11,7 @@ from modalpanoptic.voxels import (
     voxelize,
 )
 
-from oracles import bilinear_4term
+from oracles import bilinear_4term, voxel_features_reference
 
 SMALL = GridSpec(voxel_size=(0.5, 0.5, 0.5), planar_range=8.0, z_min=-2.0, z_max=2.0,
                  bev_downsample=2)
@@ -112,6 +112,29 @@ class TestMajorityVote:
         votes = majority_vote_labels(grid, sems)
         for key, cell in grid.occupied.items():
             assert votes[key] in set(sems[cell.point_indices].tolist())
+
+
+class TestVoxelFeatureReduction:
+    @pytest.mark.parametrize("how", ["mean", "sum", "max"])
+    def test_bytes_match_per_cell_reference(self, how):
+        rng = np.random.default_rng(8)
+        cloud = np.zeros((600, 5))
+        cloud[:, :3] = rng.uniform(-2.0, 2.0, size=(600, 3)) * [1, 1, 0.5]
+        cloud[:40, :3] = rng.uniform(-10.0, 10.0, size=(40, 3))  # some out of range
+        cloud[::7, 4] = -0.5  # history points
+        feats = rng.normal(size=(600, 5)) * 10.0 ** rng.uniform(-6, 6, size=(600, 1))
+        grid = voxelize(cloud, SMALL, features=feats, feature_reduce=how)
+        ref = voxel_features_reference(cloud, SMALL, feats, how)
+        assert list(grid.occupied) == list(ref)
+        assert max(len(c.point_indices) for c in grid.occupied.values()) > 5
+        for key, cell in grid.occupied.items():
+            assert cell.feature.tobytes() == ref[key].tobytes()
+            assert cell.current_sweep == bool(np.any(cloud[cell.point_indices, 4] == 0.0))
+
+    def test_unknown_reduce(self):
+        with pytest.raises(ValueError):
+            voxelize(pts([(0.3, 0.3, 0.0)]), SMALL, features=np.ones((1, 2)),
+                     feature_reduce="median")
 
 
 class TestFlattenBev:
