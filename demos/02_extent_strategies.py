@@ -9,8 +9,8 @@ The panoptic-quality ordering MAX > CWM >= SW > DSB falls out of that.
 import numpy as np
 
 import modalpanoptic as mp
-from modalpanoptic.pipeline import (infer_sequence, membership_factory_nn,
-                                    prepare_sweep_inputs)
+from modalpanoptic.membership import nn_scores
+from modalpanoptic.pipeline import infer_sequence, prepare_sweep_inputs
 from modalpanoptic.synth import NO_NOISE
 from modalpanoptic.targets import ExtentStrategy, aggregate_extent, class_wise_mean_extents
 from modalpanoptic.tracking import PipelineConfig
@@ -54,7 +54,6 @@ for name, strategy in strategies.items():
     for seq, reg in scenes:
         inputs = prepare_sweep_inputs(seq, taxonomy, spec, strategy, NO_NOISE, registry=reg)
         for sweep, lab in zip(seq.sweeps,
-                              infer_sequence(inputs, taxonomy, spec,
-                                             membership_factory_nn(pcfg), pcfg)):
+                              infer_sequence(inputs, taxonomy, spec, nn_scores, pcfg)):
             acc.add(mp.PanopticLabeling(sweep.sem_labels, sweep.inst_labels), lab)
     print(f"  PQ({name:3s}) = {acc.report().pq:.3f}")

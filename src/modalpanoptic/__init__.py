@@ -43,8 +43,13 @@ from .membership import (
     Detection,
     MembershipTrainConfig,
     PairFeatureConfig,
+    PairTable,
     assemble_pair_features,
+    gather_pairs,
+    mlp_scores,
     nn_baseline,
+    nn_scores,
+    oracle_scores,
     predict_membership,
     roi_points,
     train_membership_stage2,
@@ -57,7 +62,7 @@ from .inference import (
     fuse_panoptic,
     nms_detect,
 )
-from .tracking import PipelineConfig, Tracklet, greedy_associate, panoptic_track_sequence
+from .tracking import PipelineConfig, Scorer, Tracklet, greedy_associate, panoptic_track_sequence
 from .metrics import (
     LstqAccumulator,
     LstqReport,

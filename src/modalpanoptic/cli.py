@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +19,17 @@ import numpy as np
 from . import dataio
 from .cloud import PanopticLabeling, Taxonomy
 from .dataio import RunConfig
-from .membership import MembershipTrainConfig, train_membership_stage2
+from .membership import (
+    MembershipTrainConfig,
+    PairFeatureConfig,
+    mlp_scores,
+    nn_scores,
+    oracle_scores,
+    train_membership_stage2,
+)
 from .metrics import LstqAccumulator, PqAccumulator, lstq_report_csv, pq_report_csv
 from .mlp import load_model, save_model
-from .pipeline import (
-    build_extent_model,
-    infer_sequence,
-    membership_factory_mlp,
-    membership_factory_nn,
-    membership_factory_oracle,
-    prepare_sweep_inputs,
-    default_gates,
-)
+from .pipeline import infer_sequence, prepare_sweep_inputs
 from .synth import (
     DetectorNoise,
     HandcraftedFeatures,
@@ -49,7 +48,7 @@ from .targets import (
     save_cwm_stats,
     velocity_target,
 )
-from .tracking import PipelineConfig, panoptic_track_sequence
+from .tracking import PipelineConfig, class_gates, panoptic_track_sequence
 from .voxels import GridSpec
 
 EXIT_USAGE = 2
@@ -303,6 +302,19 @@ def _run_inference(args, track: bool) -> int:
     include_point, include_bev = _feature_flags(args.features)
     needs_features = args.membership == "mlp" and (include_point or include_bev)
     provider = HandcraftedFeatures(spec) if needs_features else None
+    if args.membership == "mlp":
+        if not args.model:
+            raise MissingInput("--membership mlp requires --model")
+        pair_cfg = PairFeatureConfig(
+            taxonomy.num_channels,
+            HandcraftedFeatures.DIM if include_point else 0,
+            HandcraftedFeatures.DIM if include_bev else 0,
+            include_point,
+            include_bev,
+        )
+        score = partial(mlp_scores, load_model(args.model), pair_cfg)
+    else:
+        score = oracle_scores if args.membership == "oracle" else nn_scores
     seed = _seed_of(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,30 +330,14 @@ def _run_inference(args, track: bool) -> int:
             margin_frac=args.margin_frac,
             margin_floor=args.margin_floor,
             conflict=args.conflict,
-            gates=default_gates(trajectories, taxonomy) or None,
+            gates=class_gates(class_wise_mean_extents(trajectories, taxonomy)) or None,
             max_age=args.max_age if track else 2,
         )
-        if args.membership == "mlp":
-            if not args.model:
-                raise MissingInput("--membership mlp requires --model")
-            model = load_model(args.model)
-            cfg = MembershipTrainConfig(
-                num_classes=taxonomy.num_channels,
-                point_feature_dim=HandcraftedFeatures.DIM if include_point else 0,
-                bev_feature_dim=HandcraftedFeatures.DIM if include_bev else 0,
-                include_point_features=include_point,
-                include_bev=include_bev,
-            )
-            factory = membership_factory_mlp(model, cfg.pair_config())
-        elif args.membership == "oracle":
-            factory = membership_factory_oracle()
-        else:
-            factory = membership_factory_nn(pcfg)
         if track:
-            labelings = panoptic_track_sequence(inputs, taxonomy, spec, factory,
+            labelings = panoptic_track_sequence(inputs, taxonomy, spec, score,
                                                 seq.period, pcfg)
         else:
-            labelings = infer_sequence(inputs, taxonomy, spec, factory, pcfg)
+            labelings = infer_sequence(inputs, taxonomy, spec, score, pcfg)
         dataio.write_predictions(out, name, labelings)
     print(f"wrote predictions to {out}")
     return 0
@@ -570,8 +566,10 @@ def main(argv=None) -> int:
         if known.config:
             if not Path(known.config).exists():
                 raise MissingInput(f"config file {known.config} does not exist")
-            cfg = dataio.parse_run_config(known.config)
-            defaults = {arg: getattr(cfg, key) for key, arg in _CONFIG_TO_ARG.items()}
+            # Only keys the file sets become defaults; the rest keep the CLI's own.
+            values = dataio.read_run_config_values(known.config)
+            defaults = {arg: values[key] for key, arg in _CONFIG_TO_ARG.items()
+                        if key in values}
             for sub_action in parser._subparsers._group_actions:
                 for sub in sub_action.choices.values():
                     sub.set_defaults(**{k: v for k, v in defaults.items()

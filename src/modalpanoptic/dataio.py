@@ -242,8 +242,13 @@ class RunConfig:
 
 
 def parse_run_config(path) -> RunConfig:
+    return replace(RunConfig(), **read_run_config_values(path))
+
+
+def read_run_config_values(path) -> dict:
+    """The keys a run-config file sets, with values typed like the defaults."""
     values = {}
-    names = {f.name: f.type for f in fields(RunConfig)}
+    names = {f.name for f in fields(RunConfig)}
     defaults = RunConfig()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -261,7 +266,7 @@ def parse_run_config(path) -> RunConfig:
                 values[key] = type(current)(value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return replace(defaults, **values)
+    return values
 
 
 def write_run_config(cfg: RunConfig, path) -> None:

@@ -7,25 +7,12 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .cloud import NO_INSTANCE, PanopticLabeling, Taxonomy
-from .membership import (
-    Detection,
-    PairFeatureConfig,
-    ROI_MARGIN_FLOOR,
-    ROI_MARGIN_FRAC,
-    assemble_pair_features,
-    nn_baseline,
-    predict_membership,
-    roi_points,
-)
-from .mlp import MlpModel
+from .cloud import PanopticLabeling, Taxonomy
+from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detection, PairTable, gather_pairs
 from .voxels import BevMap, GridSpec
 
 NMS_THRESHOLD = 0.3
 NMS_MAX_DETECTIONS = 500
-
-# membership_fn(detection_index, detection, point_indices) -> probabilities
-MembershipFn = Callable[[int, Detection, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -142,7 +129,7 @@ def fuse_panoptic(
     points_xyz: np.ndarray,
     detections: list[Detection],
     maps: PredictedMaps,
-    membership_fn: MembershipFn,
+    membership: Callable[[PairTable], np.ndarray],
     taxonomy: Taxonomy,
     margin_frac: float = ROI_MARGIN_FRAC,
     margin_floor: float = ROI_MARGIN_FLOOR,
@@ -150,11 +137,13 @@ def fuse_panoptic(
 ) -> FusionResult:
     """Fuse semantics, detections and memberships into per-point (class, id).
 
-    Detections are consumed in decreasing-confidence order. Each gathers its
-    RoI, drops points whose predicted class differs from its own, and claims
-    the still-unassigned ones whose membership strictly exceeds 0.5; claimed
-    points take the detection class and a fresh id (starting at 1). Leftover
-    points fall back to their predicted semantics with instance 0.
+    ``gather_pairs`` collects each detection's RoI points whose predicted
+    class is its own, and ``membership(pairs)`` scores the whole table in one
+    call, one probability per pair. Detections are then consumed in
+    decreasing-confidence order; each claims the still-unassigned points of
+    its group whose membership strictly exceeds 0.5. Claimed points take the
+    detection class and a fresh id (starting at 1, in detection order).
+    Leftover points fall back to their predicted semantics with instance 0.
 
     ``conflict`` picks the overlap rule: "first_wins" freezes earlier
     (more confident) assignments; "argmax" gives contested points to the
@@ -165,128 +154,36 @@ def fuse_panoptic(
     confidences = [d.confidence for d in detections]
     if any(b > a for a, b in zip(confidences, confidences[1:])):
         raise ValueError("detections must be sorted by decreasing confidence")
-    pts = np.asarray(points_xyz, dtype=np.float64)
-    n = pts.shape[0]
-    sem_out = np.asarray(maps.point_sem, dtype=np.int32).copy()
-    inst_out = np.zeros(n, dtype=np.int32)
-    point_det = np.full(n, -1, dtype=np.int64)
-    best_prob = np.zeros(n)
-    next_id = 1
-    det_ids: dict[int, int] = {}
-    for d, det in enumerate(detections):
+    for det in detections:
         if det.class_id not in taxonomy.class_ids:
             raise ValueError(f"detection class {det.class_id} not in the taxonomy")
-        roi = roi_points(det, pts, inflate=True, margin_frac=margin_frac,
-                         margin_floor=margin_floor)
-        roi = roi[np.asarray(maps.point_sem)[roi] == det.class_id]
-        if roi.size == 0:
-            continue
-        if conflict == "first_wins":
-            roi = roi[point_det[roi] < 0]
-            if roi.size == 0:
-                continue
-            probs = np.asarray(membership_fn(d, det, roi), dtype=np.float64)
-            members = roi[probs > 0.5]
-            if members.size == 0:
-                continue
-            point_det[members] = d
-        else:
-            probs = np.asarray(membership_fn(d, det, roi), dtype=np.float64)
-            better = (probs > 0.5) & (probs > best_prob[roi])
-            members = roi[better]
-            if members.size == 0:
-                continue
-            best_prob[members] = probs[better]
-            point_det[members] = d
+    pairs = gather_pairs(points_xyz, maps.point_sem, detections, margin_frac, margin_floor)
+    probs = np.asarray(membership(pairs), dtype=np.float64)
+    if probs.shape != (len(pairs),):
+        raise ValueError(f"membership gave {probs.shape} scores for {len(pairs)} pairs")
+    n = np.asarray(points_xyz).shape[0]
+    point_det = np.full(n, -1, dtype=np.int64)
+    best_prob = np.zeros(n)
     for d in range(len(detections)):
-        claimed = point_det == d
-        if not claimed.any():
-            continue
-        det_ids[d] = next_id
-        sem_out[claimed] = detections[d].class_id
-        inst_out[claimed] = next_id
-        next_id += 1
+        group = pairs.group(d)
+        roi, p = pairs.point[group], probs[group]
+        if conflict == "first_wins":
+            point_det[roi[(p > 0.5) & (point_det[roi] < 0)]] = d
+        else:
+            better = (p > 0.5) & (p > best_prob[roi])
+            best_prob[roi[better]] = p[better]
+            point_det[roi[better]] = d
+    claimed = point_det >= 0
+    sem_out = np.asarray(maps.point_sem, dtype=np.int32).copy()
+    inst_out = np.zeros(n, dtype=np.int32)
+    _, rank = np.unique(point_det[claimed], return_inverse=True)
+    inst_out[claimed] = rank + 1
+    class_ids = np.array([det.class_id for det in detections], dtype=np.int32)
+    sem_out[claimed] = class_ids[point_det[claimed]]
     return FusionResult(PanopticLabeling(sem_out, inst_out), point_det)
 
 
-def make_table_membership(table: np.ndarray) -> MembershipFn:
+def make_table_membership(table: np.ndarray) -> Callable[[PairTable], np.ndarray]:
     """Membership from a precomputed (detections x points) probability table."""
     table = np.asarray(table, dtype=np.float64)
-
-    def fn(det_index: int, det: Detection, indices: np.ndarray) -> np.ndarray:
-        return table[det_index, indices]
-
-    return fn
-
-
-def make_nn_membership(
-    points_xyz: np.ndarray,
-    point_sem: np.ndarray,
-    detections: list[Detection],
-    margin_frac: float = ROI_MARGIN_FRAC,
-    margin_floor: float = ROI_MARGIN_FLOOR,
-) -> MembershipFn:
-    """Hard membership induced by the nearest-center baseline assignment."""
-    assignment = nn_baseline(points_xyz, point_sem, detections, margin_frac, margin_floor)
-
-    def fn(det_index: int, det: Detection, indices: np.ndarray) -> np.ndarray:
-        return (assignment[indices] == det_index).astype(np.float64)
-
-    return fn
-
-
-def make_mlp_membership(
-    model: MlpModel,
-    points_xyz: np.ndarray,
-    maps: PredictedMaps,
-    pair_cfg: PairFeatureConfig,
-) -> MembershipFn:
-    """Pair-scorer membership over the sweep's feature maps."""
-    pts = np.asarray(points_xyz, dtype=np.float64)
-
-    def fn(det_index: int, det: Detection, indices: np.ndarray) -> np.ndarray:
-        rows = assemble_pair_features(
-            pts[indices],
-            np.asarray(maps.point_sem)[indices],
-            det,
-            pair_cfg,
-            point_features=maps.point_features[indices] if pair_cfg.include_point_features else None,
-            bev=maps.bev_features if pair_cfg.include_bev else None,
-        )
-        return predict_membership(model, rows)
-
-    return fn
-
-
-def make_oracle_membership(
-    gt_inst: np.ndarray,
-    detections: list[Detection],
-    instance_centers: dict[int, np.ndarray],
-    instance_classes: dict[int, int],
-    match_radius: float = 1.0,
-) -> MembershipFn:
-    """Ground-truth membership: each detection claims exactly its source instance.
-
-    Detections are matched to the nearest same-class true center within
-    ``match_radius``; unmatched detections claim nothing. Used to exercise the
-    fusion and tracking plumbing under perfect inputs.
-    """
-    gt = np.asarray(gt_inst)
-    matched: list[int | None] = []
-    for det in detections:
-        best, best_d = None, match_radius
-        for iid, center in instance_centers.items():
-            if instance_classes.get(iid) != det.class_id:
-                continue
-            dist = float(np.linalg.norm(np.asarray(center)[:2] - det.center[:2]))
-            if dist < best_d:
-                best, best_d = iid, dist
-        matched.append(best)
-
-    def fn(det_index: int, det: Detection, indices: np.ndarray) -> np.ndarray:
-        source = matched[det_index]
-        if source is None:
-            return np.zeros(indices.size)
-        return (gt[indices] == source).astype(np.float64)
-
-    return fn
+    return lambda pairs: table[pairs.det, pairs.point]

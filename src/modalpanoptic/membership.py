@@ -9,13 +9,17 @@ a membership probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cloud import NO_INSTANCE, SweepSequence, Taxonomy, transform_to_frame
+from .cloud import NO_INSTANCE, SweepSequence, Taxonomy
 from .mlp import MlpModel, OptimizerState, build_mlp, forward, train_epochs
 from .targets import build_trajectories, membership_target, modal_center, observed_component_means
 from .voxels import BevMap, FeatureProvider, interpolate_bev_many
+
+if TYPE_CHECKING:
+    from .tracking import SweepInputs
 
 ROI_MARGIN_FRAC = 0.1
 ROI_MARGIN_FLOOR = 0.1
@@ -167,37 +171,145 @@ def predict_membership(model: MlpModel, pairs: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
+@dataclass(frozen=True)
+class PairTable:
+    """Every (detection, point) pair of one sweep that membership scores.
+
+    Pairs are grouped by detection in list order, which is decreasing
+    confidence, with ascending point indices inside each group; detection
+    ``d`` owns ``group(d)``. The margins record the RoI the pairs came from.
+    """
+
+    det: np.ndarray       # (P,) detection index per pair
+    point: np.ndarray     # (P,) point index per pair
+    offsets: np.ndarray   # (D + 1,) group bounds
+    margin_frac: float = ROI_MARGIN_FRAC
+    margin_floor: float = ROI_MARGIN_FLOOR
+
+    def __len__(self) -> int:
+        return self.point.size
+
+    def group(self, d: int) -> slice:
+        return slice(int(self.offsets[d]), int(self.offsets[d + 1]))
+
+
+def gather_pairs(
+    points_xyz: np.ndarray,
+    point_sem: np.ndarray,
+    detections: list[Detection],
+    margin_frac: float = ROI_MARGIN_FRAC,
+    margin_floor: float = ROI_MARGIN_FLOOR,
+) -> PairTable:
+    """Points inside each detection's inflated RoI whose predicted class is its own."""
+    pts = np.asarray(points_xyz, dtype=np.float64)
+    sem = np.asarray(point_sem)
+    groups = []
+    for det in detections:
+        roi = roi_points(det, pts, inflate=True, margin_frac=margin_frac,
+                         margin_floor=margin_floor)
+        groups.append(roi[sem[roi] == det.class_id])
+    sizes = [g.size for g in groups]
+    return PairTable(
+        np.repeat(np.arange(len(groups), dtype=np.int64), sizes),
+        np.concatenate([np.zeros(0, dtype=np.int64), *groups]),
+        np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+        margin_frac,
+        margin_floor,
+    )
+
+
 def nn_baseline(
     points_xyz: np.ndarray,
     point_sem: np.ndarray,
     detections: list[Detection],
     margin_frac: float = ROI_MARGIN_FRAC,
     margin_floor: float = ROI_MARGIN_FLOOR,
+    pairs: PairTable | None = None,
 ) -> np.ndarray:
     """Nearest semantically-compatible center within RoI, per point.
 
     Returns the chosen detection index per point, -1 where no detection
     qualifies. Ties break toward higher confidence, then lower index.
+    ``pairs`` is the table ``gather_pairs`` builds from the same arguments,
+    when the caller already has it.
     """
     pts = np.asarray(points_xyz, dtype=np.float64)[:, :3]
-    sem = np.asarray(point_sem)
-    n = pts.shape[0]
-    best = np.full(n, -1, dtype=np.int64)
-    best_key = [None] * n
-    for d, det in enumerate(detections):
-        radius = roi_radius(det, margin_frac, margin_floor)
-        candidates = np.flatnonzero(
-            (sem == det.class_id) & np.all(np.abs(pts - det.center) < radius, axis=1)
-        )
-        if candidates.size == 0:
-            continue
-        dist = np.linalg.norm(pts[candidates] - det.center, axis=1)
-        for i, dd in zip(candidates, dist):
-            key = (dd, -det.confidence, d)
-            if best_key[i] is None or key < best_key[i]:
-                best_key[i] = key
-                best[i] = d
+    if pairs is None:
+        pairs = gather_pairs(pts, point_sem, detections, margin_frac, margin_floor)
+    best = np.full(pts.shape[0], -1, dtype=np.int64)
+    if len(pairs) == 0:
+        return best
+    centers = np.array([det.center for det in detections])
+    confidence = np.array([det.confidence for det in detections])
+    dist = np.linalg.norm(pts[pairs.point] - centers[pairs.det], axis=1)
+    order = np.lexsort((pairs.det, -confidence[pairs.det], dist, pairs.point))
+    point, det = pairs.point[order], pairs.det[order]
+    first = np.concatenate([[True], point[1:] != point[:-1]])
+    best[point[first]] = det[first]
     return best
+
+
+# Membership scorers share one signature, ``score(inputs, detections, pairs)``:
+# the sweep's inputs, its detections and their gathered pairs in, one
+# membership probability per pair out, in one call per sweep.
+
+def nn_scores(inputs: SweepInputs, detections: list[Detection], pairs: PairTable) -> np.ndarray:
+    """Hard membership induced by the nearest-center baseline assignment."""
+    assignment = nn_baseline(inputs.sweep.xyz, inputs.maps.point_sem, detections,
+                             pairs.margin_frac, pairs.margin_floor, pairs=pairs)
+    return (assignment[pairs.point] == pairs.det).astype(np.float64)
+
+
+def mlp_scores(
+    model: MlpModel,
+    pair_cfg: PairFeatureConfig,
+    inputs: SweepInputs,
+    detections: list[Detection],
+    pairs: PairTable,
+) -> np.ndarray:
+    """Pair-scorer membership: rows assembled per detection, one forward per sweep.
+
+    Bind the model and configuration first, e.g. ``partial(mlp_scores, model, cfg)``.
+    """
+    pts, maps = inputs.sweep.xyz, inputs.maps
+    bev = maps.bev_features if pair_cfg.include_bev else None
+    rows = []
+    for d, det in enumerate(detections):
+        idx = pairs.point[pairs.group(d)]
+        if idx.size == 0:
+            continue
+        feats = maps.point_features[idx] if pair_cfg.include_point_features else None
+        rows.append(assemble_pair_features(pts[idx], maps.point_sem[idx], det, pair_cfg,
+                                           point_features=feats, bev=bev))
+    return predict_membership(model, np.concatenate(rows)) if rows else np.zeros(0)
+
+
+def oracle_scores(
+    inputs: SweepInputs,
+    detections: list[Detection],
+    pairs: PairTable,
+    match_radius: float = 1.0,
+) -> np.ndarray:
+    """Ground-truth membership: each detection claims exactly its source instance.
+
+    A detection's source is the nearest same-class true modal center within
+    ``match_radius`` in the plane, the lower instance id on ties; unmatched
+    detections claim nothing. Used to exercise the fusion and tracking
+    plumbing under perfect inputs.
+    """
+    sweep = inputs.sweep
+    ids = sweep.inst_labels
+    iids = np.unique(ids[ids > NO_INSTANCE])
+    members = [np.flatnonzero(ids == iid) for iid in iids]
+    centers = np.array([modal_center(sweep.xyz[m])[:2] for m in members]).reshape(-1, 2)
+    classes = np.array([sweep.sem_labels[m[0]] for m in members], dtype=np.int64)
+    source = np.full(len(detections), -1, dtype=np.int64)
+    for d, det in enumerate(detections):
+        dist = np.where(classes == det.class_id,
+                        np.linalg.norm(centers - det.center[:2], axis=1), np.inf)
+        if dist.size and dist.min() < match_radius:
+            source[d] = iids[np.argmin(dist)]
+    return (ids[pairs.point] == source[pairs.det]).astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -12,29 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import NO_INSTANCE, PanopticLabeling, SweepSequence, Taxonomy, invert_pose
-from .inference import (
-    Detection,
-    MembershipFn,
-    NearestCenterExtents,
-    make_mlp_membership,
-    make_nn_membership,
-    make_oracle_membership,
-)
-from .membership import DEGENERATE_EXTENT, PairFeatureConfig
-from .mlp import MlpModel
+from .cloud import PanopticLabeling, SweepSequence, Taxonomy, invert_pose
+from .inference import NearestCenterExtents
+from .membership import DEGENERATE_EXTENT
 from .targets import (
     ExtentStrategy,
     InstanceTrajectory,
     aggregate_extent,
     build_trajectories,
-    class_wise_mean_extents,
-    extent_sw,
-    modal_center,
     observed_component_means,
 )
 from .synth import DetectorNoise, SceneRegistry, simulate_detector
-from .tracking import PipelineConfig, SweepInputs, infer_sweep, panoptic_track_sequence
+from .tracking import PipelineConfig, Scorer, SweepInputs, infer_sweep
 from .voxels import FeatureProvider, GridSpec
 
 FALLBACK_EXTENT = np.array([1.0, 1.0, 1.0])
@@ -109,34 +98,6 @@ def extent_entries_for_sweep(
                                 np.stack(extents), default)
 
 
-def membership_factory_nn(cfg: PipelineConfig):
-    def factory(sweep_index: int, dets: list[Detection], inputs: SweepInputs) -> MembershipFn:
-        return make_nn_membership(inputs.sweep.xyz, inputs.maps.point_sem, dets,
-                                  cfg.margin_frac, cfg.margin_floor)
-    return factory
-
-
-def membership_factory_mlp(model: MlpModel, pair_cfg: PairFeatureConfig):
-    def factory(sweep_index: int, dets: list[Detection], inputs: SweepInputs) -> MembershipFn:
-        return make_mlp_membership(model, inputs.sweep.xyz, inputs.maps, pair_cfg)
-    return factory
-
-
-def membership_factory_oracle():
-    """Ground-truth memberships from the sweep's own labels (plumbing tests)."""
-    def factory(sweep_index: int, dets: list[Detection], inputs: SweepInputs) -> MembershipFn:
-        sweep = inputs.sweep
-        centers: dict[int, np.ndarray] = {}
-        classes: dict[int, int] = {}
-        ids = sweep.inst_labels
-        for iid in np.unique(ids[ids > NO_INSTANCE]):
-            members = np.flatnonzero(ids == iid)
-            centers[int(iid)] = modal_center(sweep.xyz[members])
-            classes[int(iid)] = int(sweep.sem_labels[members[0]])
-        return make_oracle_membership(ids, dets, centers, classes)
-    return factory
-
-
 def prepare_sweep_inputs(
     seq: SweepSequence,
     taxonomy: Taxonomy,
@@ -164,29 +125,8 @@ def infer_sequence(
     per_sweep: list[SweepInputs],
     taxonomy: Taxonomy,
     spec: GridSpec,
-    membership_factory,
+    score: Scorer,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> list[PanopticLabeling]:
     """Per-sweep fusion with fresh ids (no temporal association)."""
-    out = []
-    for t, inputs in enumerate(per_sweep):
-        _, fused = infer_sweep(inputs, taxonomy, spec, membership_factory, cfg, t)
-        out.append(fused.labeling)
-    return out
-
-
-def track_sequence(
-    per_sweep: list[SweepInputs],
-    taxonomy: Taxonomy,
-    spec: GridSpec,
-    membership_factory,
-    dt: float,
-    cfg: PipelineConfig = PipelineConfig(),
-) -> list[PanopticLabeling]:
-    return panoptic_track_sequence(per_sweep, taxonomy, spec, membership_factory, dt, cfg)
-
-
-def default_gates(trajectories: dict[int, InstanceTrajectory], taxonomy: Taxonomy,
-                  scale: float = 2.0) -> dict[int, float]:
-    stats = class_wise_mean_extents(trajectories, taxonomy)
-    return {cid: scale * float(max(ext[0], ext[1])) for cid, ext in stats.items()}
+    return [infer_sweep(inputs, taxonomy, spec, score, cfg)[1].labeling for inputs in per_sweep]

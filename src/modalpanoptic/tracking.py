@@ -12,14 +12,13 @@ from .inference import (
     Detection,
     ExtentProvider,
     FusionResult,
-    MembershipFn,
     NMS_MAX_DETECTIONS,
     NMS_THRESHOLD,
     PredictedMaps,
     fuse_panoptic,
     nms_detect,
 )
-from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC
+from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, PairTable
 from .voxels import GridSpec
 
 MAX_TRACK_ID = 65535  # the on-disk label format packs ids into 16 bits
@@ -130,6 +129,10 @@ class SweepInputs:
     extent_provider: ExtentProvider
 
 
+# The membership scorers' signature (``membership.nn_scores`` and its kin).
+Scorer = Callable[[SweepInputs, list[Detection], PairTable], np.ndarray]
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     nms_threshold: float = NMS_THRESHOLD
@@ -146,15 +149,14 @@ def infer_sweep(
     inputs: SweepInputs,
     taxonomy: Taxonomy,
     spec: GridSpec,
-    membership_factory: Callable[[int, list[Detection], SweepInputs], MembershipFn],
+    score: Scorer,
     cfg: PipelineConfig = PipelineConfig(),
-    sweep_index: int = 0,
 ) -> tuple[list[Detection], FusionResult]:
     """NMS followed by panoptic fusion for a single sweep."""
     dets = nms_detect(inputs.maps, spec, inputs.extent_provider,
                       cfg.nms_threshold, cfg.nms_max_detections)
-    membership = membership_factory(sweep_index, dets, inputs)
-    fused = fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps, membership, taxonomy,
+    fused = fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps,
+                          lambda pairs: score(inputs, dets, pairs), taxonomy,
                           cfg.margin_frac, cfg.margin_floor, cfg.conflict)
     return dets, fused
 
@@ -163,7 +165,7 @@ def panoptic_track_sequence(
     per_sweep: list[SweepInputs],
     taxonomy: Taxonomy,
     spec: GridSpec,
-    membership_factory: Callable[[int, list[Detection], SweepInputs], MembershipFn],
+    score: Scorer,
     dt: float,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> list[PanopticLabeling]:
@@ -176,7 +178,7 @@ def panoptic_track_sequence(
     next_id = 1
     out: list[PanopticLabeling] = []
     for t, inputs in enumerate(per_sweep):
-        dets, fused = infer_sweep(inputs, taxonomy, spec, membership_factory, cfg, t)
+        dets, fused = infer_sweep(inputs, taxonomy, spec, score, cfg)
         pose = inputs.sweep.ego_pose
         world_dets = [
             Detection(pose[:3, :3] @ d.center + pose[:3, 3], d.confidence, d.class_id, d.extent)

@@ -218,6 +218,35 @@ def fuse_reference(points_xyz, point_sem, detections, membership_table,
     return sem_out, inst_out
 
 
+def nn_baseline_reference(points_xyz, point_sem, detections, margin_frac=0.1,
+                          margin_floor=0.1):
+    """Per-pair tuple-key loop: the nearest-center membership contract.
+
+    Every point inside a same-class detection's inflated RoI keeps the
+    smallest key (distance, -confidence, detection index) seen over all
+    detections; points no detection reaches stay at -1.
+    """
+    pts = np.asarray(points_xyz, dtype=np.float64)[:, :3]
+    sem = np.asarray(point_sem)
+    n = pts.shape[0]
+    best = np.full(n, -1, dtype=np.int64)
+    best_key = [None] * n
+    for d, det in enumerate(detections):
+        radius = det.extent + np.maximum(margin_frac * det.extent, margin_floor)
+        candidates = np.flatnonzero(
+            (sem == det.class_id) & np.all(np.abs(pts - det.center) < radius, axis=1)
+        )
+        if candidates.size == 0:
+            continue
+        dist = np.linalg.norm(pts[candidates] - det.center, axis=1)
+        for i, dd in zip(candidates, dist):
+            key = (dd, -det.confidence, d)
+            if best_key[i] is None or key < best_key[i]:
+                best_key[i] = key
+                best[i] = d
+    return best
+
+
 def handcrafted_features_reference(xyz, radius=0.6):
     """Per-point loop over a dict of planar cells: the handcrafted feature contract.
 

@@ -7,28 +7,25 @@ budget.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 import modalpanoptic as mp
-from modalpanoptic.inference import make_mlp_membership, make_table_membership, nms_detect
+from modalpanoptic.inference import make_table_membership, nms_detect
 from modalpanoptic.losses import bce_loss, focal_loss, l1_loss, masked_cross_entropy
 from modalpanoptic.membership import (
     MembershipTrainConfig,
+    mlp_scores,
     nn_baseline,
-    roi_points,
+    nn_scores,
+    oracle_scores,
     train_membership_stage2,
 )
 from modalpanoptic.metrics import membership_accuracy
 from modalpanoptic.mlp import backward, build_mlp, forward
-from modalpanoptic.pipeline import (
-    membership_factory_nn,
-    membership_factory_oracle,
-    prepare_sweep_inputs,
-    infer_sequence,
-    track_sequence,
-)
+from modalpanoptic.pipeline import prepare_sweep_inputs, infer_sequence
 from modalpanoptic.synth import NO_NOISE, DetectorNoise, HandcraftedFeatures
 from modalpanoptic.targets import (
     ExtentStrategy,
@@ -42,7 +39,7 @@ from modalpanoptic.targets import (
     InstanceTrajectory,
     ModalInstance,
 )
-from modalpanoptic.tracking import PipelineConfig
+from modalpanoptic.tracking import PipelineConfig, panoptic_track_sequence
 from modalpanoptic.voxels import GridSpec
 
 from oracles import fd_gradient, fuse_reference, pq_counts, rel_err, tube_s_assoc
@@ -110,7 +107,7 @@ def test_acceptance_1_extent_strategy_trend(extent_corpus):
         for seq, reg in seqs:
             inputs = prepare_sweep_inputs(seq, TAX, SPEC, strategy, NO_NOISE,
                                           registry=reg)
-            labs = infer_sequence(inputs, TAX, SPEC, membership_factory_nn(pcfg), pcfg)
+            labs = infer_sequence(inputs, TAX, SPEC, nn_scores, pcfg)
             for sweep, lab in zip(seq.sweeps, labs):
                 acc.add(mp.PanopticLabeling(sweep.sem_labels, sweep.inst_labels), lab)
         pq[name] = acc.report().pq
@@ -142,20 +139,10 @@ def membership_setup():
 
 
 def mlp_assignments(model, cfgm, inputs, dets):
-    xyz = inputs.sweep.xyz
-    fn = make_mlp_membership(model, xyz, inputs.maps, cfgm.pair_config())
-    best = np.full(len(xyz), -1)
-    best_p = np.full(len(xyz), 0.5)
-    for d, det in enumerate(dets):
-        roi = roi_points(det, xyz, inflate=True, **MARGIN)
-        roi = roi[np.asarray(inputs.maps.point_sem)[roi] == det.class_id]
-        if roi.size == 0:
-            continue
-        p = fn(d, det, roi)
-        better = p > best_p[roi]
-        best[roi[better]] = d
-        best_p[roi[better]] = p[better]
-    return best
+    # Each point goes to the detection with the highest membership above 0.5.
+    score = partial(mlp_scores, model, cfgm.pair_config(), inputs, dets)
+    return mp.fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps, score, TAX,
+                            conflict="argmax", **MARGIN).point_detection
 
 
 def eval_membership(test_scenes, provider, assign_of):
@@ -217,8 +204,8 @@ def test_acceptance_3_perfect_input_identity():
         seq, reg = mp.generate_sequence(cfg, TAX)
         inputs = prepare_sweep_inputs(seq, TAX, SPEC, ExtentStrategy("MAX"), NO_NOISE,
                                       registry=reg)
-        labelings = track_sequence(inputs, TAX, SPEC, membership_factory_oracle(),
-                                   seq.period, pcfg)
+        labelings = panoptic_track_sequence(inputs, TAX, SPEC, oracle_scores,
+                                            seq.period, pcfg)
         gts = [mp.PanopticLabeling(s.sem_labels, s.inst_labels) for s in seq.sweeps]
         acc = mp.PqAccumulator(TAX)
         for gt, lab in zip(gts, labelings):

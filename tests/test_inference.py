@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
-from modalpanoptic.cloud import ClassDef, Taxonomy
+from modalpanoptic.cloud import ClassDef, PointCloudSweep, Taxonomy
 from modalpanoptic.inference import (
     CwmExtents,
     NearestCenterExtents,
     PredictedMaps,
     fuse_panoptic,
-    make_nn_membership,
-    make_oracle_membership,
     make_table_membership,
     nms_detect,
 )
-from modalpanoptic.membership import Detection
+from modalpanoptic.membership import (
+    Detection,
+    PairTable,
+    gather_pairs,
+    nn_baseline,
+    nn_scores,
+    oracle_scores,
+)
+from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import BevMap, GridSpec
 
 from oracles import fuse_reference
@@ -231,6 +237,19 @@ class TestFusePanoptic:
         np.testing.assert_array_equal(a.inst, b.inst)
 
 
+def inputs_of(pts, sems, inst=None):
+    pts = np.asarray(pts, dtype=float)
+    inst = np.zeros(len(pts)) if inst is None else inst
+    sweep = PointCloudSweep(0.0, np.column_stack([pts, np.zeros((len(pts), 2))]), sems, inst)
+    return SweepInputs(sweep, maps_of({}, point_sem=sems), CwmExtents({}, default=np.ones(3)))
+
+
+def one_group(n_points):
+    """All points paired with detection 0."""
+    return PairTable(np.zeros(n_points, dtype=np.int64), np.arange(n_points),
+                     np.array([0, n_points]))
+
+
 class TestMembershipAdapters:
     def test_nn_membership_is_indicator_of_assignment(self):
         rng = np.random.default_rng(5)
@@ -238,20 +257,21 @@ class TestMembershipAdapters:
         sems = rng.choice([1, 2], size=30)
         dets = [Detection(rng.uniform(-2, 2, 3), 0.9, int(rng.integers(1, 3)),
                           rng.uniform(1, 2, 3)) for _ in range(3)]
-        fn = make_nn_membership(pts, sems, dets)
-        probs = fn(0, dets[0], np.arange(30))
+        pairs = gather_pairs(pts, sems, dets)
+        probs = nn_scores(inputs_of(pts, sems), dets, pairs)
         assert set(np.unique(probs)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(
+            probs, nn_baseline(pts, sems, dets)[pairs.point] == pairs.det)
 
     def test_oracle_membership_claims_source_instance(self):
         pts = np.array([[0.0, 0, 0], [0.1, 0, 0], [3.0, 0, 0]])
         gt_inst = np.array([7, 7, 9])
         det = Detection(np.array([0.05, 0, 0]), 1.0, 1, np.ones(3))
-        fn = make_oracle_membership(gt_inst, [det], {7: np.zeros(3), 9: np.array([3.0, 0, 0])},
-                                    {7: 1, 9: 1})
-        np.testing.assert_array_equal(fn(0, det, np.arange(3)), [1.0, 1.0, 0.0])
+        probs = oracle_scores(inputs_of(pts, [1, 1, 1], gt_inst), [det], one_group(3))
+        np.testing.assert_array_equal(probs, [1.0, 1.0, 0.0])
 
     def test_oracle_membership_unmatched_detection_claims_nothing(self):
         pts = np.zeros((2, 3))
         det = Detection(np.array([10.0, 0, 0]), 1.0, 1, np.ones(3))
-        fn = make_oracle_membership(np.array([1, 1]), [det], {1: np.zeros(3)}, {1: 1})
-        np.testing.assert_array_equal(fn(0, det, np.arange(2)), [0.0, 0.0])
+        probs = oracle_scores(inputs_of(pts, [1, 1], np.array([1, 1])), [det], one_group(2))
+        np.testing.assert_array_equal(probs, [0.0, 0.0])

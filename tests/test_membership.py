@@ -1,19 +1,32 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+import modalpanoptic as mp
 from modalpanoptic.cloud import ClassDef, Taxonomy
+from modalpanoptic.inference import fuse_panoptic, nms_detect
 from modalpanoptic.membership import (
     Detection,
     MembershipTrainConfig,
     PairFeatureConfig,
+    PairTable,
     assemble_pair_features,
     build_training_pairs,
+    gather_pairs,
+    mlp_scores,
     nn_baseline,
     predict_membership,
     roi_points,
+    train_membership_stage2,
 )
 from modalpanoptic.mlp import Layer, MlpModel, build_mlp
-from modalpanoptic.voxels import BevMap
+from modalpanoptic.pipeline import prepare_sweep_inputs
+from modalpanoptic.synth import DetectorNoise, HandcraftedFeatures
+from modalpanoptic.targets import ExtentStrategy
+from modalpanoptic.voxels import BevMap, GridSpec
+
+from oracles import nn_baseline_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
                 ClassDef(3, "road", "stuff")), 5)
@@ -180,6 +193,148 @@ class TestNnBaseline:
         for i, a in enumerate(assign):
             if a >= 0:
                 assert dets[a].class_id == sems[i]
+
+
+def random_nn_case(rng, grid):
+    """Points and detections; on an integer grid, distances tie exactly."""
+    n_points, n_dets = int(rng.integers(0, 120)), int(rng.integers(0, 7))
+    if grid:
+        pts = rng.integers(-2, 3, size=(n_points, 3)).astype(float)
+        centers = rng.integers(-2, 3, size=(n_dets, 3)).astype(float)
+        extents = rng.integers(1, 4, size=(n_dets, 3)).astype(float)
+    else:
+        pts = rng.uniform(-5, 5, size=(n_points, 3))
+        centers = rng.uniform(-4, 4, size=(n_dets, 3))
+        extents = rng.uniform(0.5, 3.0, size=(n_dets, 3))
+    confs = rng.choice([0.4, 0.7, 0.9], size=n_dets)  # equal confidences repeat
+    sems = rng.integers(1, 3, size=n_points)
+    dets = [det(c, conf=float(k), cid=int(rng.integers(1, 3)), extent=e)
+            for c, k, e in zip(centers, confs, extents)]
+    return pts, sems, dets
+
+
+class TestGatherPairs:
+    def test_groups_are_class_filtered_rois(self):
+        rng = np.random.default_rng(11)
+        pts, sems, dets = random_nn_case(rng, grid=False)
+        while not dets:
+            pts, sems, dets = random_nn_case(rng, grid=False)
+        pairs = gather_pairs(pts, sems, dets, 0.1, 0.3)
+        assert len(pairs) == pairs.offsets[-1] == pairs.det.size
+        for d, one in enumerate(dets):
+            want = roi_points(one, pts, True, 0.1, 0.3)
+            want = want[sems[want] == one.class_id]
+            np.testing.assert_array_equal(pairs.point[pairs.group(d)], want)
+            assert np.all(pairs.det[pairs.group(d)] == d)
+
+    def test_empty_inputs(self):
+        pairs = gather_pairs(np.zeros((0, 3)), np.zeros(0, dtype=int), [det([0, 0, 0])])
+        assert len(pairs) == 0 and pairs.offsets.tolist() == [0, 0]
+        pairs = gather_pairs(np.zeros((3, 3)), np.ones(3, dtype=int), [])
+        assert len(pairs) == 0 and pairs.offsets.tolist() == [0]
+
+
+class TestNnBaselineAgainstReference:
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_random_scenes(self, grid):
+        rng = np.random.default_rng(12 + grid)
+        ties = 0
+        for trial in range(150):
+            pts, sems, dets = random_nn_case(rng, grid)
+            margins = dict(margin_frac=0.1, margin_floor=float(rng.choice([0.1, 0.3])))
+            got = nn_baseline(pts, sems, dets, **margins)
+            want = nn_baseline_reference(pts, sems, dets, **margins)
+            np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
+            pairs = gather_pairs(pts, sems, dets, **margins)
+            np.testing.assert_array_equal(nn_baseline(pts, sems, dets, pairs=pairs), want)
+            if grid and len(pairs):
+                dist = np.linalg.norm(pts[pairs.point]
+                                      - np.array([d.center for d in dets])[pairs.det], axis=1)
+                keys = set()
+                for i, dd in zip(pairs.point, dist):
+                    ties += (i, dd) in keys
+                    keys.add((i, dd))
+        if grid:
+            assert ties > 100  # the grid really exercises the tie rule
+
+    def test_empty_detections_and_points(self):
+        pts = np.random.default_rng(13).uniform(-1, 1, size=(5, 3))
+        assert nn_baseline(pts, np.ones(5, dtype=int), []).tolist() == [-1] * 5
+        assert nn_baseline(np.zeros((0, 3)), np.zeros(0, dtype=int),
+                           [det([0, 0, 0])]).shape == (0,)
+
+
+# Row scenes: adjacent same-class boxes a few decimeters apart.
+ROW_TAX = mp.default_taxonomy()
+ROW_SPEC = GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
+
+
+def row_scene(seed):
+    cfg = mp.SceneConfig(seed=seed, sweep_count=2, period=0.5, count_range=(2, 3),
+                         box_specs={1: mp.BoxSpec((2.25, 1.0, 0.75), (0.2, 0.1, 0.06))},
+                         min_separation=10.0, points_per_m2=40.0, speed_range=(0.5, 1.5),
+                         motion="drift", pair_gap_range=(0.1, 0.35),
+                         pair_offset_range=(0.5, 2.0), row_partners=2, max_range=24.0)
+    return mp.generate_sequence(cfg, ROW_TAX)
+
+
+@pytest.fixture(scope="module")
+def row_model():
+    provider = HandcraftedFeatures(ROW_SPEC)
+    cfg = MembershipTrainConfig(
+        num_classes=ROW_TAX.num_channels, point_feature_dim=HandcraftedFeatures.DIM,
+        bev_feature_dim=HandcraftedFeatures.DIM, epochs=3, learning_rate=1e-3,
+        optimizer="adam", center_jitter=0.3, margin_floor=0.3, seed=7)
+    model, _ = train_membership_stage2([row_scene(600)[0]], ROW_TAX, cfg, provider)
+    sweeps = []
+    for seed in (700, 701):
+        seq, reg = row_scene(seed)
+        sweeps += prepare_sweep_inputs(seq, ROW_TAX, ROW_SPEC, ExtentStrategy("MAX"),
+                                       DetectorNoise(center_jitter=0.3), registry=reg,
+                                       provider=provider, seed=99)
+    return model, cfg.pair_config(), sweeps
+
+
+def per_detection_scores(model, pair_cfg, inputs, dets, pairs):
+    """One forward per detection group."""
+    out = [np.zeros(0)]
+    for d, one in enumerate(dets):
+        idx = pairs.point[pairs.group(d)]
+        table = PairTable(np.zeros(idx.size, dtype=np.int64), idx, np.array([0, idx.size]))
+        out.append(mlp_scores(model, pair_cfg, inputs, [one], table))
+    return np.concatenate(out)
+
+
+class TestBatchedMlpScores:
+    def test_one_forward_matches_per_detection_forwards(self, row_model):
+        model, pair_cfg, sweeps = row_model
+        scored = 0
+        for inputs in sweeps:
+            dets = nms_detect(inputs.maps, ROW_SPEC, inputs.extent_provider)
+            pairs = gather_pairs(inputs.sweep.xyz, inputs.maps.point_sem, dets, 0.1, 0.3)
+            batch = mlp_scores(model, pair_cfg, inputs, dets, pairs)
+            single = per_detection_scores(model, pair_cfg, inputs, dets, pairs)
+            assert batch.shape == single.shape == (len(pairs),)
+            np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+            assert np.all(np.abs(batch - 0.5) > 1e-12)  # no claim flips at 0.5
+            scored += len(pairs)
+        assert scored > 1000
+
+    @pytest.mark.parametrize("conflict", ["first_wins", "argmax"])
+    def test_fused_labels_equal(self, row_model, conflict):
+        model, pair_cfg, sweeps = row_model
+        claimed = 0
+        for inputs in sweeps:
+            dets = nms_detect(inputs.maps, ROW_SPEC, inputs.extent_provider)
+            fused = [fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps,
+                                   partial(score, model, pair_cfg, inputs, dets), ROW_TAX,
+                                   0.1, 0.3, conflict)
+                     for score in (mlp_scores, per_detection_scores)]
+            np.testing.assert_array_equal(fused[0].sem, fused[1].sem)
+            np.testing.assert_array_equal(fused[0].inst, fused[1].inst)
+            np.testing.assert_array_equal(fused[0].point_detection, fused[1].point_detection)
+            claimed += np.count_nonzero(fused[0].point_detection >= 0)
+        assert claimed > 500
 
 
 class TestBuildTrainingPairs:

@@ -3,13 +3,8 @@ import pytest
 
 import modalpanoptic as mp
 from modalpanoptic.cloud import PanopticLabeling
-from modalpanoptic.membership import Detection
-from modalpanoptic.pipeline import (
-    membership_factory_nn,
-    membership_factory_oracle,
-    prepare_sweep_inputs,
-    track_sequence,
-)
+from modalpanoptic.membership import Detection, oracle_scores
+from modalpanoptic.pipeline import prepare_sweep_inputs
 from modalpanoptic.synth import NO_NOISE, DetectorNoise
 from modalpanoptic.targets import ExtentStrategy
 from modalpanoptic.tracking import (
@@ -17,6 +12,7 @@ from modalpanoptic.tracking import (
     TrackIdOverflow,
     Tracklet,
     greedy_associate,
+    panoptic_track_sequence,
 )
 from modalpanoptic.voxels import GridSpec
 
@@ -103,7 +99,7 @@ class TestGreedyAssociate:
             associate([], [det([0.0, 0, 0])], [[0, 0]], next_track_id=65536)
 
 
-def run_tracked(seed=21, noise=NO_NOISE, factory=None, sweep_count=10, drop_sweep=None,
+def run_tracked(seed=21, noise=NO_NOISE, score=oracle_scores, sweep_count=10, drop_sweep=None,
                 max_age=2):
     cfg = mp.SceneConfig(seed=seed, sweep_count=sweep_count, count_range=(3, 4),
                          min_separation=8.0)
@@ -118,8 +114,7 @@ def run_tracked(seed=21, noise=NO_NOISE, factory=None, sweep_count=10, drop_swee
         inputs[drop_sweep] = type(inputs[drop_sweep])(inputs[drop_sweep].sweep, blank,
                                                       inputs[drop_sweep].extent_provider)
     pcfg = PipelineConfig(margin_floor=0.25, default_gate=3.0, max_age=max_age)
-    factory = factory or membership_factory_oracle()
-    labelings = track_sequence(inputs, TAX, SPEC, factory, seq.period, pcfg)
+    labelings = panoptic_track_sequence(inputs, TAX, SPEC, score, seq.period, pcfg)
     gts = [PanopticLabeling(s.sem_labels, s.inst_labels) for s in seq.sweeps]
     return seq, gts, labelings
 
