@@ -11,7 +11,6 @@ family.
 from .cloud import (
     ClassDef,
     PanopticLabeling,
-    Point,
     PointCloudSweep,
     SweepSequence,
     Taxonomy,
@@ -20,8 +19,8 @@ from .cloud import (
     save_taxonomy,
     transform_to_frame,
 )
-from .voxels import BevMap, GridSpec, SparseVoxelGrid, flatten_bev, interpolate_bev, \
-    majority_vote_labels, voxelize
+from .voxels import BevMap, GridSpec, SparseVoxelGrid, flatten_bev, majority_vote_labels, \
+    voxelize
 from .targets import (
     BevTargets,
     ExtentStrategy,

@@ -3,6 +3,12 @@
 Every command is deterministic given its seed: rerunning with identical
 arguments produces byte-identical outputs. ``MODAL_PANOPTIC_SEED`` overrides
 the configured seed (useful in CI).
+
+``--config PATH`` reads ``key = value`` lines; ``#`` starts a comment. A key
+is an option's long name without the dashes and with ``-`` written as ``_``
+(``margin_floor = 0.3`` for ``--margin-floor 0.3``); its value is checked
+like the flag's. Each key sets the default of that option in every command
+that has it, and flags on the command line override the file.
 """
 
 from __future__ import annotations
@@ -11,14 +17,14 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .cloud import PanopticLabeling, Taxonomy
-from .dataio import RunConfig
+from .cloud import PanopticLabeling
 from .membership import (
     MembershipTrainConfig,
     PairFeatureConfig,
@@ -90,38 +96,6 @@ def _noise(args) -> DetectorNoise:
 def _grid(args) -> GridSpec:
     return GridSpec((args.voxel_size, args.voxel_size, args.voxel_size_z),
                     args.planar_range, args.z_min, args.z_max, args.bev_downsample)
-
-
-def _add_grid_args(p):
-    p.add_argument("--voxel-size", type=float, default=0.1)
-    p.add_argument("--voxel-size-z", type=float, default=0.2)
-    p.add_argument("--planar-range", type=float, default=40.0)
-    p.add_argument("--z-min", type=float, default=-2.0)
-    p.add_argument("--z-max", type=float, default=3.0)
-    p.add_argument("--bev-downsample", type=int, default=2)
-
-
-def _add_noise_args(p):
-    p.add_argument("--center-jitter", type=float, default=0.0)
-    p.add_argument("--confidence-noise", type=float, default=0.0)
-    p.add_argument("--drop-probability", type=float, default=0.0)
-    p.add_argument("--semantic-flip", type=float, default=0.0)
-    p.add_argument("--velocity-noise", type=float, default=0.0)
-
-
-def _add_infer_args(p):
-    p.add_argument("--strategy", default="MAX", choices=["SW", "MAX", "CWM", "DSB"])
-    p.add_argument("--dsb-min-points", type=int, default=40)
-    p.add_argument("--membership", default="nn", choices=["nn", "mlp", "oracle"])
-    p.add_argument("--model", help="checkpoint path (required for --membership mlp)")
-    p.add_argument("--features", default="full", choices=["geo", "geo+bev", "full"])
-    p.add_argument("--nms-threshold", type=float, default=0.3)
-    p.add_argument("--nms-max-detections", type=int, default=500)
-    p.add_argument("--margin-frac", type=float, default=0.1)
-    p.add_argument("--margin-floor", type=float, default=0.25)
-    p.add_argument("--conflict", default="first_wins", choices=["first_wins", "argmax"])
-    _add_grid_args(p)
-    _add_noise_args(p)
 
 
 def _feature_flags(name: str) -> tuple[bool, bool]:
@@ -201,18 +175,16 @@ def cmd_targets(args) -> int:
         seq_out = out / name
         seq_out.mkdir(parents=True, exist_ok=True)
         for t, sweep in enumerate(seq.sweeps):
+            pose_inv = np.linalg.inv(sweep.ego_pose)
             instances, extents, velocities = [], [], {}
             for iid, traj in trajectories.items():
-                rec = traj.record_at(t)
-                if rec is None:
-                    continue
+                row = next((i for i, r in enumerate(traj.records) if r.sweep_index == t), None)
                 agg_extents, excluded = per_traj[iid]
-                row = [i for i, r in enumerate(traj.records) if r.sweep_index == t][0]
-                if excluded[row]:
+                if row is None or excluded[row]:
                     continue
-                pose_inv = np.linalg.inv(sweep.ego_pose)
+                rec = traj.records[row]
                 center = pose_inv[:3, :3] @ rec.center + pose_inv[:3, 3]
-                instances.append(replace_center(rec, center))
+                instances.append(replace(rec, center=center))
                 extents.append(agg_extents[row])
                 velocities[iid] = velocity_target(traj, t, seq.period)
             rendered = render_bev_targets(instances, velocities, spec,
@@ -230,13 +202,6 @@ def cmd_targets(args) -> int:
     return 0
 
 
-def replace_center(rec, center):
-    from .targets import ModalInstance
-
-    return ModalInstance(rec.instance_id, rec.class_id, center, rec.extent,
-                         rec.point_count, rec.sweep_timestamp, rec.sweep_index)
-
-
 def _membership_rows(sweep, trajectories, sweep_index) -> np.ndarray:
     """(detection_index, point_index, label) triples for GT-center RoIs."""
     from .membership import Detection, roi_points
@@ -245,8 +210,7 @@ def _membership_rows(sweep, trajectories, sweep_index) -> np.ndarray:
     rows = []
     det_index = 0
     for iid, traj in sorted(trajectories.items()):
-        rec = traj.record_at(sweep_index)
-        if rec is None:
+        if traj.record_at(sweep_index) is None:
             continue
         members = np.flatnonzero(sweep.inst_labels == iid)
         if members.size == 0:
@@ -258,10 +222,9 @@ def _membership_rows(sweep, trajectories, sweep_index) -> np.ndarray:
             det_index += 1
             continue
         labels = membership_target(members, roi)
-        for p, lab in zip(roi, labels):
-            rows.append((det_index, int(p), int(lab)))
+        rows.append(np.column_stack([np.full(roi.size, det_index, dtype=np.int64), roi, labels]))
         det_index += 1
-    return np.asarray(rows, dtype=np.int64) if rows else np.zeros((0, 3), dtype=np.int64)
+    return np.concatenate(rows) if rows else np.zeros((0, 3), dtype=np.int64)
 
 
 def cmd_train_mem(args) -> int:
@@ -444,13 +407,40 @@ def _bar_chart_svg(runs) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Options shared by several commands are declared once, in parent parsers.
+    # ``parents=`` hands the same action objects to each command, so they are
+    # built anew for every parser that ``_apply_config`` may change.
+    seed, extent, pairs, grid, infer = (argparse.ArgumentParser(add_help=False)
+                                        for _ in range(5))
+    seed.add_argument("--seed", type=int, default=0)
+    extent.add_argument("--strategy", default="MAX", choices=["SW", "MAX", "CWM", "DSB"])
+    extent.add_argument("--dsb-min-points", type=int, default=40)
+    pairs.add_argument("--features", default="full", choices=["geo", "geo+bev", "full"])
+    pairs.add_argument("--margin-floor", type=float, default=0.25)
+    grid.add_argument("--voxel-size", type=float, default=0.1)
+    grid.add_argument("--voxel-size-z", type=float, default=0.2)
+    grid.add_argument("--planar-range", type=float, default=40.0)
+    grid.add_argument("--z-min", type=float, default=-2.0)
+    grid.add_argument("--z-max", type=float, default=3.0)
+    grid.add_argument("--bev-downsample", type=int, default=2)
+    infer.add_argument("--membership", default="nn", choices=["nn", "mlp", "oracle"])
+    infer.add_argument("--model", help="checkpoint path (required for --membership mlp)")
+    infer.add_argument("--nms-threshold", type=float, default=0.3)
+    infer.add_argument("--nms-max-detections", type=int, default=500)
+    infer.add_argument("--margin-frac", type=float, default=0.1)
+    infer.add_argument("--conflict", default="first_wins", choices=["first_wins", "argmax"])
+    infer.add_argument("--center-jitter", type=float, default=0.0)
+    infer.add_argument("--confidence-noise", type=float, default=0.0)
+    infer.add_argument("--drop-probability", type=float, default=0.0)
+    infer.add_argument("--semantic-flip", type=float, default=0.0)
+    infer.add_argument("--velocity-noise", type=float, default=0.0)
+
     parser = argparse.ArgumentParser(prog="modalpanoptic",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
+    p = sub.add_parser("synth", help="generate a synthetic labeled dataset", parents=[seed])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sequences", type=int, default=1)
     p.add_argument("--sweeps", type=int, default=10)
     p.add_argument("--period", type=float, default=0.5)
@@ -469,43 +459,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("targets", help="dump detection/membership training targets")
+    p = sub.add_parser("targets", help="dump detection/membership training targets",
+                       parents=[extent, grid])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--strategy", default="MAX", choices=["SW", "MAX", "CWM", "DSB"])
-    p.add_argument("--dsb-min-points", type=int, default=40)
-    _add_grid_args(p)
     p.set_defaults(func=cmd_targets)
 
-    p = sub.add_parser("train-mem", help="train the membership pair scorer")
+    p = sub.add_parser("train-mem", help="train the membership pair scorer",
+                       parents=[seed, pairs, grid])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--features", default="full", choices=["geo", "geo+bev", "full"])
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--learning-rate", type=float, default=5e-4)
     p.add_argument("--optimizer", default="sgd", choices=["sgd", "adam"])
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--train-jitter", type=float, default=0.2)
-    p.add_argument("--margin-floor", type=float, default=0.25)
-    _add_grid_args(p)
     p.set_defaults(func=cmd_train_mem)
 
-    p = sub.add_parser("infer", help="per-sweep panoptic fusion")
+    p = sub.add_parser("infer", help="per-sweep panoptic fusion",
+                       parents=[seed, extent, pairs, grid, infer])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_infer_args(p)
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("track", help="fusion plus temporal association")
+    p = sub.add_parser("track", help="fusion plus temporal association",
+                       parents=[seed, extent, pairs, grid, infer])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-age", type=int, default=2)
-    _add_infer_args(p)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="PQ and LSTQ against ground truth")
@@ -520,61 +503,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     for sub_parser in sub.choices.values():
-        sub_parser.add_argument("--config", help="run-config file of key = value lines")
+        sub_parser.add_argument(
+            "--config", metavar="PATH",
+            help="file of key = value lines, # comments; a key is a long option name "
+                 "with - written as _ (margin_floor = 0.3); flags override the file")
     return parser
 
 
-# Run-config keys -> CLI argument names (flags still override the file).
-_CONFIG_TO_ARG = {
-    "seed": "seed",
-    "voxel_size_x": "voxel_size",
-    "voxel_size_z": "voxel_size_z",
-    "planar_range": "planar_range",
-    "z_min": "z_min",
-    "z_max": "z_max",
-    "bev_downsample": "bev_downsample",
-    "extent_strategy": "strategy",
-    "dsb_min_points": "dsb_min_points",
-    "nms_threshold": "nms_threshold",
-    "nms_max_detections": "nms_max_detections",
-    "roi_margin_frac": "margin_frac",
-    "roi_margin_floor": "margin_floor",
-    "conflict": "conflict",
-    "membership": "membership",
-    "max_age": "max_age",
-    "center_jitter": "center_jitter",
-    "confidence_noise": "confidence_noise",
-    "drop_probability": "drop_probability",
-    "semantic_flip_probability": "semantic_flip",
-    "velocity_noise": "velocity_noise",
-    "train_epochs": "epochs",
-    "train_learning_rate": "learning_rate",
-    "train_batch_size": "batch_size",
-    "train_center_jitter": "train_jitter",
-    "train_hidden": "hidden",
-    "features": "features",
-}
+def _apply_config(parser: argparse.ArgumentParser, path) -> None:
+    """Make each ``key = value`` line of ``path`` the default of its options.
+
+    A key names every optional, one-value option with that dest, in any
+    command; the value goes through the option's ``type`` and ``choices``.
+    """
+    commands = parser._subparsers._group_actions[0].choices.values()
+    for lineno, key, text in dataio.read_config_lines(path):
+        where = f"{path}:{lineno}"
+        matches = [(sub, action) for sub in commands for action in sub._actions
+                   if action.dest == key and key != "config" and action.option_strings
+                   and not action.required and action.nargs is None]
+        if not matches:
+            raise ValueError(f"{where}: no option takes the key {key!r}")
+        for sub, action in matches:
+            try:
+                value = action.type(text) if action.type else text
+            except ValueError:
+                raise ValueError(f"{where}: bad value for {key}: {text!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{where}: {key} must be one of "
+                                 f"{', '.join(map(str, action.choices))}, got {text!r}")
+            sub.set_defaults(**{key: value})
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
     parser = build_parser()
     try:
-        if known.config:
-            if not Path(known.config).exists():
-                raise MissingInput(f"config file {known.config} does not exist")
-            # Only keys the file sets become defaults; the rest keep the CLI's own.
-            values = dataio.read_run_config_values(known.config)
-            defaults = {arg: values[key] for key, arg in _CONFIG_TO_ARG.items()
-                        if key in values}
-            for sub_action in parser._subparsers._group_actions:
-                for sub in sub_action.choices.values():
-                    sub.set_defaults(**{k: v for k, v in defaults.items()
-                                        if any(a.dest == k for a in sub._actions)})
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (FileNotFoundError, MissingInput) as exc:
         print(f"error: {exc}", file=sys.stderr)

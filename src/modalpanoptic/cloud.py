@@ -28,20 +28,6 @@ class RigidTransformError(ValueError):
 
 
 @dataclass(frozen=True)
-class Point:
-    """A single lidar return; dt is seconds relative to the reference sweep."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float = 0.0
-    dt: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.intensity, self.dt], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class ClassDef:
     id: int
     name: str

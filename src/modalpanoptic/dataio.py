@@ -1,4 +1,4 @@
-"""On-disk formats: point/label binaries, dataset layout, run configuration.
+"""On-disk formats: point/label binaries, dataset layout, config-file lines.
 
 Layout follows the usual lidar-benchmark convention::
 
@@ -14,14 +14,11 @@ Frame names are zero-padded 6-digit consecutive integers.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .cloud import PointCloudSweep, SweepSequence, Taxonomy, load_taxonomy, save_taxonomy
-from .voxels import GridSpec
 
 SEM_MASK = 0xFFFF
 MAX_PACKED_ID = 0xFFFF
@@ -185,71 +182,9 @@ def read_predictions(pred_root, name: str):
     return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat key = value run configuration with CLI-friendly defaults."""
-
-    seed: int = 0
-    # grid
-    voxel_size_x: float = 0.1
-    voxel_size_y: float = 0.1
-    voxel_size_z: float = 0.2
-    planar_range: float = 40.0
-    z_min: float = -2.0
-    z_max: float = 3.0
-    bev_downsample: int = 2
-    # extents
-    extent_strategy: str = "MAX"
-    dsb_min_points: int = 10
-    extent_source: str = "model"  # model | cwm
-    # detection / fusion
-    nms_threshold: float = 0.3
-    nms_max_detections: int = 500
-    roi_margin_frac: float = 0.1
-    roi_margin_floor: float = 0.25
-    conflict: str = "first_wins"
-    membership: str = "nn"  # nn | mlp | oracle
-    # tracking
-    gate_scale: float = 2.0
-    default_gate: float = 2.0
-    max_age: int = 2
-    # detector noise
-    center_jitter: float = 0.0
-    confidence_noise: float = 0.0
-    drop_probability: float = 0.0
-    semantic_flip_probability: float = 0.0
-    velocity_noise: float = 0.0
-    # membership training
-    train_epochs: int = 20
-    train_learning_rate: float = 5e-4
-    train_batch_size: int = 64
-    train_center_jitter: float = 0.2
-    train_hidden: int = 64
-    features: str = "full"  # geo | geo+bev | full
-    # loss weights
-    w_det: float = 1.0
-    w_seg: float = 1.0
-    w_mem: float = 1.0
-    w_track: float = 1.0
-
-    def grid_spec(self) -> GridSpec:
-        return GridSpec((self.voxel_size_x, self.voxel_size_y, self.voxel_size_z),
-                        self.planar_range, self.z_min, self.z_max, self.bev_downsample)
-
-    def with_seed_override(self) -> "RunConfig":
-        env = os.environ.get("MODAL_PANOPTIC_SEED")
-        return replace(self, seed=int(env)) if env else self
-
-
-def parse_run_config(path) -> RunConfig:
-    return replace(RunConfig(), **read_run_config_values(path))
-
-
-def read_run_config_values(path) -> dict:
-    """The keys a run-config file sets, with values typed like the defaults."""
-    values = {}
-    names = {f.name for f in fields(RunConfig)}
-    defaults = RunConfig()
+def read_config_lines(path) -> list[tuple[int, str, str]]:
+    """(line number, key, value) of each ``key = value`` line; ``#`` starts a comment."""
+    entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -258,17 +193,5 @@ def read_run_config_values(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in names:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            current = getattr(defaults, key)
-            try:
-                values[key] = type(current)(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return values
-
-
-def write_run_config(cfg: RunConfig, path) -> None:
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            entries.append((lineno, key.strip(), value.strip()))
+    return entries

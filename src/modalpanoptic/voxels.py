@@ -288,34 +288,12 @@ def flatten_bev(grid: SparseVoxelGrid, reducer: str = "mean") -> BevMap:
     return BevMap(data, spec.bev_cell_size, spec.planar_range)
 
 
-def interpolate_bev(bev: BevMap, xy: np.ndarray) -> np.ndarray:
-    """Bilinear feature lookup among the four surrounding cell centers.
+def interpolate_bev_many(bev: BevMap, xys: np.ndarray) -> np.ndarray:
+    """Bilinear feature lookup among the four cell centers around each (M, 2) query.
 
     Queries must fall inside the grid footprint; within half a cell of the
     border the stencil clamps to edge cells.
     """
-    x, y = float(xy[0]), float(xy[1])
-    r = bev.planar_range
-    if not (-r <= x < r and -r <= y < r):
-        raise ValueError(f"query ({x:.3f}, {y:.3f}) outside grid range {r}")
-    cs = bev.cell_size
-    u = (x + r) / cs - 0.5
-    v = (y + r) / cs - 0.5
-    i0 = int(np.clip(np.floor(u), 0, bev.width - 2)) if bev.width > 1 else 0
-    j0 = int(np.clip(np.floor(v), 0, bev.depth - 2)) if bev.depth > 1 else 0
-    fu = np.clip(u - i0, 0.0, 1.0)
-    fv = np.clip(v - j0, 0.0, 1.0)
-    i1 = min(i0 + 1, bev.width - 1)
-    j1 = min(j0 + 1, bev.depth - 1)
-    d = bev.data
-    return ((1 - fu) * (1 - fv) * d[i0, j0]
-            + fu * (1 - fv) * d[i1, j0]
-            + (1 - fu) * fv * d[i0, j1]
-            + fu * fv * d[i1, j1])
-
-
-def interpolate_bev_many(bev: BevMap, xys: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`interpolate_bev` over an (M, 2) query array."""
     q = np.atleast_2d(np.asarray(xys, dtype=np.float64))
     r = bev.planar_range
     if np.any((q < -r) | (q >= r)):

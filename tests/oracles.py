@@ -52,6 +52,28 @@ def bilinear_4term(data, cell_size, planar_range, x, y):
             + data[i0 + 1, j0 + 1] * fu * fv)
 
 
+def interpolate_bev_reference(bev, xy):
+    """One bilinear query, scalar code: the four surrounding cell centers, clamped at the border."""
+    x, y = float(xy[0]), float(xy[1])
+    r = bev.planar_range
+    if not (-r <= x < r and -r <= y < r):
+        raise ValueError(f"query ({x:.3f}, {y:.3f}) outside grid range {r}")
+    cs = bev.cell_size
+    u = (x + r) / cs - 0.5
+    v = (y + r) / cs - 0.5
+    i0 = int(np.clip(np.floor(u), 0, bev.width - 2)) if bev.width > 1 else 0
+    j0 = int(np.clip(np.floor(v), 0, bev.depth - 2)) if bev.depth > 1 else 0
+    fu = np.clip(u - i0, 0.0, 1.0)
+    fv = np.clip(v - j0, 0.0, 1.0)
+    i1 = min(i0 + 1, bev.width - 1)
+    j1 = min(j0 + 1, bev.depth - 1)
+    d = bev.data
+    return ((1 - fu) * (1 - fv) * d[i0, j0]
+            + fu * (1 - fv) * d[i1, j0]
+            + (1 - fu) * fv * d[i0, j1]
+            + fu * fv * d[i1, j1])
+
+
 def fd_gradient(fn, x, h=1e-5):
     """Central finite differences of a scalar function of an array."""
     x = np.asarray(x, dtype=float)

@@ -10,18 +10,15 @@ import modalpanoptic as mp
 from modalpanoptic.cli import main
 from modalpanoptic.dataio import (
     LabelRangeError,
-    RunConfig,
     TruncatedRecord,
     decode_labels,
     encode_labels,
-    parse_run_config,
     read_label_file,
     read_point_bin,
     read_predictions,
     read_sequence,
     write_label_file,
     write_point_bin,
-    write_run_config,
     write_sequence,
 )
 
@@ -116,31 +113,6 @@ class TestSequenceRoundtrip:
             read_sequence(tmp_path, "0042")
 
 
-class TestRunConfig:
-    def test_roundtrip(self, tmp_path):
-        cfg = RunConfig(seed=9, extent_strategy="SW", nms_threshold=0.25)
-        path = tmp_path / "run.cfg"
-        write_run_config(cfg, path)
-        assert parse_run_config(path) == cfg
-
-    def test_comments_and_spacing(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# comment\nseed = 5\n\nnms_threshold=0.4  # trailing\n")
-        cfg = parse_run_config(path)
-        assert cfg.seed == 5
-        assert cfg.nms_threshold == 0.4
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("not_a_key = 3\n")
-        with pytest.raises(ValueError):
-            parse_run_config(path)
-
-    def test_grid_spec_derivation(self):
-        spec = RunConfig().grid_spec()
-        assert spec.bev_width == spec.width // RunConfig().bev_downsample
-
-
 SYNTH_ARGS = ["synth", "--sequences", "2", "--sweeps", "3", "--seed", "11",
               "--min-instances", "2", "--max-instances", "2"]
 
@@ -211,6 +183,15 @@ class TestCli:
         assert hm.max() == 1.0
         members = np.load(out / "0000" / "000000_membership.npy")
         assert members.shape[1] == 3
+        # Rows are (detection, point, label): each detection's positives are one
+        # instance's points, and none of its negatives belong to that instance.
+        inst = read_sequence(data, "0000").sweeps[0].inst_labels
+        det, point, label = members.T
+        assert members.shape[0] > 0 and np.all(np.diff(det) >= 0)
+        for d in np.unique(det):
+            owners = np.unique(inst[point[(det == d) & (label == 1)]])
+            assert owners.size == 1 and owners[0] != 0
+            assert not np.any(inst[point[(det == d) & (label == 0)]] == owners[0])
 
     def test_report_builds_table_and_svg(self, tmp_path):
         data = tmp_path / "data"
@@ -256,11 +237,42 @@ class TestCli:
                      "--config", str(cfg)])
         assert code == 4
 
+    @pytest.mark.parametrize("key,value", [
+        ("membership", "bogus"),     # outside the option's choices
+        ("strategy", "sw"),          # choices are case-sensitive, as for the flag
+        ("seed", "1.5"),             # not an int
+        ("voxel_size_y", "0.1"),     # no option has this dest
+        ("data", "x"),               # required options come from the command line
+        ("no_occlusion", "1"),       # store_true flags take no value
+    ])
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# header\n{key} = {value}\n")
+        code = main(["infer", "--data", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)])
+        assert code == 4
+        assert f"{cfg}:2:" in capsys.readouterr().err
+
+    def test_config_comments_and_spacing(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# detector noise\nsemantic_flip = 0.05\n\n  center_jitter=0.2  # m\n"
+                       "strategy =SW\n\nseed = 4 # trailing\n")
+        track = ["track", "--data", str(data)]
+        p1, p2, p3 = tmp_path / "p1", tmp_path / "p2", tmp_path / "p3"
+        assert main(track + ["--out", str(p1), "--config", str(cfg)]) == 0
+        assert main(track + ["--out", str(p2), "--semantic-flip", "0.05", "--center-jitter",
+                             "0.2", "--strategy", "SW", "--seed", "4"]) == 0
+        assert main(track + ["--out", str(p3)]) == 0
+        assert tree_bytes(p1) == tree_bytes(p2)
+        assert tree_bytes(p1) != tree_bytes(p3)
+
     def test_config_file_defaults_flags_override(self, tmp_path):
         data = tmp_path / "data"
         assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("membership = oracle\nroi_margin_floor = 0.3\n")
+        cfg.write_text("membership = oracle\nmargin_floor = 0.3\n")
         p1 = tmp_path / "p1"
         assert main(["infer", "--data", str(data), "--out", str(p1),
                      "--config", str(cfg)]) == 0
@@ -281,7 +293,7 @@ class TestCli:
         assert main(track + ["--out", str(p1), "--config", str(cfg)]) == 0
         assert main(track + ["--out", str(p2), "--seed", "3"]) == 0
         assert tree_bytes(p1) == tree_bytes(p2)
-        # The run-config default (10) differs from the CLI's (40) on this corpus.
+        # A DSB floor of 10 points, not the CLI's 40, changes the output on this corpus.
         assert main(track + ["--out", str(p3), "--seed", "3", "--dsb-min-points", "10"]) == 0
         assert tree_bytes(p3) != tree_bytes(p2)
 

@@ -5,13 +5,12 @@ from modalpanoptic.voxels import (
     BevMap,
     GridSpec,
     flatten_bev,
-    interpolate_bev,
     interpolate_bev_many,
     majority_vote_labels,
     voxelize,
 )
 
-from oracles import bilinear_4term, voxel_features_reference
+from oracles import bilinear_4term, interpolate_bev_reference, voxel_features_reference
 
 SMALL = GridSpec(voxel_size=(0.5, 0.5, 0.5), planar_range=8.0, z_min=-2.0, z_max=2.0,
                  bev_downsample=2)
@@ -177,35 +176,43 @@ class TestInterpolateBev:
         data = rng.normal(size=(8, 8, 3))
         return BevMap(data, cell_size=1.0, planar_range=4.0)
 
+    def one(self, bev, x, y):
+        return interpolate_bev_many(bev, np.array([[x, y]]))[0]
+
     def test_cell_center_exact(self):
         bev = self.make_bev()
-        center = np.array([-4.0 + 2.5, -4.0 + 5.5])
-        np.testing.assert_allclose(interpolate_bev(bev, center), bev.data[2, 5], atol=1e-12)
+        np.testing.assert_allclose(self.one(bev, -4.0 + 2.5, -4.0 + 5.5), bev.data[2, 5],
+                                   atol=1e-12)
 
     def test_midpoint_average(self):
         bev = self.make_bev()
-        mid = np.array([-4.0 + 3.0, -4.0 + 5.5])  # between cells (2,5) and (3,5)
-        expected = 0.5 * (bev.data[2, 5] + bev.data[3, 5])
-        np.testing.assert_allclose(interpolate_bev(bev, mid), expected, atol=1e-12)
+        expected = 0.5 * (bev.data[2, 5] + bev.data[3, 5])  # between cells (2,5) and (3,5)
+        np.testing.assert_allclose(self.one(bev, -4.0 + 3.0, -4.0 + 5.5), expected, atol=1e-12)
+
+    def test_border_clamps_to_edge_cells(self):
+        bev = self.make_bev()
+        np.testing.assert_allclose(self.one(bev, -3.9, -3.9), bev.data[0, 0], atol=1e-12)
+        np.testing.assert_allclose(self.one(bev, 3.9, -3.9), bev.data[7, 0], atol=1e-12)
+        np.testing.assert_allclose(self.one(bev, -3.9, 3.99), bev.data[0, 7], atol=1e-12)
 
     def test_matches_four_term_expansion(self):
         bev = self.make_bev()
         rng = np.random.default_rng(5)
         for _ in range(50):
             x, y = rng.uniform(-3.4, 3.4, size=2)
-            got = interpolate_bev(bev, np.array([x, y]))
             want = bilinear_4term(bev.data, 1.0, 4.0, x, y)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(self.one(bev, x, y), want, atol=1e-12)
 
     def test_vectorized_matches_scalar(self):
         bev = self.make_bev()
         rng = np.random.default_rng(6)
-        queries = rng.uniform(-3.2, 3.2, size=(40, 2))
+        queries = rng.uniform(-4.0, 4.0, size=(40, 2))
         batch = interpolate_bev_many(bev, queries)
         for q, row in zip(queries, batch):
-            np.testing.assert_allclose(row, interpolate_bev(bev, q), atol=1e-12)
+            np.testing.assert_allclose(row, interpolate_bev_reference(bev, q), atol=1e-12)
 
     def test_out_of_range_rejected(self):
         bev = self.make_bev()
-        with pytest.raises(ValueError):
-            interpolate_bev(bev, np.array([4.5, 0.0]))
+        for x, y in [(4.5, 0.0), (4.0, 0.0), (0.0, -4.01)]:
+            with pytest.raises(ValueError):
+                self.one(bev, x, y)
