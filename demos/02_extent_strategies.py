@@ -27,10 +27,11 @@ for s in range(8):
                          speed_range=(2.0, 5.0), approach_range=(3.0, 8.0))
     scenes.append(mp.generate_sequence(cfg, taxonomy))
 
-all_trajs = []
+all_trajs, scene_trajs = [], []
 max_err, sw_err = [], []
 for seq, reg in scenes:
     trajs = mp.build_trajectories(seq, taxonomy)
+    scene_trajs.append(trajs)
     all_trajs.extend(trajs.values())
     for iid, traj in trajs.items():
         true = reg.instances[iid].half_extent
@@ -51,8 +52,9 @@ pcfg = PipelineConfig(margin_floor=0.25)
 print("\nrunning detection + fusion with the nearest-center membership:")
 for name, strategy in strategies.items():
     acc = mp.PqAccumulator(taxonomy)
-    for seq, reg in scenes:
-        inputs = prepare_sweep_inputs(seq, taxonomy, spec, strategy, NO_NOISE, registry=reg)
+    for (seq, reg), trajs in zip(scenes, scene_trajs):
+        inputs = prepare_sweep_inputs(seq, trajs, taxonomy, spec, strategy, NO_NOISE,
+                                      registry=reg)
         for sweep, lab in zip(seq.sweeps,
                               infer_sequence(inputs, taxonomy, spec, nn_scores, pcfg)):
             acc.add(mp.PanopticLabeling(sweep.sem_labels, sweep.inst_labels), lab)

@@ -71,15 +71,13 @@ def _seed_of(args) -> int:
     return int(env) if env else args.seed
 
 
-def _strategy(args, trajectories=None, taxonomy=None) -> ExtentStrategy:
+def _strategy(args, trajectories, taxonomy) -> ExtentStrategy:
+    """The ``--strategy`` extents; CWM takes its class means from ``trajectories``."""
     name = args.strategy.upper()
     if name == "DSB":
         return ExtentStrategy("DSB", dsb_min_points=args.dsb_min_points)
     if name == "CWM":
-        if trajectories is None:
-            raise ValueError("CWM needs trajectories to derive class means")
-        stats = class_wise_mean_extents(trajectories, taxonomy)
-        return ExtentStrategy("CWM", cwm_stats=stats)
+        return ExtentStrategy("CWM", cwm_stats=class_wise_mean_extents(trajectories, taxonomy))
     return ExtentStrategy(name)
 
 
@@ -285,8 +283,9 @@ def _run_inference(args, track: bool) -> int:
         seq = dataio.read_sequence(args.data, name)
         trajectories = build_trajectories(seq, taxonomy)
         strategy = _strategy(args, trajectories, taxonomy)
-        inputs = prepare_sweep_inputs(seq, taxonomy, spec, strategy, _noise(args),
-                                      registry=None, provider=provider, seed=seed)
+        inputs = prepare_sweep_inputs(seq, trajectories, taxonomy, spec, strategy,
+                                      _noise(args), registry=None, provider=provider,
+                                      seed=seed)
         pcfg = PipelineConfig(
             nms_threshold=args.nms_threshold,
             nms_max_detections=args.nms_max_detections,
@@ -543,7 +542,7 @@ def main(argv=None) -> int:
             _apply_config(parser, args.config)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (FileNotFoundError, MissingInput) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (ValueError, KeyError) as exc:

@@ -82,26 +82,29 @@ def nms_detect(
 ) -> list[Detection]:
     """3x3 local maxima of the class heatmaps, ordered by decreasing confidence.
 
-    A cell detects when its value equals the maximum of its 3x3 neighborhood
-    in its own channel and strictly exceeds the threshold. Detection centers
-    snap to cell centers with z read from the height map; extents come from
-    the provider.
+    A cell detects when its value strictly exceeds the threshold and is
+    ``>=`` each in-bounds cell of its 3x3 neighborhood in its own channel,
+    which is ``hm == max(3x3)`` with out-of-bounds cells at ``-inf``; a NaN
+    neighbour vetoes the peak. After one pass over the grid for the
+    threshold test, the work scales with the cells above the threshold, not
+    with the grid. Detection centers snap to cell centers with z read from
+    the height map; extents come from the provider.
     """
-    k, w, d = maps.heatmaps.shape
     hm = maps.heatmaps
-    padded = np.full((k, w + 2, d + 2), -np.inf)
-    padded[:, 1:-1, 1:-1] = hm
-    neighborhood = np.full_like(hm, -np.inf)
-    for dx in (0, 1, 2):
-        for dy in (0, 1, 2):
-            np.maximum(neighborhood, padded[:, dx:dx + w, dy:dy + d], out=neighborhood)
-    is_peak = (hm == neighborhood) & (hm > threshold)
-    cls, ix, iy = np.nonzero(is_peak)
-    order = np.lexsort((iy, ix, cls, -hm[cls, ix, iy]))
+    _, w, d = hm.shape
+    cells = hm.reshape(-1)
+    flat = np.flatnonzero(cells > threshold)
+    for dx, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        x, y = flat // d % w + dx, flat % d + dy
+        inside = (x >= 0) & (x < w) & (y >= 0) & (y < d)
+        at = flat[inside]
+        keep = ~inside
+        keep[inside] = cells[at] >= cells[at + (dx * d + dy)]
+        flat = flat[keep]
+    # Flat indices ascend in (class, x, y) order, which breaks confidence ties.
+    top = flat[np.lexsort((flat, -cells[flat]))[:max(max_detections, 0)]]
     detections = []
-    for c, x, y in zip(cls[order], ix[order], iy[order]):
-        if len(detections) >= max_detections:
-            break
+    for c, x, y in zip(*np.unravel_index(top, hm.shape)):
         xy = spec.bev_cell_center(int(x), int(y))
         center = np.array([xy[0], xy[1], maps.height[x, y]])
         detections.append(Detection(center, float(hm[c, x, y]), int(c),

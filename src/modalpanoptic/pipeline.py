@@ -19,7 +19,6 @@ from .targets import (
     ExtentStrategy,
     InstanceTrajectory,
     aggregate_extent,
-    build_trajectories,
     observed_component_means,
 )
 from .synth import DetectorNoise, SceneRegistry, simulate_detector
@@ -100,6 +99,7 @@ def extent_entries_for_sweep(
 
 def prepare_sweep_inputs(
     seq: SweepSequence,
+    trajectories: dict[int, InstanceTrajectory],
     taxonomy: Taxonomy,
     spec: GridSpec,
     strategy: ExtentStrategy,
@@ -109,10 +109,14 @@ def prepare_sweep_inputs(
     seed: int = 0,
     extent_default: np.ndarray = FALLBACK_EXTENT,
 ) -> list[SweepInputs]:
-    """Simulated detector outputs plus strategy extents for every sweep."""
-    trajectories = build_trajectories(seq, taxonomy)
+    """Simulated detector outputs plus strategy extents for every sweep.
+
+    ``trajectories`` are the caller's ``build_trajectories(seq, taxonomy)``,
+    built once per sequence; the extent model and ``simulate_detector`` both
+    read them.
+    """
     model = build_extent_model(trajectories, strategy)
-    maps = simulate_detector(seq, registry, noise, spec, taxonomy,
+    maps = simulate_detector(seq, trajectories, registry, noise, spec, taxonomy,
                              suppressed=model.suppressed, provider=provider, seed=seed)
     inputs = []
     for t in range(len(seq)):

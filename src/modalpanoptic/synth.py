@@ -16,8 +16,8 @@ import numpy as np
 from .cloud import ClassDef, PointCloudSweep, SweepSequence, Taxonomy
 from .inference import PredictedMaps
 from .targets import (
+    InstanceTrajectory,
     ModalInstance,
-    build_trajectories,
     extent_sw,
     modal_center,
     render_bev_targets,
@@ -461,6 +461,7 @@ class HandcraftedFeatures(FeatureProvider):
 
 def simulate_detector(
     seq: SweepSequence,
+    trajectories: dict[int, InstanceTrajectory],
     registry: SceneRegistry | None,
     noise: DetectorNoise,
     spec: GridSpec,
@@ -475,12 +476,13 @@ def simulate_detector(
     scaled by a noisy confidence; dropped and suppressed (instance, sweep)
     records simply leave no peak. Velocity cells carry the instance's planar
     velocity plus noise; with a registry that is the generator truth,
-    otherwise the centered difference of the labeled trajectory (what a
-    trained offset head regresses). Deterministic per (inputs, seed).
+    otherwise the centered difference of the labeled trajectory in
+    ``trajectories`` (what a trained offset head regresses), which the caller
+    builds once per sequence with ``targets.build_trajectories``.
+    Deterministic per (inputs, seed).
     """
     taxonomy = taxonomy or default_taxonomy()
     class_ids = [c for c in taxonomy.class_ids if c not in taxonomy.ignore_ids]
-    trajectories = None if registry is not None else build_trajectories(seq, taxonomy)
     sweep_seeds = np.random.SeedSequence(seed).spawn(len(seq))
     maps: list[PredictedMaps] = []
     for t_idx, sweep in enumerate(seq.sweeps):

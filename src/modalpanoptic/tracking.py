@@ -64,16 +64,15 @@ def greedy_associate(
     ``|track.last_center - (det.center - v dt)| < gate``; pairs are consumed
     greedily in increasing distance, one detection per track. Unmatched
     detections open new tracks; tracks unmatched for more than ``max_age``
-    sweeps are dropped. Returns (alive tracks, per-detection track ids,
-    next free id).
+    sweeps are dropped. ``velocity_of`` runs once per detection, and the
+    track a detection ends on keeps that v. Returns (alive tracks,
+    per-detection track ids, next free id).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     candidates = []
-    predicted = []
-    for d, det in enumerate(detections):
-        v = np.asarray(velocity_of(det), dtype=np.float64)
-        predicted.append(det.center[:2] - v * dt)
+    velocities = [np.asarray(velocity_of(det), dtype=np.float64) for det in detections]
+    predicted = [det.center[:2] - v * dt for det, v in zip(detections, velocities)]
     for ti, tr in enumerate(tracks):
         gate = (gates or {}).get(tr.class_id, default_gate)
         for d, det in enumerate(detections):
@@ -96,15 +95,14 @@ def greedy_associate(
         if det_track[d] != -1:
             tr = tracks[matched_track_of_det[d]]
             tr.last_center = det.center.copy()
-            tr.last_velocity = np.asarray(velocity_of(det), dtype=np.float64)
+            tr.last_velocity = velocities[d]
             tr.age = 0
             tr.history.append((sweep_index, d))
         else:
             if next_track_id > MAX_TRACK_ID:
                 raise TrackIdOverflow(
                     f"track ids exhausted the 16-bit budget ({MAX_TRACK_ID})")
-            tr = Tracklet(next_track_id, det.class_id, det.center.copy(),
-                          np.asarray(velocity_of(det), dtype=np.float64),
+            tr = Tracklet(next_track_id, det.class_id, det.center.copy(), velocities[d],
                           history=[(sweep_index, d)])
             det_track[d] = next_track_id
             next_track_id += 1

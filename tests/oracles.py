@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from modalpanoptic.membership import Detection
+
 
 def focal_sum(pred, target, alpha=2.0, beta=4.0, eps=1e-6):
     """Direct per-cell summation of the penalty-reduced focal loss."""
@@ -238,6 +240,36 @@ def fuse_reference(points_xyz, point_sem, detections, membership_table,
                 assigned[i] = True
             next_id += 1
     return sem_out, inst_out
+
+
+def nms_detect_reference(maps, spec, extent_provider, threshold=0.3, max_detections=500):
+    """Dense 3x3 max-pooling NMS: the peak rule ``nms_detect`` must reproduce.
+
+    Every cell of every channel is compared with the maximum of its 3x3
+    neighborhood (``-inf`` beyond the grid); peaks strictly above the
+    threshold are ordered by (-confidence, class, x, y) and cut at
+    ``max_detections``.
+    """
+    k, w, d = maps.heatmaps.shape
+    hm = maps.heatmaps
+    padded = np.full((k, w + 2, d + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = hm
+    neighborhood = np.full_like(hm, -np.inf)
+    for dx in (0, 1, 2):
+        for dy in (0, 1, 2):
+            np.maximum(neighborhood, padded[:, dx:dx + w, dy:dy + d], out=neighborhood)
+    is_peak = (hm == neighborhood) & (hm > threshold)
+    cls, ix, iy = np.nonzero(is_peak)
+    order = np.lexsort((iy, ix, cls, -hm[cls, ix, iy]))
+    detections = []
+    for c, x, y in zip(cls[order], ix[order], iy[order]):
+        if len(detections) >= max_detections:
+            break
+        xy = spec.bev_cell_center(int(x), int(y))
+        center = np.array([xy[0], xy[1], maps.height[x, y]])
+        detections.append(Detection(center, float(hm[c, x, y]), int(c),
+                                    extent_provider.extent_for(int(c), center)))
+    return detections
 
 
 def nn_baseline_reference(points_xyz, point_sem, detections, margin_frac=0.1,

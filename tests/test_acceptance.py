@@ -76,9 +76,10 @@ def test_acceptance_1_extent_strategy_trend(extent_corpus):
 
     # Extent recovery statistics against the generator's true half extents.
     max_errs, sw_errs = [], []
-    all_trajs = []
+    all_trajs, seq_trajs = [], []
     for seq, reg in seqs:
         trajs = build_trajectories(seq, TAX)
+        seq_trajs.append(trajs)
         all_trajs.extend(trajs.values())
         for iid, tr in trajs.items():
             true = reg.instances[iid].half_extent
@@ -104,8 +105,8 @@ def test_acceptance_1_extent_strategy_trend(extent_corpus):
     pq = {}
     for name, strategy in strategies.items():
         acc = mp.PqAccumulator(TAX)
-        for seq, reg in seqs:
-            inputs = prepare_sweep_inputs(seq, TAX, SPEC, strategy, NO_NOISE,
+        for (seq, reg), trajs in zip(seqs, seq_trajs):
+            inputs = prepare_sweep_inputs(seq, trajs, TAX, SPEC, strategy, NO_NOISE,
                                           registry=reg)
             labs = infer_sequence(inputs, TAX, SPEC, nn_scores, pcfg)
             for sweep, lab in zip(seq.sweeps, labs):
@@ -149,7 +150,8 @@ def eval_membership(test_scenes, provider, assign_of):
     results = []
     noise = DetectorNoise(center_jitter=0.3)
     for seq, reg in test_scenes:
-        inputs = prepare_sweep_inputs(seq, TAX, SPEC, ExtentStrategy("MAX"), noise,
+        inputs = prepare_sweep_inputs(seq, build_trajectories(seq, TAX), TAX, SPEC,
+                                      ExtentStrategy("MAX"), noise,
                                       registry=reg, provider=provider, seed=99)
         for inp in inputs:
             dets = nms_detect(inp.maps, SPEC, inp.extent_provider, 0.3, 500)
@@ -202,8 +204,8 @@ def test_acceptance_3_perfect_input_identity():
         cfg = mp.SceneConfig(seed=seed, sweep_count=10, count_range=(3, 4),
                              min_separation=8.0)
         seq, reg = mp.generate_sequence(cfg, TAX)
-        inputs = prepare_sweep_inputs(seq, TAX, SPEC, ExtentStrategy("MAX"), NO_NOISE,
-                                      registry=reg)
+        inputs = prepare_sweep_inputs(seq, build_trajectories(seq, TAX), TAX, SPEC,
+                                      ExtentStrategy("MAX"), NO_NOISE, registry=reg)
         labelings = panoptic_track_sequence(inputs, TAX, SPEC, oracle_scores,
                                             seq.period, pcfg)
         gts = [mp.PanopticLabeling(s.sem_labels, s.inst_labels) for s in seq.sweeps]

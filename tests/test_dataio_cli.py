@@ -21,6 +21,7 @@ from modalpanoptic.dataio import (
     write_point_bin,
     write_sequence,
 )
+from modalpanoptic.synth import CAR, GROUND
 
 
 def tree_bytes(root):
@@ -226,9 +227,31 @@ class TestCli:
         assert f"{name}: 1 entries for 3 frames" in capsys.readouterr().err
 
     def test_unknown_flag_exit_code(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "modalpanoptic.cli",
-                               "synth", "--bogus-flag"], capture_output=True)
+                               "synth", "--bogus-flag"], capture_output=True, env=env)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", ["synth-config-dir", "track-model-dir",
+                                         "synth-config-under-file"])
+    def test_wrong_kind_of_path_exit_code(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        a_file = tmp_path / "a_file"
+        a_file.write_text("seed = 1\n")
+        argv = {
+            "synth-config-dir": SYNTH_ARGS + ["--out", str(data), "--config", str(tmp_path)],
+            "track-model-dir": ["track", "--data", str(data), "--out", str(tmp_path / "p"),
+                                "--membership", "mlp", "--model", str(tmp_path)],
+            "synth-config-under-file": SYNTH_ARGS + ["--out", str(data),
+                                                     "--config", str(a_file / "run.cfg")],
+        }[command]
+        if command == "track-model-dir":
+            assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
+            capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_key_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -296,6 +319,37 @@ class TestCli:
         # A DSB floor of 10 points, not the CLI's 40, changes the output on this corpus.
         assert main(track + ["--out", str(p3), "--seed", "3", "--dsb-min-points", "10"]) == 0
         assert tree_bytes(p3) != tree_bytes(p2)
+
+    def test_cwm_replaces_a_small_extent(self, tmp_path):
+        # Car 1 is seen whole in sweep 0 and by three close points in sweep 1,
+        # far below CWM_SMALL_FRACTION of its class mean's largest extent.
+        rng = np.random.default_rng(3)
+        whole = rng.uniform(-1, 1, size=(60, 3)) * [2.0, 0.9, 0.7] + [8.0, 0.0, 0.0]
+        other = rng.uniform(-1, 1, size=(60, 3)) * [2.1, 1.0, 0.7] + [-8.0, 4.0, 0.0]
+        glimpse = np.array([[9.9, 0.0, 0.1], [9.95, 0.05, 0.1], [9.9, 0.05, 0.15]])
+        ground = np.column_stack([rng.uniform(-15, 15, (200, 2)), np.full(200, -0.8)])
+        sweeps = []
+        for t, car in enumerate([whole, glimpse]):
+            xyz = np.concatenate([car, other + [0.5 * t, 0, 0], ground])
+            n_car, n_other = len(car), len(other)
+            sem = np.r_[np.full(n_car + n_other, CAR), np.full(len(ground), GROUND)]
+            inst = np.r_[np.full(n_car, 1), np.full(n_other, 2), np.zeros(len(ground))]
+            points = np.column_stack([xyz, np.zeros(len(xyz)), np.zeros(len(xyz))])
+            sweeps.append(mp.PointCloudSweep(0.1 * t, points, sem, inst))
+        data = tmp_path / "data"
+        write_sequence(data, "0000", mp.SweepSequence(tuple(sweeps), 0.1), mp.default_taxonomy())
+        frames = {}
+        for strategy in ("SW", "CWM"):
+            out = tmp_path / f"targets-{strategy}"
+            assert main(["targets", "--data", str(data), "--out", str(out),
+                         "--strategy", strategy]) == 0
+            frames[strategy] = [(out / "0000" / f"00000{t}_heatmaps.npy").read_bytes()
+                                for t in (0, 1)]
+        assert frames["CWM"][0] == frames["SW"][0]
+        assert frames["CWM"][1] != frames["SW"][1]
+        assert main(["track", "--data", str(data), "--out", str(tmp_path / "pred"),
+                     "--strategy", "CWM"]) == 0
+        assert len(read_predictions(tmp_path / "pred", "0000")) == 2
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

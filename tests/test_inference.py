@@ -21,7 +21,7 @@ from modalpanoptic.membership import (
 from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import BevMap, GridSpec
 
-from oracles import fuse_reference
+from oracles import fuse_reference, nms_detect_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
                 ClassDef(3, "road", "stuff")), 5)
@@ -122,6 +122,119 @@ class TestNmsDetect:
         dets = nms_detect(maps_of({1: grid}), SPEC, CwmExtents({}, default=np.ones(3)), 0.3, 50)
         confs = [d.confidence for d in dets]
         assert confs == sorted(confs, reverse=True)
+
+
+def position_extents():
+    """An extent provider whose bytes depend on where the detection sits."""
+    xy = np.array([SPEC.bev_cell_center(i, j) for i in range(0, 16, 3) for j in range(0, 16, 3)])
+    n = len(xy)
+    return NearestCenterExtents(np.column_stack([xy, np.zeros(n)]),
+                                np.arange(n) % 3 + 1, 0.5 + np.arange(3 * n).reshape(n, 3) / 7,
+                                default=np.array([0.3, 0.4, 0.5]))
+
+
+def assert_same_detections(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.center.tobytes() == w.center.tobytes()
+        assert g.extent.tobytes() == w.extent.tobytes()
+        assert (g.confidence, g.class_id) == (w.confidence, w.class_id)
+        assert type(g.confidence) is float and type(g.class_id) is int
+
+
+def check_nms_against_reference(hm, threshold=0.3, max_detections=500):
+    _, w, d = hm.shape
+    height = np.random.default_rng(0).normal(size=(w, d))
+    maps = PredictedMaps(hm, height, np.zeros((w, d, 2)), np.zeros(0, dtype=np.int32),
+                         empty_bev(), np.zeros((0, 0)))
+    provider = position_extents()
+    want = nms_detect_reference(maps, SPEC, provider, threshold, max_detections)
+    got = nms_detect(maps, SPEC, provider, threshold, max_detections)
+    assert_same_detections(got, want)
+    return got
+
+
+class TestNmsMatchesDenseReference:
+    """Peak-only NMS against the dense 3x3 max-pool in ``oracles``."""
+
+    SHAPE = (TAX.num_channels, SPEC.bev_width, SPEC.bev_depth)
+
+    def test_random_multichannel_maps(self):
+        rng = np.random.default_rng(42)
+        found = 0
+        for trial in range(300):
+            hm = rng.uniform(size=self.SHAPE) * (rng.uniform(size=self.SHAPE) < rng.uniform())
+            if trial % 2:
+                hm = np.round(hm * 4) / 4  # coarse levels: many ties and plateaus
+            threshold = float(rng.choice([0.0, 0.25, 0.3, 0.5, 0.75]))
+            max_det = int(rng.choice([1, 5, 500]))
+            found += len(check_nms_against_reference(hm, threshold, max_det))
+        assert found > 1000
+
+    def test_plateau_of_equal_neighbours(self):
+        hm = np.zeros(self.SHAPE)
+        hm[1, 4:7, 4:7] = 0.8
+        hm[2, 9:11, 2] = 0.6
+        hm[2, 10, 3] = 0.6
+        dets = check_nms_against_reference(hm)
+        assert len(dets) == 9 + 3
+
+    def test_border_and_corner_peaks(self):
+        hm = np.zeros(self.SHAPE)
+        w, d = SPEC.bev_width - 1, SPEC.bev_depth - 1
+        for i, (x, y) in enumerate([(0, 0), (0, d), (w, 0), (w, d), (0, 7), (w, 8), (5, 0),
+                                    (9, d)]):
+            hm[1, x, y] = 0.9 - 0.05 * i
+        hm[2, 0, 1] = 0.7   # a border cell beside a higher corner: not a peak
+        hm[2, 0, 0] = 0.8
+        dets = check_nms_against_reference(hm)
+        assert len(dets) == 9
+
+    def test_value_exactly_at_threshold(self):
+        hm = np.zeros(self.SHAPE)
+        hm[1, 3, 3] = 0.3
+        hm[1, 8, 8] = np.nextafter(0.3, 1.0)
+        hm[2, 8, 9] = 0.3   # the threshold value beside a peak of another channel
+        dets = check_nms_against_reference(hm, threshold=0.3)
+        assert [(d.class_id, d.confidence) for d in dets] == [(1, np.nextafter(0.3, 1.0))]
+
+    def test_same_cell_peaks_in_two_channels(self):
+        hm = np.zeros(self.SHAPE)
+        hm[1, 6, 6] = hm[2, 6, 6] = 0.7
+        hm[3, 6, 6] = 0.9
+        hm[3, 6, 7] = 0.95
+        dets = check_nms_against_reference(hm)
+        assert [d.class_id for d in dets] == [3, 1, 2]
+
+    @pytest.mark.parametrize("max_det", [-1, 0, 1, 3, 4, 500])
+    def test_max_detections_cut(self, max_det):
+        hm = np.zeros(self.SHAPE)
+        for i, (x, y) in enumerate([(2, 2), (2, 10), (10, 2), (10, 10)]):
+            hm[1 + i % 2, x, y] = 0.6   # equal confidences: order falls to class, x, y
+        dets = check_nms_against_reference(hm, max_detections=max_det)
+        assert len(dets) == min(max(max_det, 0), 4)
+
+    def test_all_zero_map(self):
+        assert check_nms_against_reference(np.zeros(self.SHAPE)) == []
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.1])
+    def test_every_cell_above_threshold(self, threshold):
+        rng = np.random.default_rng(5)
+        hm = np.round(rng.uniform(0.2, 1.0, size=self.SHAPE), 1)
+        everything = 10 ** 6
+        assert check_nms_against_reference(hm, threshold, everything)
+        uniform = check_nms_against_reference(np.full(self.SHAPE, 0.5), threshold, everything)
+        assert len(uniform) == np.prod(self.SHAPE)
+
+    def test_nan_cell(self):
+        hm = np.zeros(self.SHAPE)
+        hm[1, 5, 5] = 0.9
+        hm[1, 5, 6] = np.nan   # vetoes its neighbour's peak in both versions
+        hm[1, 10, 10] = np.nan
+        hm[2, 5, 5] = 0.8      # other channels are unaffected
+        hm[1, 12, 3] = 0.7
+        dets = check_nms_against_reference(hm)
+        assert [(d.class_id, d.confidence) for d in dets] == [(2, 0.8), (1, 0.7)]
 
 
 def random_fusion_case(rng, n_points=60, n_dets=4, include_half=False):

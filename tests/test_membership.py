@@ -289,7 +289,8 @@ def row_model():
     sweeps = []
     for seed in (700, 701):
         seq, reg = row_scene(seed)
-        sweeps += prepare_sweep_inputs(seq, ROW_TAX, ROW_SPEC, ExtentStrategy("MAX"),
+        sweeps += prepare_sweep_inputs(seq, mp.build_trajectories(seq, ROW_TAX), ROW_TAX,
+                                       ROW_SPEC, ExtentStrategy("MAX"),
                                        DetectorNoise(center_jitter=0.3), registry=reg,
                                        provider=provider, seed=99)
     return model, cfg.pair_config(), sweeps

@@ -174,7 +174,8 @@ class TestSimulateDetector:
     def test_zero_noise_heatmap_peaks_at_centers(self):
         cfg = simple_cfg(seed=11)
         seq, reg = mp.generate_sequence(cfg, TAX)
-        maps = mp.simulate_detector(seq, reg, NO_NOISE, SPEC, TAX)
+        trajs = build_trajectories(seq, TAX)
+        maps = mp.simulate_detector(seq, trajs, reg, NO_NOISE, SPEC, TAX)
         sweep = seq.sweeps[0]
         ids = sweep.inst_labels
         for iid in np.unique(ids[ids > 0]):
@@ -189,7 +190,7 @@ class TestSimulateDetector:
         cfg = simple_cfg(seed=12)
         seq, reg = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(drop_probability=1.0)
-        maps = mp.simulate_detector(seq, reg, noise, SPEC, TAX)
+        maps = mp.simulate_detector(seq, build_trajectories(seq, TAX), reg, noise, SPEC, TAX)
         for m in maps:
             assert m.heatmaps.max() == 0.0
 
@@ -197,7 +198,8 @@ class TestSimulateDetector:
         cfg = simple_cfg(seed=13)
         seq, reg = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(semantic_flip_probability=0.2)
-        maps = mp.simulate_detector(seq, reg, noise, SPEC, TAX, seed=3)
+        maps = mp.simulate_detector(seq, build_trajectories(seq, TAX), reg, noise, SPEC, TAX,
+                                    seed=3)
         frac = np.mean([np.mean(m.point_sem != s.sem_labels)
                         for m, s in zip(maps, seq.sweeps)])
         assert 0.15 < frac < 0.25
@@ -209,10 +211,11 @@ class TestSimulateDetector:
 
         cfg = simple_cfg(seed=14, count_range=(2, 2), min_separation=12.0)
         seq, reg = mp.generate_sequence(cfg, TAX)
+        trajs = build_trajectories(seq, TAX)
         sigma = 0.2
         hits = total = 0
         for trial in range(40):
-            maps = mp.simulate_detector(seq, reg, DetectorNoise(center_jitter=sigma),
+            maps = mp.simulate_detector(seq, trajs, reg, DetectorNoise(center_jitter=sigma),
                                         SPEC, TAX, seed=trial)
             provider = CwmExtents({}, default=np.ones(3))
             dets = nms_detect(maps[0], SPEC, provider, 0.3, 50)
@@ -230,8 +233,9 @@ class TestSimulateDetector:
         cfg = simple_cfg(seed=15)
         seq, reg = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(center_jitter=0.1, semantic_flip_probability=0.1)
-        a = mp.simulate_detector(seq, reg, noise, SPEC, TAX, seed=5)
-        b = mp.simulate_detector(seq, reg, noise, SPEC, TAX, seed=5)
+        trajs = build_trajectories(seq, TAX)
+        a = mp.simulate_detector(seq, trajs, reg, noise, SPEC, TAX, seed=5)
+        b = mp.simulate_detector(seq, trajs, reg, noise, SPEC, TAX, seed=5)
         for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma.heatmaps, mb.heatmaps)
             np.testing.assert_array_equal(ma.point_sem, mb.point_sem)
@@ -240,8 +244,9 @@ class TestSimulateDetector:
     def test_velocity_from_registry_vs_labels(self):
         cfg = simple_cfg(seed=16, motion="pass", sweep_count=6)
         seq, reg = mp.generate_sequence(cfg, TAX)
-        with_reg = mp.simulate_detector(seq, reg, NO_NOISE, SPEC, TAX)
-        label_only = mp.simulate_detector(seq, None, NO_NOISE, SPEC, TAX)
+        trajs = build_trajectories(seq, TAX)
+        with_reg = mp.simulate_detector(seq, trajs, reg, NO_NOISE, SPEC, TAX)
+        label_only = mp.simulate_detector(seq, trajs, None, NO_NOISE, SPEC, TAX)
         # Interior sweeps: centered differences of modal centers track the
         # true velocity to within sampling noise of the centers.
         t = 2
@@ -345,7 +350,8 @@ class TestFeaturesOncePerSweep:
     def test_simulate_detector(self):
         seq, reg = mp.generate_sequence(simple_cfg(seed=5, sweep_count=3), TAX)
         provider = CountingFeatures(SPEC)
-        maps = mp.simulate_detector(seq, reg, NO_NOISE, SPEC, TAX, provider=provider)
+        maps = mp.simulate_detector(seq, build_trajectories(seq, TAX), reg, NO_NOISE, SPEC, TAX,
+                                    provider=provider)
         assert provider.calls == len(seq.sweeps)
         assert maps[0].bev_features.data.tobytes() == provider.bev_map(
             seq.sweeps[0], maps[0].point_features).data.tobytes()

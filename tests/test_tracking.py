@@ -104,8 +104,8 @@ def run_tracked(seed=21, noise=NO_NOISE, score=oracle_scores, sweep_count=10, dr
     cfg = mp.SceneConfig(seed=seed, sweep_count=sweep_count, count_range=(3, 4),
                          min_separation=8.0)
     seq, reg = mp.generate_sequence(cfg, TAX)
-    inputs = prepare_sweep_inputs(seq, TAX, SPEC, ExtentStrategy("MAX"), noise,
-                                  registry=reg, seed=7)
+    inputs = prepare_sweep_inputs(seq, mp.build_trajectories(seq, TAX), TAX, SPEC,
+                                  ExtentStrategy("MAX"), noise, registry=reg, seed=7)
     if drop_sweep is not None:
         # Zero the heatmaps of one middle sweep: a detector dropout.
         m = inputs[drop_sweep].maps
