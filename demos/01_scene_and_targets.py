@@ -23,7 +23,7 @@ sweep = seq.sweeps[0]
 grid = mp.voxelize(sweep.points, spec)
 print(f"\nvoxel grid: {len(grid)} occupied cells, {grid.dropped} points out of range")
 votes = majority_vote_labels(grid, sweep.sem_labels)
-values, counts = np.unique(list(votes.values()), return_counts=True)
+values, counts = np.unique(votes, return_counts=True)
 print("voxel semantic votes:", dict(zip(values.tolist(), counts.tolist())))
 
 trajectories = mp.build_trajectories(seq, taxonomy)

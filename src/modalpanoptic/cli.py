@@ -71,13 +71,13 @@ def _seed_of(args) -> int:
     return int(env) if env else args.seed
 
 
-def _strategy(args, trajectories, taxonomy) -> ExtentStrategy:
-    """The ``--strategy`` extents; CWM takes its class means from ``trajectories``."""
+def _strategy(args, class_means: dict[int, np.ndarray]) -> ExtentStrategy:
+    """The ``--strategy`` extents; CWM takes the sequence's ``class_means``."""
     name = args.strategy.upper()
     if name == "DSB":
         return ExtentStrategy("DSB", dsb_min_points=args.dsb_min_points)
     if name == "CWM":
-        return ExtentStrategy("CWM", cwm_stats=class_wise_mean_extents(trajectories, taxonomy))
+        return ExtentStrategy("CWM", cwm_stats=class_means)
     return ExtentStrategy(name)
 
 
@@ -168,7 +168,7 @@ def cmd_targets(args) -> int:
         seq = dataio.read_sequence(args.data, name)
         trajectories = build_trajectories(seq, taxonomy)
         all_trajectories.extend(trajectories.values())
-        strategy = _strategy(args, trajectories, taxonomy)
+        strategy = _strategy(args, class_wise_mean_extents(trajectories, taxonomy))
         per_traj = {iid: aggregate_extent(tr, strategy) for iid, tr in trajectories.items()}
         seq_out = out / name
         seq_out.mkdir(parents=True, exist_ok=True)
@@ -282,8 +282,9 @@ def _run_inference(args, track: bool) -> int:
     for name in dataio.list_sequences(args.data):
         seq = dataio.read_sequence(args.data, name)
         trajectories = build_trajectories(seq, taxonomy)
-        strategy = _strategy(args, trajectories, taxonomy)
-        inputs = prepare_sweep_inputs(seq, trajectories, taxonomy, spec, strategy,
+        class_means = class_wise_mean_extents(trajectories, taxonomy)
+        inputs = prepare_sweep_inputs(seq, trajectories, taxonomy, spec,
+                                      _strategy(args, class_means),
                                       _noise(args), registry=None, provider=provider,
                                       seed=seed)
         pcfg = PipelineConfig(
@@ -292,7 +293,7 @@ def _run_inference(args, track: bool) -> int:
             margin_frac=args.margin_frac,
             margin_floor=args.margin_floor,
             conflict=args.conflict,
-            gates=class_gates(class_wise_mean_extents(trajectories, taxonomy)) or None,
+            gates=class_gates(class_means) or None,
             max_age=args.max_age if track else 2,
         )
         if track:

@@ -118,21 +118,22 @@ class PqAccumulator:
         if len(gt) != len(pred):
             raise ValueError("gt and pred must label the same points")
         tax = self.taxonomy
+        _check_class_ids(tax, gt.sem, pred.sem)
         ignore = self._effective_ignore(gt)
         keep = ~ignore
-        gsem, ginst = gt.sem[keep], gt.inst[keep]
-        psem, pinst = pred.sem[keep], pred.inst[keep]
+        gsem, psem = gt.sem[keep], pred.sem[keep]
         valid_conf = ~np.isin(psem, list(tax.ignore_ids))
-        np.add.at(self.confusion, (gsem[valid_conf], psem[valid_conf]), 1)
+        self.confusion += _confusion(gsem[valid_conf], psem[valid_conf], tax.num_channels)
         for cid in sorted(set(tax.thing_ids) | set(tax.stuff_ids)):
             st = self.stats.setdefault(cid, ClassPq())
-            thing = cid in tax.thing_ids
-            if thing:
-                g_ids = np.where((gsem == cid) & (ginst > NO_INSTANCE), ginst, 0).astype(np.int64)
-                p_ids = np.where((psem == cid) & (pinst > NO_INSTANCE), pinst, 0).astype(np.int64)
+            # Segment ids of class cid over all points: instance ids, or 1 for stuff.
+            if cid in tax.thing_ids:
+                g_all = np.where((gt.sem == cid) & (gt.inst > NO_INSTANCE), gt.inst, 0)
+                p_all = np.where((pred.sem == cid) & (pred.inst > NO_INSTANCE), pred.inst, 0)
             else:
-                g_ids = (gsem == cid).astype(np.int64)
-                p_ids = (psem == cid).astype(np.int64)
+                g_all, p_all = gt.sem == cid, pred.sem == cid
+            p_all = p_all.astype(np.int64)
+            g_ids, p_ids = g_all[keep].astype(np.int64), p_all[keep]
             g_uniq, g_counts = np.unique(g_ids[g_ids > 0], return_counts=True)
             p_uniq, p_counts = np.unique(p_ids[p_ids > 0], return_counts=True)
             g_size = dict(zip(g_uniq.tolist(), g_counts.tolist()))
@@ -152,34 +153,43 @@ class PqAccumulator:
                     matched_p.add(p)
             st.fn += len(g_size) - len(matched_g)
             # Unmatched predictions mostly covering ignored points are not FPs.
-            if thing:
-                full_ids = np.where((pred.sem == cid) & (pred.inst > NO_INSTANCE),
-                                    pred.inst, 0).astype(np.int64)
-            else:
-                full_ids = (pred.sem == cid).astype(np.int64)
-            for p in p_size:
-                if p in matched_p:
-                    continue
-                total = int((full_ids == p).sum())
-                void = int(((full_ids == p) & ignore).sum())
-                if total and void / total > 0.5:
-                    continue
-                st.fp += 1
+            void_ids, void_counts = np.unique(p_all[ignore & (p_all > 0)], return_counts=True)
+            void = dict(zip(void_ids.tolist(), void_counts.tolist()))
+            for p, kept in p_size.items():
+                if p not in matched_p and void.get(p, 0) / (kept + void.get(p, 0)) <= 0.5:
+                    st.fp += 1
 
     def report(self) -> PqReport:
-        return PqReport(dict(self.stats), self._iou_per_class(), self.taxonomy)
+        per_class_iou, _ = _class_iou(self.confusion, self.taxonomy)
+        return PqReport(dict(self.stats), per_class_iou, self.taxonomy)
 
-    def _iou_per_class(self) -> dict[int, float]:
-        out = {}
-        conf = self.confusion
-        for cid in sorted(set(self.taxonomy.thing_ids) | set(self.taxonomy.stuff_ids)):
-            tp = int(conf[cid, cid])
-            fp = int(conf[:, cid].sum()) - tp
-            fn = int(conf[cid, :].sum()) - tp
-            if tp + fp + fn == 0:
-                continue
-            out[cid] = tp / (tp + fp + fn)
-        return out
+
+def _check_class_ids(taxonomy: Taxonomy, gt_sem: np.ndarray, pred_sem: np.ndarray) -> None:
+    k = taxonomy.num_channels
+    for what, sem in (("ground-truth", gt_sem), ("predicted", pred_sem)):
+        bad = sem[(sem < 0) | (sem >= k)]
+        if bad.size:
+            raise ValueError(f"{what} class id {int(bad[0])} is outside the taxonomy's "
+                             f"ids 0..{k - 1}")
+
+
+def _confusion(gt_sem: np.ndarray, pred_sem: np.ndarray, k: int) -> np.ndarray:
+    """(k, k) point counts indexed [gt class, predicted class]."""
+    codes = gt_sem.astype(np.int64) * k + pred_sem
+    return np.bincount(codes, minlength=k * k).reshape(k, k)
+
+
+def _class_iou(conf: np.ndarray, taxonomy: Taxonomy) -> tuple[dict[int, float], float]:
+    """Point IoU per thing or stuff class in a row or column of ``conf``, and their mean."""
+    out = {}
+    for cid in sorted(set(taxonomy.thing_ids) | set(taxonomy.stuff_ids)):
+        tp = int(conf[cid, cid])
+        fp = int(conf[:, cid].sum()) - tp
+        fn = int(conf[cid, :].sum()) - tp
+        if tp + fp + fn == 0:
+            continue
+        out[cid] = tp / (tp + fp + fn)
+    return out, float(np.mean(list(out.values()))) if out else 0.0
 
 
 def compute_pq(gt: PanopticLabeling, pred: PanopticLabeling, taxonomy: Taxonomy) -> PqReport:
@@ -190,23 +200,18 @@ def compute_pq(gt: PanopticLabeling, pred: PanopticLabeling, taxonomy: Taxonomy)
 
 def compute_miou(gt_sem: np.ndarray, pred_sem: np.ndarray, taxonomy: Taxonomy
                  ) -> tuple[dict[int, float], float]:
-    """Per-class point IoU and its mean over classes present in gt or pred."""
+    """Per-class point IoU and its mean over classes present in gt or pred.
+
+    Ground-truth ignore points are skipped; a prediction in an ignore class
+    is a miss of the true class.
+    """
     gt_sem = np.asarray(gt_sem)
     pred_sem = np.asarray(pred_sem)
     if gt_sem.shape != pred_sem.shape:
         raise ValueError("label arrays must have equal length")
+    _check_class_ids(taxonomy, gt_sem, pred_sem)
     keep = ~np.isin(gt_sem, list(taxonomy.ignore_ids))
-    g, p = gt_sem[keep], pred_sem[keep]
-    per_class = {}
-    for cid in sorted(set(taxonomy.thing_ids) | set(taxonomy.stuff_ids)):
-        tp = int(((g == cid) & (p == cid)).sum())
-        fp = int(((g != cid) & (p == cid)).sum())
-        fn = int(((g == cid) & (p != cid)).sum())
-        if tp + fp + fn == 0:
-            continue
-        per_class[cid] = tp / (tp + fp + fn)
-    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return per_class, mean
+    return _class_iou(_confusion(gt_sem[keep], pred_sem[keep], taxonomy.num_channels), taxonomy)
 
 
 @dataclass(frozen=True)
@@ -226,15 +231,16 @@ class LstqAccumulator:
     every ground-truth thing tube t, the class-agnostic predicted tubes s
     overlapping it score sum(|s n t| * IoU(s, t)) / |t|; the association term
     averages this over all ground-truth tubes of all sequences. The semantic
-    term is the pooled point mIoU.
+    term is the pooled point mIoU (``compute_miou``), kept as a running
+    confusion matrix.
     """
 
     def __init__(self, taxonomy: Taxonomy):
         self.taxonomy = taxonomy
         self.outer_sum = 0.0
         self.num_tubes = 0
-        self.gt_sems: list[np.ndarray] = []
-        self.pred_sems: list[np.ndarray] = []
+        k = taxonomy.num_channels
+        self.confusion = np.zeros((k, k), dtype=np.int64)
 
     def add_sequence(self, gt_labelings: list[PanopticLabeling],
                      pred_labelings: list[PanopticLabeling]) -> None:
@@ -248,6 +254,7 @@ class LstqAccumulator:
         for gt, pred in zip(gt_labelings, pred_labelings):
             if len(gt) != len(pred):
                 raise ValueError("gt and pred must label the same points")
+            _check_class_ids(self.taxonomy, gt.sem, pred.sem)
             keep = ~np.isin(gt.sem, ignore)
             g_tube = np.where(keep & np.isin(gt.sem, thing) & (gt.inst > NO_INSTANCE), gt.inst, 0)
             p_tube = np.where(keep & (pred.inst > NO_INSTANCE), pred.inst, 0)
@@ -260,19 +267,15 @@ class LstqAccumulator:
             for key, count in zip(*np.unique(combos, return_counts=True)):
                 pair = (int(key // _OFFSET), int(key % _OFFSET))
                 inter[pair] = inter.get(pair, 0) + int(count)
-            self.gt_sems.append(gt.sem)
-            self.pred_sems.append(pred.sem)
+            self.confusion += _confusion(gt.sem[keep], pred.sem[keep],
+                                         self.taxonomy.num_channels)
         for (g, p), ov in inter.items():
             union = gt_sizes[g] + pred_sizes[p] - ov
             self.outer_sum += (ov * (ov / union)) / gt_sizes[g]
         self.num_tubes += len(gt_sizes)
 
     def report(self) -> LstqReport:
-        if self.gt_sems:
-            _, s_cls = compute_miou(np.concatenate(self.gt_sems),
-                                    np.concatenate(self.pred_sems), self.taxonomy)
-        else:
-            s_cls = 0.0
+        _, s_cls = _class_iou(self.confusion, self.taxonomy)
         s_assoc = self.outer_sum / self.num_tubes if self.num_tubes else 1.0
         return LstqReport(s_assoc, s_cls)
 
@@ -342,12 +345,10 @@ def membership_accuracy(
     if evaluated.size == 0:
         return 0.0, 0
     matched = match_instances_to_detections(instance_centers, instance_classes, detections)
-    assign = np.asarray(assignments)
-    correct = 0
-    for i in evaluated:
-        want = matched.get(int(gt[i]), -2)  # -2 never equals a real index or -1
-        if assign[i] == want:
-            correct += 1
+    ids, inverse = np.unique(gt[evaluated], return_inverse=True)
+    # -2 never equals a real detection index or -1 (unassigned).
+    want = np.array([matched.get(iid, -2) for iid in ids.tolist()], dtype=np.int64)[inverse]
+    correct = int(np.count_nonzero(np.asarray(assignments)[evaluated] == want))
     return correct / evaluated.size, int(evaluated.size)
 
 

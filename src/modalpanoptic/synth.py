@@ -455,8 +455,7 @@ class HandcraftedFeatures(FeatureProvider):
         return out
 
     def bev_map(self, sweep: PointCloudSweep, point_features: np.ndarray) -> BevMap:
-        grid = voxelize(sweep.points, self.spec, features=point_features, feature_reduce="mean")
-        return flatten_bev(grid, reducer="mean")
+        return flatten_bev(voxelize(sweep.points, self.spec, point_features))
 
 
 def simulate_detector(

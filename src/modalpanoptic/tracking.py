@@ -71,7 +71,7 @@ def greedy_associate(
     if dt <= 0:
         raise ValueError("dt must be positive")
     candidates = []
-    velocities = [np.asarray(velocity_of(det), dtype=np.float64) for det in detections]
+    velocities = [np.array(velocity_of(det), dtype=np.float64) for det in detections]
     predicted = [det.center[:2] - v * dt for det, v in zip(detections, velocities)]
     for ti, tr in enumerate(tracks):
         gate = (gates or {}).get(tr.class_id, default_gate)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -100,21 +100,25 @@ class GridSpec:
                          -self.planar_range + (iy + 0.5) * cs])
 
 
-@dataclass
-class VoxelCell:
-    point_indices: np.ndarray
-    feature: np.ndarray | None = None
-    current_sweep: bool = False
-
-
-@dataclass
+@dataclass(frozen=True)
 class SparseVoxelGrid:
+    """Occupied voxels of one cloud as arrays, in ascending (ix, iy, iz) key order.
+
+    ``occupied`` is the (M, 3) int64 key of each occupied voxel. The in-range
+    input rows of voxel ``m`` are ``point_index[starts[m]:starts[m + 1]]``,
+    ascending. ``features`` is the (M, F) per-voxel mean of the input feature
+    rows, or ``None`` when none were given. ``dropped`` counts out-of-range rows.
+    """
+
     spec: GridSpec
-    occupied: dict[tuple[int, int, int], VoxelCell]
-    dropped: int = 0
+    occupied: np.ndarray
+    starts: np.ndarray
+    point_index: np.ndarray
+    features: np.ndarray | None
+    dropped: int
 
     def __len__(self) -> int:
-        return len(self.occupied)
+        return self.occupied.shape[0]
 
 
 class FeatureProvider(Protocol):
@@ -132,89 +136,59 @@ class FeatureProvider(Protocol):
     def bev_map(self, sweep: PointCloudSweep, point_features: np.ndarray) -> "BevMap": ...
 
 
-def voxelize(
-    points: np.ndarray,
-    spec: GridSpec,
-    features: np.ndarray | None = None,
-    feature_reduce: str = "mean",
-) -> SparseVoxelGrid:
-    """Assign points to sparse voxels; out-of-range points are counted as dropped.
+def voxelize(points: np.ndarray, spec: GridSpec,
+             features: np.ndarray | None = None) -> SparseVoxelGrid:
+    """Group the in-range rows of ``points`` (N, >=3) by voxel; count the rest as dropped.
 
-    ``points`` is (N, >=3) with optional dt in column 4 (dt == 0 marks the
-    current sweep). When ``features`` (N, F) is given, each occupied cell gets
-    the reduction of its points' feature rows.
+    When ``features`` (N, F) is given, each voxel gets the mean of its rows,
+    summed from +0.0 one row at a time in ascending row order.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 3:
         raise ValueError("points must be (N, >=3)")
-    n = pts.shape[0]
-    keep = spec.in_range(pts) if n else np.zeros(0, dtype=bool)
-    kept_idx = np.flatnonzero(keep)
-    dropped = int(n - kept_idx.size)
-    cells: dict[tuple[int, int, int], VoxelCell] = {}
-    if kept_idx.size:
-        vox = spec.voxel_index(pts[kept_idx])
-        dts = pts[kept_idx, 4] if pts.shape[1] > 4 else np.zeros(kept_idx.size)
-        # Group by voxel via lexicographic sort; ordering inside a cell follows
-        # the original point order so the result is permutation-stable as a set.
-        order = np.lexsort((kept_idx, vox[:, 2], vox[:, 1], vox[:, 0]))
-        vox = vox[order]
-        src = kept_idx[order]
-        dts = dts[order]
-        boundaries = np.flatnonzero(np.any(np.diff(vox, axis=0) != 0, axis=1)) + 1
-        starts = np.concatenate([[0], boundaries])
-        feats = [None] * starts.size
-        if features is not None:
-            feats = _reduce_cells(np.asarray(features, dtype=np.float64)[src], starts,
-                                  feature_reduce)
-        current = np.logical_or.reduceat(dts == 0.0, starts).tolist()
-        cells = {key: VoxelCell(idx, feat, cur) for key, idx, feat, cur in
-                 zip(map(tuple, vox[starts].tolist()), np.split(src, boundaries), feats, current)}
-    return SparseVoxelGrid(spec, cells, dropped)
+    kept = np.flatnonzero(spec.in_range(pts))
+    vox = spec.voxel_index(pts[kept])
+    # Group by voxel with a lexicographic sort; rows inside a voxel keep their
+    # input order, so the grid is the same set under any point permutation.
+    order = np.lexsort((kept, vox[:, 2], vox[:, 1], vox[:, 0]))
+    vox = vox[order]
+    point_index = kept[order]
+    new_cell = np.ones(kept.size, dtype=bool)
+    new_cell[1:] = np.any(vox[1:] != vox[:-1], axis=1)
+    starts = np.append(np.flatnonzero(new_cell), kept.size)
+    means = None
+    if features is not None:
+        sizes = np.diff(starts)
+        rows = np.asarray(features, dtype=np.float64)[point_index]
+        cell = np.repeat(np.arange(sizes.size), sizes)
+        means = _group_sums(cell, rows, sizes.size) / sizes[:, None]
+    return SparseVoxelGrid(spec, vox[starts[:-1]], starts, point_index, means,
+                           int(pts.shape[0] - kept.size))
 
 
-def _reduce_cells(rows: np.ndarray, starts: np.ndarray, how: str) -> np.ndarray:
-    """Per-cell reduction of the consecutive row runs that begin at ``starts``.
+def _group_sums(group: np.ndarray, rows: np.ndarray, groups: int) -> np.ndarray:
+    """(groups, F) sums of ``rows`` by ``group`` id; each adds its rows from +0.0 in row order."""
+    f = rows.shape[1]
+    codes = (group[:, None] * f + np.arange(f)).ravel()
+    return np.bincount(codes, weights=rows.ravel(), minlength=groups * f).reshape(groups, f)
 
-    Sums accumulate sequentially in row order, so ``mean`` and ``sum`` equal
-    ``run.mean(axis=0)`` and ``run.sum(axis=0)`` bit for bit.
+
+def majority_vote_labels(grid: SparseVoxelGrid, sem_labels: np.ndarray,
+                         current_mask: np.ndarray | None = None) -> np.ndarray:
+    """(M,) modal class per voxel of ``grid.occupied`` among its current-sweep points.
+
+    One ``bincount`` over (voxel, class) counts the votes; ``argmax`` breaks
+    ties toward the lower class id. Voxels holding only history points get
+    the ignore class so the segmentation loss can mask them out.
     """
-    if how == "max":
-        return np.maximum.reduceat(rows, starts, axis=0)
-    if how not in ("mean", "sum"):
-        raise ValueError(f"unknown feature_reduce {how!r}")
-    sizes = np.diff(np.append(starts, rows.shape[0]))
-    cell = np.repeat(np.arange(starts.size), sizes)
-    out = np.zeros((starts.size, rows.shape[1]))
-    for j in range(rows.shape[1]):
-        out[:, j] = np.bincount(cell, weights=rows[:, j], minlength=starts.size)
-    if how == "mean":
-        out /= sizes[:, None]
-    return out
-
-
-def majority_vote_labels(
-    grid: SparseVoxelGrid,
-    sem_labels: np.ndarray,
-    current_mask: np.ndarray | None = None,
-) -> dict[tuple[int, int, int], int]:
-    """Modal class per occupied voxel among its current-sweep points.
-
-    Ties break toward the lower class id; cells holding only history points
-    get the ignore class so the segmentation loss can mask them out.
-    """
-    sem = np.asarray(sem_labels)
-    out: dict[tuple[int, int, int], int] = {}
-    for key, cell in grid.occupied.items():
-        idx = cell.point_indices
-        if current_mask is not None:
-            idx = idx[current_mask[idx]]
-        if idx.size == 0:
-            out[key] = IGNORE_CLASS
-            continue
-        values, counts = np.unique(sem[idx], return_counts=True)
-        out[key] = int(values[np.argmax(counts)])  # np.unique sorts ids ascending
-    return out
+    sem = np.asarray(sem_labels)[grid.point_index]
+    cell = np.repeat(np.arange(len(grid)), np.diff(grid.starts))
+    if current_mask is not None:
+        current = np.asarray(current_mask)[grid.point_index]
+        sem, cell = sem[current], cell[current]
+    classes = int(sem.max()) + 1 if sem.size else 1
+    counts = np.bincount(cell * classes + sem, minlength=len(grid) * classes).reshape(-1, classes)
+    return np.where(counts.any(axis=1), counts.argmax(axis=1), IGNORE_CLASS)
 
 
 @dataclass(frozen=True)
@@ -241,51 +215,26 @@ class BevMap:
     def depth(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
 
+def flatten_bev(grid: SparseVoxelGrid) -> BevMap:
+    """Mean of the voxel features in each BEV column, as a dense (W', D', F) map.
 
-_REDUCERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "sum": lambda acc, f: acc + f,
-    "max": np.maximum,
-}
-
-
-def flatten_bev(grid: SparseVoxelGrid, reducer: str = "mean") -> BevMap:
-    """Collapse voxel features along height into a dense BEV map.
-
-    Each BEV cell reduces the feature vectors of every occupied voxel in its
-    (bev_downsample x bev_downsample x H) footprint; empty columns are zero.
+    A column is a (bev_downsample x bev_downsample x H) block of voxels.
+    Only occupied columns are reduced: each sums its voxel means from +0.0 in
+    ascending key order, then divides by its voxel count. Empty columns are
+    zero.
     """
-    if reducer not in ("mean", "max", "sum"):
-        raise ValueError(f"unknown reducer {reducer!r}")
+    if grid.features is None:
+        raise ValueError("grid carries no feature vectors")
     spec = grid.spec
-    dim = None
-    for cell in grid.occupied.values():
-        if cell.feature is None:
-            raise ValueError("grid carries no feature vectors")
-        if dim is None:
-            dim = cell.feature.shape[0]
-        elif cell.feature.shape[0] != dim:
-            raise ValueError("feature dimension mismatch across voxels")
-    if dim is None:
-        dim = 0
-    data = np.zeros((spec.bev_width, spec.bev_depth, dim))
-    counts = np.zeros((spec.bev_width, spec.bev_depth), dtype=np.int64)
     ds = spec.bev_downsample
-    combine = _REDUCERS["sum" if reducer in ("sum", "mean") else "max"]
-    for (ix, iy, _), cell in grid.occupied.items():
-        bx, by = ix // ds, iy // ds
-        if counts[bx, by] == 0:
-            data[bx, by] = cell.feature
-        else:
-            data[bx, by] = combine(data[bx, by], cell.feature)
-        counts[bx, by] += 1
-    if reducer == "mean":
-        nonzero = counts > 0
-        data[nonzero] /= counts[nonzero, None]
-    return BevMap(data, spec.bev_cell_size, spec.planar_range)
+    channels = grid.features.shape[1]
+    column = (grid.occupied[:, 0] // ds) * spec.bev_depth + grid.occupied[:, 1] // ds
+    columns, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+    data = np.zeros((spec.bev_width * spec.bev_depth, channels))
+    data[columns] = _group_sums(inverse, grid.features, columns.size) / counts[:, None]
+    return BevMap(data.reshape(spec.bev_width, spec.bev_depth, channels),
+                  spec.bev_cell_size, spec.planar_range)
 
 
 def interpolate_bev_many(bev: BevMap, xys: np.ndarray) -> np.ndarray:

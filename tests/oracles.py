@@ -336,11 +336,12 @@ def handcrafted_features_reference(xyz, radius=0.6):
     return out
 
 
-def voxel_features_reference(points, spec, features, how="mean"):
-    """{voxel key: reduced feature row} in ascending key order, one cell at a time.
+def voxel_features_reference(points, spec, features):
+    """{voxel key: mean feature row} in ascending key order, one cell at a time.
 
-    Each in-range point joins the cell of its voxel index; a cell reduces its
-    rows, taken in ascending point index, with ``mean``, ``sum`` or ``max``.
+    Each in-range point joins the cell of its voxel index. A cell adds its
+    rows one at a time to +0.0, in ascending point index, then divides by its
+    point count.
     """
     pts = np.asarray(points, dtype=np.float64)
     feats = np.asarray(features, dtype=np.float64)
@@ -348,8 +349,13 @@ def voxel_features_reference(points, spec, features, how="mean"):
     for i in range(pts.shape[0]):
         if spec.in_range(pts[i])[0]:
             members.setdefault(tuple(int(v) for v in spec.voxel_index(pts[i])[0]), []).append(i)
-    reduce = {"mean": np.mean, "sum": np.sum, "max": np.max}[how]
-    return {key: reduce(feats[members[key]], axis=0) for key in sorted(members)}
+    out = {}
+    for key in sorted(members):
+        total = np.zeros(feats.shape[1])
+        for i in members[key]:
+            total = total + feats[i]
+        out[key] = total / len(members[key])
+    return out
 
 
 def bev_mean_reference(points, spec, features):
@@ -358,7 +364,7 @@ def bev_mean_reference(points, spec, features):
     Voxels enter their column in ascending key order and their feature rows
     are summed one at a time, then divided by the column's voxel count.
     """
-    cells = voxel_features_reference(points, spec, features, "mean")
+    cells = voxel_features_reference(points, spec, features)
     dim = np.asarray(features).shape[1]
     data = np.zeros((spec.bev_width, spec.bev_depth, dim))
     counts = np.zeros((spec.bev_width, spec.bev_depth), dtype=np.int64)

@@ -10,7 +10,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from modalpanoptic import cli  # noqa: F401  (the bench worker imports the CLI too)
+from modalpanoptic.voxels import GridSpec, voxelize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -56,3 +59,11 @@ def test_hook_parameters_exist():
             # ``spans._args`` binds positional-or-keyword parameters only.
             kind = signature.parameters[param].kind
             assert kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, (name, param, kind)
+
+
+def test_voxelize_hook_counts_occupied_cells():
+    spec = GridSpec((0.5, 0.5, 0.5), 8.0, -2.0, 2.0, 2)
+    cloud = np.random.default_rng(0).uniform(-6.0, 6.0, size=(300, 5)) * [1, 1, 0.3, 1, 0]
+    grid = voxelize(cloud, spec, np.ones((300, 2)))
+    assert len(grid) > 1
+    assert spans._voxelize_info(voxelize, (cloud, spec), {}, grid, None) == {"cells": len(grid)}

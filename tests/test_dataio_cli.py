@@ -149,6 +149,24 @@ class TestCli:
             if name in ("car", "pedestrian", "ground", "all"):
                 assert float(pq) == 1.0
 
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_eval_out_of_taxonomy_class_exit_code(self, tmp_path, capsys, side):
+        data, pred = tmp_path / "data", tmp_path / "pred"
+        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
+        assert main(["infer", "--data", str(data), "--out", str(pred),
+                     "--membership", "oracle"]) == 0
+        name = sorted(p.name for p in (data / "sequences").iterdir())[0]
+        path = (pred / name if side == "pred" else data / "sequences" / name / "labels")
+        path = path / "000001.label"
+        sem, inst = read_label_file(path)
+        sem[3] = 200
+        write_label_file(path, sem, inst)
+        capsys.readouterr()
+        code = main(["eval", "--data", str(data), "--pred", str(pred),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 4
+        assert "class id 200 is outside the taxonomy" in capsys.readouterr().err
+
     def test_infer_is_deterministic(self, tmp_path):
         data = tmp_path / "data"
         assert main(SYNTH_ARGS + ["--out", str(data)]) == 0

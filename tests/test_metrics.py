@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modalpanoptic.cloud import ClassDef, PanopticLabeling, Taxonomy
-from modalpanoptic.membership import Detection
+from modalpanoptic.membership import Detection, roi_points
 from modalpanoptic.metrics import (
     LstqAccumulator,
     PqAccumulator,
@@ -173,6 +173,11 @@ class TestComputeMiou:
         _, mean = compute_miou(gt, pred, TAX)
         assert mean == 0.0
 
+    def test_ignore_class_prediction_is_a_miss(self):
+        per_class, mean = compute_miou(np.array([1, 1, 3, 0]), np.array([0, 1, 3, 3]), TAX)
+        assert per_class == {1: 0.5, 3: 1.0}
+        assert mean == 0.75
+
     def test_matches_confusion_oracle(self):
         rng = np.random.default_rng(4)
         gt = rng.choice([0, 1, 2, 3, 4], size=300)
@@ -266,6 +271,45 @@ class TestComputeLstq:
         assert abs(acc.report().s_assoc - total_outer / total_tubes) < 1e-12
 
 
+    def test_s_cls_matches_pooled_miou(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            acc = LstqAccumulator(TAX)
+            gt_sems, pred_sems = [], []
+            for _ in range(int(rng.integers(1, 4))):
+                gts, preds = [], []
+                for _ in range(int(rng.integers(1, 4))):
+                    gt, pred = random_scene(rng, n_points=int(rng.integers(1, 120)))
+                    sem = pred.sem.copy()
+                    sem[rng.uniform(size=sem.size) < 0.1] = 0  # predictions in the ignore class
+                    pred = lab(sem, np.where(sem == 0, 0, pred.inst))
+                    gts.append(gt)
+                    preds.append(pred)
+                    gt_sems.append(gt.sem)
+                    pred_sems.append(pred.sem)
+                acc.add_sequence(gts, preds)
+            _, want = compute_miou(np.concatenate(gt_sems), np.concatenate(pred_sems), TAX)
+            assert acc.report().s_cls == want
+
+    def test_no_sequences(self):
+        report = LstqAccumulator(TAX).report()
+        assert (report.s_assoc, report.s_cls) == (1.0, 0.0)
+
+
+class TestClassIdRange:
+    @pytest.mark.parametrize("bad", [5, 200, -1])
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    def test_out_of_taxonomy_class_rejected(self, side, bad):
+        good = lab([1, 3, 4], [2, 0, 0])
+        broken = lab([1, bad, 4], [2, 0, 0])
+        gt, pred = (broken, good) if side == "gt" else (good, broken)
+        with pytest.raises(ValueError, match="outside the taxonomy"):
+            PqAccumulator(TAX).add(gt, pred)
+        with pytest.raises(ValueError, match="outside the taxonomy"):
+            LstqAccumulator(TAX).add_sequence([gt], [pred])
+        with pytest.raises(ValueError, match="outside the taxonomy"):
+            compute_miou(gt.sem, pred.sem, TAX)
+
 class TestMembershipAccuracy:
     def scene(self):
         pts = np.array([
@@ -296,6 +340,26 @@ class TestMembershipAccuracy:
         assign = np.array([0, 0, -1, 1, 1, 1])
         acc, _ = membership_accuracy(pts, gt_inst, centers, classes, dets, assign)
         assert abs(acc - 5 / 6) < 1e-12
+
+    def test_matches_per_point_count(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            pts = rng.uniform(-4, 4, size=(150, 3))
+            gt_inst = rng.integers(0, 6, size=150)
+            centers = {i: rng.uniform(-3, 3, size=3) for i in range(1, 6)}
+            classes = {i: int(rng.integers(1, 3)) for i in range(1, 6)}
+            dets = [Detection(rng.uniform(-3, 3, size=3), 0.9, int(rng.integers(1, 3)),
+                              rng.uniform(0.5, 2.0, size=3)) for _ in range(4)]
+            assign = rng.integers(-1, 4, size=150)
+            acc, n = membership_accuracy(pts, gt_inst, centers, classes, dets, assign)
+            matched = match_instances_to_detections(centers, classes, dets)
+            in_roi = np.zeros(150, dtype=bool)
+            for det in dets:
+                in_roi[roi_points(det, pts, inflate=True, margin_frac=0.1, margin_floor=0.1)] = True
+            evaluated = [i for i in range(150) if in_roi[i] and gt_inst[i] > 0]
+            correct = sum(assign[i] == matched.get(int(gt_inst[i]), -2) for i in evaluated)
+            assert n == len(evaluated)
+            assert acc == (correct / n if n else 0.0)
 
     def test_matching_is_greedy_one_to_one(self):
         centers = {1: np.zeros(3), 2: np.array([1.0, 0.0, 0.0])}

@@ -32,6 +32,20 @@ def associate(tracks, dets, velocities, **kw):
 
 
 class TestGreedyAssociate:
+    def test_tracks_copy_the_sampled_velocity(self):
+        # The sampler returns a view into a sweep's velocity map, as
+        # panoptic_track_sequence does; tracks must not keep that map alive.
+        velocity = np.arange(32, dtype=np.float64).reshape(4, 4, 2)
+        tracks, _, next_id = greedy_associate([], [det([0.0, 0, 0])], lambda d: velocity[1, 2],
+                                              dt=0.5, sweep_index=0, next_track_id=1)
+        tracks, ids, _ = greedy_associate(tracks, [det([0.0, 0, 0]), det([9.0, 0, 0])],
+                                          lambda d: velocity[0, 0], dt=0.5, sweep_index=1,
+                                          next_track_id=next_id)
+        assert ids == [1, 2]
+        for track in tracks:
+            assert track.last_velocity.tolist() == [0.0, 1.0]
+            assert not np.shares_memory(track.last_velocity, velocity)
+
     def test_static_object_keeps_id(self):
         tracks, ids0, next_id = associate([], [det([5.0, 0, 0])], [[0, 0]])
         assert ids0 == [1]

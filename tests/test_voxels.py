@@ -10,7 +10,12 @@ from modalpanoptic.voxels import (
     voxelize,
 )
 
-from oracles import bilinear_4term, interpolate_bev_reference, voxel_features_reference
+from oracles import (
+    bev_mean_reference,
+    bilinear_4term,
+    interpolate_bev_reference,
+    voxel_features_reference,
+)
 
 SMALL = GridSpec(voxel_size=(0.5, 0.5, 0.5), planar_range=8.0, z_min=-2.0, z_max=2.0,
                  bev_downsample=2)
@@ -42,22 +47,49 @@ class TestGridSpec:
                      bev_downsample=7)
 
 
+def cells(grid):
+    """{voxel key: its input rows} read from the grid's CSR arrays."""
+    return {tuple(key): grid.point_index[a:b].tolist()
+            for key, a, b in zip(grid.occupied.tolist(), grid.starts[:-1], grid.starts[1:])}
+
+
+def random_cloud(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    cloud = np.zeros((n, 5))
+    cloud[:, :3] = rng.uniform(-1.0, 1.0, size=(n, 3)) * scale
+    return cloud
+
+
 class TestVoxelize:
     def test_origin_point_index(self):
         grid = voxelize(pts([(0.0, 0.0, 0.0)]), GridSpec())
-        assert list(grid.occupied) == [(720, 720, 25)]
+        assert grid.occupied.dtype == np.int64
+        assert grid.occupied.tolist() == [[720, 720, 25]]
+        assert grid.starts.tolist() == [0, 1]
+        assert grid.point_index.tolist() == [0]
+        assert grid.features is None
 
     def test_out_of_range_dropped(self):
         xy = 60.0 / np.sqrt(2.0)
         grid = voxelize(pts([(xy, xy, 0.0)]), GridSpec())
         assert grid.dropped == 1
         assert len(grid) == 0
+        assert grid.occupied.shape == (0, 3)
+        assert grid.starts.tolist() == [0]
 
     def test_nearby_points_share_voxel(self):
         grid = voxelize(pts([(1.0, 1.0, 0.0), (1.0005, 1.0, 0.0)]), GridSpec())
         assert len(grid) == 1
-        cell = next(iter(grid.occupied.values()))
-        assert cell.point_indices.tolist() == [0, 1]
+        assert list(cells(grid).values()) == [[0, 1]]
+
+    def test_keys_ascending_and_rows_ascending_within_cells(self):
+        cloud = random_cloud(9, 400, [7, 7, 1.5])
+        grid = voxelize(cloud, SMALL)
+        keys = [tuple(k) for k in grid.occupied.tolist()]
+        assert keys == sorted(set(keys))
+        for key, rows in cells(grid).items():
+            assert rows == sorted(rows)
+            assert all(tuple(SMALL.voxel_index(cloud[i])[0]) == key for i in rows)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -66,37 +98,37 @@ class TestVoxelize:
         grid_a = voxelize(cloud, SMALL)
         perm = rng.permutation(200)
         grid_b = voxelize(cloud[perm], SMALL)
-        assert set(grid_a.occupied) == set(grid_b.occupied)
-        for key in grid_a.occupied:
-            orig = set(grid_a.occupied[key].point_indices.tolist())
-            back = set(perm[grid_b.occupied[key].point_indices].tolist())
-            assert orig == back
+        np.testing.assert_array_equal(grid_a.occupied, grid_b.occupied)
+        cells_b = cells(grid_b)
+        for key, rows in cells(grid_a).items():
+            assert set(rows) == set(perm[cells_b[key]].tolist())
 
     def test_count_conservation(self):
         rng = np.random.default_rng(1)
         cloud = np.zeros((500, 5))
         cloud[:, :3] = rng.uniform(-12, 12, size=(500, 3))
         grid = voxelize(cloud, SMALL)
-        in_cells = sum(c.point_indices.size for c in grid.occupied.values())
-        assert in_cells + grid.dropped == 500
+        assert grid.starts[-1] == grid.point_index.size
+        assert np.all(np.diff(grid.starts) > 0)
+        assert grid.point_index.size + grid.dropped == 500
 
 
 class TestMajorityVote:
     def test_strict_majority(self):
         grid = voxelize(pts([(0.1, 0.1, 0.1)] * 3), SMALL)
         votes = majority_vote_labels(grid, np.array([1, 1, 2]))
-        assert list(votes.values()) == [1]
+        assert votes.tolist() == [1]
 
     def test_tie_breaks_low_id(self):
         grid = voxelize(pts([(0.1, 0.1, 0.1)] * 2), SMALL)
         votes = majority_vote_labels(grid, np.array([2, 1]))
-        assert list(votes.values()) == [1]
+        assert votes.tolist() == [1]
 
     def test_history_only_cell_is_ignore(self):
         cloud = pts([(0.1, 0.1, 0.1, -0.1), (3.0, 3.0, 0.1, 0.0)])
         grid = voxelize(cloud, SMALL)
         votes = majority_vote_labels(grid, np.array([1, 2]), current_mask=cloud[:, 4] == 0.0)
-        by_cell = {k: v for k, v in votes.items()}
+        by_cell = dict(zip(map(tuple, grid.occupied.tolist()), votes.tolist()))
         history_cell = SMALL.voxel_index(np.array([[0.1, 0.1, 0.1]]))[0]
         assert by_cell[tuple(history_cell)] == 0
         current_cell = SMALL.voxel_index(np.array([[3.0, 3.0, 0.1]]))[0]
@@ -109,65 +141,127 @@ class TestMajorityVote:
         sems = rng.integers(1, 5, size=300)
         grid = voxelize(cloud, SMALL)
         votes = majority_vote_labels(grid, sems)
-        for key, cell in grid.occupied.items():
-            assert votes[key] in set(sems[cell.point_indices].tolist())
+        assert votes.shape == (len(grid),)
+        for vote, rows in zip(votes.tolist(), cells(grid).values()):
+            assert vote in set(sems[rows].tolist())
+
+    def test_matches_per_cell_unique(self):
+        rng = np.random.default_rng(10)
+        cloud = random_cloud(10, 500, [2, 2, 1])
+        cloud[::3, 4] = -0.5
+        sems = rng.integers(0, 7, size=500)
+        current = cloud[:, 4] == 0.0
+        grid = voxelize(cloud, SMALL)
+        votes = majority_vote_labels(grid, sems, current_mask=current)
+        for vote, rows in zip(votes.tolist(), cells(grid).values()):
+            rows = [i for i in rows if current[i]]
+            if not rows:
+                assert vote == 0
+                continue
+            values, counts = np.unique(sems[rows], return_counts=True)
+            assert vote == values[np.argmax(counts)]
+
+    def test_empty_grid(self):
+        grid = voxelize(np.zeros((0, 5)), SMALL)
+        assert majority_vote_labels(grid, np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 class TestVoxelFeatureReduction:
-    @pytest.mark.parametrize("how", ["mean", "sum", "max"])
-    def test_bytes_match_per_cell_reference(self, how):
+    def check_cells(self, cloud, feats):
+        grid = voxelize(cloud, SMALL, features=feats)
+        ref = voxel_features_reference(cloud, SMALL, feats)
+        assert [tuple(k) for k in grid.occupied.tolist()] == list(ref)
+        assert grid.features.shape == (len(ref), feats.shape[1])
+        for row, want in zip(grid.features, ref.values()):
+            assert row.tobytes() == want.tobytes()
+        return grid
+
+    def test_bytes_match_per_cell_reference(self):
         rng = np.random.default_rng(8)
         cloud = np.zeros((600, 5))
         cloud[:, :3] = rng.uniform(-2.0, 2.0, size=(600, 3)) * [1, 1, 0.5]
         cloud[:40, :3] = rng.uniform(-10.0, 10.0, size=(40, 3))  # some out of range
         cloud[::7, 4] = -0.5  # history points
         feats = rng.normal(size=(600, 5)) * 10.0 ** rng.uniform(-6, 6, size=(600, 1))
-        grid = voxelize(cloud, SMALL, features=feats, feature_reduce=how)
-        ref = voxel_features_reference(cloud, SMALL, feats, how)
-        assert list(grid.occupied) == list(ref)
-        assert max(len(c.point_indices) for c in grid.occupied.values()) > 5
-        for key, cell in grid.occupied.items():
-            assert cell.feature.tobytes() == ref[key].tobytes()
-            assert cell.current_sweep == bool(np.any(cloud[cell.point_indices, 4] == 0.0))
+        grid = self.check_cells(cloud, feats)
+        assert np.diff(grid.starts).max() > 5
+        assert grid.dropped > 0
 
-    def test_unknown_reduce(self):
-        with pytest.raises(ValueError):
-            voxelize(pts([(0.3, 0.3, 0.0)]), SMALL, features=np.ones((1, 2)),
-                     feature_reduce="median")
+    def test_negative_zero_row(self):
+        cloud = pts([(0.3, 0.3, 0.0), (3.0, 3.0, 0.0), (3.1, 3.1, 0.1)])
+        feats = np.array([[-0.0, 1.0], [-0.0, -0.0], [-0.0, 2.0]])
+        grid = self.check_cells(cloud, feats)
+        assert not np.any(np.signbit(grid.features))
+
+    def test_empty_grid_keeps_channels(self):
+        xy = 60.0 / np.sqrt(2.0)
+        grid = voxelize(pts([(xy, xy, 0.0)]), SMALL, features=np.ones((1, 3)))
+        assert grid.features.shape == (0, 3)
 
 
 class TestFlattenBev:
-    def test_single_voxel_max(self):
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_bytes_match_mean_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        cloud = random_cloud(seed, 800, [3, 3, 1.8])  # many voxels per BEV column
+        feats = rng.normal(size=(800, 4)) * 10.0 ** rng.uniform(-6, 6, size=(800, 1))
+        grid = voxelize(cloud, SMALL, features=feats)
+        column = grid.occupied[:, 0] // 2 * SMALL.bev_depth + grid.occupied[:, 1] // 2
+        assert np.unique(column, return_counts=True)[1].max() > 5
+        bev = flatten_bev(grid)
+        assert bev.data.tobytes() == bev_mean_reference(cloud, SMALL, feats).tobytes()
+
+    def test_single_voxel(self):
         feats = np.array([[3.0, -1.0]])
-        grid = voxelize(pts([(0.3, 0.3, 0.0)]), SMALL, features=feats)
-        bev = flatten_bev(grid, reducer="max")
+        bev = flatten_bev(voxelize(pts([(0.3, 0.3, 0.0)]), SMALL, features=feats))
         cell = SMALL.bev_cell_of(np.array([0.3, 0.3]))
         np.testing.assert_array_equal(bev.data[cell], [3.0, -1.0])
         assert np.count_nonzero(bev.data) == 2
+        assert bev.data.tobytes() == bev_mean_reference(
+            pts([(0.3, 0.3, 0.0)]), SMALL, feats).tobytes()
 
-    def test_elementwise_max_in_column(self):
-        cloud = pts([(0.3, 0.3, 0.0), (0.3, 0.3, 1.0)])
-        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        bev = flatten_bev(voxelize(cloud, SMALL, features=feats), reducer="max")
+    def test_column_mean_of_voxel_means(self):
+        cloud = pts([(0.3, 0.3, 0.0), (0.3, 0.3, 0.1), (0.3, 0.3, 1.0)])
+        feats = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
+        bev = flatten_bev(voxelize(cloud, SMALL, features=feats))
         cell = SMALL.bev_cell_of(np.array([0.3, 0.3]))
-        np.testing.assert_array_equal(bev.data[cell], [1.0, 1.0])
+        np.testing.assert_array_equal(bev.data[cell], [1.0, 0.5])
 
     def test_sum_conservation(self):
         rng = np.random.default_rng(3)
         cloud = np.zeros((120, 5))
         cloud[:, :3] = rng.uniform(-7, 7, size=(120, 3)) * [1, 1, 0.25]
         feats = rng.normal(size=(120, 4))
-        grid = voxelize(cloud, SMALL, features=feats, feature_reduce="sum")
-        bev = flatten_bev(grid, reducer="sum")
-        total_cells = sum(c.feature for c in grid.occupied.values())
-        np.testing.assert_allclose(bev.data.sum(axis=(0, 1)), total_cells, atol=1e-9)
+        grid = voxelize(cloud, SMALL, features=feats)
+        bev = flatten_bev(grid)
+        voxels_per_column = np.zeros((SMALL.bev_width, SMALL.bev_depth))
+        np.add.at(voxels_per_column, (grid.occupied[:, 0] // 2, grid.occupied[:, 1] // 2), 1)
+        np.testing.assert_allclose((bev.data * voxels_per_column[..., None]).sum(axis=(0, 1)),
+                                   grid.features.sum(axis=0), atol=1e-9)
 
-    def test_feature_dim_mismatch(self):
-        grid = voxelize(pts([(0.3, 0.3, 0.0), (3.0, 3.0, 0.0)]), SMALL,
-                        features=np.ones((2, 2)))
-        grid.occupied[next(iter(grid.occupied))].feature = np.ones(3)
-        with pytest.raises(ValueError):
-            flatten_bev(grid, reducer="max")
+    def test_negative_zero_row(self):
+        cloud = pts([(0.3, 0.3, 0.0), (0.3, 0.3, 1.0), (3.0, 3.0, 0.0)])
+        feats = np.array([[-0.0, 2.0], [-0.0, -0.0], [-0.0, -0.0]])
+        bev = flatten_bev(voxelize(cloud, SMALL, features=feats))
+        assert bev.data.tobytes() == bev_mean_reference(cloud, SMALL, feats).tobytes()
+        assert not np.any(np.signbit(bev.data))
+
+    def test_empty_grid_keeps_channels(self):
+        grid = voxelize(np.zeros((0, 5)), SMALL, features=np.zeros((0, 3)))
+        bev = flatten_bev(grid)
+        assert bev.data.shape == (SMALL.bev_width, SMALL.bev_depth, 3)
+        assert not np.any(bev.data)
+
+    def test_all_out_of_range(self):
+        cloud = pts([(9.0, 0.0, 0.0), (0.0, 0.0, 2.5), (-6.0, -6.0, 0.0)])
+        grid = voxelize(cloud, SMALL, features=np.ones((3, 2)))
+        assert (len(grid), grid.dropped) == (0, 3)
+        bev = flatten_bev(grid)
+        assert bev.data.tobytes() == bev_mean_reference(cloud, SMALL, np.ones((3, 2))).tobytes()
+
+    def test_grid_without_features_rejected(self):
+        with pytest.raises(ValueError, match="no feature vectors"):
+            flatten_bev(voxelize(pts([(0.3, 0.3, 0.0)]), SMALL))
 
 
 class TestInterpolateBev:
