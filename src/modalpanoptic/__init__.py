@@ -39,7 +39,7 @@ from .losses import LossValue, bce_loss, focal_loss, l1_loss, masked_cross_entro
 from .mlp import MlpModel, OptimizerState, backward, build_mlp, forward, load_model, \
     optimizer_step, save_model, train_epochs
 from .membership import (
-    Detection,
+    Detections,
     MembershipTrainConfig,
     PairFeatureConfig,
     PairTable,
@@ -54,7 +54,6 @@ from .membership import (
     train_membership_stage2,
 )
 from .inference import (
-    CwmExtents,
     FusionResult,
     NearestCenterExtents,
     PredictedMaps,

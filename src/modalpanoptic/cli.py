@@ -26,11 +26,13 @@ import numpy as np
 from . import dataio
 from .cloud import PanopticLabeling
 from .membership import (
+    Detections,
     MembershipTrainConfig,
     PairFeatureConfig,
     mlp_scores,
     nn_scores,
     oracle_scores,
+    roi_mask,
     train_membership_stage2,
 )
 from .metrics import LstqAccumulator, PqAccumulator, lstq_report_csv, pq_report_csv
@@ -48,16 +50,14 @@ from .targets import (
     aggregate_extent,
     build_trajectories,
     class_wise_mean_extents,
-    membership_target,
     modal_center,
     render_bev_targets,
     save_cwm_stats,
     velocity_target,
 )
-from .tracking import PipelineConfig, class_gates, panoptic_track_sequence
+from .tracking import DEFAULT_MAX_AGE, PipelineConfig, class_gates, panoptic_track_sequence
 from .voxels import GridSpec
 
-EXIT_USAGE = 2
 EXIT_MISSING_INPUT = 3
 EXIT_BAD_DATA = 4
 
@@ -202,27 +202,17 @@ def cmd_targets(args) -> int:
 
 def _membership_rows(sweep, trajectories, sweep_index) -> np.ndarray:
     """(detection_index, point_index, label) triples for GT-center RoIs."""
-    from .membership import Detection, roi_points
-
-    xyz = sweep.xyz
-    rows = []
-    det_index = 0
-    for iid, traj in sorted(trajectories.items()):
-        if traj.record_at(sweep_index) is None:
-            continue
-        members = np.flatnonzero(sweep.inst_labels == iid)
-        if members.size == 0:
-            continue
-        center = modal_center(xyz[members])
-        det = Detection(center, 1.0, traj.class_id, traj.max_extent)
-        roi = roi_points(det, xyz, inflate=False)
-        if roi.size == 0:
-            det_index += 1
-            continue
-        labels = membership_target(members, roi)
-        rows.append(np.column_stack([np.full(roi.size, det_index, dtype=np.int64), roi, labels]))
-        det_index += 1
-    return np.concatenate(rows) if rows else np.zeros((0, 3), dtype=np.int64)
+    ids = sweep.inst_labels
+    present = [(iid, traj) for iid, traj in sorted(trajectories.items())
+               if traj.record_at(sweep_index) is not None and np.any(ids == iid)]
+    centers = [modal_center(sweep.xyz[ids == iid]) for iid, _ in present]
+    gt = Detections(np.reshape(centers, (-1, 3)), np.ones(len(present)),
+                    [traj.class_id for _, traj in present],
+                    np.reshape([traj.max_extent for _, traj in present], (-1, 3)))
+    # Zero margins leave each RoI the uninflated box.
+    det, point = np.nonzero(roi_mask(gt, sweep.xyz, 0.0, 0.0))
+    label = ids[point] == np.array([iid for iid, _ in present])[det]
+    return np.column_stack([det, point, label.astype(np.int8)])
 
 
 def cmd_train_mem(args) -> int:
@@ -294,7 +284,7 @@ def _run_inference(args, track: bool) -> int:
             margin_floor=args.margin_floor,
             conflict=args.conflict,
             gates=class_gates(class_means) or None,
-            max_age=args.max_age if track else 2,
+            max_age=args.max_age if track else DEFAULT_MAX_AGE,
         )
         if track:
             labelings = panoptic_track_sequence(inputs, taxonomy, spec, score,
@@ -488,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[seed, extent, pairs, grid, infer])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-age", type=int, default=2)
+    p.add_argument("--max-age", type=int, default=DEFAULT_MAX_AGE)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="PQ and LSTQ against ground truth")

@@ -8,7 +8,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .cloud import PanopticLabeling, Taxonomy
-from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detection, PairTable, gather_pairs
+from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detections, PairTable, gather_pairs
 from .voxels import BevMap, GridSpec
 
 NMS_THRESHOLD = 0.3
@@ -35,22 +35,8 @@ class PredictedMaps:
 
 
 class ExtentProvider(Protocol):
-    def extent_for(self, class_id: int, center: np.ndarray) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class CwmExtents:
-    """Class-wise mean extents with a fallback for unseen classes."""
-
-    stats: dict[int, np.ndarray]
-    default: np.ndarray = None
-
-    def extent_for(self, class_id: int, center: np.ndarray) -> np.ndarray:
-        if class_id in self.stats:
-            return np.asarray(self.stats[class_id], dtype=np.float64)
-        if self.default is not None:
-            return np.asarray(self.default, dtype=np.float64)
-        raise KeyError(f"no extent statistics for class {class_id}")
+    def extents_for(self, class_ids: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """(D, 3) extents for detections of (D,) classes at (D, 3) centers."""
 
 
 @dataclass(frozen=True)
@@ -62,15 +48,19 @@ class NearestCenterExtents:
     extents: np.ndarray    # (M, 3)
     default: np.ndarray | None = None
 
-    def extent_for(self, class_id: int, center: np.ndarray) -> np.ndarray:
-        mask = np.asarray(self.class_ids) == class_id
-        if not mask.any():
-            if self.default is not None:
-                return np.asarray(self.default, dtype=np.float64)
-            raise KeyError(f"no extent entry for class {class_id}")
-        idx = np.flatnonzero(mask)
-        dist = np.linalg.norm(self.centers[idx, :2] - np.asarray(center)[:2], axis=1)
-        return np.asarray(self.extents[idx[np.argmin(dist)]], dtype=np.float64)
+    def extents_for(self, class_ids: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """Planar-nearest same-class entry per detection, the lower index on ties."""
+        same = np.asarray(self.class_ids) == class_ids[:, None]
+        known = same.any(axis=1)
+        out = np.empty((class_ids.size, 3))
+        if known.any():
+            dist = np.linalg.norm(self.centers[:, :2] - centers[known, None, :2], axis=2)
+            out[known] = self.extents[np.argmin(np.where(same[known], dist, np.inf), axis=1)]
+        if not known.all():
+            if self.default is None:
+                raise KeyError(f"no extent entry for class {class_ids[~known][0]}")
+            out[~known] = self.default
+        return out
 
 
 def nms_detect(
@@ -79,7 +69,7 @@ def nms_detect(
     extent_provider: ExtentProvider,
     threshold: float = NMS_THRESHOLD,
     max_detections: int = NMS_MAX_DETECTIONS,
-) -> list[Detection]:
+) -> Detections:
     """3x3 local maxima of the class heatmaps, ordered by decreasing confidence.
 
     A cell detects when its value strictly exceeds the threshold and is
@@ -103,13 +93,9 @@ def nms_detect(
         flat = flat[keep]
     # Flat indices ascend in (class, x, y) order, which breaks confidence ties.
     top = flat[np.lexsort((flat, -cells[flat]))[:max(max_detections, 0)]]
-    detections = []
-    for c, x, y in zip(*np.unravel_index(top, hm.shape)):
-        xy = spec.bev_cell_center(int(x), int(y))
-        center = np.array([xy[0], xy[1], maps.height[x, y]])
-        detections.append(Detection(center, float(hm[c, x, y]), int(c),
-                                    extent_provider.extent_for(int(c), center)))
-    return detections
+    cls, x, y = np.unravel_index(top, hm.shape)
+    center = np.column_stack([*spec.bev_cell_center(x, y), maps.height[x, y]])
+    return Detections(center, cells[top], cls, extent_provider.extents_for(cls, center))
 
 
 @dataclass(frozen=True)
@@ -130,7 +116,7 @@ class FusionResult:
 
 def fuse_panoptic(
     points_xyz: np.ndarray,
-    detections: list[Detection],
+    detections: Detections,
     maps: PredictedMaps,
     membership: Callable[[PairTable], np.ndarray],
     taxonomy: Taxonomy,
@@ -142,51 +128,39 @@ def fuse_panoptic(
 
     ``gather_pairs`` collects each detection's RoI points whose predicted
     class is its own, and ``membership(pairs)`` scores the whole table in one
-    call, one probability per pair. Detections are then consumed in
-    decreasing-confidence order; each claims the still-unassigned points of
-    its group whose membership strictly exceeds 0.5. Claimed points take the
-    detection class and a fresh id (starting at 1, in detection order).
-    Leftover points fall back to their predicted semantics with instance 0.
+    call, one probability per pair. A pair whose membership strictly exceeds
+    0.5 is a claim. Claimed points take the detection class and a fresh id
+    (starting at 1, in detection order). Leftover points fall back to their
+    predicted semantics with instance 0.
 
-    ``conflict`` picks the overlap rule: "first_wins" freezes earlier
-    (more confident) assignments; "argmax" gives contested points to the
-    detection with the highest membership among those scoring above 0.5.
+    ``conflict`` picks the overlap rule: "first_wins" gives a contested point
+    to its first (most confident) claimant; "argmax" to the claimant with
+    the highest membership, the first one on ties. One sort of the claims by
+    (point, rule key) resolves every point at once.
     """
     if conflict not in ("first_wins", "argmax"):
         raise ValueError(f"unknown conflict rule {conflict!r}")
-    confidences = [d.confidence for d in detections]
-    if any(b > a for a, b in zip(confidences, confidences[1:])):
-        raise ValueError("detections must be sorted by decreasing confidence")
-    for det in detections:
-        if det.class_id not in taxonomy.class_ids:
-            raise ValueError(f"detection class {det.class_id} not in the taxonomy")
+    foreign = detections.class_id[~np.isin(detections.class_id, taxonomy.class_ids)]
+    if foreign.size:
+        raise ValueError(f"detection class {foreign[0]} not in the taxonomy")
     pairs = gather_pairs(points_xyz, maps.point_sem, detections, margin_frac, margin_floor)
     probs = np.asarray(membership(pairs), dtype=np.float64)
     if probs.shape != (len(pairs),):
         raise ValueError(f"membership gave {probs.shape} scores for {len(pairs)} pairs")
     n = np.asarray(points_xyz).shape[0]
+    claims = np.flatnonzero(probs > 0.5)
+    point, det = pairs.point[claims], pairs.det[claims]
+    rule = (det,) if conflict == "first_wins" else (det, -probs[claims])
+    order = np.lexsort((*rule, point))
+    point, det = point[order], det[order]
+    first = np.ones(point.size, dtype=bool)
+    first[1:] = point[1:] != point[:-1]
     point_det = np.full(n, -1, dtype=np.int64)
-    best_prob = np.zeros(n)
-    for d in range(len(detections)):
-        group = pairs.group(d)
-        roi, p = pairs.point[group], probs[group]
-        if conflict == "first_wins":
-            point_det[roi[(p > 0.5) & (point_det[roi] < 0)]] = d
-        else:
-            better = (p > 0.5) & (p > best_prob[roi])
-            best_prob[roi[better]] = p[better]
-            point_det[roi[better]] = d
+    point_det[point[first]] = det[first]
     claimed = point_det >= 0
     sem_out = np.asarray(maps.point_sem, dtype=np.int32).copy()
     inst_out = np.zeros(n, dtype=np.int32)
     _, rank = np.unique(point_det[claimed], return_inverse=True)
     inst_out[claimed] = rank + 1
-    class_ids = np.array([det.class_id for det in detections], dtype=np.int32)
-    sem_out[claimed] = class_ids[point_det[claimed]]
+    sem_out[claimed] = detections.class_id[point_det[claimed]]
     return FusionResult(PanopticLabeling(sem_out, inst_out), point_det)
-
-
-def make_table_membership(table: np.ndarray) -> Callable[[PairTable], np.ndarray]:
-    """Membership from a precomputed (detections x points) probability table."""
-    table = np.asarray(table, dtype=np.float64)
-    return lambda pairs: table[pairs.det, pairs.point]

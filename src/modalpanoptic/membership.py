@@ -9,7 +9,7 @@ a membership probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,32 +28,68 @@ ROI_MARGIN_FLOOR = 0.1
 DEGENERATE_EXTENT = 0.05
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One detected modal center with confidence, class and extent."""
+class DetectionRow(NamedTuple):
+    """One detection of a ``Detections`` set, as iterating it yields."""
 
     center: np.ndarray     # (3,) meters
     confidence: float
     class_id: int
     extent: np.ndarray     # (3,) per-axis half extent, meters
 
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """One sweep's detected modal centers, one row per detection, as arrays.
+
+    Validated once, on creation: (D, 3) centers and half extents, (D,)
+    confidences and class ids, extents >= 0, confidences in [0, 1] and
+    non-increasing down the rows, which is the order fusion consumes them in.
+    ``len`` counts the rows and iteration yields ``DetectionRow``s; that is
+    all ``bench/spans.py`` reads of them (``len``, then each row's
+    ``.center``, ``.class_id`` and ``.extent``).
+    """
+
+    center: np.ndarray      # (D, 3) meters
+    confidence: np.ndarray  # (D,)
+    class_id: np.ndarray    # (D,) int64
+    extent: np.ndarray      # (D, 3) per-axis half extent, meters
+
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-        object.__setattr__(self, "extent", np.asarray(self.extent, dtype=np.float64))
-        if self.center.shape != (3,) or self.extent.shape != (3,):
-            raise ValueError("center and extent must be 3-vectors")
+        for name, dtype in (("center", np.float64), ("confidence", np.float64),
+                            ("class_id", np.int64), ("extent", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        d = self.confidence.shape[0] if self.confidence.ndim == 1 else -1
+        if (self.confidence.shape != (d,) or self.class_id.shape != (d,)
+                or self.center.shape != (d, 3) or self.extent.shape != (d, 3)):
+            raise ValueError("detections need (D, 3) centers/extents, (D,) confidences/classes")
         if np.any(self.extent < 0):
             raise ValueError("extent components must be >= 0")
-        if not 0.0 <= self.confidence <= 1.0:
+        if not np.all((self.confidence >= 0.0) & (self.confidence <= 1.0)):
             raise ValueError("confidence must lie in [0, 1]")
+        if np.any(self.confidence[1:] > self.confidence[:-1]):
+            raise ValueError("detections must be sorted by decreasing confidence")
+
+    def __len__(self) -> int:
+        return self.confidence.size
+
+    def __iter__(self) -> Iterator[DetectionRow]:
+        return map(DetectionRow, self.center, self.confidence.tolist(),
+                   self.class_id.tolist(), self.extent)
+
+    def to_world(self, pose: np.ndarray) -> Detections:
+        """The same detections with centers mapped through a 4x4 rigid pose."""
+        # The stacked product keeps every row bit-equal to ``R @ center + t``.
+        center = (pose[:3, :3] @ self.center[:, :, None])[:, :, 0] + pose[:3, 3]
+        return Detections(center, self.confidence, self.class_id, self.extent)
 
 
-def roi_radius(det: Detection, margin_frac: float, margin_floor: float) -> np.ndarray:
+def roi_radius(det, margin_frac: float, margin_floor: float) -> np.ndarray:
+    """Half size of the inflated RoI, for one ``DetectionRow`` or a whole ``Detections``."""
     return det.extent + np.maximum(margin_frac * det.extent, margin_floor)
 
 
 def roi_points(
-    det: Detection,
+    det: DetectionRow,
     points_xyz: np.ndarray,
     inflate: bool = True,
     margin_frac: float = ROI_MARGIN_FRAC,
@@ -68,6 +104,14 @@ def roi_points(
     radius = roi_radius(det, margin_frac, margin_floor) if inflate else det.extent
     inside = np.all(np.abs(pts[:, :3] - det.center) < radius, axis=1)
     return np.flatnonzero(inside)
+
+
+def roi_mask(detections: Detections, points_xyz: np.ndarray, margin_frac: float,
+             margin_floor: float) -> np.ndarray:
+    """(D, N) mask: point n lies strictly inside detection d's inflated RoI."""
+    pts = np.asarray(points_xyz, dtype=np.float64)[:, :3]
+    radius = roi_radius(detections, margin_frac, margin_floor)
+    return np.all(np.abs(pts - detections.center[:, None, :]) < radius[:, None, :], axis=2)
 
 
 @dataclass(frozen=True)
@@ -113,7 +157,8 @@ def _one_hot(ids: np.ndarray, num_classes: int) -> np.ndarray:
 def assemble_pair_features(
     points_xyz: np.ndarray,
     point_sem: np.ndarray,
-    det: Detection,
+    center: np.ndarray,
+    class_id: int,
     cfg: PairFeatureConfig,
     point_features: np.ndarray | None = None,
     bev: BevMap | None = None,
@@ -130,14 +175,13 @@ def assemble_pair_features(
     """
     pts = np.atleast_2d(np.asarray(points_xyz, dtype=np.float64))[:, :3]
     n = pts.shape[0]
-    blocks = [pts - det.center]
+    blocks = [pts - center]
     # The center's own position enters as (planar range / 10, height, 0):
     # membership does not depend on bearing, and feeding raw coordinates lets
     # a desk-scale scorer memorize where training instances stood (measured:
     # 0.996 accuracy on training scenes vs 0.945 held out) instead of
     # learning geometry.
-    center_pos = np.array([np.hypot(det.center[0], det.center[1]) / 10.0,
-                           det.center[2], 0.0])
+    center_pos = np.array([np.hypot(center[0], center[1]) / 10.0, center[2], 0.0])
     if cfg.include_point_features:
         if point_features is None:
             raise ValueError("configuration expects point features")
@@ -152,8 +196,8 @@ def assemble_pair_features(
     blocks.append(_one_hot(point_sem, cfg.num_classes))
     center_parts = [center_pos]
     if cfg.include_bev:
-        center_parts.append(interpolate_bev_many(bev, det.center[None, :2])[0])
-    center_parts.append(_one_hot(np.array([det.class_id]), cfg.num_classes)[0])
+        center_parts.append(interpolate_bev_many(bev, center[None, :2])[0])
+    center_parts.append(_one_hot(np.array([class_id]), cfg.num_classes)[0])
     center_row = np.concatenate(center_parts)
     rows = np.concatenate(blocks + [np.tile(center_row, (n, 1))], axis=1)
     if rows.shape[1] != cfg.width:
@@ -175,7 +219,7 @@ def predict_membership(model: MlpModel, pairs: np.ndarray) -> np.ndarray:
 class PairTable:
     """Every (detection, point) pair of one sweep that membership scores.
 
-    Pairs are grouped by detection in list order, which is decreasing
+    Pairs are grouped by detection in row order, which is decreasing
     confidence, with ascending point indices inside each group; detection
     ``d`` owns ``group(d)``. The margins record the RoI the pairs came from.
     """
@@ -196,32 +240,30 @@ class PairTable:
 def gather_pairs(
     points_xyz: np.ndarray,
     point_sem: np.ndarray,
-    detections: list[Detection],
+    detections: Detections,
     margin_frac: float = ROI_MARGIN_FRAC,
     margin_floor: float = ROI_MARGIN_FLOOR,
 ) -> PairTable:
-    """Points inside each detection's inflated RoI whose predicted class is its own."""
+    """Points inside each detection's inflated RoI whose predicted class is its own.
+
+    One (D, N') mask over the points whose class some detection has; its
+    nonzero entries in row-major order are already the table's order.
+    """
     pts = np.asarray(points_xyz, dtype=np.float64)
     sem = np.asarray(point_sem)
-    groups = []
-    for det in detections:
-        roi = roi_points(det, pts, inflate=True, margin_frac=margin_frac,
-                         margin_floor=margin_floor)
-        groups.append(roi[sem[roi] == det.class_id])
-    sizes = [g.size for g in groups]
-    return PairTable(
-        np.repeat(np.arange(len(groups), dtype=np.int64), sizes),
-        np.concatenate([np.zeros(0, dtype=np.int64), *groups]),
-        np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
-        margin_frac,
-        margin_floor,
-    )
+    candidates = np.flatnonzero(np.isin(sem, detections.class_id))
+    inside = (roi_mask(detections, pts[candidates], margin_frac, margin_floor)
+              & (sem[candidates] == detections.class_id[:, None]))
+    det, column = np.nonzero(inside)
+    sizes = np.bincount(det, minlength=len(detections))
+    return PairTable(det, candidates[column], np.concatenate([[0], np.cumsum(sizes)]),
+                     margin_frac, margin_floor)
 
 
 def nn_baseline(
     points_xyz: np.ndarray,
     point_sem: np.ndarray,
-    detections: list[Detection],
+    detections: Detections,
     margin_frac: float = ROI_MARGIN_FRAC,
     margin_floor: float = ROI_MARGIN_FLOOR,
     pairs: PairTable | None = None,
@@ -229,7 +271,8 @@ def nn_baseline(
     """Nearest semantically-compatible center within RoI, per point.
 
     Returns the chosen detection index per point, -1 where no detection
-    qualifies. Ties break toward higher confidence, then lower index.
+    qualifies. Ties break toward the lower index, which is the higher
+    confidence: ``Detections`` rows are in decreasing confidence.
     ``pairs`` is the table ``gather_pairs`` builds from the same arguments,
     when the caller already has it.
     """
@@ -239,10 +282,8 @@ def nn_baseline(
     best = np.full(pts.shape[0], -1, dtype=np.int64)
     if len(pairs) == 0:
         return best
-    centers = np.array([det.center for det in detections])
-    confidence = np.array([det.confidence for det in detections])
-    dist = np.linalg.norm(pts[pairs.point] - centers[pairs.det], axis=1)
-    order = np.lexsort((pairs.det, -confidence[pairs.det], dist, pairs.point))
+    dist = np.linalg.norm(pts[pairs.point] - detections.center[pairs.det], axis=1)
+    order = np.lexsort((pairs.det, dist, pairs.point))
     point, det = pairs.point[order], pairs.det[order]
     first = np.concatenate([[True], point[1:] != point[:-1]])
     best[point[first]] = det[first]
@@ -253,7 +294,7 @@ def nn_baseline(
 # the sweep's inputs, its detections and their gathered pairs in, one
 # membership probability per pair out, in one call per sweep.
 
-def nn_scores(inputs: SweepInputs, detections: list[Detection], pairs: PairTable) -> np.ndarray:
+def nn_scores(inputs: SweepInputs, detections: Detections, pairs: PairTable) -> np.ndarray:
     """Hard membership induced by the nearest-center baseline assignment."""
     assignment = nn_baseline(inputs.sweep.xyz, inputs.maps.point_sem, detections,
                              pairs.margin_frac, pairs.margin_floor, pairs=pairs)
@@ -264,7 +305,7 @@ def mlp_scores(
     model: MlpModel,
     pair_cfg: PairFeatureConfig,
     inputs: SweepInputs,
-    detections: list[Detection],
+    detections: Detections,
     pairs: PairTable,
 ) -> np.ndarray:
     """Pair-scorer membership: rows assembled per detection, one forward per sweep.
@@ -274,19 +315,20 @@ def mlp_scores(
     pts, maps = inputs.sweep.xyz, inputs.maps
     bev = maps.bev_features if pair_cfg.include_bev else None
     rows = []
-    for d, det in enumerate(detections):
+    for d in range(len(detections)):
         idx = pairs.point[pairs.group(d)]
         if idx.size == 0:
             continue
         feats = maps.point_features[idx] if pair_cfg.include_point_features else None
-        rows.append(assemble_pair_features(pts[idx], maps.point_sem[idx], det, pair_cfg,
+        rows.append(assemble_pair_features(pts[idx], maps.point_sem[idx], detections.center[d],
+                                           detections.class_id[d], pair_cfg,
                                            point_features=feats, bev=bev))
     return predict_membership(model, np.concatenate(rows)) if rows else np.zeros(0)
 
 
 def oracle_scores(
     inputs: SweepInputs,
-    detections: list[Detection],
+    detections: Detections,
     pairs: PairTable,
     match_radius: float = 1.0,
 ) -> np.ndarray:
@@ -304,11 +346,12 @@ def oracle_scores(
     centers = np.array([modal_center(sweep.xyz[m])[:2] for m in members]).reshape(-1, 2)
     classes = np.array([sweep.sem_labels[m[0]] for m in members], dtype=np.int64)
     source = np.full(len(detections), -1, dtype=np.int64)
-    for d, det in enumerate(detections):
-        dist = np.where(classes == det.class_id,
-                        np.linalg.norm(centers - det.center[:2], axis=1), np.inf)
-        if dist.size and dist.min() < match_radius:
-            source[d] = iids[np.argmin(dist)]
+    if iids.size:
+        dist = np.where(classes == detections.class_id[:, None],
+                        np.linalg.norm(centers - detections.center[:, None, :2], axis=2), np.inf)
+        nearest = np.argmin(dist, axis=1)
+        close = dist[np.arange(len(detections)), nearest] < match_radius
+        source[close] = iids[nearest[close]]
     return (ids[pairs.point] == source[pairs.det]).astype(np.float64)
 
 
@@ -396,14 +439,15 @@ def build_training_pairs(
                     continue
                 center = modal_center(xyz[members])
                 extent = max_extents[int(iid)]
-                det = Detection(center + rng.normal(0.0, cfg.center_jitter, 3), 1.0, cid, extent)
+                det = DetectionRow(center + rng.normal(0.0, cfg.center_jitter, 3), 1.0, cid,
+                                   extent)
                 roi = roi_points(det, xyz, inflate=True,
                                  margin_frac=cfg.margin_frac, margin_floor=cfg.margin_floor)
                 roi = roi[sem[roi] == cid]
                 if roi.size == 0:
                     continue
                 rows.append(assemble_pair_features(
-                    xyz[roi], sem[roi], det, pair_cfg,
+                    xyz[roi], sem[roi], det.center, cid, pair_cfg,
                     point_features=feats[roi] if pair_cfg.include_point_features else None,
                     bev=bev,
                 ))

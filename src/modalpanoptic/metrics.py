@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import NO_INSTANCE, PanopticLabeling, Taxonomy
-from .membership import Detection, roi_points
+from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detections, roi_mask
 
 IOU_MATCH_THRESHOLD = 0.5
 _OFFSET = 2 ** 32
@@ -294,7 +294,7 @@ def compute_lstq(
 def match_instances_to_detections(
     instance_centers: dict[int, np.ndarray],
     instance_classes: dict[int, int],
-    detections: list[Detection],
+    detections: Detections,
 ) -> dict[int, int]:
     """Greedy one-to-one nearest-center matching within each class.
 
@@ -323,10 +323,10 @@ def membership_accuracy(
     gt_inst: np.ndarray,
     instance_centers: dict[int, np.ndarray],
     instance_classes: dict[int, int],
-    detections: list[Detection],
+    detections: Detections,
     assignments: np.ndarray,
-    margin_frac: float = 0.1,
-    margin_floor: float = 0.1,
+    margin_frac: float = ROI_MARGIN_FRAC,
+    margin_floor: float = ROI_MARGIN_FLOOR,
 ) -> tuple[float, int]:
     """Fraction of in-RoI instance points assigned to their matched detection.
 
@@ -337,10 +337,7 @@ def membership_accuracy(
     """
     pts = np.asarray(points_xyz, dtype=np.float64)
     gt = np.asarray(gt_inst)
-    in_roi = np.zeros(pts.shape[0], dtype=bool)
-    for det in detections:
-        in_roi[roi_points(det, pts, inflate=True, margin_frac=margin_frac,
-                          margin_floor=margin_floor)] = True
+    in_roi = roi_mask(detections, pts, margin_frac, margin_floor).any(axis=0)
     evaluated = np.flatnonzero(in_roi & (gt > NO_INSTANCE))
     if evaluated.size == 0:
         return 0.0, 0

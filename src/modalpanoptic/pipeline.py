@@ -90,11 +90,8 @@ def extent_entries_for_sweep(
         centers.append(pose_inv[:3, :3] @ rec.center + pose_inv[:3, 3])
         classes.append(traj.class_id)
         extents.append(model.predicted[iid])
-    if not centers:
-        return NearestCenterExtents(np.zeros((0, 3)), np.zeros(0, dtype=int),
-                                    np.zeros((0, 3)), default)
-    return NearestCenterExtents(np.stack(centers), np.asarray(classes),
-                                np.stack(extents), default)
+    return NearestCenterExtents(np.reshape(centers, (-1, 3)), np.array(classes, dtype=int),
+                                np.reshape(extents, (-1, 3)), default)
 
 
 def prepare_sweep_inputs(

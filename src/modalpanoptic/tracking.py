@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .cloud import PanopticLabeling, PointCloudSweep, Taxonomy
 from .inference import (
-    Detection,
     ExtentProvider,
     FusionResult,
     NMS_MAX_DETECTIONS,
@@ -18,7 +17,7 @@ from .inference import (
     fuse_panoptic,
     nms_detect,
 )
-from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, PairTable
+from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detections, PairTable
 from .voxels import GridSpec
 
 MAX_TRACK_ID = 65535  # the on-disk label format packs ids into 16 bits
@@ -39,7 +38,7 @@ class Tracklet:
     last_center: np.ndarray        # (3,) world frame
     last_velocity: np.ndarray      # (2,) m/s
     age: int = 0                   # sweeps since the last match
-    history: list[tuple[int, int]] = field(default_factory=list)  # (sweep, det index)
+    last_seen: int = -1            # sweep index of the last match
 
 
 def class_gates(cwm_stats: dict[int, np.ndarray], scale: float = 2.0) -> dict[int, float]:
@@ -49,8 +48,8 @@ def class_gates(cwm_stats: dict[int, np.ndarray], scale: float = 2.0) -> dict[in
 
 def greedy_associate(
     tracks: list[Tracklet],
-    detections: list[Detection],
-    velocity_of: Callable[[Detection], np.ndarray],
+    detections: Detections,
+    velocities: np.ndarray,
     dt: float,
     sweep_index: int,
     next_track_id: int,
@@ -62,60 +61,50 @@ def greedy_associate(
 
     Candidate pairs share a class and satisfy
     ``|track.last_center - (det.center - v dt)| < gate``; pairs are consumed
-    greedily in increasing distance, one detection per track. Unmatched
-    detections open new tracks; tracks unmatched for more than ``max_age``
-    sweeps are dropped. ``velocity_of`` runs once per detection, and the
-    track a detection ends on keeps that v. Returns (alive tracks,
+    greedily in increasing (distance, track id, detection, track) order, one
+    detection per track. Unmatched detections open new tracks; tracks
+    unmatched for more than ``max_age`` sweeps are dropped. ``velocities``
+    holds each detection's (D, 2) regressed velocity, and the track a
+    detection ends on keeps a copy of its row. Returns (alive tracks,
     per-detection track ids, next free id).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    candidates = []
-    velocities = [np.array(velocity_of(det), dtype=np.float64) for det in detections]
-    predicted = [det.center[:2] - v * dt for det, v in zip(detections, velocities)]
-    for ti, tr in enumerate(tracks):
-        gate = (gates or {}).get(tr.class_id, default_gate)
-        for d, det in enumerate(detections):
-            if det.class_id != tr.class_id:
-                continue
-            dist = float(np.linalg.norm(tr.last_center[:2] - predicted[d]))
-            if dist < gate:
-                candidates.append((dist, tr.track_id, d, ti))
-    candidates.sort()
-    used_tracks: set[int] = set()
-    det_track: list[int] = [-1] * len(detections)
-    matched_track_of_det: dict[int, int] = {}
-    for dist, _tid, d, ti in candidates:
-        if ti in used_tracks or det_track[d] != -1:
+    velocities = np.array(velocities, dtype=np.float64).reshape(len(detections), 2)
+    predicted = detections.center[:, :2] - velocities * dt
+    det_track = np.full(len(detections), -1, dtype=np.int64)
+    last = np.array([tr.last_center[:2] for tr in tracks]).reshape(-1, 2)
+    track_class = np.array([tr.class_id for tr in tracks])
+    track_id = np.array([tr.track_id for tr in tracks])
+    gate = np.array([(gates or {}).get(tr.class_id, default_gate) for tr in tracks])
+    diff = (last[:, None, :] - predicted).reshape(-1, 2)
+    # The stacked dot keeps every distance bit-equal to a 1-D ``np.linalg.norm``.
+    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    dist = dist.reshape(len(tracks), len(detections))
+    ti, d = np.nonzero((track_class[:, None] == detections.class_id) & (dist < gate[:, None]))
+    order = np.lexsort((ti, d, track_id[ti], dist[ti, d]))
+    used = np.zeros(len(tracks), dtype=bool)
+    for t, k in zip(ti[order].tolist(), d[order].tolist()):
+        if used[t] or det_track[k] != -1:
             continue
-        used_tracks.add(ti)
-        det_track[d] = tracks[ti].track_id
-        matched_track_of_det[d] = ti
-    for d, det in enumerate(detections):
-        if det_track[d] != -1:
-            tr = tracks[matched_track_of_det[d]]
-            tr.last_center = det.center.copy()
-            tr.last_velocity = velocities[d]
-            tr.age = 0
-            tr.history.append((sweep_index, d))
-        else:
-            if next_track_id > MAX_TRACK_ID:
-                raise TrackIdOverflow(
-                    f"track ids exhausted the 16-bit budget ({MAX_TRACK_ID})")
-            tr = Tracklet(next_track_id, det.class_id, det.center.copy(), velocities[d],
-                          history=[(sweep_index, d)])
-            det_track[d] = next_track_id
-            next_track_id += 1
-            tracks.append(tr)
-    alive = []
+        used[t] = True
+        det_track[k] = track_id[t]
+        tr = tracks[t]
+        tr.last_center = detections.center[k].copy()
+        tr.last_velocity = velocities[k]
+        tr.last_seen = sweep_index
+    born = np.flatnonzero(det_track == -1)
+    if born.size and next_track_id + born.size - 1 > MAX_TRACK_ID:
+        raise TrackIdOverflow(f"track ids exhausted the 16-bit budget ({MAX_TRACK_ID})")
+    det_track[born] = next_track_id + np.arange(born.size)
     for tr in tracks:
-        if tr.history and tr.history[-1][0] == sweep_index:
-            alive.append(tr)
-        else:
-            tr.age += 1
-            if tr.age <= max_age:
-                alive.append(tr)
-    return alive, det_track, next_track_id
+        tr.age = 0 if tr.last_seen == sweep_index else tr.age + 1
+    alive = [tr for tr in tracks if tr.last_seen == sweep_index or tr.age <= max_age]
+    alive += [Tracklet(tid, cid, center.copy(), velocity, last_seen=sweep_index)
+              for tid, cid, center, velocity in zip(
+                  det_track[born].tolist(), detections.class_id[born].tolist(),
+                  detections.center[born], velocities[born])]
+    return alive, det_track.tolist(), next_track_id + born.size
 
 
 @dataclass(frozen=True)
@@ -128,7 +117,7 @@ class SweepInputs:
 
 
 # The membership scorers' signature (``membership.nn_scores`` and its kin).
-Scorer = Callable[[SweepInputs, list[Detection], PairTable], np.ndarray]
+Scorer = Callable[[SweepInputs, Detections, PairTable], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,7 @@ def infer_sweep(
     spec: GridSpec,
     score: Scorer,
     cfg: PipelineConfig = PipelineConfig(),
-) -> tuple[list[Detection], FusionResult]:
+) -> tuple[Detections, FusionResult]:
     """NMS followed by panoptic fusion for a single sweep."""
     dets = nms_detect(inputs.maps, spec, inputs.extent_provider,
                       cfg.nms_threshold, cfg.nms_max_detections)
@@ -177,26 +166,15 @@ def panoptic_track_sequence(
     out: list[PanopticLabeling] = []
     for t, inputs in enumerate(per_sweep):
         dets, fused = infer_sweep(inputs, taxonomy, spec, score, cfg)
-        pose = inputs.sweep.ego_pose
-        world_dets = [
-            Detection(pose[:3, :3] @ d.center + pose[:3, 3], d.confidence, d.class_id, d.extent)
-            for d in dets
-        ]
-
-        def velocity_of(det: Detection) -> np.ndarray:
-            # Sample the regressed velocity at the detection's BEV cell, in
-            # the sweep frame where the maps live.
-            local = pose[:3, :3].T @ (det.center - pose[:3, 3])
-            ix, iy = spec.bev_cell_of(local[:2])
-            ix = int(np.clip(ix, 0, spec.bev_width - 1))
-            iy = int(np.clip(iy, 0, spec.bev_depth - 1))
-            return inputs.maps.velocity[ix, iy]
-
+        # The regressed velocity is read at each detection's own BEV cell, in
+        # the sweep frame where the maps live.
+        ix, iy = spec.bev_cell_of(dets.center)
+        velocities = inputs.maps.velocity[np.clip(ix, 0, spec.bev_width - 1),
+                                          np.clip(iy, 0, spec.bev_depth - 1)]
         tracks, det_track, next_id = greedy_associate(
-            tracks, world_dets, velocity_of, dt, t, next_id,
+            tracks, dets.to_world(inputs.sweep.ego_pose), velocities, dt, t, next_id,
             cfg.gates, cfg.default_gate, cfg.max_age)
-        inst = np.zeros(len(inputs.sweep), dtype=np.int32)
-        for d, tid in enumerate(det_track):
-            inst[fused.point_detection == d] = tid
-        out.append(PanopticLabeling(fused.sem, inst))
+        # Point detection -1 (unclaimed) reads the appended instance 0.
+        track_of = np.array(det_track + [0], dtype=np.int32)
+        out.append(PanopticLabeling(fused.sem, track_of[fused.point_detection]))
     return out

@@ -88,11 +88,10 @@ class GridSpec:
         radius = np.hypot(p[:, 0], p[:, 1])
         return (radius < self.planar_range) & (p[:, 2] >= self.z_min) & (p[:, 2] < self.z_max)
 
-    def bev_cell_of(self, xy: np.ndarray) -> tuple[int, int]:
-        cs = self.bev_cell_size
-        ix = int(np.floor((xy[0] + self.planar_range) / cs))
-        iy = int(np.floor((xy[1] + self.planar_range) / cs))
-        return ix, iy
+    def bev_cell_of(self, xy: np.ndarray) -> tuple:
+        """BEV cell (ix, iy) of a planar position, or index arrays for (D, 2+) positions."""
+        cells = np.floor((np.asarray(xy)[..., :2] + self.planar_range) / self.bev_cell_size)
+        return tuple(cells.astype(np.int64).T)
 
     def bev_cell_center(self, ix: int, iy: int) -> np.ndarray:
         cs = self.bev_cell_size

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 
-from modalpanoptic.membership import Detection
+from modalpanoptic.membership import PairTable
+from modalpanoptic.tracking import MAX_TRACK_ID, TrackIdOverflow, Tracklet
+
+from fakes import stack
 
 
 def focal_sum(pred, target, alpha=2.0, beta=4.0, eps=1e-6):
@@ -208,31 +211,42 @@ def tube_s_assoc(gt_sems, gt_insts, pred_sems, pred_insts, thing_ids, ignore_ids
 
 
 def fuse_reference(points_xyz, point_sem, detections, membership_table,
-                   thing_ids, margin_frac=0.0, margin_floor=0.0):
+                   thing_ids, margin_frac=0.0, margin_floor=0.0, conflict="first_wins"):
     """Line-by-line re-statement of the confidence-ordered fusion loop.
 
     ``membership_table[d, i]`` holds the membership probability of point i
     for detection d. Detections must already be ordered by decreasing
-    confidence. Returns (sem, inst) arrays; fresh ids start at 1 and advance
-    only when a detection actually claims points.
+    confidence. Under "first_wins" each detection in turn claims the
+    still-unassigned points; under "argmax" a point goes to the claimant with
+    the highest membership, the earliest on ties. Returns (sem, inst) arrays;
+    fresh ids start at 1 and advance only when a detection actually claims
+    points.
     """
     pts = np.asarray(points_xyz, dtype=float)
     sem_out = np.array(point_sem, dtype=np.int32, copy=True)
     inst_out = np.zeros(pts.shape[0], dtype=np.int32)
     assigned = np.zeros(pts.shape[0], dtype=bool)
-    next_id = 1
+    claimants = [[] for _ in range(pts.shape[0])]
     for d, det in enumerate(detections):
         radius = det.extent + np.maximum(margin_frac * det.extent, margin_floor)
+        for i in range(pts.shape[0]):
+            if (np.all(np.abs(pts[i] - det.center) < radius)
+                    and int(point_sem[i]) == det.class_id and membership_table[d, i] > 0.5):
+                claimants[i].append(d)
+    next_id = 1
+    for d, det in enumerate(detections):
         members = []
         for i in range(pts.shape[0]):
-            if assigned[i]:
+            if assigned[i] or d not in claimants[i]:
                 continue
-            if not np.all(np.abs(pts[i] - det.center) < radius):
-                continue
-            if int(point_sem[i]) != det.class_id:
-                continue
-            if membership_table[d, i] > 0.5:
-                members.append(i)
+            if conflict == "argmax":
+                best = claimants[i][0]
+                for other in claimants[i]:
+                    if membership_table[other, i] > membership_table[best, i]:
+                        best = other
+                if best != d:
+                    continue
+            members.append(i)
         if members:
             for i in members:
                 sem_out[i] = det.class_id
@@ -261,15 +275,15 @@ def nms_detect_reference(maps, spec, extent_provider, threshold=0.3, max_detecti
     is_peak = (hm == neighborhood) & (hm > threshold)
     cls, ix, iy = np.nonzero(is_peak)
     order = np.lexsort((iy, ix, cls, -hm[cls, ix, iy]))
-    detections = []
+    rows = []
     for c, x, y in zip(cls[order], ix[order], iy[order]):
-        if len(detections) >= max_detections:
+        if len(rows) >= max_detections:
             break
         xy = spec.bev_cell_center(int(x), int(y))
         center = np.array([xy[0], xy[1], maps.height[x, y]])
-        detections.append(Detection(center, float(hm[c, x, y]), int(c),
-                                    extent_provider.extent_for(int(c), center)))
-    return detections
+        extent = extent_provider.extents_for(np.array([c]), center[None, :])[0]
+        rows.append((center, float(hm[c, x, y]), int(c), extent))
+    return stack(rows)
 
 
 def nn_baseline_reference(points_xyz, point_sem, detections, margin_frac=0.1,
@@ -378,3 +392,80 @@ def bev_mean_reference(points, spec, features):
             if counts[bx, by]:
                 data[bx, by] /= counts[bx, by]
     return data
+
+
+def gather_pairs_reference(points_xyz, point_sem, detections, margin_frac=0.1,
+                           margin_floor=0.1):
+    """One RoI scan per detection: the pair table ``gather_pairs`` must reproduce.
+
+    Detection d's group holds, in ascending index, the points strictly inside
+    its inflated box whose predicted class is its own.
+    """
+    pts = np.asarray(points_xyz, dtype=np.float64)[:, :3]
+    sem = np.asarray(point_sem)
+    groups = []
+    for det in detections:
+        radius = det.extent + np.maximum(margin_frac * det.extent, margin_floor)
+        inside = np.all(np.abs(pts - det.center) < radius, axis=1)
+        groups.append(np.flatnonzero(inside & (sem == det.class_id)))
+    sizes = [g.size for g in groups]
+    return PairTable(np.repeat(np.arange(len(groups), dtype=np.int64), sizes),
+                     np.concatenate([np.zeros(0, dtype=np.int64), *groups]),
+                     np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+                     margin_frac, margin_floor)
+
+
+def greedy_associate_reference(tracks, detections, velocities, dt, sweep_index,
+                               next_track_id, gates=None, default_gate=2.0, max_age=2):
+    """Tuple-sort greedy matching: the association contract, one pair at a time.
+
+    Every same-class (track, detection) pair within the gate becomes a tuple
+    (distance, track id, detection, track); tuples are consumed in sorted
+    order, one detection per track. Mutates ``tracks`` like the library does.
+    """
+    rows = list(detections)
+    velocities = [np.array(v, dtype=np.float64) for v in velocities]
+    predicted = [det.center[:2] - v * dt for det, v in zip(rows, velocities)]
+    candidates = []
+    for ti, tr in enumerate(tracks):
+        gate = (gates or {}).get(tr.class_id, default_gate)
+        for d, det in enumerate(rows):
+            if det.class_id != tr.class_id:
+                continue
+            dist = float(np.linalg.norm(tr.last_center[:2] - predicted[d]))
+            if dist < gate:
+                candidates.append((dist, tr.track_id, d, ti))
+    candidates.sort()
+    used_tracks = set()
+    det_track = [-1] * len(rows)
+    track_of_det = {}
+    for _dist, _tid, d, ti in candidates:
+        if ti in used_tracks or det_track[d] != -1:
+            continue
+        used_tracks.add(ti)
+        det_track[d] = tracks[ti].track_id
+        track_of_det[d] = ti
+    tracks = list(tracks)
+    for d, det in enumerate(rows):
+        if det_track[d] != -1:
+            tr = tracks[track_of_det[d]]
+            tr.last_center = det.center.copy()
+            tr.last_velocity = velocities[d]
+            tr.age = 0
+            tr.last_seen = sweep_index
+        else:
+            if next_track_id > MAX_TRACK_ID:
+                raise TrackIdOverflow("track ids exhausted")
+            tracks.append(Tracklet(next_track_id, det.class_id, det.center.copy(),
+                                   velocities[d], last_seen=sweep_index))
+            det_track[d] = next_track_id
+            next_track_id += 1
+    alive = []
+    for tr in tracks:
+        if tr.last_seen == sweep_index:
+            alive.append(tr)
+        else:
+            tr.age += 1
+            if tr.age <= max_age:
+                alive.append(tr)
+    return alive, det_track, next_track_id

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import modalpanoptic as mp
-from modalpanoptic.inference import make_table_membership, nms_detect
+from modalpanoptic.inference import nms_detect
 from modalpanoptic.losses import bce_loss, focal_loss, l1_loss, masked_cross_entropy
 from modalpanoptic.membership import (
     MembershipTrainConfig,
@@ -42,6 +42,7 @@ from modalpanoptic.targets import (
 from modalpanoptic.tracking import PipelineConfig, panoptic_track_sequence
 from modalpanoptic.voxels import GridSpec
 
+from fakes import make_table_membership
 from oracles import fd_gradient, fuse_reference, pq_counts, rel_err, tube_s_assoc
 from test_inference import TAX as FUSE_TAX, maps_of, random_fusion_case
 

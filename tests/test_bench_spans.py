@@ -67,3 +67,34 @@ def test_voxelize_hook_counts_occupied_cells():
     grid = voxelize(cloud, spec, np.ones((300, 2)))
     assert len(grid) > 1
     assert spans._voxelize_info(voxelize, (cloud, spec), {}, grid, None) == {"cells": len(grid)}
+
+
+def test_hooks_resolve_on_a_traced_track_and_eval(tmp_path):
+    data, pred = tmp_path / "data", tmp_path / "pred"
+    assert cli.main(["synth", "--out", str(data), "--seed", "5", "--sweeps", "4",
+                     "--min-instances", "4", "--max-instances", "5", "--min-separation", "5"]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["track", "--data", str(data), "--out", str(pred), "--membership", "nn",
+                         "--center-jitter", "0.15", "--drop-probability", "0.1",
+                         "--confidence-noise", "0.1", "--semantic-flip", "0.02"]) == 0
+        assert cli.main(["eval", "--data", str(data), "--pred", str(pred),
+                         "--out", str(tmp_path / "eval")]) == 0
+    finally:
+        tracer.uninstall()
+    totals = spans.totals(tracer.spans)
+    assert all(not callable(v) for span in tracer.spans for v in span.info.values())
+    counts = totals.counts
+    detections = counts["inference.nms_detect"]["detections"]
+    assert totals.calls["inference.nms_detect"] == 4 and detections > 4
+    associate = counts["tracking.greedy_associate"]
+    assert associate["born"] + associate["matched"] == detections
+    assert associate["matched"] > 0 and associate["candidates"] >= associate["matched"]
+    assert counts["membership.nn_baseline"]["candidate_pairs"] > 0
+    assert counts["inference.fuse_panoptic"]["claimed_points"] > 0
+    evaluated, unassigned, wrong = counts["tracking.infer_sweep"]["membership"]
+    assert evaluated > unassigned + wrong >= 0
+    for name in ("metrics.PqAccumulator.add", "metrics.LstqAccumulator.add_sequence",
+                 "tracking.panoptic_track_sequence", "pipeline.prepare_sweep_inputs"):
+        assert totals.calls[name] >= 1, name

@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 
 from modalpanoptic.cloud import ClassDef, PointCloudSweep, Taxonomy
-from modalpanoptic.inference import (
-    CwmExtents,
-    NearestCenterExtents,
-    PredictedMaps,
-    fuse_panoptic,
-    make_table_membership,
-    nms_detect,
-)
+from modalpanoptic.inference import NearestCenterExtents, PredictedMaps, fuse_panoptic, nms_detect
 from modalpanoptic.membership import (
-    Detection,
     PairTable,
     gather_pairs,
     nn_baseline,
@@ -21,6 +13,7 @@ from modalpanoptic.membership import (
 from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import BevMap, GridSpec
 
+from fakes import CwmExtents, make_table_membership, row, stack
 from oracles import fuse_reference, nms_detect_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
@@ -56,13 +49,13 @@ class TestNmsDetect:
         maps = maps_of({1: grid})
         dets = nms_detect(maps, SPEC, CwmExtents({}, default=np.ones(3)), 0.3, 10)
         assert len(dets) == 1
-        assert dets[0].confidence == 0.9
-        assert dets[0].class_id == 1
-        np.testing.assert_allclose(dets[0].center[:2], SPEC.bev_cell_center(5, 7))
+        assert dets.confidence[0] == 0.9
+        assert dets.class_id[0] == 1
+        np.testing.assert_allclose(dets.center[0, :2], SPEC.bev_cell_center(5, 7))
 
     def test_uniform_zero_gives_nothing(self):
         dets = nms_detect(maps_of({}), SPEC, CwmExtents({}, default=np.ones(3)))
-        assert dets == []
+        assert len(dets) == 0
 
     def test_two_separated_peaks_match_exhaustive_scan(self):
         rng = np.random.default_rng(0)
@@ -88,7 +81,7 @@ class TestNmsDetect:
         grid = np.zeros((SPEC.bev_width, SPEC.bev_depth))
         grid[3, 3] = 0.3
         dets = nms_detect(maps_of({1: grid}), SPEC, CwmExtents({}, default=np.ones(3)), 0.3, 10)
-        assert dets == []
+        assert len(dets) == 0
 
     def test_max_detections_keeps_strongest(self):
         grid = np.zeros((SPEC.bev_width, SPEC.bev_depth))
@@ -110,8 +103,8 @@ class TestNmsDetect:
             extents=np.array([[2.0, 1.0, 0.5]]),
         )
         dets = nms_detect(maps_of({1: grid}, height=height), SPEC, provider, 0.3, 10)
-        assert dets[0].center[2] == 1.25
-        np.testing.assert_array_equal(dets[0].extent, [2.0, 1.0, 0.5])
+        assert dets.center[0, 2] == 1.25
+        np.testing.assert_array_equal(dets.extent[0], [2.0, 1.0, 0.5])
 
     def test_sorted_by_decreasing_confidence(self):
         rng = np.random.default_rng(1)
@@ -122,6 +115,36 @@ class TestNmsDetect:
         dets = nms_detect(maps_of({1: grid}), SPEC, CwmExtents({}, default=np.ones(3)), 0.3, 50)
         confs = [d.confidence for d in dets]
         assert confs == sorted(confs, reverse=True)
+
+
+class TestNearestCenterExtents:
+    def test_matches_per_detection_scan(self):
+        rng = np.random.default_rng(6)
+        for trial in range(50):
+            m, d = int(rng.integers(0, 8)), int(rng.integers(0, 12))
+            # Centers on a coarse grid: equal distances pick the lower index.
+            centers = rng.integers(-2, 3, size=(m, 3)).astype(float)
+            provider = NearestCenterExtents(centers, rng.integers(1, 3, size=m),
+                                            rng.uniform(0.1, 2.0, size=(m, 3)),
+                                            default=np.array([0.3, 0.4, 0.5]))
+            classes = rng.integers(1, 4, size=d)
+            queries = rng.integers(-2, 3, size=(d, 3)).astype(float)
+            want = []
+            for cid, center in zip(classes, queries):
+                idx = np.flatnonzero(provider.class_ids == cid)
+                if idx.size == 0:
+                    want.append(provider.default)
+                    continue
+                dist = np.linalg.norm(centers[idx, :2] - center[:2], axis=1)
+                want.append(provider.extents[idx[np.argmin(dist)]])
+            got = provider.extents_for(classes, queries)
+            assert got.shape == (d, 3)
+            assert got.tobytes() == np.array(want).reshape(-1, 3).tobytes(), trial
+
+    def test_unknown_class_without_default(self):
+        provider = NearestCenterExtents(np.zeros((1, 3)), np.array([1]), np.ones((1, 3)))
+        with pytest.raises(KeyError, match="class 2"):
+            provider.extents_for(np.array([1, 2]), np.zeros((2, 3)))
 
 
 def position_extents():
@@ -215,7 +238,7 @@ class TestNmsMatchesDenseReference:
         assert len(dets) == min(max(max_det, 0), 4)
 
     def test_all_zero_map(self):
-        assert check_nms_against_reference(np.zeros(self.SHAPE)) == []
+        assert len(check_nms_against_reference(np.zeros(self.SHAPE))) == 0
 
     @pytest.mark.parametrize("threshold", [-1.0, 0.1])
     def test_every_cell_above_threshold(self, threshold):
@@ -240,11 +263,12 @@ class TestNmsMatchesDenseReference:
 def random_fusion_case(rng, n_points=60, n_dets=4, include_half=False):
     pts = rng.uniform(-6, 6, size=(n_points, 3)) * [1, 1, 0.25]
     sems = rng.choice([1, 2, 3], size=n_points)
-    dets = []
+    rows = []
     confs = np.sort(rng.uniform(0.3, 1.0, n_dets))[::-1]
     for d in range(n_dets):
-        dets.append(Detection(rng.uniform(-5, 5, 3) * [1, 1, 0.2], float(confs[d]),
-                              int(rng.integers(1, 3)), rng.uniform(0.5, 2.5, 3)))
+        rows.append((rng.uniform(-5, 5, 3) * [1, 1, 0.2], float(confs[d]),
+                     int(rng.integers(1, 3)), rng.uniform(0.5, 2.5, 3)))
+    dets = stack(rows)
     table = rng.uniform(0, 1, size=(n_dets, n_points))
     if include_half:
         table[rng.uniform(size=table.shape) < 0.15] = 0.5  # exact boundary cells
@@ -255,55 +279,48 @@ class TestFusePanoptic:
     def test_stuff_only_scene(self):
         pts = np.zeros((4, 3))
         maps = maps_of({}, point_sem=[3, 3, 3, 3])
-        result = fuse_panoptic(pts, [], maps, make_table_membership(np.zeros((0, 4))), TAX)
+        result = fuse_panoptic(pts, stack([]), maps, make_table_membership(np.zeros((0, 4))),
+                               TAX)
         np.testing.assert_array_equal(result.sem, [3, 3, 3, 3])
         np.testing.assert_array_equal(result.inst, [0, 0, 0, 0])
 
     def test_single_instance_and_boundary_strictness(self):
         pts = np.array([[0.0, 0, 0], [0.2, 0, 0], [0.4, 0, 0], [5.0, 0, 0]])
         sems = [1, 1, 1, 3]
-        det = Detection(np.array([0.2, 0, 0]), 0.9, 1, np.ones(3))
+        det = row(np.array([0.2, 0, 0]), 0.9)
         table = np.array([[0.9, 0.500000, 0.51, 0.9]])  # membership 0.5 exactly -> out
         maps = maps_of({}, point_sem=sems)
-        result = fuse_panoptic(pts, [det], maps, make_table_membership(table), TAX)
+        result = fuse_panoptic(pts, stack([det]), maps, make_table_membership(table), TAX)
         np.testing.assert_array_equal(result.inst, [1, 0, 1, 0])
         assert result.sem[1] == 1  # falls back to predicted semantics
         assert result.sem[3] == 3
 
     def test_class_mismatch_filtered(self):
         pts = np.zeros((2, 3))
-        det = Detection(np.zeros(3), 0.9, 1, np.ones(3))
+        det = row(np.zeros(3), 0.9)
         maps = maps_of({}, point_sem=[2, 1])
         table = np.ones((1, 2))
-        result = fuse_panoptic(pts, [det], maps, make_table_membership(table), TAX)
+        result = fuse_panoptic(pts, stack([det]), maps, make_table_membership(table), TAX)
         np.testing.assert_array_equal(result.inst, [0, 1])
 
     def test_confident_detection_wins_contested_points(self):
         pts = np.zeros((1, 3))
-        d1 = Detection(np.array([0.1, 0, 0]), 0.9, 1, np.ones(3))
-        d2 = Detection(np.array([-0.1, 0, 0]), 0.6, 1, np.ones(3))
+        d1 = row(np.array([0.1, 0, 0]), 0.9)
+        d2 = row(np.array([-0.1, 0, 0]), 0.6)
         maps = maps_of({}, point_sem=[1])
         table = np.array([[0.7], [0.99]])
-        result = fuse_panoptic(pts, [d1, d2], maps, make_table_membership(table), TAX)
+        result = fuse_panoptic(pts, stack([d1, d2]), maps, make_table_membership(table), TAX)
         assert result.point_detection[0] == 0  # first (more confident) keeps it
 
     def test_argmax_mode_prefers_higher_membership(self):
         pts = np.zeros((1, 3))
-        d1 = Detection(np.array([0.1, 0, 0]), 0.9, 1, np.ones(3))
-        d2 = Detection(np.array([-0.1, 0, 0]), 0.6, 1, np.ones(3))
+        d1 = row(np.array([0.1, 0, 0]), 0.9)
+        d2 = row(np.array([-0.1, 0, 0]), 0.6)
         maps = maps_of({}, point_sem=[1])
         table = np.array([[0.7], [0.99]])
-        result = fuse_panoptic(pts, [d1, d2], maps, make_table_membership(table), TAX,
+        result = fuse_panoptic(pts, stack([d1, d2]), maps, make_table_membership(table), TAX,
                                conflict="argmax")
         assert result.point_detection[0] == 1
-
-    def test_unsorted_detections_rejected(self):
-        pts = np.zeros((1, 3))
-        d1 = Detection(np.zeros(3), 0.5, 1, np.ones(3))
-        d2 = Detection(np.zeros(3), 0.9, 1, np.ones(3))
-        maps = maps_of({}, point_sem=[1])
-        with pytest.raises(ValueError):
-            fuse_panoptic(pts, [d1, d2], maps, make_table_membership(np.ones((2, 1))), TAX)
 
     def test_matches_line_by_line_reference(self):
         rng = np.random.default_rng(2)
@@ -332,9 +349,10 @@ class TestFusePanoptic:
             thing = np.isin(result.sem, list(TAX.thing_ids))
             assert np.all(inst[~thing] == 0)
             # Claimed points really were in RoI with matching class and > 0.5.
+            rows = list(dets)
             for i in np.flatnonzero(result.point_detection >= 0):
                 d = result.point_detection[i]
-                det = dets[d]
+                det = rows[d]
                 radius = det.extent + np.maximum(0.1 * det.extent, 0.1)
                 assert np.all(np.abs(pts[i] - det.center) < radius)
                 assert sems[i] == det.class_id
@@ -368,8 +386,8 @@ class TestMembershipAdapters:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-3, 3, size=(30, 3))
         sems = rng.choice([1, 2], size=30)
-        dets = [Detection(rng.uniform(-2, 2, 3), 0.9, int(rng.integers(1, 3)),
-                          rng.uniform(1, 2, 3)) for _ in range(3)]
+        dets = stack((rng.uniform(-2, 2, 3), 0.9, int(rng.integers(1, 3)), rng.uniform(1, 2, 3))
+                     for _ in range(3))
         pairs = gather_pairs(pts, sems, dets)
         probs = nn_scores(inputs_of(pts, sems), dets, pairs)
         assert set(np.unique(probs)) <= {0.0, 1.0}
@@ -379,12 +397,13 @@ class TestMembershipAdapters:
     def test_oracle_membership_claims_source_instance(self):
         pts = np.array([[0.0, 0, 0], [0.1, 0, 0], [3.0, 0, 0]])
         gt_inst = np.array([7, 7, 9])
-        det = Detection(np.array([0.05, 0, 0]), 1.0, 1, np.ones(3))
-        probs = oracle_scores(inputs_of(pts, [1, 1, 1], gt_inst), [det], one_group(3))
+        det = row(np.array([0.05, 0, 0]), 1.0)
+        probs = oracle_scores(inputs_of(pts, [1, 1, 1], gt_inst), stack([det]), one_group(3))
         np.testing.assert_array_equal(probs, [1.0, 1.0, 0.0])
 
     def test_oracle_membership_unmatched_detection_claims_nothing(self):
         pts = np.zeros((2, 3))
-        det = Detection(np.array([10.0, 0, 0]), 1.0, 1, np.ones(3))
-        probs = oracle_scores(inputs_of(pts, [1, 1], np.array([1, 1])), [det], one_group(2))
+        det = row(np.array([10.0, 0, 0]), 1.0)
+        probs = oracle_scores(inputs_of(pts, [1, 1], np.array([1, 1])), stack([det]),
+                              one_group(2))
         np.testing.assert_array_equal(probs, [0.0, 0.0])

@@ -7,7 +7,6 @@ import modalpanoptic as mp
 from modalpanoptic.cloud import ClassDef, Taxonomy
 from modalpanoptic.inference import fuse_panoptic, nms_detect
 from modalpanoptic.membership import (
-    Detection,
     MembershipTrainConfig,
     PairFeatureConfig,
     PairTable,
@@ -26,14 +25,11 @@ from modalpanoptic.synth import DetectorNoise, HandcraftedFeatures
 from modalpanoptic.targets import ExtentStrategy
 from modalpanoptic.voxels import BevMap, GridSpec
 
+from fakes import row as det, stack
 from oracles import nn_baseline_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
                 ClassDef(3, "road", "stuff")), 5)
-
-
-def det(center, conf=0.9, cid=1, extent=(1.0, 1.0, 1.0)):
-    return Detection(np.asarray(center, float), conf, cid, np.asarray(extent, float))
 
 
 class TestRoiPoints:
@@ -78,7 +74,7 @@ class TestPairFeatures:
                                 include_point_features=False, include_bev=False)
         pts = np.array([[1.0, 2.0, 3.0]])
         d = det([4.0, 5.0, 6.0], cid=1)
-        rows = assemble_pair_features(pts, np.array([1]), d, cfg)
+        rows = assemble_pair_features(pts, np.array([1]), d.center, d.class_id, cfg)
         assert rows.shape == (1, cfg.width) == (1, 12)
         np.testing.assert_array_equal(rows[0, :3], [-3, -3, -3])    # point offset from center
         np.testing.assert_array_equal(rows[0, 3:6], [0, 1, 0])      # point class one-hot
@@ -91,7 +87,7 @@ class TestPairFeatures:
                                 include_bev=False)
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         d = det([4.0, 5.0, 6.0], cid=2)
-        rows = assemble_pair_features(pts, np.array([2, 2]), d, cfg)
+        rows = assemble_pair_features(pts, np.array([2, 2]), d.center, d.class_id, cfg)
         np.testing.assert_array_equal(rows[0, cfg.point_block:], rows[1, cfg.point_block:])
 
     def test_width_arithmetic_with_features(self):
@@ -100,14 +96,14 @@ class TestPairFeatures:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1, 1, size=(7, 3))
         bev = BevMap(rng.normal(size=(6, 6, 2)), cell_size=1.0, planar_range=3.0)
-        rows = assemble_pair_features(pts, np.ones(7, dtype=int), det([0, 0, 0]), cfg,
+        rows = assemble_pair_features(pts, np.ones(7, dtype=int), np.zeros(3), 1, cfg,
                                       point_features=rng.normal(size=(7, 5)), bev=bev)
         assert rows.shape == (7, cfg.width)
 
     def test_missing_provider_data_rejected(self):
         cfg = PairFeatureConfig(num_classes=3, point_feature_dim=2)
         with pytest.raises(ValueError):
-            assemble_pair_features(np.zeros((1, 3)), np.array([1]), det([0, 0, 0]), cfg)
+            assemble_pair_features(np.zeros((1, 3)), np.array([1]), np.zeros(3), 1, cfg)
 
 
 class TestPredictMembership:
@@ -141,34 +137,35 @@ class TestPredictMembership:
 class TestNnBaseline:
     def test_single_detection(self):
         pts = np.array([[0.1, 0.0, 0.0]])
-        assign = nn_baseline(pts, np.array([1]), [det([0, 0, 0])])
+        assign = nn_baseline(pts, np.array([1]), stack([det([0, 0, 0])]))
         assert assign.tolist() == [0]
 
     def test_prefers_nearer_center(self):
         pts = np.array([[1.0, 0.0, 0.0]])
-        dets = [det([0.0, 0.0, 0.0], extent=(3, 3, 3)),
-                det([3.0, 0.0, 0.0], extent=(3, 3, 3))]
+        dets = stack([det([0.0, 0.0, 0.0], extent=(3, 3, 3)),
+                      det([3.0, 0.0, 0.0], extent=(3, 3, 3))])
         assert nn_baseline(pts, np.array([1]), dets).tolist() == [0]
 
     def test_class_filter(self):
         pts = np.array([[0.0, 0.0, 0.0]])
-        dets = [det([0.1, 0, 0], cid=2)]
+        dets = stack([det([0.1, 0, 0], cid=2)])
         assert nn_baseline(pts, np.array([1]), dets).tolist() == [-1]
 
     def test_tie_breaks_by_confidence_then_index(self):
         pts = np.array([[0.0, 0.0, 0.0]])
-        dets = [det([1.0, 0, 0], conf=0.5), det([-1.0, 0, 0], conf=0.9)]
-        assert nn_baseline(pts, np.array([1]), dets).tolist() == [1]
-        dets = [det([1.0, 0, 0], conf=0.7), det([-1.0, 0, 0], conf=0.7)]
+        dets = stack([det([-1.0, 0, 0], conf=0.9), det([1.0, 0, 0], conf=0.5)])
+        assert nn_baseline(pts, np.array([1]), dets).tolist() == [0]
+        dets = stack([det([1.0, 0, 0], conf=0.7), det([-1.0, 0, 0], conf=0.7)])
         assert nn_baseline(pts, np.array([1]), dets).tolist() == [0]
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-5, 5, size=(200, 3))
         sems = rng.integers(1, 3, size=200)
-        dets = [det(rng.uniform(-4, 4, 3), conf=float(rng.uniform(0.3, 1.0)),
-                    cid=int(rng.integers(1, 3)), extent=rng.uniform(0.5, 2.5, 3))
-                for _ in range(6)]
+        confs = np.sort(rng.uniform(0.3, 1.0, 6))[::-1]
+        dets = stack(det(rng.uniform(-4, 4, 3), conf=float(conf), cid=int(rng.integers(1, 3)),
+                         extent=rng.uniform(0.5, 2.5, 3))
+                     for conf in confs)
         got = nn_baseline(pts, sems, dets)
         for i in range(200):
             candidates = []
@@ -187,12 +184,12 @@ class TestNnBaseline:
         rng = np.random.default_rng(10)
         pts = rng.uniform(-5, 5, size=(100, 3))
         sems = rng.integers(1, 3, size=100)
-        dets = [det(rng.uniform(-4, 4, 3), cid=int(rng.integers(1, 3)),
-                    extent=rng.uniform(1, 3, 3)) for _ in range(5)]
+        dets = stack(det(rng.uniform(-4, 4, 3), cid=int(rng.integers(1, 3)),
+                         extent=rng.uniform(1, 3, 3)) for _ in range(5))
         assign = nn_baseline(pts, sems, dets)
         for i, a in enumerate(assign):
             if a >= 0:
-                assert dets[a].class_id == sems[i]
+                assert dets.class_id[a] == sems[i]
 
 
 def random_nn_case(rng, grid):
@@ -206,10 +203,10 @@ def random_nn_case(rng, grid):
         pts = rng.uniform(-5, 5, size=(n_points, 3))
         centers = rng.uniform(-4, 4, size=(n_dets, 3))
         extents = rng.uniform(0.5, 3.0, size=(n_dets, 3))
-    confs = rng.choice([0.4, 0.7, 0.9], size=n_dets)  # equal confidences repeat
+    confs = np.sort(rng.choice([0.4, 0.7, 0.9], size=n_dets))[::-1]  # equal ones repeat
     sems = rng.integers(1, 3, size=n_points)
-    dets = [det(c, conf=float(k), cid=int(rng.integers(1, 3)), extent=e)
-            for c, k, e in zip(centers, confs, extents)]
+    dets = stack(det(c, conf=float(k), cid=int(rng.integers(1, 3)), extent=e)
+                 for c, k, e in zip(centers, confs, extents))
     return pts, sems, dets
 
 
@@ -217,7 +214,7 @@ class TestGatherPairs:
     def test_groups_are_class_filtered_rois(self):
         rng = np.random.default_rng(11)
         pts, sems, dets = random_nn_case(rng, grid=False)
-        while not dets:
+        while not len(dets):
             pts, sems, dets = random_nn_case(rng, grid=False)
         pairs = gather_pairs(pts, sems, dets, 0.1, 0.3)
         assert len(pairs) == pairs.offsets[-1] == pairs.det.size
@@ -228,9 +225,9 @@ class TestGatherPairs:
             assert np.all(pairs.det[pairs.group(d)] == d)
 
     def test_empty_inputs(self):
-        pairs = gather_pairs(np.zeros((0, 3)), np.zeros(0, dtype=int), [det([0, 0, 0])])
+        pairs = gather_pairs(np.zeros((0, 3)), np.zeros(0, dtype=int), stack([det([0, 0, 0])]))
         assert len(pairs) == 0 and pairs.offsets.tolist() == [0, 0]
-        pairs = gather_pairs(np.zeros((3, 3)), np.ones(3, dtype=int), [])
+        pairs = gather_pairs(np.zeros((3, 3)), np.ones(3, dtype=int), stack([]))
         assert len(pairs) == 0 and pairs.offsets.tolist() == [0]
 
 
@@ -248,8 +245,7 @@ class TestNnBaselineAgainstReference:
             pairs = gather_pairs(pts, sems, dets, **margins)
             np.testing.assert_array_equal(nn_baseline(pts, sems, dets, pairs=pairs), want)
             if grid and len(pairs):
-                dist = np.linalg.norm(pts[pairs.point]
-                                      - np.array([d.center for d in dets])[pairs.det], axis=1)
+                dist = np.linalg.norm(pts[pairs.point] - dets.center[pairs.det], axis=1)
                 keys = set()
                 for i, dd in zip(pairs.point, dist):
                     ties += (i, dd) in keys
@@ -259,9 +255,9 @@ class TestNnBaselineAgainstReference:
 
     def test_empty_detections_and_points(self):
         pts = np.random.default_rng(13).uniform(-1, 1, size=(5, 3))
-        assert nn_baseline(pts, np.ones(5, dtype=int), []).tolist() == [-1] * 5
+        assert nn_baseline(pts, np.ones(5, dtype=int), stack([])).tolist() == [-1] * 5
         assert nn_baseline(np.zeros((0, 3)), np.zeros(0, dtype=int),
-                           [det([0, 0, 0])]).shape == (0,)
+                           stack([det([0, 0, 0])])).shape == (0,)
 
 
 # Row scenes: adjacent same-class boxes a few decimeters apart.
@@ -302,7 +298,7 @@ def per_detection_scores(model, pair_cfg, inputs, dets, pairs):
     for d, one in enumerate(dets):
         idx = pairs.point[pairs.group(d)]
         table = PairTable(np.zeros(idx.size, dtype=np.int64), idx, np.array([0, idx.size]))
-        out.append(mlp_scores(model, pair_cfg, inputs, [one], table))
+        out.append(mlp_scores(model, pair_cfg, inputs, stack([one]), table))
     return np.concatenate(out)
 
 

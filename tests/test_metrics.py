@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modalpanoptic.cloud import ClassDef, PanopticLabeling, Taxonomy
-from modalpanoptic.membership import Detection, roi_points
+from modalpanoptic.membership import roi_points
 from modalpanoptic.metrics import (
     LstqAccumulator,
     PqAccumulator,
@@ -15,6 +15,7 @@ from modalpanoptic.metrics import (
     pq_report_csv,
 )
 
+from fakes import stack
 from oracles import pq_counts, tube_s_assoc
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
@@ -319,8 +320,8 @@ class TestMembershipAccuracy:
         gt_inst = np.array([1, 1, 1, 2, 2, 2])
         centers = {1: np.zeros(3), 2: np.array([5.0, 0.0, 0.0])}
         classes = {1: 1, 2: 1}
-        dets = [Detection(np.array([0.05, 0, 0]), 0.9, 1, np.array([1.0, 0.5, 0.5])),
-                Detection(np.array([5.05, 0, 0]), 0.8, 1, np.array([1.0, 0.5, 0.5]))]
+        dets = stack([(np.array([0.05, 0, 0]), 0.9, 1, np.array([1.0, 0.5, 0.5])),
+                      (np.array([5.05, 0, 0]), 0.8, 1, np.array([1.0, 0.5, 0.5]))])
         return pts, gt_inst, centers, classes, dets
 
     def test_perfect_assignment(self):
@@ -348,8 +349,8 @@ class TestMembershipAccuracy:
             gt_inst = rng.integers(0, 6, size=150)
             centers = {i: rng.uniform(-3, 3, size=3) for i in range(1, 6)}
             classes = {i: int(rng.integers(1, 3)) for i in range(1, 6)}
-            dets = [Detection(rng.uniform(-3, 3, size=3), 0.9, int(rng.integers(1, 3)),
-                              rng.uniform(0.5, 2.0, size=3)) for _ in range(4)]
+            dets = stack((rng.uniform(-3, 3, size=3), 0.9, int(rng.integers(1, 3)),
+                          rng.uniform(0.5, 2.0, size=3)) for _ in range(4))
             assign = rng.integers(-1, 4, size=150)
             acc, n = membership_accuracy(pts, gt_inst, centers, classes, dets, assign)
             matched = match_instances_to_detections(centers, classes, dets)
@@ -364,15 +365,15 @@ class TestMembershipAccuracy:
     def test_matching_is_greedy_one_to_one(self):
         centers = {1: np.zeros(3), 2: np.array([1.0, 0.0, 0.0])}
         classes = {1: 1, 2: 1}
-        dets = [Detection(np.array([0.1, 0, 0]), 0.9, 1, np.ones(3)),
-                Detection(np.array([1.2, 0, 0]), 0.9, 1, np.ones(3))]
+        dets = stack([(np.array([0.1, 0, 0]), 0.9, 1, np.ones(3)),
+                      (np.array([1.2, 0, 0]), 0.9, 1, np.ones(3))])
         matched = match_instances_to_detections(centers, classes, dets)
         assert matched == {1: 0, 2: 1}
 
     def test_class_mismatch_never_matches(self):
         centers = {1: np.zeros(3)}
         classes = {1: 2}
-        dets = [Detection(np.zeros(3), 0.9, 1, np.ones(3))]
+        dets = stack([(np.zeros(3), 0.9, 1, np.ones(3))])
         assert match_instances_to_detections(centers, classes, dets) == {}
 
 

@@ -207,7 +207,8 @@ class TestSimulateDetector:
     def test_center_jitter_within_tolerance(self):
         # Detected peak cells stay within jitter + one cell of the true
         # modal centers with overwhelming frequency.
-        from modalpanoptic.inference import CwmExtents, nms_detect
+        from fakes import CwmExtents
+        from modalpanoptic.inference import nms_detect
 
         cfg = simple_cfg(seed=14, count_range=(2, 2), min_separation=12.0)
         seq, reg = mp.generate_sequence(cfg, TAX)

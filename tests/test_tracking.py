@@ -3,7 +3,7 @@ import pytest
 
 import modalpanoptic as mp
 from modalpanoptic.cloud import PanopticLabeling
-from modalpanoptic.membership import Detection, oracle_scores
+from modalpanoptic.membership import oracle_scores
 from modalpanoptic.pipeline import prepare_sweep_inputs
 from modalpanoptic.synth import NO_NOISE, DetectorNoise
 from modalpanoptic.targets import ExtentStrategy
@@ -16,31 +16,28 @@ from modalpanoptic.tracking import (
 )
 from modalpanoptic.voxels import GridSpec
 
+from fakes import row as det, stack
+
 TAX = mp.default_taxonomy()
 SPEC = GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
 
 
-def det(center, conf=0.9, cid=1, extent=(1.0, 1.0, 1.0)):
-    return Detection(np.asarray(center, float), conf, cid, np.asarray(extent, float))
-
-
 def associate(tracks, dets, velocities, **kw):
-    table = {id(d): np.asarray(v, float) for d, v in zip(dets, velocities)}
     args = dict(dt=0.5, sweep_index=kw.pop("sweep_index", 0), next_track_id=kw.pop("next_track_id", 1))
     args.update(kw)
-    return greedy_associate(tracks, dets, lambda d: table[id(d)], **args)
+    return greedy_associate(tracks, stack(dets), np.reshape(velocities, (-1, 2)), **args)
 
 
 class TestGreedyAssociate:
     def test_tracks_copy_the_sampled_velocity(self):
-        # The sampler returns a view into a sweep's velocity map, as
-        # panoptic_track_sequence does; tracks must not keep that map alive.
+        # The velocities are views into a sweep's velocity map; tracks must
+        # not keep that map alive.
         velocity = np.arange(32, dtype=np.float64).reshape(4, 4, 2)
-        tracks, _, next_id = greedy_associate([], [det([0.0, 0, 0])], lambda d: velocity[1, 2],
+        tracks, _, next_id = greedy_associate([], stack([det([0.0, 0, 0])]), velocity[1, 2:3],
                                               dt=0.5, sweep_index=0, next_track_id=1)
-        tracks, ids, _ = greedy_associate(tracks, [det([0.0, 0, 0]), det([9.0, 0, 0])],
-                                          lambda d: velocity[0, 0], dt=0.5, sweep_index=1,
-                                          next_track_id=next_id)
+        tracks, ids, _ = greedy_associate(tracks, stack([det([0.0, 0, 0]), det([9.0, 0, 0])]),
+                                          np.broadcast_to(velocity[0, 0], (2, 2)), dt=0.5,
+                                          sweep_index=1, next_track_id=next_id)
         assert ids == [1, 2]
         for track in tracks:
             assert track.last_velocity.tolist() == [0.0, 1.0]
