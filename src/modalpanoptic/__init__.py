@@ -14,7 +14,6 @@ from .cloud import (
     PointCloudSweep,
     SweepSequence,
     Taxonomy,
-    accumulate_history,
     load_taxonomy,
     save_taxonomy,
     transform_to_frame,
@@ -30,7 +29,6 @@ from .targets import (
     build_trajectories,
     class_wise_mean_extents,
     extent_sw,
-    membership_target,
     modal_center,
     render_bev_targets,
     velocity_target,

@@ -50,7 +50,7 @@ from .targets import (
     aggregate_extent,
     build_trajectories,
     class_wise_mean_extents,
-    modal_center,
+    instance_centers,
     render_bev_targets,
     save_cwm_stats,
     velocity_target,
@@ -96,8 +96,14 @@ def _grid(args) -> GridSpec:
                     args.planar_range, args.z_min, args.z_max, args.bev_downsample)
 
 
-def _feature_flags(name: str) -> tuple[bool, bool]:
-    return {"geo": (False, False), "geo+bev": (False, True), "full": (True, True)}[name]
+def _pair_config(args, taxonomy) -> PairFeatureConfig:
+    """The ``--features`` pair encoding over the handcrafted feature widths."""
+    include_point, include_bev = {"geo": (False, False), "geo+bev": (False, True),
+                                  "full": (True, True)}[args.features]
+    return PairFeatureConfig(taxonomy.num_channels,
+                             HandcraftedFeatures.DIM if include_point else 0,
+                             HandcraftedFeatures.DIM if include_bev else 0,
+                             include_point, include_bev)
 
 
 def _synth_one(task) -> str:
@@ -192,7 +198,7 @@ def cmd_targets(args) -> int:
             np.save(seq_out / f"{frame}_height.npy", rendered.height)
             np.save(seq_out / f"{frame}_velocity.npy", rendered.velocity)
             np.save(seq_out / f"{frame}_valid.npy", rendered.valid_mask)
-            rows = _membership_rows(sweep, trajectories, t)
+            rows = _membership_rows(sweep, trajectories)
             np.save(seq_out / f"{frame}_membership.npy", rows)
     stats = class_wise_mean_extents(all_trajectories, taxonomy)
     save_cwm_stats(stats, out / "cwm.tsv")
@@ -200,34 +206,29 @@ def cmd_targets(args) -> int:
     return 0
 
 
-def _membership_rows(sweep, trajectories, sweep_index) -> np.ndarray:
+def _membership_rows(sweep, trajectories) -> np.ndarray:
     """(detection_index, point_index, label) triples for GT-center RoIs."""
-    ids = sweep.inst_labels
-    present = [(iid, traj) for iid, traj in sorted(trajectories.items())
-               if traj.record_at(sweep_index) is not None and np.any(ids == iid)]
-    centers = [modal_center(sweep.xyz[ids == iid]) for iid, _ in present]
-    gt = Detections(np.reshape(centers, (-1, 3)), np.ones(len(present)),
-                    [traj.class_id for _, traj in present],
-                    np.reshape([traj.max_extent for _, traj in present], (-1, 3)))
+    iids, _, centers = instance_centers(sweep)
+    thing = np.isin(iids, list(trajectories))
+    iids = iids[thing]
+    gt = Detections(centers[thing], np.ones(iids.size),
+                    [trajectories[i].class_id for i in iids.tolist()],
+                    np.reshape([trajectories[i].max_extent for i in iids.tolist()], (-1, 3)))
     # Zero margins leave each RoI the uninflated box.
     det, point = np.nonzero(roi_mask(gt, sweep.xyz, 0.0, 0.0))
-    label = ids[point] == np.array([iid for iid, _ in present])[det]
+    label = sweep.inst_labels[point] == iids[det]
     return np.column_stack([det, point, label.astype(np.int8)])
 
 
 def cmd_train_mem(args) -> int:
     taxonomy = dataio.dataset_taxonomy(args.data)
     spec = _grid(args)
-    include_point, include_bev = _feature_flags(args.features)
-    provider = HandcraftedFeatures(spec) if (include_point or include_bev) else None
+    pair_cfg = _pair_config(args, taxonomy)
+    provider = HandcraftedFeatures(spec) if pair_cfg.needs_features else None
     sequences = [dataio.read_sequence(args.data, name)
                  for name in dataio.list_sequences(args.data)]
     cfg = MembershipTrainConfig(
-        num_classes=taxonomy.num_channels,
-        point_feature_dim=HandcraftedFeatures.DIM if include_point else 0,
-        bev_feature_dim=HandcraftedFeatures.DIM if include_bev else 0,
-        include_point_features=include_point,
-        include_bev=include_bev,
+        pair_cfg,
         center_jitter=args.train_jitter,
         margin_floor=args.margin_floor,
         epochs=args.epochs,
@@ -250,19 +251,12 @@ def cmd_train_mem(args) -> int:
 def _run_inference(args, track: bool) -> int:
     taxonomy = dataio.dataset_taxonomy(args.data)
     spec = _grid(args)
-    include_point, include_bev = _feature_flags(args.features)
-    needs_features = args.membership == "mlp" and (include_point or include_bev)
+    pair_cfg = _pair_config(args, taxonomy)
+    needs_features = args.membership == "mlp" and pair_cfg.needs_features
     provider = HandcraftedFeatures(spec) if needs_features else None
     if args.membership == "mlp":
         if not args.model:
             raise MissingInput("--membership mlp requires --model")
-        pair_cfg = PairFeatureConfig(
-            taxonomy.num_channels,
-            HandcraftedFeatures.DIM if include_point else 0,
-            HandcraftedFeatures.DIM if include_bev else 0,
-            include_point,
-            include_bev,
-        )
         score = partial(mlp_scores, load_model(args.model), pair_cfg)
     else:
         score = oracle_scores if args.membership == "oracle" else nn_scores
@@ -330,10 +324,15 @@ def cmd_eval(args) -> int:
 
 def _read_csv_value(path, row_name, column):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
+    if column not in header:
+        raise ValueError(f"{path}: no column {column!r}")
     for line in lines[1:]:
         cells = line.split(",")
         if cells[0] == row_name:
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: row {row_name!r} has {len(cells)} cells, "
+                                 f"header has {len(header)}")
             return float(cells[header.index(column)])
     raise ValueError(f"{path}: no row {row_name!r}")
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -304,29 +303,3 @@ class PanopticLabeling:
         for iid in np.unique(self.inst[has_inst]):
             if np.unique(self.sem[self.inst == iid]).size != 1:
                 raise ValueError(f"instance {iid} spans multiple classes")
-
-
-def accumulate_history(seq: SweepSequence, index: int, history: int) -> PointCloudSweep:
-    """Merge up to ``history`` previous sweeps into sweep ``index``'s frame.
-
-    History points carry dt = (their timestamp - reference timestamp) <= 0.
-    Labels are concatenated unchanged.
-    """
-    if not 0 <= index < len(seq):
-        raise IndexError(f"sweep index {index} out of range")
-    ref = seq.sweeps[index]
-    chunks, sems, insts = [], [], []
-    for j in range(max(0, index - history), index + 1):
-        moved = transform_to_frame(seq.sweeps[j], ref.ego_pose)
-        pts = moved.points.copy()
-        pts[:, 4] = moved.timestamp - ref.timestamp
-        chunks.append(pts)
-        sems.append(moved.sem_labels)
-        insts.append(moved.inst_labels)
-    return PointCloudSweep(
-        ref.timestamp,
-        np.concatenate(chunks, axis=0),
-        np.concatenate(sems),
-        np.concatenate(insts),
-        ref.ego_pose,
-    )

@@ -13,9 +13,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .cloud import NO_INSTANCE, SweepSequence, Taxonomy
+from .cloud import SweepSequence, Taxonomy
 from .mlp import MlpModel, OptimizerState, build_mlp, forward, train_epochs
-from .targets import build_trajectories, membership_target, modal_center, observed_component_means
+from .targets import build_trajectories, instance_centers, widen_unobserved_axes
 from .voxels import BevMap, FeatureProvider, interpolate_bev_many
 
 if TYPE_CHECKING:
@@ -23,9 +23,6 @@ if TYPE_CHECKING:
 
 ROI_MARGIN_FRAC = 0.1
 ROI_MARGIN_FLOOR = 0.1
-
-# Extent components below this are treated as unobserved axes.
-DEGENERATE_EXTENT = 0.05
 
 
 class DetectionRow(NamedTuple):
@@ -125,6 +122,11 @@ class PairFeatureConfig:
     include_bev: bool = True
 
     @property
+    def needs_features(self) -> bool:
+        """Whether any block reads a ``FeatureProvider``'s output."""
+        return self.include_point_features or self.include_bev
+
+    @property
     def point_block(self) -> int:
         width = 3 + self.num_classes
         if self.include_point_features:
@@ -157,49 +159,58 @@ def _one_hot(ids: np.ndarray, num_classes: int) -> np.ndarray:
 def assemble_pair_features(
     points_xyz: np.ndarray,
     point_sem: np.ndarray,
-    center: np.ndarray,
-    class_id: int,
+    detections: Detections,
+    pairs: PairTable,
     cfg: PairFeatureConfig,
     point_features: np.ndarray | None = None,
     bev: BevMap | None = None,
 ) -> np.ndarray:
-    """Concatenated per-pair rows: [p - c; F_point; F_bev(p); sem] + [c; F_bev(c); class].
+    """One row per pair of the table: [p - c; F_point; F_bev(p); sem] + [c; F_bev(c); class].
+
+    ``points_xyz``, ``point_sem`` and ``point_features`` cover the whole
+    sweep, and each pair reads its point's rows; the center and class are
+    those of ``detections[pairs.det]``. Blocks the configuration leaves out
+    are not read.
 
     The point position enters relative to the detection center: jointly with
     the absolute center in the second block this carries exactly the same
     information as two absolute positions, but the membership rule the scorer
     must learn (is the offset inside a class-typical box?) becomes
-    translation-invariant instead of being re-learned per scene location. All
-    rows share the center block, so the output width is constant for a given
-    configuration.
+    translation-invariant instead of being re-learned per scene location. The
+    center block is built once per detection that owns a pair, so a center
+    with an empty group is never looked up in the BEV map.
     """
-    pts = np.atleast_2d(np.asarray(points_xyz, dtype=np.float64))[:, :3]
-    n = pts.shape[0]
-    blocks = [pts - center]
+    pts = np.asarray(points_xyz, dtype=np.float64)[:, :3]
+    point = pairs.point
+    blocks = [pts[point] - detections.center[pairs.det]]
+    if cfg.include_point_features:
+        if point_features is None:
+            raise ValueError("configuration expects point features")
+        pf = np.asarray(point_features, dtype=np.float64)
+        if pf.shape != (pts.shape[0], cfg.point_feature_dim):
+            raise ValueError(f"point features must be ({pts.shape[0]}, {cfg.point_feature_dim})")
+        blocks.append(pf[point])
+    if cfg.include_bev:
+        if bev is None:
+            raise ValueError("configuration expects a BEV feature map")
+        blocks.append(interpolate_bev_many(bev, pts[point, :2]))
+    blocks.append(_one_hot(np.asarray(point_sem)[point], cfg.num_classes))
+    sizes = np.diff(pairs.offsets)
+    owners = np.flatnonzero(sizes)
+    center = detections.center[owners]
     # The center's own position enters as (planar range / 10, height, 0):
     # membership does not depend on bearing, and feeding raw coordinates lets
     # a desk-scale scorer memorize where training instances stood (measured:
     # 0.996 accuracy on training scenes vs 0.945 held out) instead of
     # learning geometry.
-    center_pos = np.array([np.hypot(center[0], center[1]) / 10.0, center[2], 0.0])
-    if cfg.include_point_features:
-        if point_features is None:
-            raise ValueError("configuration expects point features")
-        pf = np.atleast_2d(np.asarray(point_features, dtype=np.float64))
-        if pf.shape != (n, cfg.point_feature_dim):
-            raise ValueError(f"point features must be ({n}, {cfg.point_feature_dim})")
-        blocks.append(pf)
+    center_parts = [np.column_stack([np.hypot(center[:, 0], center[:, 1]) / 10.0,
+                                     center[:, 2], np.zeros(owners.size)])]
     if cfg.include_bev:
-        if bev is None:
-            raise ValueError("configuration expects a BEV feature map")
-        blocks.append(interpolate_bev_many(bev, pts[:, :2]))
-    blocks.append(_one_hot(point_sem, cfg.num_classes))
-    center_parts = [center_pos]
-    if cfg.include_bev:
-        center_parts.append(interpolate_bev_many(bev, center[None, :2])[0])
-    center_parts.append(_one_hot(np.array([class_id]), cfg.num_classes)[0])
-    center_row = np.concatenate(center_parts)
-    rows = np.concatenate(blocks + [np.tile(center_row, (n, 1))], axis=1)
+        center_parts.append(interpolate_bev_many(bev, center[:, :2]))
+    center_parts.append(_one_hot(detections.class_id[owners], cfg.num_classes))
+    # Pairs are grouped by detection, so each owner's row repeats over its group.
+    blocks.append(np.repeat(np.concatenate(center_parts, axis=1), sizes[owners], axis=0))
+    rows = np.concatenate(blocks, axis=1)
     if rows.shape[1] != cfg.width:
         raise ValueError(f"assembled width {rows.shape[1]} != configured {cfg.width}")
     return rows
@@ -308,22 +319,14 @@ def mlp_scores(
     detections: Detections,
     pairs: PairTable,
 ) -> np.ndarray:
-    """Pair-scorer membership: rows assembled per detection, one forward per sweep.
+    """Pair-scorer membership: the whole table assembled and scored in one forward.
 
     Bind the model and configuration first, e.g. ``partial(mlp_scores, model, cfg)``.
     """
-    pts, maps = inputs.sweep.xyz, inputs.maps
-    bev = maps.bev_features if pair_cfg.include_bev else None
-    rows = []
-    for d in range(len(detections)):
-        idx = pairs.point[pairs.group(d)]
-        if idx.size == 0:
-            continue
-        feats = maps.point_features[idx] if pair_cfg.include_point_features else None
-        rows.append(assemble_pair_features(pts[idx], maps.point_sem[idx], detections.center[d],
-                                           detections.class_id[d], pair_cfg,
-                                           point_features=feats, bev=bev))
-    return predict_membership(model, np.concatenate(rows)) if rows else np.zeros(0)
+    maps = inputs.maps
+    return predict_membership(model, assemble_pair_features(
+        inputs.sweep.xyz, maps.point_sem, detections, pairs, pair_cfg,
+        maps.point_features, maps.bev_features))
 
 
 def oracle_scores(
@@ -340,30 +343,24 @@ def oracle_scores(
     plumbing under perfect inputs.
     """
     sweep = inputs.sweep
-    ids = sweep.inst_labels
-    iids = np.unique(ids[ids > NO_INSTANCE])
-    members = [np.flatnonzero(ids == iid) for iid in iids]
-    centers = np.array([modal_center(sweep.xyz[m])[:2] for m in members]).reshape(-1, 2)
-    classes = np.array([sweep.sem_labels[m[0]] for m in members], dtype=np.int64)
+    iids, first, centers = instance_centers(sweep)
+    classes = sweep.sem_labels[first]
     source = np.full(len(detections), -1, dtype=np.int64)
     if iids.size:
         dist = np.where(classes == detections.class_id[:, None],
-                        np.linalg.norm(centers - detections.center[:, None, :2], axis=2), np.inf)
+                        np.linalg.norm(centers[:, :2] - detections.center[:, None, :2], axis=2),
+                        np.inf)
         nearest = np.argmin(dist, axis=1)
         close = dist[np.arange(len(detections)), nearest] < match_radius
         source[close] = iids[nearest[close]]
-    return (ids[pairs.point] == source[pairs.det]).astype(np.float64)
+    return (sweep.inst_labels[pairs.point] == source[pairs.det]).astype(np.float64)
 
 
 @dataclass(frozen=True)
 class MembershipTrainConfig:
     """Stage-2 training setup; the first stage is frozen by construction here."""
 
-    num_classes: int
-    point_feature_dim: int = 0
-    bev_feature_dim: int = 0
-    include_point_features: bool = True
-    include_bev: bool = True
+    features: PairFeatureConfig
     center_jitter: float = 0.2
     margin_frac: float = ROI_MARGIN_FRAC
     margin_floor: float = ROI_MARGIN_FLOOR
@@ -374,15 +371,6 @@ class MembershipTrainConfig:
     hidden_dims: tuple[int, ...] = (64, 64, 64)
     seed: int = 0
 
-    def pair_config(self) -> PairFeatureConfig:
-        return PairFeatureConfig(
-            self.num_classes,
-            self.point_feature_dim,
-            self.bev_feature_dim,
-            self.include_point_features,
-            self.include_bev,
-        )
-
 
 def build_training_pairs(
     sequences: list[SweepSequence],
@@ -390,68 +378,50 @@ def build_training_pairs(
     cfg: MembershipTrainConfig,
     provider: FeatureProvider | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pair rows and binary labels from ground-truth centers with jitter.
+    """Pair rows and binary labels from jittered ground-truth centers.
 
-    Each labeled instance stands in for a detection: its per-sweep modal
-    center is jittered, its RoI box comes from the trajectory-level maximum
-    extent with never-observed axes widened to the class mean (shrink-wrapped
-    boxes collapse to zero thickness along axes no viewpoint ever spanned,
-    where a trained extent head would still predict class-typical values),
-    and class-mismatched points are filtered before feature assembly. Pairs
-    are gathered with the same RoI margins inference uses; without the
-    margin, neighboring-instance points never enter the training set and the
-    scorer sees no boundary negatives.
+    Each sweep's thing instances stand in for its detections: one
+    ``Detections`` holds their modal centers, each jittered, with
+    trajectory-level maximum extents whose never-observed axes are widened to
+    the class mean (``widen_unobserved_axes``) as a trained extent head would
+    predict them. ``gather_pairs`` then applies the RoI margins and class
+    filter inference uses, over the sweep's ground-truth semantics; without
+    the margin, neighboring-instance points never enter the training set and
+    the scorer sees no boundary negatives. A pair is positive when its point
+    belongs to the detection's instance.
     """
-    pair_cfg = cfg.pair_config()
+    pair_cfg = cfg.features
+    if pair_cfg.needs_features and provider is None:
+        raise ValueError("feature configuration requires a provider")
     rng = np.random.default_rng(cfg.seed)
-    rows, labels = [], []
     per_seq_trajs = [build_trajectories(seq, taxonomy) for seq in sequences]
-    all_exts, all_cls = {}, {}
-    for s, trajs in enumerate(per_seq_trajs):
-        for iid, traj in trajs.items():
-            all_exts[(s, iid)] = traj.max_extent
-            all_cls[(s, iid)] = traj.class_id
-    class_mean = observed_component_means(all_cls, all_exts, floor=DEGENERATE_EXTENT)
-    for seq, trajs in zip(sequences, per_seq_trajs):
-        max_extents = {
-            iid: np.maximum(traj.max_extent,
-                            np.where(traj.max_extent < DEGENERATE_EXTENT,
-                                     class_mean.get(traj.class_id, traj.max_extent), 0.0))
-            for iid, traj in trajs.items()
-        }
+    trajs = [traj for seq_trajs in per_seq_trajs for traj in seq_trajs.values()]
+    extents = widen_unobserved_axes([t.class_id for t in trajs], [t.max_extent for t in trajs])
+    per_seq_extents = np.split(extents, np.cumsum([len(t) for t in per_seq_trajs])[:-1])
+    rows, labels = [], []
+    for seq, seq_trajs, seq_extents in zip(sequences, per_seq_trajs, per_seq_extents):
+        # ``build_trajectories`` keys are ascending instance ids.
+        traj_ids = np.fromiter(seq_trajs, dtype=np.int64, count=len(seq_trajs))
         for sweep in seq.sweeps:
             # Pairs live in the sweep's own sensor frame, exactly like the
             # pairs the scorer will see at inference time.
             feats = bev = None
-            if pair_cfg.include_point_features or pair_cfg.include_bev:
-                if provider is None:
-                    raise ValueError("feature configuration requires a provider")
+            if pair_cfg.needs_features:
                 feats = provider.point_features(sweep)
                 if pair_cfg.include_bev:
                     bev = provider.bev_map(sweep, feats)
-            xyz = sweep.xyz
-            inst = sweep.inst_labels
-            sem = sweep.sem_labels
-            for iid in np.unique(inst[inst > NO_INSTANCE]):
-                members = np.flatnonzero(inst == iid)
-                cid = int(sem[members[0]])
-                if not taxonomy.is_thing(cid):
-                    continue
-                center = modal_center(xyz[members])
-                extent = max_extents[int(iid)]
-                det = DetectionRow(center + rng.normal(0.0, cfg.center_jitter, 3), 1.0, cid,
-                                   extent)
-                roi = roi_points(det, xyz, inflate=True,
-                                 margin_frac=cfg.margin_frac, margin_floor=cfg.margin_floor)
-                roi = roi[sem[roi] == cid]
-                if roi.size == 0:
-                    continue
-                rows.append(assemble_pair_features(
-                    xyz[roi], sem[roi], det.center, cid, pair_cfg,
-                    point_features=feats[roi] if pair_cfg.include_point_features else None,
-                    bev=bev,
-                ))
-                labels.append(membership_target(members, roi))
+            iids, first, centers = instance_centers(sweep)
+            thing = np.isin(sweep.sem_labels[first], list(taxonomy.thing_ids))
+            iids, centers = iids[thing], centers[thing]
+            dets = Detections(centers + rng.normal(0.0, cfg.center_jitter, centers.shape),
+                              np.ones(iids.size), sweep.sem_labels[first[thing]],
+                              seq_extents[np.searchsorted(traj_ids, iids)])
+            pairs = gather_pairs(sweep.xyz, sweep.sem_labels, dets, cfg.margin_frac,
+                                 cfg.margin_floor)
+            if len(pairs):
+                rows.append(assemble_pair_features(sweep.xyz, sweep.sem_labels, dets, pairs,
+                                                   pair_cfg, feats, bev))
+                labels.append(sweep.inst_labels[pairs.point] == iids[pairs.det])
     if not rows:
         raise ValueError("no training pairs were produced")
     return np.concatenate(rows, axis=0), np.concatenate(labels).astype(np.float64)
@@ -467,7 +437,7 @@ def train_membership_stage2(
     pairs, labels = build_training_pairs(sequences, taxonomy, cfg, provider)
     if np.unique(labels).size < 2:
         raise ValueError("training pairs carry a single label value")
-    dims = [cfg.pair_config().width, *cfg.hidden_dims, 1]
+    dims = [cfg.features.width, *cfg.hidden_dims, 1]
     model = build_mlp(dims, batchnorm=True, seed=cfg.seed)
     state = OptimizerState(cfg.optimizer, cfg.learning_rate)
     model, trace = train_epochs(model, pairs, labels, state, cfg.epochs,

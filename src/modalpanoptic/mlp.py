@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -360,38 +360,46 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a ``save_model`` checkpoint; a truncated or corrupt one raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(_MAGIC)] != _MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
     off = len(_MAGIC)
-    version, nlayers = struct.unpack_from("<II", blob, off)
-    off += 8
+
+    def take(size: int) -> int:
+        nonlocal off
+        if off + size > len(blob):
+            raise ValueError(f"truncated checkpoint: {len(blob)} bytes")
+        off += size
+        return off - size
+
+    version, nlayers = struct.unpack_from("<II", blob, take(8))
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     shapes = []
     for _ in range(nlayers):
-        din, dout, has_bn, act = struct.unpack_from("<IIBB", blob, off)
-        off += 10
+        din, dout, has_bn, act = struct.unpack_from("<IIBB", blob, take(10))
+        if act >= len(_ACTIVATIONS):
+            raise ValueError(f"unknown activation code {act} in checkpoint")
         shapes.append((din, dout, bool(has_bn), _ACTIVATIONS[act]))
 
-    def take(count: int) -> np.ndarray:
-        nonlocal off
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).astype(np.float64)
-        off += count * 8
-        return arr
+    def floats(count: int) -> np.ndarray:
+        return np.frombuffer(blob, dtype="<f8", count=count,
+                             offset=take(count * 8)).astype(np.float64)
 
     layers = []
     for din, dout, has_bn, act in shapes:
-        w = take(din * dout).reshape(dout, din)
-        b = take(dout)
+        w = floats(din * dout).reshape(dout, din)
+        b = floats(dout)
         bn = None
         if has_bn:
-            gamma, beta, rmean, rvar = (take(dout) for _ in range(4))
-            (momentum,) = struct.unpack_from("<d", blob, off)
-            off += 8
+            gamma, beta, rmean, rvar = (floats(dout) for _ in range(4))
+            (momentum,) = struct.unpack_from("<d", blob, take(8))
             bn = BatchNorm(gamma, beta, rmean, rvar, momentum)
         layers.append(Layer(w, b, bn, act))
     if off != len(blob):
         raise ValueError("trailing bytes in checkpoint")
+    if not layers:
+        raise ValueError("checkpoint holds no layers")
     return MlpModel(layers)

@@ -14,13 +14,7 @@ import numpy as np
 
 from .cloud import PanopticLabeling, SweepSequence, Taxonomy, invert_pose
 from .inference import NearestCenterExtents
-from .membership import DEGENERATE_EXTENT
-from .targets import (
-    ExtentStrategy,
-    InstanceTrajectory,
-    aggregate_extent,
-    observed_component_means,
-)
+from .targets import ExtentStrategy, InstanceTrajectory, aggregate_extent, widen_unobserved_axes
 from .synth import DetectorNoise, SceneRegistry, simulate_detector
 from .tracking import PipelineConfig, Scorer, SweepInputs, infer_sweep
 from .voxels import FeatureProvider, GridSpec
@@ -45,8 +39,7 @@ def build_extent_model(
     Each object's estimate is the mean of its per-sweep targets (excluded
     records leave no supervision: fully excluded objects go undetected).
     Components no viewpoint ever spanned are widened to the class-level mean
-    target, the way a regressor trained across many objects would still
-    predict class-typical thickness for an unobserved axis.
+    target (``widen_unobserved_axes``).
     """
     predicted: dict[int, np.ndarray] = {}
     suppressed: set[tuple[int, int]] = set()
@@ -60,15 +53,9 @@ def build_extent_model(
             predicted[iid] = kept.mean(axis=0)
         else:
             suppressed.update((iid, rec.sweep_index) for rec in traj.records)
-    class_mean = observed_component_means(
-        {iid: trajectories[iid].class_id for iid in predicted}, predicted,
-        floor=DEGENERATE_EXTENT)
-    for iid, extent in predicted.items():
-        degenerate = extent < DEGENERATE_EXTENT
-        if degenerate.any():
-            fallback = class_mean.get(trajectories[iid].class_id, extent)
-            predicted[iid] = np.where(degenerate, np.maximum(fallback, extent), extent)
-    return ExtentModel(predicted, frozenset(suppressed))
+    widened = widen_unobserved_axes([trajectories[iid].class_id for iid in predicted],
+                                    list(predicted.values()))
+    return ExtentModel(dict(zip(predicted, widened)), frozenset(suppressed))
 
 
 def extent_entries_for_sweep(

@@ -8,17 +8,20 @@ refines the per-sweep shrink-wrapped extents that occlusion makes unreliable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import NO_INSTANCE, SweepSequence, Taxonomy, transform_to_frame
+from .cloud import NO_INSTANCE, PointCloudSweep, SweepSequence, Taxonomy, transform_to_frame
 from .voxels import GridSpec
 
 SW = "SW"
 MAX = "MAX"
 CWM = "CWM"
 DSB = "DSB"
+
+# Extent components below this are treated as unobserved axes.
+DEGENERATE_EXTENT = 0.05
 
 # Replace a shrink-wrapped extent by the class mean when its largest component
 # falls below this fraction of the class mean's largest component.
@@ -106,6 +109,21 @@ def modal_center(points: np.ndarray) -> np.ndarray:
     return pts[:, :3].mean(axis=0)
 
 
+def instance_centers(sweep: PointCloudSweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modal centers of every labeled instance of one sweep, in ascending id order.
+
+    Returns (instance ids, index of each instance's first point, (K, 3)
+    centers). The per-instance sums accumulate in point order, so each center
+    equals ``modal_center`` of that instance's points bit for bit.
+    """
+    labeled = np.flatnonzero(sweep.inst_labels > NO_INSTANCE)
+    ids, first, which = np.unique(sweep.inst_labels[labeled], return_index=True,
+                                  return_inverse=True)
+    sums = np.column_stack([np.bincount(which, weights=sweep.xyz[labeled, axis],
+                                        minlength=ids.size) for axis in range(3)])
+    return ids, labeled[first], sums / np.bincount(which, minlength=ids.size)[:, None]
+
+
 def extent_sw(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Shrink-wrapped per-axis half extent: max |p_axis - c_axis| over the set."""
     pts = np.asarray(points, dtype=np.float64)
@@ -175,24 +193,27 @@ def aggregate_extent(
     return per_sweep, excluded
 
 
-def observed_component_means(class_of: dict, extents: dict,
-                             floor: float = 0.05) -> dict[int, np.ndarray]:
-    """Componentwise class means over the instances that observed each axis.
+def widen_unobserved_axes(class_id, extent) -> np.ndarray:
+    """(K, 3) extents whose never-observed components are raised to their class mean.
 
-    Extent components below ``floor`` count as unobserved (under occlusion a
-    never-spanned axis collapses to zero); axes nobody observed stay 0 in the
-    mean so callers can substitute their own fallback.
+    Under occlusion a shrink-wrapped box collapses to near-zero thickness
+    along axes no viewpoint ever spanned, where a regressor trained across
+    many objects would still predict class-typical values. A component below
+    ``DEGENERATE_EXTENT`` counts as unobserved and becomes the larger of
+    itself and the mean of that component over the same-class rows that did
+    observe it; an axis no row of the class observed stays as it is.
     """
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, np.ndarray] = {}
-    for key, extent in extents.items():
-        cid = class_of[key]
-        seen = np.asarray(extent) >= floor
-        sums.setdefault(cid, np.zeros(3))
-        counts.setdefault(cid, np.zeros(3))
-        sums[cid] += np.where(seen, extent, 0.0)
-        counts[cid] += seen
-    return {cid: sums[cid] / np.maximum(counts[cid], 1) for cid in sums}
+    extent = np.reshape(np.asarray(extent, dtype=np.float64), (-1, 3))
+    classes, which = np.unique(np.asarray(class_id, dtype=np.int64), return_inverse=True)
+    seen = extent >= DEGENERATE_EXTENT
+
+    def class_sums(values: np.ndarray) -> np.ndarray:
+        # bincount accumulates in row order, one running sum per class.
+        return np.column_stack([np.bincount(which, weights=values[:, axis],
+                                            minlength=classes.size) for axis in range(3)])
+
+    mean = class_sums(np.where(seen, extent, 0.0)) / np.maximum(class_sums(seen), 1)
+    return np.where(seen, extent, np.maximum(mean[which], extent))
 
 
 def class_wise_mean_extents(
@@ -320,11 +341,3 @@ def velocity_target(trajectory: InstanceTrajectory, sweep_index: int, dt: float)
     if prev is not None:
         return (here.center[:2] - prev.center[:2]) / dt
     return np.zeros(2)
-
-
-def membership_target(instance_indices: np.ndarray, roi_indices: np.ndarray) -> np.ndarray:
-    """Binary labels over RoI points: 1 iff the point belongs to the instance."""
-    roi = np.asarray(roi_indices)
-    if roi.size == 0:
-        raise ValueError("RoI point set must be nonempty")
-    return np.isin(roi, np.asarray(instance_indices)).astype(np.int8)

@@ -37,7 +37,6 @@ class Tracklet:
     class_id: int
     last_center: np.ndarray        # (3,) world frame
     last_velocity: np.ndarray      # (2,) m/s
-    age: int = 0                   # sweeps since the last match
     last_seen: int = -1            # sweep index of the last match
 
 
@@ -63,10 +62,10 @@ def greedy_associate(
     ``|track.last_center - (det.center - v dt)| < gate``; pairs are consumed
     greedily in increasing (distance, track id, detection, track) order, one
     detection per track. Unmatched detections open new tracks; tracks
-    unmatched for more than ``max_age`` sweeps are dropped. ``velocities``
-    holds each detection's (D, 2) regressed velocity, and the track a
-    detection ends on keeps a copy of its row. Returns (alive tracks,
-    per-detection track ids, next free id).
+    unmatched for more than ``max_age`` sweeps (``sweep_index - last_seen``)
+    are dropped. ``velocities`` holds each detection's (D, 2) regressed
+    velocity, and the track a detection ends on keeps a copy of its row.
+    Returns (alive tracks, per-detection track ids, next free id).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -97,9 +96,8 @@ def greedy_associate(
     if born.size and next_track_id + born.size - 1 > MAX_TRACK_ID:
         raise TrackIdOverflow(f"track ids exhausted the 16-bit budget ({MAX_TRACK_ID})")
     det_track[born] = next_track_id + np.arange(born.size)
-    for tr in tracks:
-        tr.age = 0 if tr.last_seen == sweep_index else tr.age + 1
-    alive = [tr for tr in tracks if tr.last_seen == sweep_index or tr.age <= max_age]
+    alive = [tr for tr in tracks
+             if tr.last_seen == sweep_index or sweep_index - tr.last_seen <= max_age]
     alive += [Tracklet(tid, cid, center.copy(), velocity, last_seen=sweep_index)
               for tid, cid, center, velocity in zip(
                   det_track[born].tolist(), detections.class_id[born].tolist(),

@@ -11,7 +11,9 @@ import math
 import numpy as np
 
 from modalpanoptic.membership import PairTable
+from modalpanoptic.targets import build_trajectories, modal_center
 from modalpanoptic.tracking import MAX_TRACK_ID, TrackIdOverflow, Tracklet
+from modalpanoptic.voxels import interpolate_bev_many
 
 from fakes import stack
 
@@ -416,13 +418,17 @@ def gather_pairs_reference(points_xyz, point_sem, detections, margin_frac=0.1,
 
 
 def greedy_associate_reference(tracks, detections, velocities, dt, sweep_index,
-                               next_track_id, gates=None, default_gate=2.0, max_age=2):
+                               next_track_id, gates=None, default_gate=2.0, max_age=2,
+                               ages=None):
     """Tuple-sort greedy matching: the association contract, one pair at a time.
 
     Every same-class (track, detection) pair within the gate becomes a tuple
     (distance, track id, detection, track); tuples are consumed in sorted
     order, one detection per track. Mutates ``tracks`` like the library does.
+    ``ages`` maps track id to sweeps since its last match, counted here one
+    call at a time and updated in place; pass the same dict on every sweep.
     """
+    ages = {} if ages is None else ages
     rows = list(detections)
     velocities = [np.array(v, dtype=np.float64) for v in velocities]
     predicted = [det.center[:2] - v * dt for det, v in zip(rows, velocities)]
@@ -451,7 +457,7 @@ def greedy_associate_reference(tracks, detections, velocities, dt, sweep_index,
             tr = tracks[track_of_det[d]]
             tr.last_center = det.center.copy()
             tr.last_velocity = velocities[d]
-            tr.age = 0
+            ages[tr.track_id] = 0
             tr.last_seen = sweep_index
         else:
             if next_track_id > MAX_TRACK_ID:
@@ -465,7 +471,103 @@ def greedy_associate_reference(tracks, detections, velocities, dt, sweep_index,
         if tr.last_seen == sweep_index:
             alive.append(tr)
         else:
-            tr.age += 1
-            if tr.age <= max_age:
+            ages[tr.track_id] = ages.get(tr.track_id, 0) + 1
+            if ages[tr.track_id] <= max_age:
                 alive.append(tr)
     return alive, det_track, next_track_id
+
+
+def _one_hot_rows(ids, num_classes):
+    out = np.zeros((len(ids), num_classes))
+    for r, cid in enumerate(np.asarray(ids).tolist()):
+        if not 0 <= cid < num_classes:
+            raise ValueError("class id outside one-hot range")
+        out[r, cid] = 1.0
+    return out
+
+
+def pair_rows_one_center(pts, sem, center, class_id, cfg, point_features=None, bev=None):
+    """Pair rows for points that all face one center: the per-detection assembly."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))[:, :3]
+    blocks = [pts - center]
+    if cfg.include_point_features:
+        blocks.append(np.asarray(point_features, dtype=np.float64))
+    if cfg.include_bev:
+        blocks.append(interpolate_bev_many(bev, pts[:, :2]))
+    blocks.append(_one_hot_rows(sem, cfg.num_classes))
+    center_row = [np.array([np.hypot(center[0], center[1]) / 10.0, center[2], 0.0])]
+    if cfg.include_bev:
+        center_row.append(interpolate_bev_many(bev, center[None, :2])[0])
+    center_row.append(_one_hot_rows([class_id], cfg.num_classes)[0])
+    return np.concatenate(blocks + [np.tile(np.concatenate(center_row), (len(pts), 1))],
+                          axis=1)
+
+
+def pair_rows_reference(points_xyz, point_sem, detections, pairs, cfg, point_features=None,
+                        bev=None):
+    """One detection at a time, empty groups skipped: the rows of a whole pair table."""
+    pts = np.asarray(points_xyz, dtype=np.float64)
+    rows = [np.zeros((0, cfg.width))]
+    for d, det in enumerate(detections):
+        idx = pairs.point[pairs.group(d)]
+        if idx.size == 0:
+            continue
+        feats = point_features[idx] if cfg.include_point_features else None
+        rows.append(pair_rows_one_center(pts[idx], np.asarray(point_sem)[idx], det.center,
+                                         det.class_id, cfg, feats, bev))
+    return np.concatenate(rows)
+
+
+def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skipped=None):
+    """Training rows and labels one ground-truth instance at a time.
+
+    Each thing instance of each sweep draws its center jitter in ascending id
+    order, takes its trajectory's maximum extent with components below 0.05
+    raised to the class mean over the trajectories that observed them, and
+    claims the same-class points strictly inside the inflated box. Instances
+    with no such point are left out; their jittered centers are appended to
+    ``skipped`` when it is given.
+    """
+    pair_cfg = cfg.features
+    rng = np.random.default_rng(cfg.seed)
+    per_seq = [build_trajectories(seq, taxonomy) for seq in sequences]
+    sums, counts = {}, {}
+    for trajs in per_seq:
+        for traj in trajs.values():
+            ext = traj.max_extent
+            for axis in range(3):
+                key = (traj.class_id, axis)
+                sums[key] = sums.get(key, 0.0) + (ext[axis] if ext[axis] >= 0.05 else 0.0)
+                counts[key] = counts.get(key, 0) + (ext[axis] >= 0.05)
+    rows, labels = [], []
+    for seq, trajs in zip(sequences, per_seq):
+        for sweep in seq.sweeps:
+            feats = bev = None
+            if pair_cfg.include_point_features or pair_cfg.include_bev:
+                feats = provider.point_features(sweep)
+                if pair_cfg.include_bev:
+                    bev = provider.bev_map(sweep, feats)
+            xyz, inst, sem = sweep.xyz, sweep.inst_labels, sweep.sem_labels
+            for iid in sorted(set(inst[inst > 0].tolist())):
+                members = np.flatnonzero(inst == iid)
+                cid = int(sem[members[0]])
+                if cid not in taxonomy.thing_ids:
+                    continue
+                extent = trajs[iid].max_extent.copy()
+                for axis in range(3):
+                    if extent[axis] < 0.05:
+                        mean = sums[cid, axis] / max(counts[cid, axis], 1)
+                        extent[axis] = max(mean, extent[axis])
+                center = modal_center(xyz[members]) + rng.normal(0.0, cfg.center_jitter, 3)
+                radius = extent + np.maximum(cfg.margin_frac * extent, cfg.margin_floor)
+                roi = np.flatnonzero(np.all(np.abs(xyz - center) < radius, axis=1)
+                                     & (sem == cid))
+                if roi.size == 0:
+                    if skipped is not None:
+                        skipped.append(center)
+                    continue
+                rows.append(pair_rows_one_center(
+                    xyz[roi], sem[roi], center, cid, pair_cfg,
+                    feats[roi] if pair_cfg.include_point_features else None, bev))
+                labels.append([float(inst[i] == iid) for i in roi])
+    return np.concatenate(rows), np.concatenate(labels)

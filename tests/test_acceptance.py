@@ -17,6 +17,7 @@ from modalpanoptic.inference import nms_detect
 from modalpanoptic.losses import bce_loss, focal_loss, l1_loss, masked_cross_entropy
 from modalpanoptic.membership import (
     MembershipTrainConfig,
+    PairFeatureConfig,
     mlp_scores,
     nn_baseline,
     nn_scores,
@@ -142,7 +143,7 @@ def membership_setup():
 
 def mlp_assignments(model, cfgm, inputs, dets):
     # Each point goes to the detection with the highest membership above 0.5.
-    score = partial(mlp_scores, model, cfgm.pair_config(), inputs, dets)
+    score = partial(mlp_scores, model, cfgm.features, inputs, dets)
     return mp.fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps, score, TAX,
                             conflict="argmax", **MARGIN).point_detection
 
@@ -171,11 +172,11 @@ def test_acceptance_2_membership_trend(membership_setup):
     train_seqs, test_scenes, provider = membership_setup
     t0 = time.time()
     full_cfg = MembershipTrainConfig(
-        num_classes=TAX.num_channels, point_feature_dim=HandcraftedFeatures.DIM,
-        bev_feature_dim=HandcraftedFeatures.DIM, epochs=30, learning_rate=1e-3,
-        optimizer="adam", center_jitter=0.3, margin_floor=0.3, seed=7)
+        PairFeatureConfig(TAX.num_channels, HandcraftedFeatures.DIM, HandcraftedFeatures.DIM),
+        epochs=30, learning_rate=1e-3, optimizer="adam", center_jitter=0.3, margin_floor=0.3,
+        seed=7)
     geo_cfg = MembershipTrainConfig(
-        num_classes=TAX.num_channels, include_point_features=False, include_bev=False,
+        PairFeatureConfig(TAX.num_channels, include_point_features=False, include_bev=False),
         epochs=30, learning_rate=1e-3, optimizer="adam", center_jitter=0.3,
         margin_floor=0.3, seed=7)
     full_model, _ = train_membership_stage2(train_seqs, TAX, full_cfg, provider)

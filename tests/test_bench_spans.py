@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from modalpanoptic import cli  # noqa: F401  (the bench worker imports the CLI too)
+from modalpanoptic import cli, inference  # the bench worker imports the CLI too
 from modalpanoptic.voxels import GridSpec, voxelize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -98,3 +98,39 @@ def test_hooks_resolve_on_a_traced_track_and_eval(tmp_path):
     for name in ("metrics.PqAccumulator.add", "metrics.LstqAccumulator.add_sequence",
                  "tracking.panoptic_track_sequence", "pipeline.prepare_sweep_inputs"):
         assert totals.calls[name] >= 1, name
+
+
+def test_hooks_resolve_on_a_traced_train_mem_and_mlp_track(tmp_path, monkeypatch):
+    data, model = tmp_path / "data", tmp_path / "model.bin"
+    assert cli.main(["synth", "--out", str(data), "--seed", "6", "--sweeps", "2",
+                     "--motion", "drift", "--min-instances", "2", "--max-instances", "3",
+                     "--min-separation", "10", "--max-range", "24", "--pair-gap", "0.1", "0.35",
+                     "--row-partners", "2"]) == 0
+    gathered = []
+    gather_pairs = inference.gather_pairs
+
+    def counted_gather_pairs(*args, **kwargs):
+        gathered.append(gather_pairs(*args, **kwargs))
+        return gathered[-1]
+
+    # Fusion's tables only: training gathers its pairs through ``membership``.
+    monkeypatch.setattr(inference, "gather_pairs", counted_gather_pairs)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["train-mem", "--data", str(data), "--out", str(model),
+                         "--features", "full", "--epochs", "2", "--margin-floor", "0.3"]) == 0
+        assert cli.main(["track", "--data", str(data), "--out", str(tmp_path / "pred"),
+                         "--membership", "mlp", "--model", str(model), "--features", "full",
+                         "--center-jitter", "0.15", "--margin-floor", "0.3"]) == 0
+    finally:
+        tracer.uninstall()
+    totals = spans.totals(tracer.spans)
+    for name in ("membership.build_training_pairs", "membership.assemble_pair_features",
+                 "membership.predict_membership", "mlp.train_epochs"):
+        assert totals.calls.get(name, 0) >= 1, name
+    counts = totals.counts
+    assert counts["membership.build_training_pairs"]["pairs"] > 0
+    assert counts["mlp.train_epochs"]["rows"] == 2 * counts["membership.build_training_pairs"]["pairs"]
+    assert len(gathered) == 2
+    assert counts["membership.predict_membership"]["rows"] == sum(map(len, gathered)) > 0

@@ -10,7 +10,6 @@ from modalpanoptic.cloud import (
     TaxonomyError,
     Taxonomy,
     ClassDef,
-    accumulate_history,
     load_taxonomy,
     save_taxonomy,
     transform_to_frame,
@@ -170,14 +169,6 @@ class TestSequence:
         seq = SweepSequence((a, b), period=0.1)
         with pytest.raises(ValueError):
             seq.validate_labels(tax)
-
-    def test_accumulate_history_sets_dt(self):
-        sweeps = [make_sweep([[float(t), 0, 0]], [1], [0], timestamp=0.1 * t) for t in range(3)]
-        seq = SweepSequence(tuple(sweeps), period=0.1)
-        merged = accumulate_history(seq, 2, history=2)
-        assert len(merged) == 3
-        np.testing.assert_allclose(np.sort(merged.points[:, 4]), [-0.2, -0.1, 0.0])
-        assert merged.points[:, 4].max() == 0.0
 
 
 class TestPanopticLabeling:

@@ -228,6 +228,25 @@ class TestCli:
         svg = (out / "chart.svg").read_text()
         assert svg.startswith("<svg") and "oracle" in svg
 
+    @pytest.mark.parametrize("pq_csv", ["", "class,pq,sq,rq\nall\n"])
+    def test_report_malformed_csv_exit_code(self, tmp_path, capsys, pq_csv):
+        evald = tmp_path / "eval"
+        evald.mkdir()
+        (evald / "pq.csv").write_text(pq_csv)
+        code = main(["report", "--runs", f"run={evald}", "--out", str(tmp_path / "report")])
+        assert code == 4
+        assert str(evald / "pq.csv") in capsys.readouterr().err
+
+    def test_truncated_model_exit_code(self, tmp_path, capsys):
+        data, model = tmp_path / "data", tmp_path / "model.bin"
+        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
+        model.write_bytes(b"MPMLP\x00\x01")
+        capsys.readouterr()
+        code = main(["track", "--data", str(data), "--out", str(tmp_path / "pred"),
+                     "--membership", "mlp", "--model", str(model)])
+        assert code == 4
+        assert "truncated checkpoint" in capsys.readouterr().err
+
     def test_missing_input_exit_code(self, tmp_path):
         code = main(["eval", "--data", str(tmp_path / "nope"), "--pred",
                      str(tmp_path / "nope2"), "--out", str(tmp_path / "o")])

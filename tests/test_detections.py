@@ -169,7 +169,7 @@ def association_scenes(draw):
 
 def track_state(tracks):
     return [(tr.track_id, tr.class_id, tr.last_center.tobytes(), tr.last_velocity.tobytes(),
-             tr.age, tr.last_seen) for tr in tracks]
+             tr.last_seen) for tr in tracks]
 
 
 class TestGreedyAssociateProperties:
@@ -177,12 +177,13 @@ class TestGreedyAssociateProperties:
     @given(association_scenes())
     def test_equals_reference_over_sweeps(self, scene):
         sweeps, gates, default_gate, max_age = scene
-        got_tracks, want_tracks, got_id, want_id = [], [], 1, 1
+        got_tracks, want_tracks, got_id, want_id, ages = [], [], 1, 1, {}
         for t, (dets, velocities) in enumerate(sweeps):
             got_tracks, got_ids, got_id = greedy_associate(
                 got_tracks, dets, velocities, 0.5, t, got_id, gates, default_gate, max_age)
             want_tracks, want_ids, want_id = greedy_associate_reference(
-                want_tracks, dets, velocities, 0.5, t, want_id, gates, default_gate, max_age)
+                want_tracks, dets, velocities, 0.5, t, want_id, gates, default_gate, max_age,
+                ages)
             assert got_ids == want_ids and type(got_ids) is list
             assert all(type(i) is int for i in got_ids)
             assert got_id == want_id

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import modalpanoptic as mp
-from modalpanoptic.cloud import ClassDef, Taxonomy
+from modalpanoptic.cloud import ClassDef, PointCloudSweep, SweepSequence, Taxonomy
 from modalpanoptic.inference import fuse_panoptic, nms_detect
 from modalpanoptic.membership import (
     MembershipTrainConfig,
@@ -26,7 +26,7 @@ from modalpanoptic.targets import ExtentStrategy
 from modalpanoptic.voxels import BevMap, GridSpec
 
 from fakes import row as det, stack
-from oracles import nn_baseline_reference
+from oracles import build_training_pairs_reference, nn_baseline_reference, pair_rows_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
                 ClassDef(3, "road", "stuff")), 5)
@@ -68,13 +68,18 @@ class TestRoiPoints:
         assert base == again
 
 
+def one_group(n):
+    """A table in which detection 0 owns points 0..n-1."""
+    return PairTable(np.zeros(n, dtype=np.int64), np.arange(n), np.array([0, n]))
+
+
 class TestPairFeatures:
     def test_layout_offsets(self):
         cfg = PairFeatureConfig(num_classes=3, point_feature_dim=0, bev_feature_dim=0,
                                 include_point_features=False, include_bev=False)
         pts = np.array([[1.0, 2.0, 3.0]])
-        d = det([4.0, 5.0, 6.0], cid=1)
-        rows = assemble_pair_features(pts, np.array([1]), d.center, d.class_id, cfg)
+        rows = assemble_pair_features(pts, np.array([1]), stack([det([4.0, 5.0, 6.0], cid=1)]),
+                                      one_group(1), cfg)
         assert rows.shape == (1, cfg.width) == (1, 12)
         np.testing.assert_array_equal(rows[0, :3], [-3, -3, -3])    # point offset from center
         np.testing.assert_array_equal(rows[0, 3:6], [0, 1, 0])      # point class one-hot
@@ -86,9 +91,21 @@ class TestPairFeatures:
         cfg = PairFeatureConfig(num_classes=3, include_point_features=False,
                                 include_bev=False)
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        d = det([4.0, 5.0, 6.0], cid=2)
-        rows = assemble_pair_features(pts, np.array([2, 2]), d.center, d.class_id, cfg)
+        rows = assemble_pair_features(pts, np.array([2, 2]), stack([det([4.0, 5.0, 6.0], cid=2)]),
+                                      one_group(2), cfg)
         np.testing.assert_array_equal(rows[0, cfg.point_block:], rows[1, cfg.point_block:])
+
+    def test_rows_follow_the_table(self):
+        # Detection 1 owns nothing; point 2 is in both other groups.
+        cfg = PairFeatureConfig(num_classes=3, include_point_features=False,
+                                include_bev=False)
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 0.0, 0.0]])
+        dets = stack([det([0.0, 0.0, 0.0], cid=1), det([9.0, 9.0, 0.0], cid=2),
+                      det([3.0, 0.0, 0.0], cid=1)])
+        table = PairTable(np.array([0, 0, 2]), np.array([0, 2, 2]), np.array([0, 2, 2, 3]))
+        rows = assemble_pair_features(pts, np.array([1, 1, 1]), dets, table, cfg)
+        np.testing.assert_array_equal(rows[:, :3], [[0, 0, 0], [2, 0, 0], [-1, 0, 0]])
+        np.testing.assert_array_equal(rows[:, 6], [0.0, 0.0, 0.3])
 
     def test_width_arithmetic_with_features(self):
         cfg = PairFeatureConfig(num_classes=4, point_feature_dim=5, bev_feature_dim=2)
@@ -96,14 +113,16 @@ class TestPairFeatures:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1, 1, size=(7, 3))
         bev = BevMap(rng.normal(size=(6, 6, 2)), cell_size=1.0, planar_range=3.0)
-        rows = assemble_pair_features(pts, np.ones(7, dtype=int), np.zeros(3), 1, cfg,
+        rows = assemble_pair_features(pts, np.ones(7, dtype=int), stack([det(np.zeros(3))]),
+                                      one_group(7), cfg,
                                       point_features=rng.normal(size=(7, 5)), bev=bev)
         assert rows.shape == (7, cfg.width)
 
     def test_missing_provider_data_rejected(self):
         cfg = PairFeatureConfig(num_classes=3, point_feature_dim=2)
         with pytest.raises(ValueError):
-            assemble_pair_features(np.zeros((1, 3)), np.array([1]), np.zeros(3), 1, cfg)
+            assemble_pair_features(np.zeros((1, 3)), np.array([1]), stack([det(np.zeros(3))]),
+                                   one_group(1), cfg)
 
 
 class TestPredictMembership:
@@ -278,9 +297,9 @@ def row_scene(seed):
 def row_model():
     provider = HandcraftedFeatures(ROW_SPEC)
     cfg = MembershipTrainConfig(
-        num_classes=ROW_TAX.num_channels, point_feature_dim=HandcraftedFeatures.DIM,
-        bev_feature_dim=HandcraftedFeatures.DIM, epochs=3, learning_rate=1e-3,
-        optimizer="adam", center_jitter=0.3, margin_floor=0.3, seed=7)
+        PairFeatureConfig(ROW_TAX.num_channels, HandcraftedFeatures.DIM, HandcraftedFeatures.DIM),
+        epochs=3, learning_rate=1e-3, optimizer="adam", center_jitter=0.3, margin_floor=0.3,
+        seed=7)
     model, _ = train_membership_stage2([row_scene(600)[0]], ROW_TAX, cfg, provider)
     sweeps = []
     for seed in (700, 701):
@@ -289,7 +308,7 @@ def row_model():
                                        ROW_SPEC, ExtentStrategy("MAX"),
                                        DetectorNoise(center_jitter=0.3), registry=reg,
                                        provider=provider, seed=99)
-    return model, cfg.pair_config(), sweeps
+    return model, cfg.features, sweeps
 
 
 def per_detection_scores(model, pair_cfg, inputs, dets, pairs):
@@ -346,9 +365,105 @@ class TestBuildTrainingPairs:
                              speed_range=(0.0, 0.1), points_per_m2=60.0,
                              spawn_radius_range=(8.0, 12.0))
         seq, _ = mp.generate_sequence(cfg, mp.default_taxonomy())
-        tcfg = MembershipTrainConfig(num_classes=mp.default_taxonomy().num_channels,
-                                     include_point_features=False, include_bev=False,
-                                     seed=1, margin_floor=0.3)
+        tcfg = MembershipTrainConfig(
+            PairFeatureConfig(mp.default_taxonomy().num_channels, include_point_features=False,
+                              include_bev=False),
+            seed=1, margin_floor=0.3)
         pairs, labels = build_training_pairs([seq], mp.default_taxonomy(), tcfg)
-        assert pairs.shape[1] == tcfg.pair_config().width
+        assert pairs.shape[1] == tcfg.features.width
         assert set(np.unique(labels).tolist()) == {0.0, 1.0}
+
+
+# ---------------------------------------------------------------- one pair path
+
+FEATURE_SETS = {"geo": (False, False), "geo+bev": (False, True), "full": (True, True)}
+
+
+def feature_config(name, num_classes, point_dim, bev_dim):
+    include_point, include_bev = FEATURE_SETS[name]
+    return PairFeatureConfig(num_classes, point_dim if include_point else 0,
+                             bev_dim if include_bev else 0, include_point, include_bev)
+
+
+class TestAssemblyAgainstReference:
+    @pytest.mark.parametrize("features", sorted(FEATURE_SETS))
+    def test_random_tables(self, features):
+        cfg = feature_config(features, 4, 3, 2)
+        rng = np.random.default_rng(40)
+        empty_groups = 0
+        for trial in range(120):
+            pts, sems, dets = random_nn_case(rng, grid=bool(trial % 2))
+            if trial % 3 == 0:
+                # A detection off the BEV grid with nothing in its RoI, at a random rank.
+                rows = list(dets)
+                at = int(rng.integers(0, len(rows) + 1))
+                conf = rows[at - 1].confidence if at else 1.0
+                rows.insert(at, det([20.0, -20.0, 0.0], conf=conf, cid=1))
+                dets = stack(rows)
+            pairs = gather_pairs(pts, sems, dets, 0.1, float(rng.choice([0.1, 0.3])))
+            feats = rng.normal(size=(len(pts), 3))
+            bev = BevMap(rng.normal(size=(16, 16, 2)), cell_size=1.0, planar_range=8.0)
+            got = assemble_pair_features(pts, sems, dets, pairs, cfg, feats, bev)
+            want = pair_rows_reference(pts, sems, dets, pairs, cfg, feats, bev)
+            assert got.shape == want.shape == (len(pairs), cfg.width), f"trial {trial}"
+            assert got.tobytes() == want.tobytes(), f"trial {trial}"
+            empty_groups += int(np.count_nonzero(np.diff(pairs.offsets) == 0))
+        assert empty_groups > 40
+
+
+EDGE_SPEC = GridSpec((0.1, 0.1, 0.2), 8.0, -2.0, 3.0, 2)
+
+
+def edge_sequence():
+    """A car near the grid border, a stuff-only sweep, a flat car and two cars side by side.
+
+    The border car is a few centimeters across, so a meter of center jitter
+    leaves its RoI empty, often with the center off the grid. The flat car
+    never spans its height axis, which is widened from the class mean.
+    """
+    rng = np.random.default_rng(41)
+
+    def block(center, half, n):
+        return np.asarray(center) + rng.uniform(-1.0, 1.0, size=(n, 3)) * half
+
+    ground = np.column_stack([rng.uniform(-7.5, 7.5, size=(200, 2)), np.full(200, -1.5)])
+    border = block([7.55, 0.0, 0.0], [0.06, 0.06, 0.06], 20)
+    flat = block([-3.0, -4.0, 0.0], [1.0, 0.5, 0.01], 40)
+    cars = np.concatenate([block([0.0, 0.0, 0.0], [2.0, 0.9, 0.7], 80),
+                           block([0.0, 2.0, 0.0], [2.0, 0.9, 0.7], 80)])
+    walker = block([-3.0, 3.0, 0.0], [0.3, 0.3, 0.9], 30)
+    layouts = [
+        [(ground, 3, 0), (border, 1, 1), (walker, 2, 4), (flat, 1, 5)],
+        [(ground, 3, 0)],
+        [(ground, 3, 0), (border, 1, 1), (cars[:80], 1, 2), (cars[80:], 1, 3)],
+    ]
+    sweeps = []
+    for t, parts in enumerate(layouts):
+        xyz = np.concatenate([part for part, _, _ in parts])
+        points = np.zeros((len(xyz), 5))
+        points[:, :3] = xyz
+        sem = np.concatenate([np.full(len(part), c) for part, c, _ in parts])
+        inst = np.concatenate([np.full(len(part), i) for part, _, i in parts])
+        sweeps.append(PointCloudSweep(0.5 * t, points, sem, inst, np.eye(4)))
+    return SweepSequence(tuple(sweeps), period=0.5)
+
+
+class TestTrainingPairsAgainstReference:
+    @pytest.mark.parametrize("features", sorted(FEATURE_SETS))
+    def test_scenes(self, features):
+        pair_cfg = feature_config(features, ROW_TAX.num_channels, HandcraftedFeatures.DIM,
+                                  HandcraftedFeatures.DIM)
+        corpora = [([row_scene(600)[0], row_scene(601)[0]], ROW_SPEC)]
+        corpora += [([edge_sequence()], EDGE_SPEC)] * 4
+        off_grid = 0
+        for seed, (sequences, spec) in enumerate(corpora):
+            provider = HandcraftedFeatures(spec)
+            cfg = MembershipTrainConfig(pair_cfg, center_jitter=0.3 if seed == 0 else 1.0,
+                                        margin_floor=0.3, seed=seed)
+            skipped = []
+            got = build_training_pairs(sequences, ROW_TAX, cfg, provider)
+            want = build_training_pairs_reference(sequences, ROW_TAX, cfg, provider, skipped)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"corpus {seed}"
+            off_grid += sum(not spec.in_range(c[None, :])[0] for c in skipped)
+        assert off_grid > 0

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,42 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTAMODEL")
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        # Cuts at each header field and payload array boundary, and one byte in.
+        model = build_mlp([3, 4, 1], batchnorm=True, seed=35)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        blob = path.read_bytes()
+        header = 6 + 8 + 10 * len(model.layers)
+        cuts = [6, 7, 10, 14] + [14 + 10 * i + k for i in range(len(model.layers))
+                                 for k in (4, 8, 9, 10)]
+        off = header
+        for layer in model.layers:
+            for size in (layer.weights.size, layer.bias.size) + (
+                    (layer.out_dim,) * 4 + (1,) if layer.batchnorm else ()):
+                cuts += [off + 1, off + 8 * size]
+                off += 8 * size
+        assert off == len(blob)
+        for cut in sorted(set(cuts) - {len(blob)}):
+            (tmp_path / "cut.bin").write_bytes(blob[:cut])
+            with pytest.raises(ValueError):
+                load_model(tmp_path / "cut.bin")
+
+    def test_bad_activation_code_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(build_mlp([3, 4, 1], seed=36), path)
+        blob = bytearray(path.read_bytes())
+        blob[6 + 8 + 9] = len(("none", "relu", "sigmoid"))  # first layer's activation byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="activation"):
+            load_model(path)
+
+    def test_checkpoint_without_layers_rejected(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"MPMLP\x00" + struct.pack("<II", 1, 0))
+        with pytest.raises(ValueError, match="no layers"):
             load_model(path)
 
     def test_outputs_identical_after_roundtrip(self, tmp_path):

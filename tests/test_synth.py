@@ -9,7 +9,8 @@ from modalpanoptic.synth import (
     _sample_face,
     visible_faces,
 )
-from modalpanoptic.membership import MembershipTrainConfig, build_training_pairs
+from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
+                                      build_training_pairs)
 from modalpanoptic.targets import build_trajectories, modal_center, extent_sw
 from modalpanoptic.voxels import GridSpec
 
@@ -361,9 +362,8 @@ class TestFeaturesOncePerSweep:
     def test_build_training_pairs(self, include_point):
         seq, _ = mp.generate_sequence(simple_cfg(seed=6, sweep_count=3), TAX)
         provider = CountingFeatures(SPEC)
-        cfg = MembershipTrainConfig(num_classes=TAX.num_channels,
-                                    point_feature_dim=HandcraftedFeatures.DIM,
-                                    bev_feature_dim=HandcraftedFeatures.DIM,
-                                    include_point_features=include_point, include_bev=True)
+        cfg = MembershipTrainConfig(PairFeatureConfig(
+            TAX.num_channels, HandcraftedFeatures.DIM, HandcraftedFeatures.DIM,
+            include_point_features=include_point, include_bev=True))
         build_training_pairs([seq], TAX, cfg, provider)
         assert provider.calls == len(seq.sweeps)

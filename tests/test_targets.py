@@ -15,7 +15,6 @@ from modalpanoptic.targets import (
     extent_sw,
     heatmap_sigma,
     load_cwm_stats,
-    membership_target,
     modal_center,
     render_bev_targets,
     save_cwm_stats,
@@ -250,21 +249,3 @@ class TestVelocityTarget:
                           t=0.5 * i, idx=i) for i in range(5)]
         for t in range(1, 4):
             np.testing.assert_allclose(velocity_target(traj(records), t, 0.5), v, atol=1e-12)
-
-
-class TestMembershipTarget:
-    def test_roi_equals_instance(self):
-        labels = membership_target(np.array([3, 4, 5]), np.array([3, 4, 5]))
-        assert labels.tolist() == [1, 1, 1]
-
-    def test_disjoint(self):
-        labels = membership_target(np.array([3, 4]), np.array([7, 8, 9]))
-        assert labels.tolist() == [0, 0, 0]
-
-    def test_mixed(self):
-        labels = membership_target(np.array([1, 2, 3]), np.array([0, 1, 5, 3]))
-        assert labels.tolist() == [0, 1, 0, 1]
-
-    def test_empty_roi_rejected(self):
-        with pytest.raises(ValueError):
-            membership_target(np.array([1]), np.array([], dtype=int))
