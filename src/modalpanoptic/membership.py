@@ -388,7 +388,8 @@ def build_training_pairs(
     filter inference uses, over the sweep's ground-truth semantics; without
     the margin, neighboring-instance points never enter the training set and
     the scorer sees no boundary negatives. A pair is positive when its point
-    belongs to the detection's instance.
+    belongs to the detection's instance. With BEV pair features, a jittered
+    center that leaves the BEV footprint is dropped.
     """
     pair_cfg = cfg.features
     if pair_cfg.needs_features and provider is None:
@@ -412,9 +413,14 @@ def build_training_pairs(
                     bev = provider.bev_map(sweep, feats)
             iids, first, centers = instance_centers(sweep)
             thing = np.isin(sweep.sem_labels[first], list(taxonomy.thing_ids))
-            iids, centers = iids[thing], centers[thing]
-            dets = Detections(centers + rng.normal(0.0, cfg.center_jitter, centers.shape),
-                              np.ones(iids.size), sweep.sem_labels[first[thing]],
+            iids, first = iids[thing], first[thing]
+            centers = centers[thing] + rng.normal(0.0, cfg.center_jitter, (iids.size, 3))
+            if bev is not None:
+                # Inference proposes centers only on grid cells, so a center
+                # jittered off the BEV footprint has no map to read there.
+                on_grid = bev.covers(centers[:, :2])
+                iids, first, centers = iids[on_grid], first[on_grid], centers[on_grid]
+            dets = Detections(centers, np.ones(iids.size), sweep.sem_labels[first],
                               seq_extents[np.searchsorted(traj_ids, iids)])
             pairs = gather_pairs(sweep.xyz, sweep.sem_labels, dets, cfg.margin_frac,
                                  cfg.margin_floor)

@@ -3,13 +3,22 @@
 Enough machinery to train the point-to-center membership head and the
 per-point feature MLP, with exact reverse-mode gradients that are verified
 against finite differences in the test suite.
+
+Parameters live in one flat float64 vector, ``MlpModel.params.flat``: layer
+by layer, the row-major weights, then the bias and, for a batch-norm layer,
+gamma and beta. Every layer's ``weights`` and ``bias`` and its batch norm's
+``gamma`` and ``beta`` are views into that vector, so they must be updated in
+place, never rebound. Gradients (``backward``) and Adam's two moments use the
+same layout, which lets ``optimizer_step`` check and update every parameter
+with one elementwise pass. Batch-norm running statistics are not trained and
+stay separate arrays.
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,15 +65,67 @@ class Layer:
         return self.weights.shape[0]
 
 
+def _param_items(layer: Layer) -> list[tuple[str, np.ndarray]]:
+    items = [("weights", layer.weights), ("bias", layer.bias)]
+    if layer.batchnorm is not None:
+        items += [("gamma", layer.batchnorm.gamma), ("beta", layer.batchnorm.beta)]
+    return items
+
+
+class ParamVector:
+    """One flat float64 vector in a model's parameter layout, with per-layer views.
+
+    ``flat`` is the vector; ``self[i]`` maps layer i's parameter names
+    (weights, bias, and gamma and beta for a batch-norm layer) to views into
+    it, shaped like that layer's arrays.
+    """
+
+    def __init__(self, flat: np.ndarray, layout: list[list[tuple[str, int, int, tuple]]]):
+        self.flat = flat
+        self.layout = layout
+        self.layers = [{name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in entries}
+                       for entries in layout]
+
+    def like(self, flat: np.ndarray) -> "ParamVector":
+        """Views into ``flat``, a vector of the same size, in this layout."""
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"flat vector must be {self.flat.shape}, got {flat.shape}")
+        return ParamVector(flat, self.layout)
+
+    def __getitem__(self, i: int) -> dict[str, np.ndarray]:
+        return self.layers[i]
+
+    def __iter__(self):
+        return iter(self.layers)
+
+
 @dataclass
 class MlpModel:
+    """Layers whose trainable arrays are packed into ``params`` on creation."""
+
     layers: list[Layer]
     mode: str = "eval"
+    params: ParamVector = field(init=False, repr=False, compare=False)
+    grads: ParamVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, b in zip(self.layers, self.layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ValueError(f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
+        layout, arrays, offset = [], [], 0
+        for layer in self.layers:
+            entries = []
+            for name, arr in _param_items(layer):
+                entries.append((name, offset, offset + arr.size, arr.shape))
+                arrays.append(np.ravel(arr))
+                offset += arr.size
+            layout.append(entries)
+        self.params = ParamVector(np.concatenate(arrays, dtype=np.float64), layout)
+        self.grads = self.params.like(np.zeros_like(self.params.flat))
+        for layer, views in zip(self.layers, self.params):
+            layer.weights, layer.bias = views["weights"], views["bias"]
+            if layer.batchnorm is not None:
+                layer.batchnorm.gamma, layer.batchnorm.beta = views["gamma"], views["beta"]
 
     @property
     def in_dim(self) -> int:
@@ -122,12 +183,13 @@ def forward(
     model: MlpModel,
     batch: np.ndarray,
     update_running: bool = True,
-) -> tuple[np.ndarray, list[dict] | None]:
+) -> tuple[np.ndarray, list[tuple] | None]:
     """Run the network on a (N, in_dim) batch.
 
     Train mode normalizes with batch statistics (batch size >= 2 required) and
-    returns the cache backward() needs; eval mode uses running statistics and
-    returns no cache.
+    returns the cache backward() needs, one (input, pre-activation,
+    activation, xhat, inv_std) tuple per layer; eval mode uses running
+    statistics and returns no cache.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
@@ -135,73 +197,74 @@ def forward(
     train = model.mode == "train"
     if train and x.shape[0] < 2:
         raise ValueError("train-mode batch needs >= 2 rows for batch statistics")
-    cache: list[dict] | None = [] if train else None
+    cache: list[tuple] | None = [] if train else None
+    n = x.shape[0]
     for layer in model.layers:
         z = x @ layer.weights.T + layer.bias
-        entry = {"x": x, "z": z}
         h = z
+        xhat = inv_std = None
         bn = layer.batchnorm
         if bn is not None:
             if train:
-                mean = z.mean(axis=0)
-                var = z.var(axis=0)  # biased, matching the normalization
+                # The steps np.mean and np.var take, with z - mean formed once;
+                # the variance is biased, matching the normalization.
+                mean = np.add.reduce(z, axis=0) / n
+                d = z - mean
+                var = np.add.reduce(d * d, axis=0) / n
                 if update_running:
                     bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
                     bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
             else:
-                mean, var = bn.running_mean, bn.running_var
+                d = z - bn.running_mean
+                var = bn.running_var
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (z - mean) * inv_std
+            xhat = d * inv_std
             h = bn.gamma * xhat + bn.beta
-            entry.update(xhat=xhat, inv_std=inv_std)
         a = _activate(layer.activation, h)
-        entry.update(h=h, a=a)
         if train:
-            cache.append(entry)
+            cache.append((x, h, a, xhat, inv_std))
         x = a
     return x, cache
 
 
 def backward(
     model: MlpModel,
-    cache: list[dict],
+    cache: list[tuple],
     dout: np.ndarray,
-) -> tuple[list[dict], np.ndarray]:
+) -> tuple[ParamVector, np.ndarray]:
     """Exact reverse-mode gradients for every parameter plus the input.
 
-    Returns one dict per layer with keys weights/bias (and gamma/beta for
-    batch-norm layers), aligned with model.layers.
+    The parameter gradients are written into ``model.grads``, which is
+    returned and which the next call overwrites: ``grads[i]`` holds the
+    weights/bias (and gamma/beta for batch-norm layers) gradients of
+    ``model.layers[i]``.
     """
     if cache is None or len(cache) != len(model.layers):
         raise ValueError("stale or missing forward cache")
-    grads: list[dict] = [None] * len(model.layers)
+    grads = model.grads
     da = np.asarray(dout, dtype=np.float64)
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        ent = cache[i]
+    for layer, (x, h, a, xhat, inv_std), g in zip(reversed(model.layers), reversed(cache),
+                                                  reversed(grads.layers)):
         if layer.activation == "relu":
-            dh = da * (ent["h"] > 0)
+            dh = da * (h > 0)
         elif layer.activation == "sigmoid":
-            dh = da * ent["a"] * (1.0 - ent["a"])
+            dh = da * a * (1.0 - a)
         else:
             dh = da
-        g = {}
         bn = layer.batchnorm
         if bn is not None:
             n = dh.shape[0]
-            xhat, inv_std = ent["xhat"], ent["inv_std"]
-            g["gamma"] = (dh * xhat).sum(axis=0)
-            g["beta"] = dh.sum(axis=0)
+            np.add.reduce(dh * xhat, axis=0, out=g["gamma"])
+            np.add.reduce(dh, axis=0, out=g["beta"])
             dxhat = dh * bn.gamma
             # Batch statistics feed back into every row of the batch.
             dz = (inv_std / n) * (n * dxhat
-                                  - dxhat.sum(axis=0)
-                                  - xhat * (dxhat * xhat).sum(axis=0))
+                                  - np.add.reduce(dxhat, axis=0)
+                                  - xhat * np.add.reduce(dxhat * xhat, axis=0))
         else:
             dz = dh
-        g["weights"] = dz.T @ ent["x"]
-        g["bias"] = dz.sum(axis=0)
-        grads[i] = g
+        np.matmul(dz.T, x, out=g["weights"])
+        np.add.reduce(dz, axis=0, out=g["bias"])
         da = dz @ layer.weights
     return grads, da
 
@@ -211,7 +274,8 @@ class OptimizerState:
     kind: str
     learning_rate: float
     step: int = 0
-    moments: list[dict] | None = None  # adam first/second moments per layer
+    # Adam's first and second moments, (2, P) in the layout of model.params.flat.
+    moments: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -220,37 +284,29 @@ class OptimizerState:
             raise ValueError("learning_rate must not be negative")
 
 
-def _param_items(layer: Layer) -> list[tuple[str, np.ndarray]]:
-    items = [("weights", layer.weights), ("bias", layer.bias)]
-    if layer.batchnorm is not None:
-        items += [("gamma", layer.batchnorm.gamma), ("beta", layer.batchnorm.beta)]
-    return items
-
-
-def optimizer_step(model: MlpModel, grads: list[dict], state: OptimizerState) -> tuple[MlpModel, OptimizerState]:
-    """One SGD or bias-corrected Adam update, in place."""
-    for g in grads:
-        for arr in g.values():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("gradient contains NaN or inf")
+def optimizer_step(model: MlpModel, grads: ParamVector,
+                   state: OptimizerState) -> tuple[MlpModel, OptimizerState]:
+    """One SGD or bias-corrected Adam update of every parameter, in place."""
+    g, param = grads.flat, model.params.flat
+    if g.shape != param.shape:
+        raise ValueError(f"gradient vector must be {param.shape}, got {g.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("gradient contains NaN or inf")
     state.step += 1
     if state.kind == "sgd":
-        for layer, g in zip(model.layers, grads):
-            for name, param in _param_items(layer):
-                param -= state.learning_rate * g[name]
+        param -= state.learning_rate * g
         return model, state
     if state.moments is None:
-        state.moments = [
-            {name: {"m": np.zeros_like(p), "v": np.zeros_like(p)} for name, p in _param_items(layer)}
-            for layer in model.layers
-        ]
+        state.moments = np.zeros((2, param.size))
     b1c = 1.0 - ADAM_BETA1 ** state.step
     b2c = 1.0 - ADAM_BETA2 ** state.step
-    for layer, g, mom in zip(model.layers, grads, state.moments):
-        for name, param in _param_items(layer):
-            m = mom[name]["m"] = ADAM_BETA1 * mom[name]["m"] + (1 - ADAM_BETA1) * g[name]
-            v = mom[name]["v"] = ADAM_BETA2 * mom[name]["v"] + (1 - ADAM_BETA2) * g[name] ** 2
-            param -= state.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    # In place, yet the same products and sums as b1 * m + (1 - b1) * g.
+    m, v = state.moments
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g ** 2
+    param -= state.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
     return model, state
 
 

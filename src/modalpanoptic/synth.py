@@ -9,7 +9,7 @@ experiments reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -458,6 +458,24 @@ class HandcraftedFeatures(FeatureProvider):
         return flatten_bev(voxelize(sweep.points, self.spec, point_features))
 
 
+def flip_semantics(labels: np.ndarray, class_ids, probability: float,
+                   rng: np.random.Generator) -> None:
+    """Relabel each point with ``probability`` to a uniformly drawn other class, in place.
+
+    One uniform draw per point picks the flipped points; then one bounded
+    integer draw per flipped point, in point order, indexes ``class_ids``
+    with the point's own class left out (all of them when its class is not
+    listed).
+    """
+    flip = np.flatnonzero(rng.uniform(size=labels.size) < probability)
+    classes = np.asarray(class_ids, dtype=np.int64)
+    own = labels[flip, None] == classes
+    listed = own.any(axis=1)
+    pick = rng.integers(classes.size - listed)
+    pick += listed & (pick >= own.argmax(axis=1))
+    labels[flip] = classes[pick]
+
+
 def simulate_detector(
     seq: SweepSequence,
     trajectories: dict[int, InstanceTrajectory],
@@ -486,12 +504,9 @@ def simulate_detector(
     maps: list[PredictedMaps] = []
     for t_idx, sweep in enumerate(seq.sweeps):
         rng = np.random.default_rng(sweep_seeds[t_idx])
-        sem_pred = sweep.sem_labels.astype(np.int32).copy()
+        sem_pred = sweep.sem_labels.astype(np.int32)
         if noise.semantic_flip_probability > 0:
-            flip = rng.uniform(size=len(sweep)) < noise.semantic_flip_probability
-            for i in np.flatnonzero(flip):
-                choices = [c for c in class_ids if c != sem_pred[i]]
-                sem_pred[i] = choices[int(rng.integers(len(choices)))]
+            flip_semantics(sem_pred, class_ids, noise.semantic_flip_probability, rng)
         sensor = sweep.ego_pose[:3, 3]
         instances, velocities, extents, peaks = [], {}, [], []
         ids = sweep.inst_labels

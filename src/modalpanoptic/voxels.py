@@ -214,6 +214,11 @@ class BevMap:
     def depth(self) -> int:
         return self.data.shape[1]
 
+    def covers(self, xys: np.ndarray) -> np.ndarray:
+        """Which (M, 2) planar positions lie inside the footprint [-range, range)^2."""
+        r = self.planar_range
+        return np.all((xys >= -r) & (xys < r), axis=-1)
+
 
 def flatten_bev(grid: SparseVoxelGrid) -> BevMap:
     """Mean of the voxel features in each BEV column, as a dense (W', D', F) map.
@@ -243,9 +248,9 @@ def interpolate_bev_many(bev: BevMap, xys: np.ndarray) -> np.ndarray:
     border the stencil clamps to edge cells.
     """
     q = np.atleast_2d(np.asarray(xys, dtype=np.float64))
-    r = bev.planar_range
-    if np.any((q < -r) | (q >= r)):
+    if not bev.covers(q).all():
         raise ValueError("query outside grid range")
+    r = bev.planar_range
     cs = bev.cell_size
     u = (q[:, 0] + r) / cs - 0.5
     v = (q[:, 1] + r) / cs - 0.5

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 
+from modalpanoptic.losses import bce_loss
 from modalpanoptic.membership import PairTable
+from modalpanoptic.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, recalibrate_batchnorm
 from modalpanoptic.targets import build_trajectories, modal_center
 from modalpanoptic.tracking import MAX_TRACK_ID, TrackIdOverflow, Tracklet
 from modalpanoptic.voxels import interpolate_bev_many
@@ -525,7 +527,8 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
     order, takes its trajectory's maximum extent with components below 0.05
     raised to the class mean over the trajectories that observed them, and
     claims the same-class points strictly inside the inflated box. Instances
-    with no such point are left out; their jittered centers are appended to
+    with no such point, or (with BEV features) whose jittered center leaves
+    the BEV footprint, are left out; their jittered centers are appended to
     ``skipped`` when it is given.
     """
     pair_cfg = cfg.features
@@ -562,7 +565,8 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
                 radius = extent + np.maximum(cfg.margin_frac * extent, cfg.margin_floor)
                 roi = np.flatnonzero(np.all(np.abs(xyz - center) < radius, axis=1)
                                      & (sem == cid))
-                if roi.size == 0:
+                off_grid = bev is not None and not bev.covers(center[None, :2])[0]
+                if roi.size == 0 or off_grid:
                     if skipped is not None:
                         skipped.append(center)
                     continue
@@ -571,3 +575,116 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
                     feats[roi] if pair_cfg.include_point_features else None, bev))
                 labels.append([float(inst[i] == iid) for i in roi])
     return np.concatenate(rows), np.concatenate(labels)
+
+
+def flip_semantics_reference(labels, class_ids, probability, rng):
+    """One uniform draw per point, then one scalar draw per flipped point in point order.
+
+    A flipped point takes ``choices[j]``, where ``choices`` lists
+    ``class_ids`` without the point's own class and ``j`` is drawn in
+    ``[0, len(choices))``. Relabels ``labels`` in place.
+    """
+    flip = rng.uniform(size=len(labels)) < probability
+    for i in np.flatnonzero(flip):
+        choices = [c for c in class_ids if c != labels[i]]
+        labels[i] = choices[int(rng.integers(len(choices)))]
+
+
+def _param_dict(layer):
+    params = {"weights": layer.weights, "bias": layer.bias}
+    if layer.batchnorm is not None:
+        params.update(gamma=layer.batchnorm.gamma, beta=layer.batchnorm.beta)
+    return params
+
+
+def train_epochs_reference(model, features, labels, kind, learning_rate, epochs, seed=0,
+                           batch_size=64):
+    """The BCE training loop with one dict per layer for cache, gradients and moments.
+
+    Same batch order, arithmetic and operation order as ``mlp.train_epochs``,
+    written one named array at a time: every parameter is updated in place,
+    Adam's moments are kept per array, and the finite check runs per array.
+    Returns the model in eval mode and the per-epoch mean batch loss.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    order = np.random.default_rng(seed).permutation(x.shape[0])
+    moments = [{name: {"m": np.zeros_like(p), "v": np.zeros_like(p)}
+                for name, p in _param_dict(layer).items()} for layer in model.layers]
+    step = 0
+    trace = []
+    for _ in range(epochs):
+        losses = []
+        for start in range(0, order.size, batch_size):
+            sel = order[start:start + batch_size]
+            if sel.size < 2:
+                continue
+            h = x[sel]
+            cache = []
+            for layer in model.layers:
+                z = h @ layer.weights.T + layer.bias
+                entry = {"x": h}
+                out = z
+                bn = layer.batchnorm
+                if bn is not None:
+                    mean = z.mean(axis=0)
+                    var = z.var(axis=0)
+                    bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
+                    bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
+                    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+                    xhat = (z - mean) * inv_std
+                    out = bn.gamma * xhat + bn.beta
+                    entry.update(xhat=xhat, inv_std=inv_std)
+                entry["h"] = out
+                if layer.activation == "relu":
+                    out = np.maximum(out, 0.0)
+                elif layer.activation == "sigmoid":
+                    out = 1.0 / (1.0 + np.exp(-out))
+                entry["a"] = out
+                cache.append(entry)
+                h = out
+            loss = bce_loss(h.reshape(-1), y[sel])
+            losses.append(loss.value)
+            grads = [None] * len(model.layers)
+            da = loss.gradient.reshape(-1, 1)
+            for i in range(len(model.layers) - 1, -1, -1):
+                layer, ent = model.layers[i], cache[i]
+                if layer.activation == "relu":
+                    dh = da * (ent["h"] > 0)
+                elif layer.activation == "sigmoid":
+                    dh = da * ent["a"] * (1.0 - ent["a"])
+                else:
+                    dh = da
+                g = {}
+                if layer.batchnorm is not None:
+                    n = dh.shape[0]
+                    g["gamma"] = (dh * ent["xhat"]).sum(axis=0)
+                    g["beta"] = dh.sum(axis=0)
+                    dxhat = dh * layer.batchnorm.gamma
+                    dz = (ent["inv_std"] / n) * (n * dxhat - dxhat.sum(axis=0)
+                                                 - ent["xhat"] * (dxhat * ent["xhat"]).sum(axis=0))
+                else:
+                    dz = dh
+                g["weights"] = dz.T @ ent["x"]
+                g["bias"] = dz.sum(axis=0)
+                grads[i] = g
+                da = dz @ layer.weights
+            for g in grads:
+                for arr in g.values():
+                    if not np.all(np.isfinite(arr)):
+                        raise ValueError("gradient contains NaN or inf")
+            step += 1
+            b1c = 1.0 - ADAM_BETA1 ** step
+            b2c = 1.0 - ADAM_BETA2 ** step
+            for layer, g, mom in zip(model.layers, grads, moments):
+                for name, param in _param_dict(layer).items():
+                    if kind == "sgd":
+                        param -= learning_rate * g[name]
+                        continue
+                    m = mom[name]["m"] = ADAM_BETA1 * mom[name]["m"] + (1 - ADAM_BETA1) * g[name]
+                    v = mom[name]["v"] = ADAM_BETA2 * mom[name]["v"] + (1 - ADAM_BETA2) * g[name] ** 2
+                    param -= learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+        trace.append(float(np.mean(losses)) if losses else 0.0)
+    recalibrate_batchnorm(model, x)
+    model.set_eval()
+    return model, trace

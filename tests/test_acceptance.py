@@ -411,7 +411,7 @@ def test_acceptance_8_determinism_and_io(tmp_path):
     assert all(int(w) >> 16 == i for w, i in zip(words, inst))
 
     # Round-trip of a real sweep, bit-exact.
-    from modalpanoptic.dataio import read_point_bin, read_label_file
+    from modalpanoptic.dataio import read_point_bin
     seq = None
     from modalpanoptic.dataio import read_sequence
     seq = read_sequence(a, "0000")

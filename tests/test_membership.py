@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import modalpanoptic as mp
+from modalpanoptic import cli
 from modalpanoptic.cloud import ClassDef, PointCloudSweep, SweepSequence, Taxonomy
+from modalpanoptic.dataio import write_sequence
 from modalpanoptic.inference import fuse_panoptic, nms_detect
 from modalpanoptic.membership import (
     MembershipTrainConfig,
@@ -414,7 +416,7 @@ class TestAssemblyAgainstReference:
 EDGE_SPEC = GridSpec((0.1, 0.1, 0.2), 8.0, -2.0, 3.0, 2)
 
 
-def edge_sequence():
+def edge_sequence(border_x=7.55, border_half=0.06):
     """A car near the grid border, a stuff-only sweep, a flat car and two cars side by side.
 
     The border car is a few centimeters across, so a meter of center jitter
@@ -427,7 +429,7 @@ def edge_sequence():
         return np.asarray(center) + rng.uniform(-1.0, 1.0, size=(n, 3)) * half
 
     ground = np.column_stack([rng.uniform(-7.5, 7.5, size=(200, 2)), np.full(200, -1.5)])
-    border = block([7.55, 0.0, 0.0], [0.06, 0.06, 0.06], 20)
+    border = block([border_x, 0.0, 0.0], [border_half] * 3, 20)
     flat = block([-3.0, -4.0, 0.0], [1.0, 0.5, 0.01], 40)
     cars = np.concatenate([block([0.0, 0.0, 0.0], [2.0, 0.9, 0.7], 80),
                            block([0.0, 2.0, 0.0], [2.0, 0.9, 0.7], 80)])
@@ -467,3 +469,35 @@ class TestTrainingPairsAgainstReference:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"corpus {seed}"
             off_grid += sum(not spec.in_range(c[None, :])[0] for c in skipped)
         assert off_grid > 0
+
+
+class TestOffGridTrainingCenters:
+    """A 4 cm car 0.28 m inside the border: a meter of jitter can move its center
+    off the BEV footprint while its RoI still holds its points."""
+
+    @pytest.mark.parametrize("features", ["geo+bev", "full"])
+    def test_dropped_like_reference(self, features):
+        pair_cfg = feature_config(features, ROW_TAX.num_channels, HandcraftedFeatures.DIM,
+                                  HandcraftedFeatures.DIM)
+        provider = HandcraftedFeatures(EDGE_SPEC)
+        seq = edge_sequence(border_x=8.0 - 0.28, border_half=0.02)
+        off_grid = 0
+        for seed in range(4):
+            cfg = MembershipTrainConfig(pair_cfg, center_jitter=1.0, margin_floor=0.3, seed=seed)
+            skipped = []
+            got = build_training_pairs([seq], ROW_TAX, cfg, provider)
+            want = build_training_pairs_reference([seq], ROW_TAX, cfg, provider, skipped)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"seed {seed}"
+            off_grid += sum(not EDGE_SPEC.in_range(c[None, :])[0] for c in skipped)
+        assert off_grid > 0
+
+    def test_train_mem_full_exits_0(self, tmp_path):
+        # On the CLI's 40 m grid; the row scene gives every seed negative pairs.
+        write_sequence(tmp_path / "data", "0000", edge_sequence(40.0 - 0.28, 0.02), ROW_TAX)
+        write_sequence(tmp_path / "data", "0001", row_scene(600)[0], ROW_TAX)
+        for seed in range(4):
+            assert cli.main(["train-mem", "--data", str(tmp_path / "data"),
+                             "--out", str(tmp_path / "m.bin"), "--features", "full",
+                             "--train-jitter", "1.0", "--margin-floor", "0.3",
+                             "--epochs", "1", "--seed", str(seed)]) == 0, f"seed {seed}"

@@ -18,7 +18,7 @@ from modalpanoptic.mlp import (
     train_epochs,
 )
 
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, rel_err, train_epochs_reference
 
 
 def linear_model(weights, bias=None, activation="none"):
@@ -186,27 +186,78 @@ class TestOptimizer:
     def test_sgd_step(self):
         model = self.scalar_model(0.0)
         state = OptimizerState("sgd", learning_rate=0.1)
-        optimizer_step(model, [{"weights": np.array([[1.0]]), "bias": np.zeros(1)}], state)
+        optimizer_step(model, model.params.like(np.array([1.0, 0.0])), state)
         np.testing.assert_allclose(model.layers[0].weights, [[-0.1]])
 
     def test_adam_first_step_is_about_lr(self):
         model = self.scalar_model(0.0)
         state = OptimizerState("adam", learning_rate=1e-3)
-        optimizer_step(model, [{"weights": np.array([[1.0]]), "bias": np.zeros(1)}], state)
+        optimizer_step(model, model.params.like(np.array([1.0, 0.0])), state)
         assert abs(model.layers[0].weights[0, 0] + 1e-3) < 1e-6
 
     def test_zero_gradient_no_motion(self):
         for kind in ("sgd", "adam"):
             model = self.scalar_model(0.7)
             state = OptimizerState(kind, learning_rate=0.1)
-            optimizer_step(model, [{"weights": np.zeros((1, 1)), "bias": np.zeros(1)}], state)
+            optimizer_step(model, model.params.like(np.zeros(2)), state)
             assert abs(model.layers[0].weights[0, 0] - 0.7) < 1e-9
 
     def test_nan_gradient_rejected(self):
         model = self.scalar_model()
         state = OptimizerState("sgd", learning_rate=0.1)
         with pytest.raises(ValueError):
-            optimizer_step(model, [{"weights": np.array([[float("nan")]]), "bias": np.zeros(1)}], state)
+            optimizer_step(model, model.params.like(np.array([float("nan"), 0.0])), state)
+
+
+class TestFlatStepAgainstReference:
+    """The flat-buffer step against the loop that keeps one dict per layer."""
+
+    @pytest.mark.parametrize("kind,lr", [("sgd", 5e-2), ("adam", 1e-2)])
+    @pytest.mark.parametrize("batchnorm", [True, False])
+    @pytest.mark.parametrize("activation", ["relu", "none"])
+    def test_byte_equal(self, kind, lr, batchnorm, activation):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(3 * 16 + 1, 5))  # batches of 16 leave a 1-row remainder
+        y = (x[:, 0] + 0.5 * rng.normal(size=len(x)) > 0).astype(float)
+        got_model, got = train_epochs(
+            build_mlp([5, 7, 6, 1], batchnorm, activation, seed=41), x, y,
+            OptimizerState(kind, lr), epochs=3, seed=42, batch_size=16)
+        want_model, want = train_epochs_reference(
+            build_mlp([5, 7, 6, 1], batchnorm, activation, seed=41), x, y,
+            kind, lr, epochs=3, seed=42, batch_size=16)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got[0] != got[-1]
+        for a, b in zip(got_model.layers, want_model.layers):
+            assert (a.batchnorm is None) == (b.batchnorm is None)
+            pairs = [(a.weights, b.weights), (a.bias, b.bias)]
+            if a.batchnorm is not None:
+                pairs += [(getattr(a.batchnorm, k), getattr(b.batchnorm, k))
+                          for k in ("gamma", "beta", "running_mean", "running_var")]
+            for u, v in pairs:
+                assert u.shape == v.shape and u.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_in_any_layer_segment_rejected(self, bad):
+        model = build_mlp([3, 4, 5, 1], seed=43)
+        for entries in model.params.layout:
+            for pos in (entries[0][1], entries[-1][2] - 1):  # first and last of the layer
+                flat = np.zeros_like(model.params.flat)
+                flat[pos] = bad
+                before = model.params.flat.copy()
+                state = OptimizerState("adam", learning_rate=1e-3)
+                with pytest.raises(ValueError, match="NaN or inf"):
+                    optimizer_step(model, model.params.like(flat), state)
+                assert state.step == 0 and state.moments is None
+                assert model.params.flat.tobytes() == before.tobytes()
+
+    def test_layer_arrays_view_the_flat_vector(self):
+        model = build_mlp([3, 4, 1], seed=44)
+        model.params.flat[:] = np.arange(model.params.flat.size)
+        layer = model.layers[0]
+        assert layer.weights[1, 0] == 3 and layer.bias[0] == 12
+        assert layer.batchnorm.gamma[0] == 16 and layer.batchnorm.beta[-1] == 23
+        with pytest.raises(ValueError):
+            model.params.like(np.zeros(model.params.flat.size + 1))
 
 
 class TestTraining:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modalpanoptic as mp
 from modalpanoptic.synth import (
@@ -7,6 +9,7 @@ from modalpanoptic.synth import (
     DetectorNoise,
     HandcraftedFeatures,
     _sample_face,
+    flip_semantics,
     visible_faces,
 )
 from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
@@ -14,7 +17,7 @@ from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
 from modalpanoptic.targets import build_trajectories, modal_center, extent_sw
 from modalpanoptic.voxels import GridSpec
 
-from oracles import bev_mean_reference, handcrafted_features_reference
+from oracles import bev_mean_reference, flip_semantics_reference, handcrafted_features_reference
 
 TAX = mp.default_taxonomy()
 SPEC = GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
@@ -367,3 +370,19 @@ class TestFeaturesOncePerSweep:
             include_point_features=include_point, include_bev=True))
         build_training_pairs([seq], TAX, cfg, provider)
         assert provider.calls == len(seq.sweeps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=2, max_size=10, unique=True),
+       st.lists(st.integers(0, 32), max_size=60),
+       st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_flip_semantics_matches_scalar_loop(class_ids, labels, probability, seed):
+    """Same labels and same generator state afterwards, listed classes or not."""
+    got = np.array(labels, dtype=np.int32)
+    want = got.copy()
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    flip_semantics(got, class_ids, probability, rng_got)
+    flip_semantics_reference(want, class_ids, probability, rng_want)
+    assert got.tobytes() == want.tobytes()
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state

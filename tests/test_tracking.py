@@ -5,7 +5,7 @@ import modalpanoptic as mp
 from modalpanoptic.cloud import PanopticLabeling
 from modalpanoptic.membership import oracle_scores
 from modalpanoptic.pipeline import prepare_sweep_inputs
-from modalpanoptic.synth import NO_NOISE, DetectorNoise
+from modalpanoptic.synth import NO_NOISE
 from modalpanoptic.targets import ExtentStrategy
 from modalpanoptic.tracking import (
     PipelineConfig,
