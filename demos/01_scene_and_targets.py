@@ -7,7 +7,7 @@ centers/extents -> center heatmaps and velocity targets.
 import numpy as np
 
 import modalpanoptic as mp
-from modalpanoptic.targets import aggregate_extent, velocity_target
+from modalpanoptic.targets import aggregate_extent
 from modalpanoptic.voxels import majority_vote_labels
 
 taxonomy = mp.default_taxonomy()
@@ -28,23 +28,20 @@ print("voxel semantic votes:", dict(zip(values.tolist(), counts.tolist())))
 
 trajectories = mp.build_trajectories(seq, taxonomy)
 print("\nper-instance modal statistics (sweep 0 vs trajectory MAX):")
-for iid, traj in trajectories.items():
-    rec = traj.records[0]
-    agg, _ = aggregate_extent(traj, mp.ExtentStrategy("MAX"))
+max_extent, _ = aggregate_extent(trajectories, mp.ExtentStrategy("MAX"))
+for row in trajectories.offsets[:-1]:
+    iid = int(trajectories.instance_id[row])
     true = registry.instances[iid].half_extent
-    print(f"  instance {iid}: SW {rec.extent.round(2)}  MAX {agg[0].round(2)}  "
-          f"true {true.round(2)}")
+    print(f"  instance {iid}: SW {trajectories.extent[row].round(2)}  "
+          f"MAX {max_extent[row].round(2)}  true {true.round(2)}")
 
-velocities = {iid: velocity_target(traj, 1, seq.period)
-              for iid, traj in trajectories.items() if traj.record_at(1) is not None}
-instances = [traj.record_at(1) for traj in trajectories.values()
-             if traj.record_at(1) is not None]
+at = np.flatnonzero(trajectories.sweep_index == 1)
+velocities = dict(zip(trajectories.instance_id[at].tolist(), trajectories.velocity[at]))
 # Targets are rendered in the sweep frame; poses here are translation-only.
 pose = seq.sweeps[1].ego_pose
-local = [mp.ModalInstance(r.instance_id, r.class_id, r.center - pose[:3, 3], r.extent,
-                          r.point_count, r.sweep_timestamp, r.sweep_index)
-         for r in instances]
-targets = mp.render_bev_targets(local, velocities, spec, taxonomy.num_channels)
+targets = mp.render_bev_targets(trajectories.center[at] - pose[:3, 3], trajectories.class_id[at],
+                                trajectories.extent[at], trajectories.velocity[at], spec,
+                                taxonomy.num_channels)
 print(f"\nheatmap peak value: {targets.heatmaps.max():.3f} "
       f"({int(targets.valid_mask.sum())} center cells carry regression targets)")
 print("true velocities:", {i: np.round(v, 2).tolist() for i, v in velocities.items()})

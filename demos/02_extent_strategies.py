@@ -27,21 +27,19 @@ for s in range(8):
                          speed_range=(2.0, 5.0), approach_range=(3.0, 8.0))
     scenes.append(mp.generate_sequence(cfg, taxonomy))
 
-all_trajs, scene_trajs = [], []
+scene_trajs = []
 max_err, sw_err = [], []
 for seq, reg in scenes:
     trajs = mp.build_trajectories(seq, taxonomy)
     scene_trajs.append(trajs)
-    all_trajs.extend(trajs.values())
-    for iid, traj in trajs.items():
-        true = reg.instances[iid].half_extent
-        agg, _ = aggregate_extent(traj, ExtentStrategy("MAX"))
-        max_err.append(np.max(np.abs(agg[0] - true) / true))
-        sw_err.extend(np.max(np.abs(r.extent - true) / true) for r in traj.records)
+    true = np.array([reg.instances[int(iid)].half_extent for iid in trajs.instance_id])
+    agg, _ = aggregate_extent(trajs, ExtentStrategy("MAX"))
+    max_err.extend(np.max(np.abs(agg - true) / true, axis=1)[trajs.offsets[:-1]])
+    sw_err.extend(np.max(np.abs(trajs.extent - true) / true, axis=1))
 print(f"extent error vs truth: per-sweep SW median {np.median(sw_err):.0%}, "
       f"trajectory MAX median {np.median(max_err):.1%}")
 
-cwm = class_wise_mean_extents(all_trajs, taxonomy)
+cwm = class_wise_mean_extents(scene_trajs, taxonomy)
 strategies = {
     "SW": ExtentStrategy("SW"),
     "MAX": ExtentStrategy("MAX"),

@@ -23,15 +23,13 @@ from .voxels import BevMap, GridSpec, SparseVoxelGrid, flatten_bev, majority_vot
 from .targets import (
     BevTargets,
     ExtentStrategy,
-    InstanceTrajectory,
-    ModalInstance,
+    Trajectories,
     aggregate_extent,
     build_trajectories,
     class_wise_mean_extents,
-    extent_sw,
+    instance_boxes,
     modal_center,
     render_bev_targets,
-    velocity_target,
 )
 from .losses import LossValue, bce_loss, focal_loss, l1_loss, masked_cross_entropy, total_loss
 from .mlp import MlpModel, OptimizerState, backward, build_mlp, forward, load_model, \

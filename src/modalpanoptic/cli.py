@@ -17,15 +17,16 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .cloud import PanopticLabeling
+from .cloud import PanopticLabeling, apply_pose
+from .inference import NMS_MAX_DETECTIONS, NMS_THRESHOLD
 from .membership import (
+    ROI_MARGIN_FRAC,
     Detections,
     MembershipTrainConfig,
     PairFeatureConfig,
@@ -50,10 +51,9 @@ from .targets import (
     aggregate_extent,
     build_trajectories,
     class_wise_mean_extents,
-    instance_centers,
+    instance_boxes,
     render_bev_targets,
     save_cwm_stats,
-    velocity_target,
 )
 from .tracking import DEFAULT_MAX_AGE, PipelineConfig, class_gates, panoptic_track_sequence
 from .voxels import GridSpec
@@ -169,54 +169,47 @@ def cmd_targets(args) -> int:
     spec = _grid(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    all_trajectories = []
+    tables = []
     for name in dataio.list_sequences(args.data):
         seq = dataio.read_sequence(args.data, name)
         trajectories = build_trajectories(seq, taxonomy)
-        all_trajectories.extend(trajectories.values())
+        tables.append(trajectories)
         strategy = _strategy(args, class_wise_mean_extents(trajectories, taxonomy))
-        per_traj = {iid: aggregate_extent(tr, strategy) for iid, tr in trajectories.items()}
+        extents, excluded = aggregate_extent(trajectories, strategy)
         seq_out = out / name
         seq_out.mkdir(parents=True, exist_ok=True)
         for t, sweep in enumerate(seq.sweeps):
-            pose_inv = np.linalg.inv(sweep.ego_pose)
-            instances, extents, velocities = [], [], {}
-            for iid, traj in trajectories.items():
-                row = next((i for i, r in enumerate(traj.records) if r.sweep_index == t), None)
-                agg_extents, excluded = per_traj[iid]
-                if row is None or excluded[row]:
-                    continue
-                rec = traj.records[row]
-                center = pose_inv[:3, :3] @ rec.center + pose_inv[:3, 3]
-                instances.append(replace(rec, center=center))
-                extents.append(agg_extents[row])
-                velocities[iid] = velocity_target(traj, t, seq.period)
-            rendered = render_bev_targets(instances, velocities, spec,
-                                          taxonomy.num_channels, extents=extents)
+            at = trajectories.sweep_index == t
+            rows = np.flatnonzero(at & ~excluded)
+            rendered = render_bev_targets(
+                apply_pose(np.linalg.inv(sweep.ego_pose), trajectories.center[rows]),
+                trajectories.class_id[rows], extents[rows], trajectories.velocity[rows],
+                spec, taxonomy.num_channels)
             frame = f"{t:06d}"
             np.save(seq_out / f"{frame}_heatmaps.npy", rendered.heatmaps)
             np.save(seq_out / f"{frame}_height.npy", rendered.height)
             np.save(seq_out / f"{frame}_velocity.npy", rendered.velocity)
             np.save(seq_out / f"{frame}_valid.npy", rendered.valid_mask)
-            rows = _membership_rows(sweep, trajectories)
+            rows = _membership_rows(sweep, trajectories, np.flatnonzero(at))
             np.save(seq_out / f"{frame}_membership.npy", rows)
-    stats = class_wise_mean_extents(all_trajectories, taxonomy)
+    stats = class_wise_mean_extents(tables, taxonomy)
     save_cwm_stats(stats, out / "cwm.tsv")
     print(f"wrote targets for {len(dataio.list_sequences(args.data))} sequences to {out}")
     return 0
 
 
-def _membership_rows(sweep, trajectories) -> np.ndarray:
-    """(detection_index, point_index, label) triples for GT-center RoIs."""
-    iids, _, centers = instance_centers(sweep)
-    thing = np.isin(iids, list(trajectories))
-    iids = iids[thing]
-    gt = Detections(centers[thing], np.ones(iids.size),
-                    [trajectories[i].class_id for i in iids.tolist()],
-                    np.reshape([trajectories[i].max_extent for i in iids.tolist()], (-1, 3)))
+def _membership_rows(sweep, trajectories, rows) -> np.ndarray:
+    """(detection_index, point_index, label) triples for GT-center RoIs.
+
+    ``rows`` are the sweep's records in ``trajectories``: one per labeled
+    instance, in the ascending id order ``instance_boxes`` lists them.
+    """
+    _, _, _, centers, _ = instance_boxes(sweep.xyz, sweep.inst_labels)
+    gt = Detections(centers, np.ones(rows.size), trajectories.class_id[rows],
+                    trajectories.max_extents[trajectories.row_instance[rows]])
     # Zero margins leave each RoI the uninflated box.
     det, point = np.nonzero(roi_mask(gt, sweep.xyz, 0.0, 0.0))
-    label = sweep.inst_labels[point] == iids[det]
+    label = sweep.inst_labels[point] == trajectories.instance_id[rows][det]
     return np.column_stack([det, point, label.astype(np.int8)])
 
 
@@ -414,10 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--bev-downsample", type=int, default=2)
     infer.add_argument("--membership", default="nn", choices=["nn", "mlp", "oracle"])
     infer.add_argument("--model", help="checkpoint path (required for --membership mlp)")
-    infer.add_argument("--nms-threshold", type=float, default=0.3)
-    infer.add_argument("--nms-max-detections", type=int, default=500)
-    infer.add_argument("--margin-frac", type=float, default=0.1)
-    infer.add_argument("--conflict", default="first_wins", choices=["first_wins", "argmax"])
+    infer.add_argument("--nms-threshold", type=float, default=NMS_THRESHOLD)
+    infer.add_argument("--nms-max-detections", type=int, default=NMS_MAX_DETECTIONS)
+    infer.add_argument("--margin-frac", type=float, default=ROI_MARGIN_FRAC)
+    infer.add_argument("--conflict", default="first_wins", choices=["first_wins", "argmax"],
+                       help="owner of a point two detections claim: the first (most "
+                            "confident) claimant, or the highest membership; under "
+                            "--membership nn no point has two claimants, so both write "
+                            "the same bytes")
     infer.add_argument("--center-jitter", type=float, default=0.0)
     infer.add_argument("--confidence-noise", type=float, default=0.0)
     infer.add_argument("--drop-probability", type=float, default=0.0)
@@ -459,12 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--learning-rate", type=float, default=5e-4)
-    p.add_argument("--optimizer", default="sgd", choices=["sgd", "adam"])
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--epochs", type=int, default=MembershipTrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=MembershipTrainConfig.learning_rate)
+    p.add_argument("--optimizer", default=MembershipTrainConfig.optimizer,
+                   choices=["sgd", "adam"])
+    p.add_argument("--batch-size", type=int, default=MembershipTrainConfig.batch_size)
     p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--train-jitter", type=float, default=0.2)
+    p.add_argument("--train-jitter", type=float, default=MembershipTrainConfig.center_jitter)
     p.set_defaults(func=cmd_train_mem)
 
     p = sub.add_parser("infer", help="per-sweep panoptic fusion",

@@ -162,6 +162,14 @@ def invert_pose(pose: np.ndarray) -> np.ndarray:
     return inv
 
 
+def apply_pose(pose: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(K, 3) points mapped through a 4x4 rigid pose.
+
+    The stacked product keeps every row bit-equal to ``R @ center + t``.
+    """
+    return (pose[:3, :3] @ centers[:, :, None])[:, :, 0] + pose[:3, 3]
+
+
 @dataclass(frozen=True)
 class PointCloudSweep:
     """One timestamped sweep with per-point labels, immutable after construction.

@@ -136,7 +136,9 @@ def fuse_panoptic(
     ``conflict`` picks the overlap rule: "first_wins" gives a contested point
     to its first (most confident) claimant; "argmax" to the claimant with
     the highest membership, the first one on ties. One sort of the claims by
-    (point, rule key) resolves every point at once.
+    (point, rule key) resolves every point at once. Nearest-center
+    membership (``nn_scores``) gives each point at most one claimant, so
+    under it both rules give the same result.
     """
     if conflict not in ("first_wins", "argmax"):
         raise ValueError(f"unknown conflict rule {conflict!r}")

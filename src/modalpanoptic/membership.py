@@ -13,9 +13,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .cloud import SweepSequence, Taxonomy
+from .cloud import SweepSequence, Taxonomy, apply_pose
 from .mlp import MlpModel, OptimizerState, build_mlp, forward, train_epochs
-from .targets import build_trajectories, instance_centers, widen_unobserved_axes
+from .targets import build_trajectories, instance_boxes, widen_unobserved_axes
 from .voxels import BevMap, FeatureProvider, interpolate_bev_many
 
 if TYPE_CHECKING:
@@ -75,9 +75,8 @@ class Detections:
 
     def to_world(self, pose: np.ndarray) -> Detections:
         """The same detections with centers mapped through a 4x4 rigid pose."""
-        # The stacked product keeps every row bit-equal to ``R @ center + t``.
-        center = (pose[:3, :3] @ self.center[:, :, None])[:, :, 0] + pose[:3, 3]
-        return Detections(center, self.confidence, self.class_id, self.extent)
+        return Detections(apply_pose(pose, self.center), self.confidence, self.class_id,
+                          self.extent)
 
 
 def roi_radius(det, margin_frac: float, margin_floor: float) -> np.ndarray:
@@ -329,21 +328,16 @@ def mlp_scores(
         maps.point_features, maps.bev_features))
 
 
-def oracle_scores(
-    inputs: SweepInputs,
-    detections: Detections,
-    pairs: PairTable,
-    match_radius: float = 1.0,
-) -> np.ndarray:
+def oracle_scores(inputs: SweepInputs, detections: Detections, pairs: PairTable) -> np.ndarray:
     """Ground-truth membership: each detection claims exactly its source instance.
 
     A detection's source is the nearest same-class true modal center within
-    ``match_radius`` in the plane, the lower instance id on ties; unmatched
-    detections claim nothing. Used to exercise the fusion and tracking
-    plumbing under perfect inputs.
+    1 m in the plane, the lower instance id on ties; unmatched detections
+    claim nothing. Used to exercise the fusion and tracking plumbing under
+    perfect inputs.
     """
     sweep = inputs.sweep
-    iids, first, centers = instance_centers(sweep)
+    iids, first, _, centers, _ = instance_boxes(sweep.xyz, sweep.inst_labels)
     classes = sweep.sem_labels[first]
     source = np.full(len(detections), -1, dtype=np.int64)
     if iids.size:
@@ -351,7 +345,7 @@ def oracle_scores(
                         np.linalg.norm(centers[:, :2] - detections.center[:, None, :2], axis=2),
                         np.inf)
         nearest = np.argmin(dist, axis=1)
-        close = dist[np.arange(len(detections)), nearest] < match_radius
+        close = dist[np.arange(len(detections)), nearest] < 1.0
         source[close] = iids[nearest[close]]
     return (sweep.inst_labels[pairs.point] == source[pairs.det]).astype(np.float64)
 
@@ -395,15 +389,14 @@ def build_training_pairs(
     if pair_cfg.needs_features and provider is None:
         raise ValueError("feature configuration requires a provider")
     rng = np.random.default_rng(cfg.seed)
-    per_seq_trajs = [build_trajectories(seq, taxonomy) for seq in sequences]
-    trajs = [traj for seq_trajs in per_seq_trajs for traj in seq_trajs.values()]
-    extents = widen_unobserved_axes([t.class_id for t in trajs], [t.max_extent for t in trajs])
-    per_seq_extents = np.split(extents, np.cumsum([len(t) for t in per_seq_trajs])[:-1])
+    tables = [build_trajectories(seq, taxonomy) for seq in sequences]
+    extents = widen_unobserved_axes(
+        np.concatenate([np.empty(0, dtype=np.int64)] + [t.instance_class for t in tables]),
+        np.concatenate([np.empty((0, 3))] + [t.max_extents for t in tables]))
+    per_seq_extents = np.split(extents, np.cumsum([t.offsets.size - 1 for t in tables])[:-1])
     rows, labels = [], []
-    for seq, seq_trajs, seq_extents in zip(sequences, per_seq_trajs, per_seq_extents):
-        # ``build_trajectories`` keys are ascending instance ids.
-        traj_ids = np.fromiter(seq_trajs, dtype=np.int64, count=len(seq_trajs))
-        for sweep in seq.sweeps:
+    for seq, table, seq_extents in zip(sequences, tables, per_seq_extents):
+        for t, sweep in enumerate(seq.sweeps):
             # Pairs live in the sweep's own sensor frame, exactly like the
             # pairs the scorer will see at inference time.
             feats = bev = None
@@ -411,23 +404,24 @@ def build_training_pairs(
                 feats = provider.point_features(sweep)
                 if pair_cfg.include_bev:
                     bev = provider.bev_map(sweep, feats)
-            iids, first, centers = instance_centers(sweep)
-            thing = np.isin(sweep.sem_labels[first], list(taxonomy.thing_ids))
-            iids, first = iids[thing], first[thing]
-            centers = centers[thing] + rng.normal(0.0, cfg.center_jitter, (iids.size, 3))
+            # Every labeled instance of the sweep has one record here, in
+            # ascending id order, as ``instance_boxes`` lists them.
+            at = np.flatnonzero(table.sweep_index == t)
+            _, _, _, centers, _ = instance_boxes(sweep.xyz, sweep.inst_labels)
+            centers = centers + rng.normal(0.0, cfg.center_jitter, (at.size, 3))
             if bev is not None:
                 # Inference proposes centers only on grid cells, so a center
                 # jittered off the BEV footprint has no map to read there.
                 on_grid = bev.covers(centers[:, :2])
-                iids, first, centers = iids[on_grid], first[on_grid], centers[on_grid]
-            dets = Detections(centers, np.ones(iids.size), sweep.sem_labels[first],
-                              seq_extents[np.searchsorted(traj_ids, iids)])
+                at, centers = at[on_grid], centers[on_grid]
+            dets = Detections(centers, np.ones(at.size), table.class_id[at],
+                              seq_extents[table.row_instance[at]])
             pairs = gather_pairs(sweep.xyz, sweep.sem_labels, dets, cfg.margin_frac,
                                  cfg.margin_floor)
             if len(pairs):
                 rows.append(assemble_pair_features(sweep.xyz, sweep.sem_labels, dets, pairs,
                                                    pair_cfg, feats, bev))
-                labels.append(sweep.inst_labels[pairs.point] == iids[pairs.det])
+                labels.append(sweep.inst_labels[pairs.point] == table.instance_id[at][pairs.det])
     if not rows:
         raise ValueError("no training pairs were produced")
     return np.concatenate(rows, axis=0), np.concatenate(labels).astype(np.float64)

@@ -8,13 +8,11 @@ switching strategies changes inference exactly the way retraining would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cloud import PanopticLabeling, SweepSequence, Taxonomy, invert_pose
+from .cloud import PanopticLabeling, SweepSequence, Taxonomy, apply_pose, invert_pose
 from .inference import NearestCenterExtents
-from .targets import ExtentStrategy, InstanceTrajectory, aggregate_extent, widen_unobserved_axes
+from .targets import ExtentStrategy, Trajectories, aggregate_extent, widen_unobserved_axes
 from .synth import DetectorNoise, SceneRegistry, simulate_detector
 from .tracking import PipelineConfig, Scorer, SweepInputs, infer_sweep
 from .voxels import FeatureProvider, GridSpec
@@ -22,68 +20,34 @@ from .voxels import FeatureProvider, GridSpec
 FALLBACK_EXTENT = np.array([1.0, 1.0, 1.0])
 
 
-@dataclass(frozen=True)
-class ExtentModel:
-    """What the detection branch would predict per object, given a strategy."""
-
-    predicted: dict[int, np.ndarray]          # instance id -> extent estimate
-    suppressed: frozenset[tuple[int, int]]    # (instance id, sweep) left untrained
-
-
 def build_extent_model(
-    trajectories: dict[int, InstanceTrajectory],
+    trajectories: Trajectories,
     strategy: ExtentStrategy,
-) -> ExtentModel:
-    """Per-object extent estimates from the strategy's training targets.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I, 3) per-instance extent estimates plus the (R,) records left untrained.
 
-    Each object's estimate is the mean of its per-sweep targets (excluded
-    records leave no supervision: fully excluded objects go undetected).
+    Each instance's estimate is the mean of its per-sweep targets under the
+    strategy. Excluded records leave no supervision, and an instance whose
+    records are all excluded has no estimate (NaN) and goes undetected.
     Components no viewpoint ever spanned are widened to the class-level mean
     target (``widen_unobserved_axes``).
     """
-    predicted: dict[int, np.ndarray] = {}
-    suppressed: set[tuple[int, int]] = set()
-    for iid, traj in trajectories.items():
-        extents, excluded = aggregate_extent(traj, strategy)
-        for rec, off in zip(traj.records, excluded):
-            if off:
-                suppressed.add((iid, rec.sweep_index))
-        kept = extents[~excluded]
-        if kept.size:
-            predicted[iid] = kept.mean(axis=0)
-        else:
-            suppressed.update((iid, rec.sweep_index) for rec in traj.records)
-    widened = widen_unobserved_axes([trajectories[iid].class_id for iid in predicted],
-                                    list(predicted.values()))
-    return ExtentModel(dict(zip(predicted, widened)), frozenset(suppressed))
-
-
-def extent_entries_for_sweep(
-    seq: SweepSequence,
-    trajectories: dict[int, InstanceTrajectory],
-    model: ExtentModel,
-    sweep_index: int,
-    default: np.ndarray = FALLBACK_EXTENT,
-) -> NearestCenterExtents:
-    """Per-sweep extent lookup keyed by sensor-frame instance centers."""
-    pose_inv = invert_pose(seq.sweeps[sweep_index].ego_pose)
-    centers, classes, extents = [], [], []
-    for iid, traj in sorted(trajectories.items()):
-        if iid not in model.predicted or (iid, sweep_index) in model.suppressed:
-            continue
-        rec = traj.record_at(sweep_index)
-        if rec is None:
-            continue
-        centers.append(pose_inv[:3, :3] @ rec.center + pose_inv[:3, 3])
-        classes.append(traj.class_id)
-        extents.append(model.predicted[iid])
-    return NearestCenterExtents(np.reshape(centers, (-1, 3)), np.array(classes, dtype=int),
-                                np.reshape(extents, (-1, 3)), default)
+    extents, excluded = aggregate_extent(trajectories, strategy)
+    n = trajectories.offsets.size - 1
+    owner = trajectories.row_instance[~excluded]
+    count = np.bincount(owner, minlength=n)
+    sums = np.column_stack([np.bincount(owner, weights=extents[~excluded, axis], minlength=n)
+                            for axis in range(3)])
+    trained = count > 0
+    predicted = np.full((n, 3), np.nan)
+    predicted[trained] = widen_unobserved_axes(trajectories.instance_class[trained],
+                                               sums[trained] / count[trained, None])
+    return predicted, excluded | ~trained[trajectories.row_instance]
 
 
 def prepare_sweep_inputs(
     seq: SweepSequence,
-    trajectories: dict[int, InstanceTrajectory],
+    trajectories: Trajectories,
     taxonomy: Taxonomy,
     spec: GridSpec,
     strategy: ExtentStrategy,
@@ -91,21 +55,26 @@ def prepare_sweep_inputs(
     registry: SceneRegistry | None = None,
     provider: FeatureProvider | None = None,
     seed: int = 0,
-    extent_default: np.ndarray = FALLBACK_EXTENT,
 ) -> list[SweepInputs]:
     """Simulated detector outputs plus strategy extents for every sweep.
 
-    ``trajectories`` are the caller's ``build_trajectories(seq, taxonomy)``,
-    built once per sequence; the extent model and ``simulate_detector`` both
-    read them.
+    ``trajectories`` is the caller's ``build_trajectories(seq, taxonomy)``,
+    built once per sequence. Only its trained records reach
+    ``simulate_detector``, and each sweep's extent lookup holds those
+    records' centers in the sensor frame with their instance's estimate.
     """
-    model = build_extent_model(trajectories, strategy)
-    maps = simulate_detector(seq, trajectories, registry, noise, spec, taxonomy,
-                             suppressed=model.suppressed, provider=provider, seed=seed)
+    predicted, suppressed = build_extent_model(trajectories, strategy)
+    trained = trajectories.select(~suppressed)
+    extents = predicted[trajectories.row_instance[~suppressed]]
+    maps = simulate_detector(seq, trained, registry, noise, spec, taxonomy,
+                             provider=provider, seed=seed)
     inputs = []
-    for t in range(len(seq)):
-        entries = extent_entries_for_sweep(seq, trajectories, model, t, extent_default)
-        inputs.append(SweepInputs(seq.sweeps[t], maps[t], entries))
+    for t, sweep in enumerate(seq.sweeps):
+        rows = np.flatnonzero(trained.sweep_index == t)
+        entries = NearestCenterExtents(
+            apply_pose(invert_pose(sweep.ego_pose), trained.center[rows]),
+            trained.class_id[rows], extents[rows], FALLBACK_EXTENT)
+        inputs.append(SweepInputs(sweep, maps[t], entries))
     return inputs
 
 

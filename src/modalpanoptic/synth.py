@@ -15,14 +15,7 @@ import numpy as np
 
 from .cloud import ClassDef, PointCloudSweep, SweepSequence, Taxonomy
 from .inference import PredictedMaps
-from .targets import (
-    InstanceTrajectory,
-    ModalInstance,
-    extent_sw,
-    modal_center,
-    render_bev_targets,
-    velocity_target,
-)
+from .targets import Trajectories, instance_boxes, render_bev_targets
 from .voxels import BevMap, FeatureProvider, GridSpec, flatten_bev, voxelize
 
 CAR = 1
@@ -478,25 +471,27 @@ def flip_semantics(labels: np.ndarray, class_ids, probability: float,
 
 def simulate_detector(
     seq: SweepSequence,
-    trajectories: dict[int, InstanceTrajectory],
+    trajectories: Trajectories,
     registry: SceneRegistry | None,
     noise: DetectorNoise,
     spec: GridSpec,
     taxonomy: Taxonomy | None = None,
-    suppressed: set[tuple[int, int]] = frozenset(),
     provider: FeatureProvider | None = None,
     seed: int = 0,
 ) -> list[PredictedMaps]:
     """Backbone-output simulation: semantics, heatmaps, height, velocity, features.
 
-    Center heatmaps are rendered at the labeled modal centers with jitter,
-    scaled by a noisy confidence; dropped and suppressed (instance, sweep)
-    records simply leave no peak. Velocity cells carry the instance's planar
-    velocity plus noise; with a registry that is the generator truth,
-    otherwise the centered difference of the labeled trajectory in
-    ``trajectories`` (what a trained offset head regresses), which the caller
-    builds once per sequence with ``targets.build_trajectories``.
-    Deterministic per (inputs, seed).
+    ``trajectories`` holds the records the detector was trained on: the
+    caller's ``targets.build_trajectories(seq, taxonomy)``, built once per
+    sequence, or rows selected from it. Each instance with a record at a
+    sweep gets a center heatmap peak at its sensor-frame modal center, with
+    jitter, scaled by a noisy confidence; dropped instances, and instances
+    without a record there, leave no peak. Velocity cells carry the
+    instance's planar velocity plus noise; with a registry that is the
+    generator truth, otherwise the record's velocity (what a trained offset
+    head regresses). Deterministic per (inputs, seed): each instance draws
+    its drop, jitter, confidence and velocity noise in that order, in
+    ascending id order.
     """
     taxonomy = taxonomy or default_taxonomy()
     class_ids = [c for c in taxonomy.class_ids if c not in taxonomy.ignore_ids]
@@ -507,36 +502,33 @@ def simulate_detector(
         sem_pred = sweep.sem_labels.astype(np.int32)
         if noise.semantic_flip_probability > 0:
             flip_semantics(sem_pred, class_ids, noise.semantic_flip_probability, rng)
-        sensor = sweep.ego_pose[:3, 3]
-        instances, velocities, extents, peaks = [], {}, [], []
-        ids = sweep.inst_labels
-        for iid in np.unique(ids[ids > 0]):
-            if (int(iid), t_idx) in suppressed:
-                continue
+        ids, first, _, centers, extents = instance_boxes(sweep.xyz, sweep.inst_labels)
+        rows = np.flatnonzero(trajectories.sweep_index == t_idx)
+        if not np.isin(trajectories.instance_id[rows], ids).all():
+            raise ValueError(f"sweep {t_idx}: trajectories hold an instance the sweep lacks")
+        slots = np.searchsorted(ids, trajectories.instance_id[rows])
+        picked, jittered, velocities, peaks = [], [], [], []
+        for k, row in zip(slots.tolist(), rows.tolist()):
             if rng.uniform() < noise.drop_probability:
                 continue
-            members = np.flatnonzero(ids == iid)
-            center = modal_center(sweep.xyz[members])
-            extent = extent_sw(sweep.xyz[members], center)
-            center = center + rng.normal(0.0, noise.center_jitter, 3) if noise.center_jitter else center
+            center = centers[k] + rng.normal(0.0, noise.center_jitter, 3) \
+                if noise.center_jitter else centers[k]
             if not spec.in_range(center[None, :])[0]:
                 continue
             conf = float(np.clip(1.0 - abs(rng.normal(0.0, noise.confidence_noise)), 0.05, 1.0)) \
                 if noise.confidence_noise else 1.0
             if registry is not None:
-                vel = registry.instances[int(iid)].velocity[:2].copy()
+                vel = registry.instances[int(ids[k])].velocity[:2].copy()
             else:
-                vel = velocity_target(trajectories[int(iid)], t_idx, seq.period)
+                vel = trajectories.velocity[row]
             if noise.velocity_noise:
                 vel = vel + rng.normal(0.0, noise.velocity_noise, 2)
-            cid = int(sweep.sem_labels[members[0]])
-            instances.append(ModalInstance(int(iid), cid, center, extent, members.size,
-                                           sweep.timestamp, t_idx))
-            velocities[int(iid)] = vel
-            extents.append(extent)
+            picked.append(k)
+            jittered.append(center)
+            velocities.append(vel)
             peaks.append(conf)
-        rendered = render_bev_targets(instances, velocities, spec, taxonomy.num_channels,
-                                      extents=extents, peak_scale=peaks)
+        rendered = render_bev_targets(jittered, sweep.sem_labels[first[picked]], extents[picked],
+                                      velocities, spec, taxonomy.num_channels, peak_scale=peaks)
         if provider is not None:
             point_feats = provider.point_features(sweep)
             bev_feats = provider.bev_map(sweep, point_feats)

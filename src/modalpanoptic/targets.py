@@ -2,17 +2,21 @@
 
 Modal centers and extents are statistics of the visible points of an
 instance: the center is the mean of the point set, the extent the per-axis
-maximum deviation from it. Trajectory-level aggregation (MAX / CWM / DSB)
-refines the per-sweep shrink-wrapped extents that occlusion makes unreliable.
+maximum deviation from it; ``instance_boxes`` computes both for every
+instance of a point set in one pass. ``build_trajectories`` lays out a
+sequence's per-(instance, sweep) records as one ``Trajectories`` table of
+columns, and trajectory-level aggregation (MAX / CWM / DSB), which refines
+the per-sweep shrink-wrapped extents that occlusion makes unreliable,
+works on whole columns of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import NO_INSTANCE, PointCloudSweep, SweepSequence, Taxonomy, transform_to_frame
+from .cloud import NO_INSTANCE, SweepSequence, Taxonomy
 from .voxels import GridSpec
 
 SW = "SW"
@@ -31,53 +35,6 @@ CWM_SMALL_FRACTION = 0.25
 # Gaussian is rendered out to 3 sigma (values beyond contribute < 1.2% peak).
 SIGMA_MIN_CELLS = 2.0
 GAUSSIAN_CUTOFF_SIGMAS = 3.0
-
-
-@dataclass(frozen=True)
-class ModalInstance:
-    """Per-sweep modal summary of one instance's visible points."""
-
-    instance_id: int
-    class_id: int
-    center: np.ndarray       # (3,) meters
-    extent: np.ndarray       # (3,) per-axis half extent, meters
-    point_count: int
-    sweep_timestamp: float
-    sweep_index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-        object.__setattr__(self, "extent", np.asarray(self.extent, dtype=np.float64))
-        if self.point_count < 1:
-            raise ValueError("an instance record needs at least one point")
-        if np.any(self.extent < 0):
-            raise ValueError("extent components must be >= 0")
-
-
-@dataclass(frozen=True)
-class InstanceTrajectory:
-    """Time-ordered per-sweep records of one instance."""
-
-    instance_id: int
-    class_id: int
-    records: tuple[ModalInstance, ...]
-
-    def __post_init__(self):
-        if not self.records:
-            raise ValueError("trajectory needs at least one record")
-        times = [r.sweep_timestamp for r in self.records]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("trajectory records must be time-ordered")
-
-    @property
-    def max_extent(self) -> np.ndarray:
-        return np.max([r.extent for r in self.records], axis=0)
-
-    def record_at(self, sweep_index: int) -> ModalInstance | None:
-        for r in self.records:
-            if r.sweep_index == sweep_index:
-                return r
-        return None
 
 
 @dataclass(frozen=True)
@@ -101,6 +58,75 @@ class ExtentStrategy:
             raise ValueError(f"cwm_stats is only valid for CWM, not {self.variant}")
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectories:
+    """One sequence's modal records as columns, one row per (instance, sweep).
+
+    Rows are sorted by (instance id, sweep index), and the rows of the i-th
+    instance are ``offsets[i]:offsets[i + 1]``. Centers and extents are in
+    the world frame; ``velocity`` is each record's planar velocity target.
+    An instance keeps one class over its rows. Validated once, on creation.
+    """
+
+    instance_id: np.ndarray  # (R,) int64
+    sweep_index: np.ndarray  # (R,) int64
+    class_id: np.ndarray     # (R,) int64
+    point_count: np.ndarray  # (R,) int64
+    center: np.ndarray       # (R, 3) meters
+    extent: np.ndarray       # (R, 3) shrink-wrapped half extent, meters
+    velocity: np.ndarray     # (R, 2) m/s
+    offsets: np.ndarray = field(init=False)       # (I + 1,) row offsets per instance
+    row_instance: np.ndarray = field(init=False)  # (R,) instance index of each row
+
+    def __post_init__(self):
+        for name, dtype in (("instance_id", np.int64), ("sweep_index", np.int64),
+                            ("class_id", np.int64), ("point_count", np.int64),
+                            ("center", np.float64), ("extent", np.float64),
+                            ("velocity", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        iid, sweep = self.instance_id, self.sweep_index
+        r = iid.shape[0] if iid.ndim == 1 else -1
+        if (sweep.shape != (r,) or self.class_id.shape != (r,) or self.point_count.shape != (r,)
+                or self.center.shape != (r, 3) or self.extent.shape != (r, 3)
+                or self.velocity.shape != (r, 2)):
+            raise ValueError("trajectories need (R,) ids/sweeps/classes/counts, (R, 3) "
+                             "centers/extents and (R, 2) velocities")
+        if np.any(self.point_count < 1):
+            raise ValueError("an instance record needs at least one point")
+        if np.any(self.extent < 0):
+            raise ValueError("extent components must be >= 0")
+        new = np.ones(r, dtype=bool)
+        new[1:] = iid[1:] != iid[:-1]
+        if np.any(iid[1:] < iid[:-1]) or np.any(~new[1:] & (sweep[1:] <= sweep[:-1])):
+            raise ValueError("trajectory rows must be sorted by (instance id, sweep)")
+        starts = np.flatnonzero(new)
+        object.__setattr__(self, "offsets", np.append(starts, r))
+        object.__setattr__(self, "row_instance", np.cumsum(new) - 1)
+        changed = self.class_id != self.class_id[starts][self.row_instance]
+        if changed.any():
+            raise ValueError(f"instance {iid[changed][0]} changes class at sweep "
+                             f"{sweep[changed][0]}")
+
+    def __len__(self) -> int:
+        return self.instance_id.size
+
+    @property
+    def instance_class(self) -> np.ndarray:
+        """(I,) class of each instance."""
+        return self.class_id[self.offsets[:-1]]
+
+    @property
+    def max_extents(self) -> np.ndarray:
+        """(I, 3) componentwise maximum of each instance's extents."""
+        return np.maximum.reduceat(self.extent, self.offsets[:-1], axis=0)
+
+    def select(self, rows) -> Trajectories:
+        """The table of the given rows (a mask or ascending indices), columns unchanged."""
+        return Trajectories(self.instance_id[rows], self.sweep_index[rows], self.class_id[rows],
+                            self.point_count[rows], self.center[rows], self.extent[rows],
+                            self.velocity[rows])
+
+
 def modal_center(points: np.ndarray) -> np.ndarray:
     """Mean of the visible point set."""
     pts = np.asarray(points, dtype=np.float64)
@@ -109,88 +135,97 @@ def modal_center(points: np.ndarray) -> np.ndarray:
     return pts[:, :3].mean(axis=0)
 
 
-def instance_centers(sweep: PointCloudSweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Modal centers of every labeled instance of one sweep, in ascending id order.
+def instance_boxes(xyz: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Modal center and shrink-wrapped extent of every labeled group of points.
 
-    Returns (instance ids, index of each instance's first point, (K, 3)
-    centers). The per-instance sums accumulate in point order, so each center
-    equals ``modal_center`` of that instance's points bit for bit.
+    Points whose label exceeds ``NO_INSTANCE`` are grouped by label. Returns
+    (ascending labels, index of each group's first point, (K,) point counts,
+    (K, 3) centers, (K, 3) half extents). The per-group sums accumulate in
+    point order, so each center equals ``modal_center`` of that group's
+    points bit for bit; each extent is the per-axis max |p - center|.
     """
-    labeled = np.flatnonzero(sweep.inst_labels > NO_INSTANCE)
-    ids, first, which = np.unique(sweep.inst_labels[labeled], return_index=True,
-                                  return_inverse=True)
-    sums = np.column_stack([np.bincount(which, weights=sweep.xyz[labeled, axis],
-                                        minlength=ids.size) for axis in range(3)])
-    return ids, labeled[first], sums / np.bincount(which, minlength=ids.size)[:, None]
+    labeled = np.flatnonzero(labels > NO_INSTANCE)
+    ids, first, which, count = np.unique(labels[labeled], return_index=True,
+                                         return_inverse=True, return_counts=True)
+    pts = xyz[labeled]
+    sums = np.column_stack([np.bincount(which, weights=pts[:, axis], minlength=ids.size)
+                            for axis in range(3)])
+    center = sums / count[:, None]
+    deviation = np.abs(pts - center[which])
+    extent = np.zeros((ids.size, 3))
+    for axis in range(3):
+        # One 1-D grouped max per axis runs far faster than a 2-D ``at``.
+        np.maximum.at(extent[:, axis], which, deviation[:, axis])
+    return ids, labeled[first], count, center, extent
 
 
-def extent_sw(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Shrink-wrapped per-axis half extent: max |p_axis - c_axis| over the set."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("extent_sw needs a nonempty (N, >=3) point set")
-    return np.abs(pts[:, :3] - np.asarray(center, dtype=np.float64)).max(axis=0)
+def build_trajectories(seq: SweepSequence, taxonomy: Taxonomy) -> Trajectories:
+    """Every labeled instance's per-sweep modal record, in the world frame, as one table.
 
-
-def build_trajectories(seq: SweepSequence, taxonomy: Taxonomy) -> dict[int, InstanceTrajectory]:
-    """Group labeled instance points into world-frame trajectories.
-
-    Sweeps are moved into the world frame through their ego poses so centers
-    and extents from different sweeps are comparable.
+    Each sweep's points are moved into the world frame through its ego pose
+    (``transform_to_frame``'s product), so centers and extents from
+    different sweeps are comparable; one ``instance_boxes`` pass keyed by
+    (instance, sweep) then gives all records. A record's velocity is the
+    centered difference (mu[t+1] - mu[t-1]) / (2 dt) of the planar centers
+    when the instance has both neighboring sweeps, one-sided when it has
+    one, and zero when it has neither. Raises ``ValueError`` naming the
+    sweep and instance when an instance's first point is not of a thing
+    class.
     """
-    partial: dict[int, list[ModalInstance]] = {}
-    classes: dict[int, int] = {}
+    count = len(seq)
+    xyz, keys, sem = [], [], []
     identity = np.eye(4)
     for t, sweep in enumerate(seq.sweeps):
-        world = sweep if np.allclose(sweep.ego_pose, identity) else transform_to_frame(sweep, identity)
-        inst = world.inst_labels
-        for iid in np.unique(inst[inst > NO_INSTANCE]):
-            sel = inst == iid
-            cid = int(world.sem_labels[sel][0])
-            if not taxonomy.is_thing(cid):
-                continue
-            pts = world.xyz[sel]
-            c = modal_center(pts)
-            rec = ModalInstance(int(iid), cid, c, extent_sw(pts, c), int(sel.sum()),
-                                world.timestamp, sweep_index=t)
-            partial.setdefault(int(iid), []).append(rec)
-            classes[int(iid)] = cid
-    return {
-        iid: InstanceTrajectory(iid, classes[iid], tuple(recs))
-        for iid, recs in sorted(partial.items())
-    }
+        pose = sweep.ego_pose
+        xyz.append(sweep.xyz if np.allclose(pose, identity)
+                   else sweep.xyz @ pose[:3, :3].T + pose[:3, 3])
+        inst = sweep.inst_labels.astype(np.int64)
+        keys.append(np.where(inst > NO_INSTANCE, inst * count + t, NO_INSTANCE))
+        sem.append(sweep.sem_labels)
+    key, first, points, center, extent = instance_boxes(np.concatenate(xyz),
+                                                        np.concatenate(keys))
+    iid, sweep_index = np.divmod(key, count)
+    class_id = np.concatenate(sem)[first]
+    stuff = np.flatnonzero(~np.isin(class_id, list(taxonomy.thing_ids)))
+    if stuff.size:
+        r = stuff[0]
+        raise ValueError(f"sweep {sweep_index[r]}: instance {iid[r]} is on non-thing "
+                         f"class {class_id[r]}")
+    adjacent = (iid[1:] == iid[:-1]) & (sweep_index[1:] == sweep_index[:-1] + 1)
+    has_prev, has_next = np.append(False, adjacent), np.append(adjacent, False)
+    rows = np.arange(iid.size)
+    span = (has_prev.astype(np.float64) + has_next) * seq.period
+    delta = center[rows + has_next, :2] - center[rows - has_prev, :2]
+    velocity = np.divide(delta, span[:, None], out=np.zeros((iid.size, 2)),
+                         where=span[:, None] > 0)
+    return Trajectories(iid, sweep_index, class_id, points, center, extent, velocity)
 
 
 def aggregate_extent(
-    trajectory: InstanceTrajectory,
+    trajectories: Trajectories,
     strategy: ExtentStrategy,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sweep training extents plus an exclusion mask.
+    """(R, 3) training extents plus an (R,) exclusion mask, one row per record.
 
     SW keeps each sweep's own extent, MAX assigns the trajectory-wide
     componentwise maximum everywhere, CWM swaps implausibly small extents for
-    the class mean, DSB keeps SW extents but flags records with too few points
-    as excluded from detection training.
+    the class mean (classes without statistics keep SW), DSB keeps SW
+    extents but flags records with too few points as excluded from detection
+    training.
     """
-    per_sweep = np.stack([r.extent for r in trajectory.records])
-    excluded = np.zeros(len(trajectory.records), dtype=bool)
-    if strategy.variant == SW:
-        return per_sweep, excluded
+    extents = trajectories.extent.copy()
+    excluded = np.zeros(len(trajectories), dtype=bool)
     if strategy.variant == MAX:
-        agg = per_sweep.max(axis=0)
-        return np.tile(agg, (per_sweep.shape[0], 1)), excluded
-    if strategy.variant == CWM:
-        mean = strategy.cwm_stats.get(trajectory.class_id)
-        if mean is None:
-            return per_sweep, excluded  # no statistics for this class: fall back to SW
-        mean = np.asarray(mean, dtype=np.float64)
-        out = per_sweep.copy()
-        small = per_sweep.max(axis=1) < CWM_SMALL_FRACTION * mean.max()
-        out[small] = mean
-        return out, excluded
-    counts = np.array([r.point_count for r in trajectory.records])
-    excluded = counts < strategy.dsb_min_points
-    return per_sweep, excluded
+        extents = trajectories.max_extents[trajectories.row_instance]
+    elif strategy.variant == CWM:
+        largest = trajectories.extent.max(axis=1)
+        for cid, mean in strategy.cwm_stats.items():
+            mean = np.asarray(mean, dtype=np.float64)
+            extents[(trajectories.class_id == cid)
+                    & (largest < CWM_SMALL_FRACTION * mean.max())] = mean
+    elif strategy.variant == DSB:
+        excluded = trajectories.point_count < strategy.dsb_min_points
+    return extents, excluded
 
 
 def widen_unobserved_axes(class_id, extent) -> np.ndarray:
@@ -217,20 +252,20 @@ def widen_unobserved_axes(class_id, extent) -> np.ndarray:
 
 
 def class_wise_mean_extents(
-    trajectories: dict[int, InstanceTrajectory] | list[InstanceTrajectory],
+    trajectories: Trajectories | list[Trajectories],
     taxonomy: Taxonomy,
 ) -> dict[int, np.ndarray]:
-    """Componentwise mean of per-trajectory MAX extents for each thing class.
+    """Componentwise mean of per-instance MAX extents for each thing class.
 
-    Classes without a single observed instance are simply absent; callers fall
-    back to shrink-wrapping for them.
+    Takes one table or a list of them; instances are averaged in table and
+    row order. Classes without a single observed instance are simply
+    absent; callers fall back to shrink-wrapping for them.
     """
-    trajs = trajectories.values() if isinstance(trajectories, dict) else trajectories
-    per_class: dict[int, list[np.ndarray]] = {}
-    for traj in trajs:
-        if taxonomy.is_thing(traj.class_id):
-            per_class.setdefault(traj.class_id, []).append(traj.max_extent)
-    return {cid: np.mean(extents, axis=0) for cid, extents in sorted(per_class.items())}
+    tables = [trajectories] if isinstance(trajectories, Trajectories) else trajectories
+    classes = np.concatenate([np.empty(0, dtype=np.int64)] + [t.instance_class for t in tables])
+    extents = np.concatenate([np.empty((0, 3))] + [t.max_extents for t in tables])
+    return {int(cid): extents[classes == cid].mean(axis=0)
+            for cid in np.unique(classes) if taxonomy.is_thing(int(cid))}
 
 
 def save_cwm_stats(stats: dict[int, np.ndarray], path) -> None:
@@ -261,10 +296,6 @@ class BevTargets:
     velocity: np.ndarray   # (W', D', 2) m/s, valid at instance center cells
     valid_mask: np.ndarray  # (W', D') bool, cells carrying regression targets
 
-    def __post_init__(self):
-        if self.heatmaps.min(initial=0.0) < 0 or self.heatmaps.max(initial=0.0) > 1:
-            raise ValueError("heatmap values must lie in [0, 1]")
-
 
 def heatmap_sigma(extent: np.ndarray, spec: GridSpec) -> float:
     """Gaussian sigma in meters from a projected planar extent."""
@@ -272,34 +303,51 @@ def heatmap_sigma(extent: np.ndarray, spec: GridSpec) -> float:
 
 
 def render_bev_targets(
-    instances: list[ModalInstance],
-    velocities: dict[int, np.ndarray],
+    center: np.ndarray,
+    class_id: np.ndarray,
+    extent: np.ndarray,
+    velocity: np.ndarray,
     spec: GridSpec,
     num_channels: int,
-    extents: list[np.ndarray] | None = None,
-    peak_scale: list[float] | None = None,
+    peak_scale: np.ndarray | None = None,
 ) -> BevTargets:
     """Render per-class center heatmaps plus height and velocity targets.
 
-    Each instance paints a 2-D Gaussian on its class channel, centered on its
-    center cell so the peak value there is exactly 1 (or ``peak_scale``);
-    overlapping Gaussians combine by per-cell maximum. Height and velocity are
-    written at the center cell only, recorded in ``valid_mask``.
+    Takes (K, 3) centers, (K,) classes, (K, 3) extents and (K, 2)
+    velocities. Each object paints a 2-D Gaussian on its class channel,
+    centered on its center cell so the peak value there is exactly 1 (or
+    its ``peak_scale``, which must lie in [0, 1], so every heatmap value
+    does too); overlapping Gaussians combine by per-cell maximum. Height and
+    velocity are written at the center cell only, recorded in
+    ``valid_mask``; a later object overwrites an earlier one's cell.
     """
+    center = np.reshape(np.asarray(center, dtype=np.float64), (-1, 3))
+    class_id = np.asarray(class_id, dtype=np.int64)
+    extent = np.reshape(np.asarray(extent, dtype=np.float64), (-1, 3))
+    velocity = np.reshape(np.asarray(velocity, dtype=np.float64), (-1, 2))
+    k = center.shape[0]
+    scale = np.ones(k) if peak_scale is None else np.asarray(peak_scale, dtype=np.float64)
+    if class_id.shape != (k,) or extent.shape[0] != k or velocity.shape[0] != k \
+            or scale.shape != (k,):
+        raise ValueError("render_bev_targets needs one class, extent, velocity and scale "
+                         "per center")
+    if not np.all((scale >= 0.0) & (scale <= 1.0)):
+        raise ValueError("peak_scale values must be finite and lie in [0, 1]")
+    foreign = np.flatnonzero((class_id < 0) | (class_id >= num_channels))
+    if foreign.size:
+        raise ValueError(f"class {class_id[foreign[0]]} outside the {num_channels} channels")
+    outside = np.flatnonzero(~spec.in_range(center))
+    if outside.size:
+        raise ValueError(f"center {outside[0]} outside the grid range")
     hm = np.zeros((num_channels, spec.bev_width, spec.bev_depth))
     height = np.zeros((spec.bev_width, spec.bev_depth))
-    velocity = np.zeros((spec.bev_width, spec.bev_depth, 2))
+    vel_map = np.zeros((spec.bev_width, spec.bev_depth, 2))
     valid = np.zeros((spec.bev_width, spec.bev_depth), dtype=bool)
     cs = spec.bev_cell_size
-    for k, inst in enumerate(instances):
-        if not (0 <= inst.class_id < num_channels):
-            raise ValueError(f"class {inst.class_id} outside the {num_channels} channels")
-        if not spec.in_range(inst.center[None, :])[0]:
-            raise ValueError(f"instance {inst.instance_id} center outside the grid range")
-        extent = inst.extent if extents is None else np.asarray(extents[k], dtype=np.float64)
-        scale = 1.0 if peak_scale is None else float(peak_scale[k])
-        cx, cy = spec.bev_cell_of(inst.center[:2])
-        sigma = heatmap_sigma(extent, spec)
+    cell_x, cell_y = spec.bev_cell_of(center)
+    for i in range(k):
+        cx, cy = int(cell_x[i]), int(cell_y[i])
+        sigma = heatmap_sigma(extent[i], spec)
         reach = int(np.ceil(GAUSSIAN_CUTOFF_SIGMAS * sigma / cs))
         x_lo, x_hi = max(0, cx - reach), min(spec.bev_width - 1, cx + reach)
         y_lo, y_hi = max(0, cy - reach), min(spec.bev_depth - 1, cy + reach)
@@ -309,35 +357,11 @@ def render_bev_targets(
         dx = (xs - cx)[:, None] * cs
         dy = (ys - cy)[None, :] * cs
         d2 = dx * dx + dy * dy
-        patch = scale * np.exp(-d2 / (2.0 * sigma * sigma))
+        patch = scale[i] * np.exp(-d2 / (2.0 * sigma * sigma))
         patch[d2 > (GAUSSIAN_CUTOFF_SIGMAS * sigma) ** 2] = 0.0
-        region = hm[inst.class_id, x_lo:x_hi + 1, y_lo:y_hi + 1]
+        region = hm[class_id[i], x_lo:x_hi + 1, y_lo:y_hi + 1]
         np.maximum(region, patch, out=region)
-        height[cx, cy] = inst.center[2]
-        vel = velocities.get(inst.instance_id)
-        if vel is not None:
-            velocity[cx, cy] = np.asarray(vel, dtype=np.float64)
+        height[cx, cy] = center[i, 2]
+        vel_map[cx, cy] = velocity[i]
         valid[cx, cy] = True
-    return BevTargets(hm, height, velocity, valid)
-
-
-def velocity_target(trajectory: InstanceTrajectory, sweep_index: int, dt: float) -> np.ndarray:
-    """Planar velocity at one sweep from neighboring modal centers.
-
-    Centered difference (mu[t+dt] - mu[t-dt]) / (2 dt) when both neighbors
-    exist, one-sided at trajectory ends, zero for single-appearance instances.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    here = trajectory.record_at(sweep_index)
-    if here is None:
-        raise ValueError(f"instance {trajectory.instance_id} absent at sweep {sweep_index}")
-    prev = trajectory.record_at(sweep_index - 1)
-    nxt = trajectory.record_at(sweep_index + 1)
-    if prev is not None and nxt is not None:
-        return (nxt.center[:2] - prev.center[:2]) / (2.0 * dt)
-    if nxt is not None:
-        return (nxt.center[:2] - here.center[:2]) / dt
-    if prev is not None:
-        return (here.center[:2] - prev.center[:2]) / dt
-    return np.zeros(2)
+    return BevTargets(hm, height, vel_map, valid)

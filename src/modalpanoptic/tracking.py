@@ -40,9 +40,9 @@ class Tracklet:
     last_seen: int = -1            # sweep index of the last match
 
 
-def class_gates(cwm_stats: dict[int, np.ndarray], scale: float = 2.0) -> dict[int, float]:
-    """Scale-aware association gates: ``scale`` x class-wise mean planar extent."""
-    return {cid: scale * float(max(ext[0], ext[1])) for cid, ext in cwm_stats.items()}
+def class_gates(cwm_stats: dict[int, np.ndarray]) -> dict[int, float]:
+    """Scale-aware association gates: 2 x class-wise mean planar extent."""
+    return {cid: 2.0 * float(max(ext[0], ext[1])) for cid, ext in cwm_stats.items()}
 
 
 def greedy_associate(

@@ -7,13 +7,15 @@ dicts) and stays independent of the library's vectorized code paths.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from modalpanoptic.cloud import transform_to_frame
 from modalpanoptic.losses import bce_loss
 from modalpanoptic.membership import PairTable
 from modalpanoptic.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, recalibrate_batchnorm
-from modalpanoptic.targets import build_trajectories, modal_center
+from modalpanoptic.targets import CWM_SMALL_FRACTION, modal_center
 from modalpanoptic.tracking import MAX_TRACK_ID, TrackIdOverflow, Tracklet
 from modalpanoptic.voxels import interpolate_bev_many
 
@@ -533,13 +535,13 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
     """
     pair_cfg = cfg.features
     rng = np.random.default_rng(cfg.seed)
-    per_seq = [build_trajectories(seq, taxonomy) for seq in sequences]
+    per_seq = [build_trajectories_reference(seq, taxonomy) for seq in sequences]
     sums, counts = {}, {}
     for trajs in per_seq:
-        for traj in trajs.values():
-            ext = traj.max_extent
+        for class_id, records in trajs.values():
+            ext = np.max([r.extent for r in records], axis=0)
             for axis in range(3):
-                key = (traj.class_id, axis)
+                key = (class_id, axis)
                 sums[key] = sums.get(key, 0.0) + (ext[axis] if ext[axis] >= 0.05 else 0.0)
                 counts[key] = counts.get(key, 0) + (ext[axis] >= 0.05)
     rows, labels = [], []
@@ -556,7 +558,7 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
                 cid = int(sem[members[0]])
                 if cid not in taxonomy.thing_ids:
                     continue
-                extent = trajs[iid].max_extent.copy()
+                extent = np.max([r.extent for r in trajs[iid][1]], axis=0)
                 for axis in range(3):
                     if extent[axis] < 0.05:
                         mean = sums[cid, axis] / max(counts[cid, axis], 1)
@@ -575,6 +577,91 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
                     feats[roi] if pair_cfg.include_point_features else None, bev))
                 labels.append([float(inst[i] == iid) for i in roi])
     return np.concatenate(rows), np.concatenate(labels)
+
+
+@dataclass(frozen=True)
+class ModalRecord:
+    """One instance's modal summary in one sweep, world frame."""
+
+    instance_id: int
+    class_id: int
+    center: np.ndarray
+    extent: np.ndarray
+    point_count: int
+    sweep_index: int
+
+
+def build_trajectories_reference(seq, taxonomy):
+    """{instance id: (class id, [records in sweep order])}, one instance and sweep at a time.
+
+    A sweep moves into the world frame through ``transform_to_frame`` unless
+    its pose is close to the identity. An instance whose first point in a
+    sweep is not of a thing class leaves no record there. The class is that
+    of the instance's last record; ids ascend.
+    """
+    partial, classes = {}, {}
+    identity = np.eye(4)
+    for t, sweep in enumerate(seq.sweeps):
+        world = sweep if np.allclose(sweep.ego_pose, identity) \
+            else transform_to_frame(sweep, identity)
+        inst = world.inst_labels
+        for iid in np.unique(inst[inst > 0]):
+            sel = inst == iid
+            cid = int(world.sem_labels[sel][0])
+            if not taxonomy.is_thing(cid):
+                continue
+            pts = world.xyz[sel]
+            center = modal_center(pts)
+            extent = np.abs(pts - center).max(axis=0)
+            partial.setdefault(int(iid), []).append(
+                ModalRecord(int(iid), cid, center, extent, int(sel.sum()), t))
+            classes[int(iid)] = cid
+    return {iid: (classes[iid], records) for iid, records in sorted(partial.items())}
+
+
+def record_at_reference(records, sweep_index):
+    for r in records:
+        if r.sweep_index == sweep_index:
+            return r
+    return None
+
+
+def velocity_reference(records, sweep_index, dt):
+    """Planar velocity at one sweep from the neighboring sweeps' modal centers.
+
+    Centered difference when both neighbors exist, one-sided at trajectory
+    ends and gaps, zero for an isolated record.
+    """
+    prev = record_at_reference(records, sweep_index - 1)
+    nxt = record_at_reference(records, sweep_index + 1)
+    here = record_at_reference(records, sweep_index)
+    if prev is not None and nxt is not None:
+        return (nxt.center[:2] - prev.center[:2]) / (2.0 * dt)
+    if nxt is not None:
+        return (nxt.center[:2] - here.center[:2]) / dt
+    if prev is not None:
+        return (here.center[:2] - prev.center[:2]) / dt
+    return np.zeros(2)
+
+
+def aggregate_extent_reference(class_id, records, strategy):
+    """One trajectory's (training extents, excluded flags), record by record."""
+    per_sweep = np.stack([r.extent for r in records])
+    excluded = np.zeros(len(records), dtype=bool)
+    if strategy.variant == "MAX":
+        return np.tile(per_sweep.max(axis=0), (len(records), 1)), excluded
+    if strategy.variant == "CWM":
+        mean = strategy.cwm_stats.get(class_id)
+        out = per_sweep.copy()
+        if mean is not None:
+            mean = np.asarray(mean, dtype=np.float64)
+            for i, ext in enumerate(per_sweep):
+                if ext.max() < CWM_SMALL_FRACTION * mean.max():
+                    out[i] = mean
+        return out, excluded
+    if strategy.variant == "DSB":
+        excluded = np.array([r.point_count < strategy.dsb_min_points for r in records])
+    return per_sweep, excluded
 
 
 def flip_semantics_reference(labels, class_ids, probability, rng):

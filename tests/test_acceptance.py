@@ -35,10 +35,7 @@ from modalpanoptic.targets import (
     class_wise_mean_extents,
     modal_center,
     render_bev_targets,
-    velocity_target,
     heatmap_sigma,
-    InstanceTrajectory,
-    ModalInstance,
 )
 from modalpanoptic.tracking import PipelineConfig, panoptic_track_sequence
 from modalpanoptic.voxels import GridSpec
@@ -78,25 +75,22 @@ def test_acceptance_1_extent_strategy_trend(extent_corpus):
 
     # Extent recovery statistics against the generator's true half extents.
     max_errs, sw_errs = [], []
-    all_trajs, seq_trajs = [], []
+    seq_trajs = []
     for seq, reg in seqs:
         trajs = build_trajectories(seq, TAX)
         seq_trajs.append(trajs)
-        all_trajs.extend(trajs.values())
-        for iid, tr in trajs.items():
-            true = reg.instances[iid].half_extent
-            agg, _ = aggregate_extent(tr, ExtentStrategy("MAX"))
-            max_errs.append(np.max(np.abs(agg[0] - true) / true))
-            for rec in tr.records:
-                # Heavily occluded by construction: each sweep resolves a
-                # single dominant face, so the worst axis is unobserved.
-                sw_errs.append(np.max(np.abs(rec.extent - true) / true))
+        true = np.array([reg.instances[int(iid)].half_extent for iid in trajs.instance_id])
+        agg, _ = aggregate_extent(trajs, ExtentStrategy("MAX"))
+        max_errs.extend(np.max(np.abs(agg - true) / true, axis=1)[trajs.offsets[:-1]])
+        # Heavily occluded by construction: each sweep resolves a single
+        # dominant face, so the worst axis is unobserved.
+        sw_errs.extend(np.max(np.abs(trajs.extent - true) / true, axis=1))
     max_median = float(np.median(max_errs))
     sw_median = float(np.median(sw_errs))
     assert max_median < 0.05, f"MAX extent median relative error {max_median:.3f}"
     assert sw_median > 0.20, f"SW extent median relative error {sw_median:.3f}"
 
-    cwm_stats = class_wise_mean_extents(all_trajs, TAX)
+    cwm_stats = class_wise_mean_extents(seq_trajs, TAX)
     strategies = {
         "SW": ExtentStrategy("SW"),
         "MAX": ExtentStrategy("MAX"),
@@ -345,33 +339,31 @@ def test_acceptance_6_fusion_conformance():
 def test_acceptance_7_target_math():
     # Peak exactly 1.0 at each center cell.
     centers = [(180, 200), (220, 210), (190, 230)]
-    instances = []
-    for k, (cx, cy) in enumerate(centers):
-        xy = SPEC.bev_cell_center(cx, cy)
-        instances.append(ModalInstance(k + 1, 1, np.array([xy[0], xy[1], 0.4]),
-                                       np.array([1.0, 0.6, 0.5]), 10, 0.0, 0))
-    out = render_bev_targets(instances, {}, SPEC, TAX.num_channels)
+    xyz = [[*SPEC.bev_cell_center(cx, cy), 0.4] for cx, cy in centers]
+    out = render_bev_targets(xyz, np.ones(3, dtype=int), np.tile([1.0, 0.6, 0.5], (3, 1)),
+                             np.zeros((3, 2)), SPEC, TAX.num_channels)
     for cx, cy in centers:
         assert out.heatmaps[1, cx, cy] == 1.0
 
     # Gaussian value one sigma away.
-    small = ModalInstance(9, 1, np.array([*SPEC.bev_cell_center(210, 170), 0.0]),
-                          np.array([0.3, 0.2, 0.5]), 10, 0.0, 0)
-    rendered = render_bev_targets([small], {}, SPEC, TAX.num_channels)
-    sigma = heatmap_sigma(small.extent, SPEC)
+    small = np.array([0.3, 0.2, 0.5])
+    rendered = render_bev_targets([[*SPEC.bev_cell_center(210, 170), 0.0]], [1], [small],
+                                  np.zeros((1, 2)), SPEC, TAX.num_channels)
+    sigma = heatmap_sigma(small, SPEC)
     assert sigma == 2.0 * SPEC.bev_cell_size
     assert abs(rendered.heatmaps[1, 212, 170] - np.exp(-0.5)) <= 1e-9
 
-    # Velocity targets: exact centered difference, zero for singletons.
+    # Velocity targets: exact centered difference, zero for singletons. Car 5
+    # is one point per sweep, so its modal centers are exact; car 6 shows once.
     v = np.array([1.25, -0.75])
-    records = [ModalInstance(5, 1, np.array([v[0] * 0.5 * t, v[1] * 0.5 * t, 0.0]),
-                             np.ones(3), 10, 0.5 * t, t) for t in range(5)]
-    traj = InstanceTrajectory(5, 1, tuple(records))
+    sweeps = tuple(mp.PointCloudSweep(
+        0.5 * t, [[v[0] * 0.5 * t, v[1] * 0.5 * t, 0.0, 0.0, 0.0], [5.0, 5.0, 0.0, 0.0, 0.0]],
+        [1, 1], [5, 6 if t == 0 else 0]) for t in range(5))
+    table = build_trajectories(mp.SweepSequence(sweeps, 0.5), TAX)
     for t in (1, 2, 3):
-        np.testing.assert_array_almost_equal(velocity_target(traj, t, 0.5), v, decimal=12)
-    singleton = InstanceTrajectory(6, 1, (ModalInstance(6, 1, np.zeros(3), np.ones(3),
-                                                        4, 0.0, 0),))
-    np.testing.assert_array_equal(velocity_target(singleton, 0, 0.5), [0, 0])
+        np.testing.assert_array_almost_equal(table.velocity[t], v, decimal=12)
+    assert table.instance_id[5] == 6
+    np.testing.assert_array_equal(table.velocity[5], [0, 0])
     print("\nACCEPTANCE 7 PASS: heatmap peaks exactly 1.0, sigma value exp(-1/2), "
           "velocity targets exact")
 

@@ -212,6 +212,34 @@ class TestCli:
             assert owners.size == 1 and owners[0] != 0
             assert not np.any(inst[point[(det == d) & (label == 0)]] == owners[0])
 
+    @pytest.mark.parametrize("command", ["track", "targets"])
+    def test_instance_on_stuff_points_exit_code(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
+        path = data / "sequences" / "0000" / "labels" / "000001.label"
+        sem, inst = read_label_file(path)
+        inst[np.flatnonzero(sem == GROUND)[:20]] = 777
+        write_label_file(path, sem, inst)
+        capsys.readouterr()
+        assert main([command, "--data", str(data), "--out", str(tmp_path / "out")]) == 4
+        assert "sweep 1: instance 777 is on non-thing class" in capsys.readouterr().err
+
+    def test_nn_membership_conflict_rules_write_same_bytes(self, tmp_path):
+        # Nearest-center membership never gives a point two claimants, so
+        # the two overlap rules cannot disagree under it.
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--sequences", "2", "--sweeps", "4",
+                     "--seed", "5", "--min-instances", "8", "--max-instances", "12",
+                     "--min-separation", "4.0"]) == 0
+        trees = []
+        for conflict in ("first_wins", "argmax"):
+            out = tmp_path / conflict
+            assert main(["track", "--data", str(data), "--out", str(out), "--membership", "nn",
+                         "--conflict", conflict, "--center-jitter", "0.15",
+                         "--confidence-noise", "0.1", "--margin-floor", "0.4"]) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+
     def test_report_builds_table_and_svg(self, tmp_path):
         data = tmp_path / "data"
         pred = tmp_path / "pred"

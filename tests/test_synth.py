@@ -14,7 +14,7 @@ from modalpanoptic.synth import (
 )
 from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
                                       build_training_pairs)
-from modalpanoptic.targets import build_trajectories, modal_center, extent_sw
+from modalpanoptic.targets import build_trajectories, instance_boxes, modal_center
 from modalpanoptic.voxels import GridSpec
 
 from oracles import bev_mean_reference, flip_semantics_reference, handcrafted_features_reference
@@ -117,8 +117,7 @@ class TestGenerateSequence:
         axis = int(np.argmax(np.abs(bearing)))
         face_coord = inst.base_center[axis] - np.sign(bearing[axis]) * inst.half_extent[axis]
         np.testing.assert_allclose(pts_world[:, axis], face_coord, atol=1e-9)
-        c = modal_center(pts_world)
-        r = extent_sw(pts_world, c)
+        _, _, _, _, (r,) = instance_boxes(pts_world, np.ones(len(pts_world), dtype=np.int64))
         assert r[axis] < 0.05 * inst.half_extent[axis]
 
     def test_elevated_sensor_adds_top_face(self):
@@ -153,8 +152,8 @@ class TestGenerateSequence:
         assert seen == {(0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)}
         # With all faces observed, the MAX-aggregated extent recovers the box.
         trajs = build_trajectories(seq, TAX)
-        traj = trajs[inst.instance_id]
-        rel_err = np.abs(traj.max_extent - inst.half_extent) / inst.half_extent
+        assert trajs.instance_id[0] == inst.instance_id
+        rel_err = np.abs(trajs.max_extents[0] - inst.half_extent) / inst.half_extent
         assert rel_err.max() < 0.05
 
     def test_density_falls_with_range(self):
@@ -245,6 +244,12 @@ class TestSimulateDetector:
             np.testing.assert_array_equal(ma.heatmaps, mb.heatmaps)
             np.testing.assert_array_equal(ma.point_sem, mb.point_sem)
             np.testing.assert_array_equal(ma.velocity, mb.velocity)
+
+    def test_trajectories_of_another_sequence_rejected(self):
+        seq, reg = mp.generate_sequence(simple_cfg(seed=17), TAX)
+        other, _ = mp.generate_sequence(simple_cfg(seed=18, count_range=(4, 4)), TAX)
+        with pytest.raises(ValueError, match="sweep 0: trajectories hold an instance"):
+            mp.simulate_detector(seq, build_trajectories(other, TAX), reg, NO_NOISE, SPEC, TAX)
 
     def test_velocity_from_registry_vs_labels(self):
         cfg = simple_cfg(seed=16, motion="pass", sweep_count=6)
