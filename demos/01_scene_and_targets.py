@@ -42,6 +42,6 @@ pose = seq.sweeps[1].ego_pose
 targets = mp.render_bev_targets(trajectories.center[at] - pose[:3, 3], trajectories.class_id[at],
                                 trajectories.extent[at], trajectories.velocity[at], spec,
                                 taxonomy.num_channels)
-print(f"\nheatmap peak value: {targets.heatmaps.max():.3f} "
-      f"({int(targets.valid_mask.sum())} center cells carry regression targets)")
+print(f"\nheatmap peak value: {targets.heatmaps.dense().max():.3f} "
+      f"({int(targets.valid_mask().sum())} center cells carry regression targets)")
 print("true velocities:", {i: np.round(v, 2).tolist() for i, v in velocities.items()})

@@ -18,8 +18,8 @@ from .cloud import (
     save_taxonomy,
     transform_to_frame,
 )
-from .voxels import BevMap, GridSpec, SparseVoxelGrid, flatten_bev, majority_vote_labels, \
-    voxelize
+from .voxels import BevMap, GridSpec, SparseGrid, SparseVoxelGrid, flatten_bev, \
+    majority_vote_labels, voxelize
 from .targets import (
     BevTargets,
     ExtentStrategy,

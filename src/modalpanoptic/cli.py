@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .cloud import PanopticLabeling, apply_pose
+from .cloud import PanopticLabeling, apply_pose, invert_pose
 from .inference import NMS_MAX_DETECTIONS, NMS_THRESHOLD
 from .membership import (
     ROI_MARGIN_FRAC,
@@ -182,14 +182,14 @@ def cmd_targets(args) -> int:
             at = trajectories.sweep_index == t
             rows = np.flatnonzero(at & ~excluded)
             rendered = render_bev_targets(
-                apply_pose(np.linalg.inv(sweep.ego_pose), trajectories.center[rows]),
+                apply_pose(invert_pose(sweep.ego_pose), trajectories.center[rows]),
                 trajectories.class_id[rows], extents[rows], trajectories.velocity[rows],
                 spec, taxonomy.num_channels)
             frame = f"{t:06d}"
-            np.save(seq_out / f"{frame}_heatmaps.npy", rendered.heatmaps)
-            np.save(seq_out / f"{frame}_height.npy", rendered.height)
-            np.save(seq_out / f"{frame}_velocity.npy", rendered.velocity)
-            np.save(seq_out / f"{frame}_valid.npy", rendered.valid_mask)
+            np.save(seq_out / f"{frame}_heatmaps.npy", rendered.heatmaps.dense())
+            np.save(seq_out / f"{frame}_height.npy", rendered.height.dense())
+            np.save(seq_out / f"{frame}_velocity.npy", rendered.velocity.dense())
+            np.save(seq_out / f"{frame}_valid.npy", rendered.valid_mask())
             rows = _membership_rows(sweep, trajectories, np.flatnonzero(at))
             np.save(seq_out / f"{frame}_membership.npy", rows)
     stats = class_wise_mean_extents(tables, taxonomy)
@@ -254,16 +254,11 @@ def _run_inference(args, track: bool) -> int:
     else:
         score = oracle_scores if args.membership == "oracle" else nn_scores
     seed = _seed_of(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in dataio.list_sequences(args.data):
-        seq = dataio.read_sequence(args.data, name)
+
+    def predict(seq) -> list[PanopticLabeling]:
+        # One sequence per call: none of it is alive while the next is read.
         trajectories = build_trajectories(seq, taxonomy)
         class_means = class_wise_mean_extents(trajectories, taxonomy)
-        inputs = prepare_sweep_inputs(seq, trajectories, taxonomy, spec,
-                                      _strategy(args, class_means),
-                                      _noise(args), registry=None, provider=provider,
-                                      seed=seed)
         pcfg = PipelineConfig(
             nms_threshold=args.nms_threshold,
             nms_max_detections=args.nms_max_detections,
@@ -273,12 +268,17 @@ def _run_inference(args, track: bool) -> int:
             gates=class_gates(class_means) or None,
             max_age=args.max_age if track else DEFAULT_MAX_AGE,
         )
+        stream = prepare_sweep_inputs(seq, trajectories, taxonomy, spec,
+                                      _strategy(args, class_means), _noise(args),
+                                      registry=None, provider=provider, seed=seed)
         if track:
-            labelings = panoptic_track_sequence(inputs, taxonomy, spec, score,
-                                                seq.period, pcfg)
-        else:
-            labelings = infer_sequence(inputs, taxonomy, spec, score, pcfg)
-        dataio.write_predictions(out, name, labelings)
+            return panoptic_track_sequence(stream, taxonomy, spec, score, seq.period, pcfg)
+        return infer_sequence(stream, taxonomy, spec, score, pcfg)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in dataio.list_sequences(args.data):
+        dataio.write_predictions(out, name, predict(dataio.read_sequence(args.data, name)))
     print(f"wrote predictions to {out}")
     return 0
 

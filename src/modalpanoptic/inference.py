@@ -9,7 +9,7 @@ import numpy as np
 
 from .cloud import PanopticLabeling, Taxonomy
 from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detections, PairTable, gather_pairs
-from .voxels import BevMap, GridSpec
+from .voxels import BevMap, GridSpec, SparseGrid
 
 NMS_THRESHOLD = 0.3
 NMS_MAX_DETECTIONS = 500
@@ -17,17 +17,25 @@ NMS_MAX_DETECTIONS = 500
 
 @dataclass(frozen=True)
 class PredictedMaps:
-    """Simulated (or one day, regressed) first-stage outputs for one sweep."""
+    """Simulated (or one day, regressed) first-stage outputs for one sweep.
 
-    heatmaps: np.ndarray       # (K, W', D') in [0, 1]
-    height: np.ndarray         # (W', D') meters
-    velocity: np.ndarray       # (W', D', 2) m/s
+    The heatmaps, height and velocity maps are sparse: only listed cells
+    are stored and every other cell reads 0.0, which is what detection
+    reads anyway (heatmap peaks, offsets at detected centers). Heatmap
+    values must lie in [0, 1]; as with a dense ``min``/``max`` scan, a map
+    holding a NaN passes that check.
+    """
+
+    heatmaps: SparseGrid       # (K, W', D') in [0, 1]
+    height: SparseGrid         # (W', D') meters
+    velocity: SparseGrid       # (W', D', 2) m/s
     point_sem: np.ndarray      # (N,) predicted class per point
     bev_features: BevMap
     point_features: np.ndarray  # (N, P)
 
     def __post_init__(self):
-        if self.heatmaps.min(initial=0.0) < 0 or self.heatmaps.max(initial=0.0) > 1:
+        values = self.heatmaps.values
+        if values.min(initial=0.0) < 0 or values.max(initial=0.0) > 1:
             raise ValueError("heatmap values must lie in [0, 1]")
         k, w, d = self.heatmaps.shape
         if self.height.shape != (w, d) or self.velocity.shape != (w, d, 2):
@@ -75,27 +83,34 @@ def nms_detect(
     A cell detects when its value strictly exceeds the threshold and is
     ``>=`` each in-bounds cell of its 3x3 neighborhood in its own channel,
     which is ``hm == max(3x3)`` with out-of-bounds cells at ``-inf``; a NaN
-    neighbour vetoes the peak. After one pass over the grid for the
-    threshold test, the work scales with the cells above the threshold, not
-    with the grid. Detection centers snap to cell centers with z read from
-    the height map; extents come from the provider.
+    neighbour vetoes the peak. Only the listed heatmap entries above the
+    threshold are tested (every cell when the threshold is negative, since
+    an unlisted cell reads 0.0), and each neighbour is looked up in the
+    sparse map, so the work scales with those entries, not with the grid.
+    Ties in confidence fall to (class, x, y) order. Detection centers snap
+    to cell centers with z read from the height map; extents come from the
+    provider.
     """
     hm = maps.heatmaps
     _, w, d = hm.shape
-    cells = hm.reshape(-1)
-    flat = np.flatnonzero(cells > threshold)
+    if threshold < 0:
+        flat = np.arange(np.prod(hm.shape))
+        value = hm.at(flat)
+    else:
+        flat, value = hm.keys, hm.values
+    above = value > threshold
+    flat, value = flat[above], value[above]
     for dx, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
         x, y = flat // d % w + dx, flat % d + dy
         inside = (x >= 0) & (x < w) & (y >= 0) & (y < d)
-        at = flat[inside]
         keep = ~inside
-        keep[inside] = cells[at] >= cells[at + (dx * d + dy)]
-        flat = flat[keep]
+        keep[inside] = value[inside] >= hm.at(flat[inside] + (dx * d + dy))
+        flat, value = flat[keep], value[keep]
     # Flat indices ascend in (class, x, y) order, which breaks confidence ties.
-    top = flat[np.lexsort((flat, -cells[flat]))[:max(max_detections, 0)]]
-    cls, x, y = np.unravel_index(top, hm.shape)
-    center = np.column_stack([*spec.bev_cell_center(x, y), maps.height[x, y]])
-    return Detections(center, cells[top], cls, extent_provider.extents_for(cls, center))
+    order = np.lexsort((flat, -value))[:max(max_detections, 0)]
+    cls, x, y = np.unravel_index(flat[order], hm.shape)
+    center = np.column_stack([*spec.bev_cell_center(x, y), maps.height.at(x * d + y)])
+    return Detections(center, value[order], cls, extent_provider.extents_for(cls, center))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,12 @@ switching strategies changes inference exactly the way retraining would.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
-from .cloud import PanopticLabeling, SweepSequence, Taxonomy, apply_pose, invert_pose
+from .cloud import PanopticLabeling, PointCloudSweep, SweepSequence, Taxonomy, apply_pose, \
+    invert_pose
 from .inference import NearestCenterExtents
 from .targets import ExtentStrategy, Trajectories, aggregate_extent, widen_unobserved_axes
 from .synth import DetectorNoise, SceneRegistry, simulate_detector
@@ -55,35 +58,48 @@ def prepare_sweep_inputs(
     registry: SceneRegistry | None = None,
     provider: FeatureProvider | None = None,
     seed: int = 0,
-) -> list[SweepInputs]:
-    """Simulated detector outputs plus strategy extents for every sweep.
+) -> Iterator[SweepInputs]:
+    """A lazy stream of each sweep's simulated detector outputs plus strategy extents.
 
     ``trajectories`` is the caller's ``build_trajectories(seq, taxonomy)``,
-    built once per sequence. Only its trained records reach
-    ``simulate_detector``, and each sweep's extent lookup holds those
-    records' centers in the sensor frame with their instance's estimate.
+    built once per sequence. This call builds the per-sequence extent model;
+    the returned iterator then runs ``simulate_detector`` for one sweep per
+    step, so a consumer that drops each ``SweepInputs`` before asking for
+    the next keeps one sweep's maps alive at a time. Iterate it once. Only
+    the trained records reach ``simulate_detector``, and each sweep's extent
+    lookup holds those records' centers in the sensor frame with their
+    instance's estimate.
     """
     predicted, suppressed = build_extent_model(trajectories, strategy)
     trained = trajectories.select(~suppressed)
     extents = predicted[trajectories.row_instance[~suppressed]]
-    maps = simulate_detector(seq, trained, registry, noise, spec, taxonomy,
-                             provider=provider, seed=seed)
-    inputs = []
-    for t, sweep in enumerate(seq.sweeps):
+
+    def sweep_inputs(t: int, sweep: PointCloudSweep) -> SweepInputs:
         rows = np.flatnonzero(trained.sweep_index == t)
         entries = NearestCenterExtents(
             apply_pose(invert_pose(sweep.ego_pose), trained.center[rows]),
             trained.class_id[rows], extents[rows], FALLBACK_EXTENT)
-        inputs.append(SweepInputs(sweep, maps[t], entries))
-    return inputs
+        maps = simulate_detector(sweep, t, trained, registry, noise, spec, taxonomy,
+                                 provider=provider, seed=seed)
+        return SweepInputs(sweep, maps, entries)
+
+    return (sweep_inputs(t, sweep) for t, sweep in enumerate(seq.sweeps))
 
 
 def infer_sequence(
-    per_sweep: list[SweepInputs],
+    per_sweep: Iterable[SweepInputs],
     taxonomy: Taxonomy,
     spec: GridSpec,
     score: Scorer,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> list[PanopticLabeling]:
-    """Per-sweep fusion with fresh ids (no temporal association)."""
-    return [infer_sweep(inputs, taxonomy, spec, score, cfg)[1].labeling for inputs in per_sweep]
+    """Per-sweep fusion with fresh ids (no temporal association).
+
+    Consumes ``per_sweep`` once and drops each sweep's inputs before asking
+    for the next, so a lazy stream keeps one sweep's maps alive at a time.
+    """
+    out = []
+    for inputs in per_sweep:
+        out.append(infer_sweep(inputs, taxonomy, spec, score, cfg)[1].labeling)
+        del inputs
+    return out

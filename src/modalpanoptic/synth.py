@@ -470,7 +470,8 @@ def flip_semantics(labels: np.ndarray, class_ids, probability: float,
 
 
 def simulate_detector(
-    seq: SweepSequence,
+    sweep: PointCloudSweep,
+    sweep_index: int,
     trajectories: Trajectories,
     registry: SceneRegistry | None,
     noise: DetectorNoise,
@@ -478,64 +479,66 @@ def simulate_detector(
     taxonomy: Taxonomy | None = None,
     provider: FeatureProvider | None = None,
     seed: int = 0,
-) -> list[PredictedMaps]:
-    """Backbone-output simulation: semantics, heatmaps, height, velocity, features.
+) -> PredictedMaps:
+    """Backbone-output simulation for one sweep: semantics, heatmaps, height, velocity, features.
 
-    ``trajectories`` holds the records the detector was trained on: the
-    caller's ``targets.build_trajectories(seq, taxonomy)``, built once per
-    sequence, or rows selected from it. Each instance with a record at a
-    sweep gets a center heatmap peak at its sensor-frame modal center, with
-    jitter, scaled by a noisy confidence; dropped instances, and instances
-    without a record there, leave no peak. Velocity cells carry the
-    instance's planar velocity plus noise; with a registry that is the
-    generator truth, otherwise the record's velocity (what a trained offset
-    head regresses). Deterministic per (inputs, seed): each instance draws
-    its drop, jitter, confidence and velocity noise in that order, in
-    ascending id order.
+    ``sweep`` is sweep ``sweep_index`` of a sequence, and ``trajectories``
+    holds the records the detector was trained on: the caller's
+    ``targets.build_trajectories(seq, taxonomy)``, built once per sequence,
+    or rows selected from it. Each instance with a record at this sweep gets
+    a center heatmap peak at its sensor-frame modal center, with jitter,
+    scaled by a noisy confidence; dropped instances, and instances without a
+    record here, leave no peak. Velocity cells carry the instance's planar
+    velocity plus noise; with a registry that is the generator truth,
+    otherwise the record's velocity (what a trained offset head regresses).
+    The maps come back sparse, as ``render_bev_targets`` lists them.
+
+    Deterministic per (inputs, seed, sweep_index): the sweep draws from
+    ``SeedSequence(seed, spawn_key=(sweep_index,))``, the stream
+    ``SeedSequence(seed).spawn(n)[sweep_index]`` gives, so sweeps can be
+    simulated one at a time in any order. Each instance draws its drop,
+    jitter, confidence and velocity noise in that order, in ascending id
+    order.
     """
     taxonomy = taxonomy or default_taxonomy()
     class_ids = [c for c in taxonomy.class_ids if c not in taxonomy.ignore_ids]
-    sweep_seeds = np.random.SeedSequence(seed).spawn(len(seq))
-    maps: list[PredictedMaps] = []
-    for t_idx, sweep in enumerate(seq.sweeps):
-        rng = np.random.default_rng(sweep_seeds[t_idx])
-        sem_pred = sweep.sem_labels.astype(np.int32)
-        if noise.semantic_flip_probability > 0:
-            flip_semantics(sem_pred, class_ids, noise.semantic_flip_probability, rng)
-        ids, first, _, centers, extents = instance_boxes(sweep.xyz, sweep.inst_labels)
-        rows = np.flatnonzero(trajectories.sweep_index == t_idx)
-        if not np.isin(trajectories.instance_id[rows], ids).all():
-            raise ValueError(f"sweep {t_idx}: trajectories hold an instance the sweep lacks")
-        slots = np.searchsorted(ids, trajectories.instance_id[rows])
-        picked, jittered, velocities, peaks = [], [], [], []
-        for k, row in zip(slots.tolist(), rows.tolist()):
-            if rng.uniform() < noise.drop_probability:
-                continue
-            center = centers[k] + rng.normal(0.0, noise.center_jitter, 3) \
-                if noise.center_jitter else centers[k]
-            if not spec.in_range(center[None, :])[0]:
-                continue
-            conf = float(np.clip(1.0 - abs(rng.normal(0.0, noise.confidence_noise)), 0.05, 1.0)) \
-                if noise.confidence_noise else 1.0
-            if registry is not None:
-                vel = registry.instances[int(ids[k])].velocity[:2].copy()
-            else:
-                vel = trajectories.velocity[row]
-            if noise.velocity_noise:
-                vel = vel + rng.normal(0.0, noise.velocity_noise, 2)
-            picked.append(k)
-            jittered.append(center)
-            velocities.append(vel)
-            peaks.append(conf)
-        rendered = render_bev_targets(jittered, sweep.sem_labels[first[picked]], extents[picked],
-                                      velocities, spec, taxonomy.num_channels, peak_scale=peaks)
-        if provider is not None:
-            point_feats = provider.point_features(sweep)
-            bev_feats = provider.bev_map(sweep, point_feats)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(sweep_index,)))
+    sem_pred = sweep.sem_labels.astype(np.int32)
+    if noise.semantic_flip_probability > 0:
+        flip_semantics(sem_pred, class_ids, noise.semantic_flip_probability, rng)
+    ids, first, _, centers, extents = instance_boxes(sweep.xyz, sweep.inst_labels)
+    rows = np.flatnonzero(trajectories.sweep_index == sweep_index)
+    if not np.isin(trajectories.instance_id[rows], ids).all():
+        raise ValueError(f"sweep {sweep_index}: trajectories hold an instance the sweep lacks")
+    slots = np.searchsorted(ids, trajectories.instance_id[rows])
+    picked, jittered, velocities, peaks = [], [], [], []
+    for k, row in zip(slots.tolist(), rows.tolist()):
+        if rng.uniform() < noise.drop_probability:
+            continue
+        center = centers[k] + rng.normal(0.0, noise.center_jitter, 3) \
+            if noise.center_jitter else centers[k]
+        if not spec.in_range(center[None, :])[0]:
+            continue
+        conf = float(np.clip(1.0 - abs(rng.normal(0.0, noise.confidence_noise)), 0.05, 1.0)) \
+            if noise.confidence_noise else 1.0
+        if registry is not None:
+            vel = registry.instances[int(ids[k])].velocity[:2].copy()
         else:
-            point_feats = np.zeros((len(sweep), 0))
-            bev_feats = BevMap(np.zeros((spec.bev_width, spec.bev_depth, 0)),
-                               spec.bev_cell_size, spec.planar_range)
-        maps.append(PredictedMaps(rendered.heatmaps, rendered.height, rendered.velocity,
-                                  sem_pred, bev_feats, point_feats))
-    return maps
+            vel = trajectories.velocity[row]
+        if noise.velocity_noise:
+            vel = vel + rng.normal(0.0, noise.velocity_noise, 2)
+        picked.append(k)
+        jittered.append(center)
+        velocities.append(vel)
+        peaks.append(conf)
+    rendered = render_bev_targets(jittered, sweep.sem_labels[first[picked]], extents[picked],
+                                  velocities, spec, taxonomy.num_channels, peak_scale=peaks)
+    if provider is not None:
+        point_feats = provider.point_features(sweep)
+        bev_feats = provider.bev_map(sweep, point_feats)
+    else:
+        point_feats = np.zeros((len(sweep), 0))
+        bev_feats = BevMap(np.zeros((spec.bev_width, spec.bev_depth, 0)),
+                           spec.bev_cell_size, spec.planar_range)
+    return PredictedMaps(rendered.heatmaps, rendered.height, rendered.velocity,
+                         sem_pred, bev_feats, point_feats)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import NO_INSTANCE, SweepSequence, Taxonomy
-from .voxels import GridSpec
+from .voxels import GridSpec, SparseGrid
 
 SW = "SW"
 MAX = "MAX"
@@ -289,12 +289,24 @@ def load_cwm_stats(path) -> dict[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class BevTargets:
-    """Dense detection-branch targets over the BEV grid."""
+    """Detection-branch targets over the BEV grid, held sparsely.
 
-    heatmaps: np.ndarray   # (K, W', D') in [0, 1]
-    height: np.ndarray     # (W', D') meters, valid at instance center cells
-    velocity: np.ndarray   # (W', D', 2) m/s, valid at instance center cells
-    valid_mask: np.ndarray  # (W', D') bool, cells carrying regression targets
+    ``heatmaps`` lists the (class, cell) entries some Gaussian reaches with
+    a nonzero value; ``height`` and ``velocity`` list the instance center
+    cells, the only cells that carry regression targets. Every other cell
+    reads 0.0. Dense arrays are made on demand: ``heatmaps.dense()``,
+    ``height.dense()``, ``velocity.dense()`` and ``valid_mask()``.
+    """
+
+    heatmaps: SparseGrid   # (K, W', D') in [0, 1]
+    height: SparseGrid     # (W', D') meters
+    velocity: SparseGrid   # (W', D', 2) m/s
+
+    def valid_mask(self) -> np.ndarray:
+        """Dense (W', D') bool mask of the cells carrying regression targets."""
+        mask = np.zeros(self.height.shape, dtype=bool)
+        mask.reshape(-1)[self.height.keys] = True
+        return mask
 
 
 def heatmap_sigma(extent: np.ndarray, spec: GridSpec) -> float:
@@ -311,15 +323,18 @@ def render_bev_targets(
     num_channels: int,
     peak_scale: np.ndarray | None = None,
 ) -> BevTargets:
-    """Render per-class center heatmaps plus height and velocity targets.
+    """Render per-class center heatmaps plus height and velocity targets, sparsely.
 
     Takes (K, 3) centers, (K,) classes, (K, 3) extents and (K, 2)
     velocities. Each object paints a 2-D Gaussian on its class channel,
     centered on its center cell so the peak value there is exactly 1 (or
     its ``peak_scale``, which must lie in [0, 1], so every heatmap value
-    does too); overlapping Gaussians combine by per-cell maximum. Height and
-    velocity are written at the center cell only, recorded in
-    ``valid_mask``; a later object overwrites an earlier one's cell.
+    does too); overlapping Gaussians combine by a grouped maximum per
+    (class, cell), and cells no Gaussian reaches with a nonzero value are
+    not listed. Height and velocity are written at the center cell only; a
+    later object overwrites an earlier one's cell. No dense grid is
+    allocated: the result densifies byte for byte to the per-object
+    ``np.maximum`` painting of ``tests/oracles.render_bev_targets_reference``.
     """
     center = np.reshape(np.asarray(center, dtype=np.float64), (-1, 3))
     class_id = np.asarray(class_id, dtype=np.int64)
@@ -339,29 +354,36 @@ def render_bev_targets(
     outside = np.flatnonzero(~spec.in_range(center))
     if outside.size:
         raise ValueError(f"center {outside[0]} outside the grid range")
-    hm = np.zeros((num_channels, spec.bev_width, spec.bev_depth))
-    height = np.zeros((spec.bev_width, spec.bev_depth))
-    vel_map = np.zeros((spec.bev_width, spec.bev_depth, 2))
-    valid = np.zeros((spec.bev_width, spec.bev_depth), dtype=bool)
+    w, d = spec.bev_width, spec.bev_depth
     cs = spec.bev_cell_size
     cell_x, cell_y = spec.bev_cell_of(center)
+    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for i in range(k):
         cx, cy = int(cell_x[i]), int(cell_y[i])
         sigma = heatmap_sigma(extent[i], spec)
         reach = int(np.ceil(GAUSSIAN_CUTOFF_SIGMAS * sigma / cs))
-        x_lo, x_hi = max(0, cx - reach), min(spec.bev_width - 1, cx + reach)
-        y_lo, y_hi = max(0, cy - reach), min(spec.bev_depth - 1, cy + reach)
-        xs = np.arange(x_lo, x_hi + 1)
-        ys = np.arange(y_lo, y_hi + 1)
+        xs = np.arange(max(0, cx - reach), min(w - 1, cx + reach) + 1)
+        ys = np.arange(max(0, cy - reach), min(d - 1, cy + reach) + 1)
         # Distances measured from the snapped center cell keep the peak at 1.
         dx = (xs - cx)[:, None] * cs
         dy = (ys - cy)[None, :] * cs
         d2 = dx * dx + dy * dy
-        patch = scale[i] * np.exp(-d2 / (2.0 * sigma * sigma))
-        patch[d2 > (GAUSSIAN_CUTOFF_SIGMAS * sigma) ** 2] = 0.0
-        region = hm[class_id[i], x_lo:x_hi + 1, y_lo:y_hi + 1]
-        np.maximum(region, patch, out=region)
-        height[cx, cy] = center[i, 2]
-        vel_map[cx, cy] = velocity[i]
-        valid[cx, cy] = True
-    return BevTargets(hm, height, vel_map, valid)
+        inside = d2 <= (GAUSSIAN_CUTOFF_SIGMAS * sigma) ** 2
+        patch = scale[i] * np.exp(-d2[inside] / (2.0 * sigma * sigma))
+        key = ((class_id[i] * w + xs[:, None]) * d + ys[None, :])[inside]
+        nonzero = patch > 0
+        keys.append(key[nonzero])
+        values.append(patch[nonzero])
+    # Each patch is one ascending run of keys, which the stable sort merges.
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    heat = SparseGrid((num_channels, w, d), key[first],
+                      np.maximum.reduceat(np.concatenate(values)[order], first))
+    # The last object written to a center cell owns its height and velocity.
+    cell = cell_x * d + cell_y
+    order = np.argsort(cell, kind="stable")
+    last = order[np.flatnonzero(np.diff(cell[order], append=w * d))]
+    return BevTargets(heat, SparseGrid((w, d), cell[last], center[last, 2]),
+                      SparseGrid((w, d, 2), cell[last], velocity[last]))

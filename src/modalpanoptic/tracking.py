@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def infer_sweep(
 
 
 def panoptic_track_sequence(
-    per_sweep: list[SweepInputs],
+    per_sweep: Iterable[SweepInputs],
     taxonomy: Taxonomy,
     spec: GridSpec,
     score: Scorer,
@@ -158,20 +158,27 @@ def panoptic_track_sequence(
 
     Instance ids in the output are track ids, so identities persist across
     sweeps; association runs in the world frame through each sweep's ego pose.
+    Consumes ``per_sweep`` once, in order, and drops each sweep's inputs
+    before asking for the next, so a lazy stream such as
+    ``pipeline.prepare_sweep_inputs`` keeps one sweep's maps alive at a time.
     """
     tracks: list[Tracklet] = []
     next_id = 1
     out: list[PanopticLabeling] = []
-    for t, inputs in enumerate(per_sweep):
+    # No ``enumerate``: its cached result tuple would keep the previous
+    # sweep's inputs alive while the stream makes the next one.
+    for inputs in per_sweep:
+        t = len(out)
         dets, fused = infer_sweep(inputs, taxonomy, spec, score, cfg)
         # The regressed velocity is read at each detection's own BEV cell, in
         # the sweep frame where the maps live.
         ix, iy = spec.bev_cell_of(dets.center)
-        velocities = inputs.maps.velocity[np.clip(ix, 0, spec.bev_width - 1),
-                                          np.clip(iy, 0, spec.bev_depth - 1)]
+        velocities = inputs.maps.velocity.at(np.clip(ix, 0, spec.bev_width - 1) * spec.bev_depth
+                                             + np.clip(iy, 0, spec.bev_depth - 1))
         tracks, det_track, next_id = greedy_associate(
             tracks, dets.to_world(inputs.sweep.ego_pose), velocities, dt, t, next_id,
             cfg.gates, cfg.default_gate, cfg.max_age)
+        del inputs
         # Point detection -1 (unclaimed) reads the appended instance 0.
         track_of = np.array(det_track + [0], dtype=np.int32)
         out.append(PanopticLabeling(fused.sem, track_of[fused.point_detection]))

@@ -1,4 +1,4 @@
-"""Sparse voxelization, majority-vote voxel labels and BEV flattening."""
+"""Sparse voxelization, majority-vote voxel labels, BEV flattening and sparse BEV grids."""
 
 from __future__ import annotations
 
@@ -218,6 +218,52 @@ class BevMap:
         """Which (M, 2) planar positions lie inside the footprint [-range, range)^2."""
         r = self.planar_range
         return np.all((xys >= -r) & (xys < r), axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseGrid:
+    """A grid that is zero outside its listed cells: ascending flat keys plus values.
+
+    ``keys`` index the cells of ``shape`` in C order. A cell is one entry
+    when ``values`` is (M,), as in a (K, W', D') heatmap, or the trailing
+    axis when ``values`` is (M, C), as in a (W', D', 2) velocity map. A cell
+    that is not listed reads 0.0. Validated once, on creation.
+    """
+
+    shape: tuple[int, ...]
+    keys: np.ndarray    # (M,) int64, strictly ascending
+    values: np.ndarray  # (M,) or (M, C) float64
+
+    def __post_init__(self):
+        shape = tuple(int(n) for n in self.shape)
+        keys = np.asarray(self.keys, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        cell_axes = len(shape) + 1 - values.ndim
+        if keys.ndim != 1 or not 0 < cell_axes <= len(shape) \
+                or values.shape != keys.shape + shape[cell_axes:]:
+            raise ValueError(f"a sparse {shape} grid needs (M,) keys and one value row per key")
+        if keys.size and (np.any(keys[1:] <= keys[:-1]) or keys[0] < 0
+                          or keys[-1] >= np.prod(shape[:cell_axes])):
+            raise ValueError("sparse grid keys must be ascending, unique and inside the grid")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "values", values)
+
+    def at(self, flat: np.ndarray) -> np.ndarray:
+        """The values of the (D,) flat cells ``flat``, 0.0 where a cell is not listed."""
+        flat = np.asarray(flat, dtype=np.int64)
+        pos = np.searchsorted(self.keys, flat)
+        hit = pos < self.keys.size
+        hit[hit] = self.keys[pos[hit]] == flat[hit]
+        out = np.zeros(flat.shape + self.values.shape[1:])
+        out[hit] = self.values[pos[hit]]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The whole grid as one array; every unlisted cell is +0.0."""
+        out = np.zeros(self.shape)
+        out.reshape((-1,) + self.values.shape[1:])[self.keys] = self.values
+        return out
 
 
 def flatten_bev(grid: SparseVoxelGrid) -> BevMap:

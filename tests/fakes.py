@@ -1,4 +1,5 @@
-"""Stand-ins the tests hand to the library: fixed extents, fixed memberships, row stacking."""
+"""Stand-ins the tests hand to the library: fixed extents, fixed memberships, row stacking,
+sparse grids from dense arrays."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from typing import Callable
 import numpy as np
 
 from modalpanoptic.membership import DetectionRow, Detections, PairTable
+from modalpanoptic.voxels import SparseGrid
 
 
 def stack(rows) -> Detections:
@@ -49,3 +51,16 @@ def make_table_membership(table: np.ndarray) -> Callable[[PairTable], np.ndarray
     """Membership from a precomputed (detections x points) probability table."""
     table = np.asarray(table, dtype=np.float64)
     return lambda pairs: table[pairs.det, pairs.point]
+
+
+def sparse_of(dense, vector: bool = False) -> SparseGrid:
+    """The cells of a dense grid that are not 0.0, NaN cells included.
+
+    With ``vector`` the last axis is each cell's vector, as in a (W', D', 2)
+    velocity map, and a cell is listed when any component is not 0.0.
+    """
+    dense = np.asarray(dense, dtype=np.float64)
+    cells = dense.reshape((-1, dense.shape[-1]) if vector else -1)
+    listed = cells != 0
+    keys = np.flatnonzero(listed.any(axis=1) if vector else listed)
+    return SparseGrid(dense.shape, keys, cells[keys])

@@ -15,7 +15,14 @@ from modalpanoptic.cloud import transform_to_frame
 from modalpanoptic.losses import bce_loss
 from modalpanoptic.membership import PairTable
 from modalpanoptic.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, recalibrate_batchnorm
-from modalpanoptic.targets import CWM_SMALL_FRACTION, modal_center
+from modalpanoptic.synth import flip_semantics
+from modalpanoptic.targets import (
+    CWM_SMALL_FRACTION,
+    GAUSSIAN_CUTOFF_SIGMAS,
+    heatmap_sigma,
+    instance_boxes,
+    modal_center,
+)
 from modalpanoptic.tracking import MAX_TRACK_ID, TrackIdOverflow, Tracklet
 from modalpanoptic.voxels import interpolate_bev_many
 
@@ -262,16 +269,18 @@ def fuse_reference(points_xyz, point_sem, detections, membership_table,
     return sem_out, inst_out
 
 
-def nms_detect_reference(maps, spec, extent_provider, threshold=0.3, max_detections=500):
+def nms_detect_reference(heatmaps, height, spec, extent_provider, threshold=0.3,
+                         max_detections=500):
     """Dense 3x3 max-pooling NMS: the peak rule ``nms_detect`` must reproduce.
 
-    Every cell of every channel is compared with the maximum of its 3x3
+    Takes dense (K, W', D') heatmaps and a dense (W', D') height map. Every
+    cell of every channel is compared with the maximum of its 3x3
     neighborhood (``-inf`` beyond the grid); peaks strictly above the
     threshold are ordered by (-confidence, class, x, y) and cut at
     ``max_detections``.
     """
-    k, w, d = maps.heatmaps.shape
-    hm = maps.heatmaps
+    k, w, d = heatmaps.shape
+    hm = heatmaps
     padded = np.full((k, w + 2, d + 2), -np.inf)
     padded[:, 1:-1, 1:-1] = hm
     neighborhood = np.full_like(hm, -np.inf)
@@ -286,7 +295,7 @@ def nms_detect_reference(maps, spec, extent_provider, threshold=0.3, max_detecti
         if len(rows) >= max_detections:
             break
         xy = spec.bev_cell_center(int(x), int(y))
-        center = np.array([xy[0], xy[1], maps.height[x, y]])
+        center = np.array([xy[0], xy[1], height[x, y]])
         extent = extent_provider.extents_for(np.array([c]), center[None, :])[0]
         rows.append((center, float(hm[c, x, y]), int(c), extent))
     return stack(rows)
@@ -775,3 +784,93 @@ def train_epochs_reference(model, features, labels, kind, learning_rate, epochs,
     recalibrate_batchnorm(model, x)
     model.set_eval()
     return model, trace
+
+
+@dataclass(frozen=True)
+class DenseTargets:
+    heatmaps: np.ndarray    # (K, W', D')
+    height: np.ndarray      # (W', D')
+    velocity: np.ndarray    # (W', D', 2)
+    valid_mask: np.ndarray  # (W', D') bool
+
+
+def render_bev_targets_reference(center, class_id, extent, velocity, spec, num_channels,
+                                 peak_scale=None):
+    """Dense per-object painting: the grids ``render_bev_targets`` must densify to.
+
+    Each object paints its cut-off Gaussian patch into the dense heatmap with
+    ``np.maximum`` and writes height and velocity at its center cell, later
+    objects overwriting earlier ones.
+    """
+    center = np.reshape(np.asarray(center, dtype=np.float64), (-1, 3))
+    class_id = np.asarray(class_id, dtype=np.int64)
+    extent = np.reshape(np.asarray(extent, dtype=np.float64), (-1, 3))
+    velocity = np.reshape(np.asarray(velocity, dtype=np.float64), (-1, 2))
+    scale = np.ones(len(center)) if peak_scale is None else np.asarray(peak_scale, float)
+    hm = np.zeros((num_channels, spec.bev_width, spec.bev_depth))
+    height = np.zeros((spec.bev_width, spec.bev_depth))
+    vel_map = np.zeros((spec.bev_width, spec.bev_depth, 2))
+    valid = np.zeros((spec.bev_width, spec.bev_depth), dtype=bool)
+    cs = spec.bev_cell_size
+    cell_x, cell_y = spec.bev_cell_of(center)
+    for i in range(len(center)):
+        cx, cy = int(cell_x[i]), int(cell_y[i])
+        sigma = heatmap_sigma(extent[i], spec)
+        reach = int(np.ceil(GAUSSIAN_CUTOFF_SIGMAS * sigma / cs))
+        x_lo, x_hi = max(0, cx - reach), min(spec.bev_width - 1, cx + reach)
+        y_lo, y_hi = max(0, cy - reach), min(spec.bev_depth - 1, cy + reach)
+        dx = (np.arange(x_lo, x_hi + 1) - cx)[:, None] * cs
+        dy = (np.arange(y_lo, y_hi + 1) - cy)[None, :] * cs
+        d2 = dx * dx + dy * dy
+        patch = scale[i] * np.exp(-d2 / (2.0 * sigma * sigma))
+        patch[d2 > (GAUSSIAN_CUTOFF_SIGMAS * sigma) ** 2] = 0.0
+        region = hm[class_id[i], x_lo:x_hi + 1, y_lo:y_hi + 1]
+        np.maximum(region, patch, out=region)
+        height[cx, cy] = center[i, 2]
+        vel_map[cx, cy] = velocity[i]
+        valid[cx, cy] = True
+    return DenseTargets(hm, height, vel_map, valid)
+
+
+def simulate_detector_reference(seq, trajectories, registry, noise, spec, taxonomy,
+                                provider=None, seed=0):
+    """Every sweep of a sequence at once, each from ``SeedSequence(seed).spawn(n)[t]``.
+
+    Returns one (dense targets, point semantics, point features, BEV
+    features, generator) tuple per sweep, the generator as the sweep's
+    draws left it.
+    """
+    class_ids = [c for c in taxonomy.class_ids if c not in taxonomy.ignore_ids]
+    out = []
+    for t, (sweep, sweep_seed) in enumerate(zip(seq.sweeps,
+                                                np.random.SeedSequence(seed).spawn(len(seq)))):
+        rng = np.random.default_rng(sweep_seed)
+        sem_pred = sweep.sem_labels.astype(np.int32)
+        if noise.semantic_flip_probability > 0:
+            flip_semantics(sem_pred, class_ids, noise.semantic_flip_probability, rng)
+        ids, first, _, centers, extents = instance_boxes(sweep.xyz, sweep.inst_labels)
+        objects = []
+        for row in np.flatnonzero(trajectories.sweep_index == t):
+            k = int(np.flatnonzero(ids == trajectories.instance_id[row])[0])
+            if rng.uniform() < noise.drop_probability:
+                continue
+            center = centers[k] + rng.normal(0.0, noise.center_jitter, 3) \
+                if noise.center_jitter else centers[k]
+            if not spec.in_range(center[None, :])[0]:
+                continue
+            conf = float(np.clip(1.0 - abs(rng.normal(0.0, noise.confidence_noise)), 0.05, 1.0)) \
+                if noise.confidence_noise else 1.0
+            vel = (registry.instances[int(ids[k])].velocity[:2].copy() if registry is not None
+                   else trajectories.velocity[row])
+            if noise.velocity_noise:
+                vel = vel + rng.normal(0.0, noise.velocity_noise, 2)
+            objects.append((center, sweep.sem_labels[first[k]], extents[k], vel, conf))
+        center, cls, extent, vel, conf = (list(col) for col in zip(*objects)) if objects \
+            else ([], [], [], [], [])
+        dense = render_bev_targets_reference(center, cls, extent, vel, spec,
+                                             taxonomy.num_channels, conf)
+        feats = provider.point_features(sweep) if provider else np.zeros((len(sweep), 0))
+        bev = provider.bev_map(sweep, feats).data if provider \
+            else np.zeros((spec.bev_width, spec.bev_depth, 0))
+        out.append((dense, sem_pred, feats, bev, rng))
+    return out

@@ -343,7 +343,7 @@ def test_acceptance_7_target_math():
     out = render_bev_targets(xyz, np.ones(3, dtype=int), np.tile([1.0, 0.6, 0.5], (3, 1)),
                              np.zeros((3, 2)), SPEC, TAX.num_channels)
     for cx, cy in centers:
-        assert out.heatmaps[1, cx, cy] == 1.0
+        assert out.heatmaps.dense()[1, cx, cy] == 1.0
 
     # Gaussian value one sigma away.
     small = np.array([0.3, 0.2, 0.5])
@@ -351,7 +351,7 @@ def test_acceptance_7_target_math():
                                   np.zeros((1, 2)), SPEC, TAX.num_channels)
     sigma = heatmap_sigma(small, SPEC)
     assert sigma == 2.0 * SPEC.bev_cell_size
-    assert abs(rendered.heatmaps[1, 212, 170] - np.exp(-0.5)) <= 1e-9
+    assert abs(rendered.heatmaps.dense()[1, 212, 170] - np.exp(-0.5)) <= 1e-9
 
     # Velocity targets: exact centered difference, zero for singletons. Car 5
     # is one point per sweep, so its modal centers are exact; car 6 shows once.

@@ -98,6 +98,19 @@ def test_hooks_resolve_on_a_traced_track_and_eval(tmp_path):
     for name in ("metrics.PqAccumulator.add", "metrics.LstqAccumulator.add_sequence",
                  "tracking.panoptic_track_sequence", "pipeline.prepare_sweep_inputs"):
         assert totals.calls[name] >= 1, name
+    # Streaming keeps each layer's work inside its own span: one detector
+    # simulation per sweep, and every target rendering below one of them.
+    assert totals.calls["synth.simulate_detector"] == 4
+    by_id = {span.id: span for span in tracer.spans}
+
+    def ancestors(span):
+        while span.parent in by_id:
+            span = by_id[span.parent]
+            yield span.name
+
+    renders = [s for s in tracer.spans if s.name == "targets.render_bev_targets"]
+    assert len(renders) == 4
+    assert all("synth.simulate_detector" in ancestors(s) for s in renders)
 
 
 def test_hooks_resolve_on_a_traced_train_mem_and_mlp_track(tmp_path, monkeypatch):

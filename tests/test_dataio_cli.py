@@ -8,6 +8,7 @@ import pytest
 
 import modalpanoptic as mp
 from modalpanoptic.cli import main
+from modalpanoptic.cloud import apply_pose, invert_pose
 from modalpanoptic.dataio import (
     LabelRangeError,
     TruncatedRecord,
@@ -211,6 +212,40 @@ class TestCli:
             owners = np.unique(inst[point[(det == d) & (label == 1)]])
             assert owners.size == 1 and owners[0] != 0
             assert not np.any(inst[point[(det == d) & (label == 0)]] == owners[0])
+
+    def test_targets_sensor_frame_is_the_inference_frame(self, tmp_path):
+        # Under poses that roll, pitch and yaw, centers must reach the sensor
+        # frame through ``invert_pose``, as ``prepare_sweep_inputs`` takes them.
+        tax = mp.default_taxonomy()
+        seq, _ = mp.generate_sequence(mp.SceneConfig(seed=207, sweep_count=4,
+                                                     count_range=(3, 4)), tax)
+        sweeps = []
+        for t, sweep in enumerate(seq.sweeps):
+            (cr, sr), (cp, sp), (cy, sy) = ((np.cos(a), np.sin(a)) for a in
+                                            (0.02 + 0.01 * t, -0.03 + 0.005 * t, 0.3 + 0.7 * t))
+            pose = np.eye(4)
+            pose[:3, :3] = (np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
+                            @ np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
+                            @ np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]]))
+            pose[:3, 3] = [1.5 * t, -0.5 * t, 0.1]
+            sweeps.append(mp.transform_to_frame(sweep, pose))
+        data, out = tmp_path / "data", tmp_path / "targets"
+        write_sequence(data, "0000", mp.SweepSequence(tuple(sweeps), seq.period), tax)
+        assert main(["targets", "--data", str(data), "--out", str(out), "--strategy", "SW"]) == 0
+        seq = read_sequence(data, "0000")
+        table = mp.build_trajectories(seq, tax)
+        spec = mp.GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)  # the CLI's grid defaults
+        for t, sweep in enumerate(seq.sweeps):
+            rows = np.flatnonzero(table.sweep_index == t)
+            want = mp.render_bev_targets(
+                apply_pose(invert_pose(sweep.ego_pose), table.center[rows]),
+                table.class_id[rows], table.extent[rows], table.velocity[rows], spec,
+                tax.num_channels)
+            height = np.load(out / "0000" / f"{t:06d}_height.npy")
+            heatmaps = np.load(out / "0000" / f"{t:06d}_heatmaps.npy")
+            assert height.tobytes() == want.height.dense().tobytes(), t
+            np.testing.assert_array_equal(np.argwhere(heatmaps == 1.0),
+                                          np.argwhere(want.heatmaps.dense() == 1.0))
 
     @pytest.mark.parametrize("command", ["track", "targets"])
     def test_instance_on_stuff_points_exit_code(self, tmp_path, capsys, command):

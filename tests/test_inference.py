@@ -13,7 +13,7 @@ from modalpanoptic.membership import (
 from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import BevMap, GridSpec
 
-from fakes import CwmExtents, make_table_membership, row, stack
+from fakes import CwmExtents, make_table_membership, row, sparse_of, stack
 from oracles import fuse_reference, nms_detect_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
@@ -32,9 +32,10 @@ def maps_of(heat, height=None, velocity=None, point_sem=None, n_points=0):
     for cid, grid in heat.items():
         hm[cid] = grid
     return PredictedMaps(
-        hm,
-        np.zeros((SPEC.bev_width, SPEC.bev_depth)) if height is None else height,
-        np.zeros((SPEC.bev_width, SPEC.bev_depth, 2)) if velocity is None else velocity,
+        sparse_of(hm),
+        sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth)) if height is None else height),
+        sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth, 2)) if velocity is None else velocity,
+                  vector=True),
         np.zeros(n_points, dtype=np.int32) if point_sem is None else np.asarray(point_sem, dtype=np.int32),
         empty_bev(),
         np.zeros((n_points if point_sem is None else len(point_sem), 0)),
@@ -117,6 +118,19 @@ class TestNmsDetect:
         assert confs == sorted(confs, reverse=True)
 
 
+class TestPredictedMapsRange:
+    @pytest.mark.parametrize("cells", [[], [0.5, 1.0], [1.5], [-0.1], [np.nan], [np.nan, 2.0],
+                                       [0.5, -np.inf], [np.inf]])
+    def test_accepts_what_a_dense_scan_accepts(self, cells):
+        hm = np.zeros((TAX.num_channels, SPEC.bev_width, SPEC.bev_depth))
+        hm[1].reshape(-1)[:len(cells)] = cells
+        if hm.min(initial=0.0) < 0 or hm.max(initial=0.0) > 1:
+            with pytest.raises(ValueError, match=r"heatmap values must lie in \[0, 1\]"):
+                maps_of({1: hm[1]})
+        else:
+            assert maps_of({1: hm[1]}).heatmaps.keys.size == np.count_nonzero(hm)
+
+
 class TestNearestCenterExtents:
     def test_matches_per_detection_scan(self):
         rng = np.random.default_rng(6)
@@ -168,10 +182,10 @@ def assert_same_detections(got, want):
 def check_nms_against_reference(hm, threshold=0.3, max_detections=500):
     _, w, d = hm.shape
     height = np.random.default_rng(0).normal(size=(w, d))
-    maps = PredictedMaps(hm, height, np.zeros((w, d, 2)), np.zeros(0, dtype=np.int32),
-                         empty_bev(), np.zeros((0, 0)))
+    maps = PredictedMaps(sparse_of(hm), sparse_of(height), sparse_of(np.zeros((w, d, 2)), True),
+                         np.zeros(0, dtype=np.int32), empty_bev(), np.zeros((0, 0)))
     provider = position_extents()
-    want = nms_detect_reference(maps, SPEC, provider, threshold, max_detections)
+    want = nms_detect_reference(hm, height, SPEC, provider, threshold, max_detections)
     got = nms_detect(maps, SPEC, provider, threshold, max_detections)
     assert_same_detections(got, want)
     return got
@@ -248,6 +262,14 @@ class TestNmsMatchesDenseReference:
         assert check_nms_against_reference(hm, threshold, everything)
         uniform = check_nms_against_reference(np.full(self.SHAPE, 0.5), threshold, everything)
         assert len(uniform) == np.prod(self.SHAPE)
+
+    def test_negative_threshold_counts_unlisted_cells(self):
+        hm = np.zeros(self.SHAPE)
+        hm[1, 5, 5] = 0.9
+        hm[2, 0, 0] = 0.4
+        dets = check_nms_against_reference(hm, threshold=-0.5, max_detections=10 ** 6)
+        # Every zero cell away from the two peaks is a 3x3 maximum above -0.5.
+        assert len(dets) == np.prod(self.SHAPE) - 8 - 3
 
     def test_nan_cell(self):
         hm = np.zeros(self.SHAPE)

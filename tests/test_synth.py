@@ -17,10 +17,21 @@ from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
 from modalpanoptic.targets import build_trajectories, instance_boxes, modal_center
 from modalpanoptic.voxels import GridSpec
 
-from oracles import bev_mean_reference, flip_semantics_reference, handcrafted_features_reference
+from oracles import (
+    bev_mean_reference,
+    flip_semantics_reference,
+    handcrafted_features_reference,
+    simulate_detector_reference,
+)
 
 TAX = mp.default_taxonomy()
 SPEC = GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
+
+
+def simulate_all(seq, trajs, registry, noise, seed=0, provider=None):
+    """``simulate_detector`` on every sweep of ``seq``, in order."""
+    return [mp.simulate_detector(sweep, t, trajs, registry, noise, SPEC, TAX, provider=provider,
+                                 seed=seed) for t, sweep in enumerate(seq.sweeps)]
 
 
 def simple_cfg(**kw):
@@ -178,7 +189,7 @@ class TestSimulateDetector:
         cfg = simple_cfg(seed=11)
         seq, reg = mp.generate_sequence(cfg, TAX)
         trajs = build_trajectories(seq, TAX)
-        maps = mp.simulate_detector(seq, trajs, reg, NO_NOISE, SPEC, TAX)
+        maps = mp.simulate_detector(seq.sweeps[0], 0, trajs, reg, NO_NOISE, SPEC, TAX)
         sweep = seq.sweeps[0]
         ids = sweep.inst_labels
         for iid in np.unique(ids[ids > 0]):
@@ -186,23 +197,21 @@ class TestSimulateDetector:
             center = modal_center(members)
             cx, cy = SPEC.bev_cell_of(center[:2])
             cid = int(sweep.sem_labels[ids == iid][0])
-            assert maps[0].heatmaps[cid, cx, cy] == 1.0
-            assert maps[0].height[cx, cy] == pytest.approx(center[2])
+            assert maps.heatmaps.dense()[cid, cx, cy] == 1.0
+            assert maps.height.dense()[cx, cy] == pytest.approx(center[2])
 
     def test_drop_probability_one_empties_heatmaps(self):
         cfg = simple_cfg(seed=12)
         seq, reg = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(drop_probability=1.0)
-        maps = mp.simulate_detector(seq, build_trajectories(seq, TAX), reg, noise, SPEC, TAX)
-        for m in maps:
-            assert m.heatmaps.max() == 0.0
+        for m in simulate_all(seq, build_trajectories(seq, TAX), reg, noise):
+            assert m.heatmaps.dense().max() == 0.0
 
     def test_semantic_flips_respect_probability(self):
         cfg = simple_cfg(seed=13)
         seq, reg = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(semantic_flip_probability=0.2)
-        maps = mp.simulate_detector(seq, build_trajectories(seq, TAX), reg, noise, SPEC, TAX,
-                                    seed=3)
+        maps = simulate_all(seq, build_trajectories(seq, TAX), reg, noise, seed=3)
         frac = np.mean([np.mean(m.point_sem != s.sem_labels)
                         for m, s in zip(maps, seq.sweeps)])
         assert 0.15 < frac < 0.25
@@ -219,10 +228,10 @@ class TestSimulateDetector:
         sigma = 0.2
         hits = total = 0
         for trial in range(40):
-            maps = mp.simulate_detector(seq, trajs, reg, DetectorNoise(center_jitter=sigma),
-                                        SPEC, TAX, seed=trial)
+            maps = mp.simulate_detector(seq.sweeps[0], 0, trajs, reg,
+                                        DetectorNoise(center_jitter=sigma), SPEC, TAX, seed=trial)
             provider = CwmExtents({}, default=np.ones(3))
-            dets = nms_detect(maps[0], SPEC, provider, 0.3, 50)
+            dets = nms_detect(maps, SPEC, provider, 0.3, 50)
             sweep = seq.sweeps[0]
             ids = sweep.inst_labels
             for iid in np.unique(ids[ids > 0]):
@@ -238,32 +247,65 @@ class TestSimulateDetector:
         seq, reg = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(center_jitter=0.1, semantic_flip_probability=0.1)
         trajs = build_trajectories(seq, TAX)
-        a = mp.simulate_detector(seq, trajs, reg, noise, SPEC, TAX, seed=5)
-        b = mp.simulate_detector(seq, trajs, reg, noise, SPEC, TAX, seed=5)
+        a = simulate_all(seq, trajs, reg, noise, seed=5)
+        b = simulate_all(seq, trajs, reg, noise, seed=5)
         for ma, mb in zip(a, b):
-            np.testing.assert_array_equal(ma.heatmaps, mb.heatmaps)
+            np.testing.assert_array_equal(ma.heatmaps.dense(), mb.heatmaps.dense())
             np.testing.assert_array_equal(ma.point_sem, mb.point_sem)
-            np.testing.assert_array_equal(ma.velocity, mb.velocity)
+            np.testing.assert_array_equal(ma.velocity.dense(), mb.velocity.dense())
 
     def test_trajectories_of_another_sequence_rejected(self):
         seq, reg = mp.generate_sequence(simple_cfg(seed=17), TAX)
         other, _ = mp.generate_sequence(simple_cfg(seed=18, count_range=(4, 4)), TAX)
         with pytest.raises(ValueError, match="sweep 0: trajectories hold an instance"):
-            mp.simulate_detector(seq, build_trajectories(other, TAX), reg, NO_NOISE, SPEC, TAX)
+            mp.simulate_detector(seq.sweeps[0], 0, build_trajectories(other, TAX), reg, NO_NOISE,
+                                 SPEC, TAX)
+
+    @pytest.mark.parametrize("with_registry, subset", [(True, False), (False, True)])
+    def test_sweeps_match_the_per_sequence_reference(self, monkeypatch, with_registry, subset):
+        seq, reg = mp.generate_sequence(simple_cfg(seed=19, sweep_count=5, count_range=(4, 5),
+                                                   min_separation=5.0), TAX)
+        trajs = build_trajectories(seq, TAX)
+        if subset:
+            trajs = trajs.select(trajs.point_count >= 30)
+        reg = reg if with_registry else None
+        noise = DetectorNoise(center_jitter=0.2, confidence_noise=0.2, drop_probability=0.2,
+                              semantic_flip_probability=0.05, velocity_noise=0.3)
+        provider = HandcraftedFeatures(SPEC)
+        want = simulate_detector_reference(seq, trajs, reg, noise, SPEC, TAX, provider, seed=9)
+        made, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: made.append(default_rng(*args)) or made[-1])
+        centers = 0
+        # Last sweep first: each sweep seeds its own stream.
+        for t in reversed(range(len(seq))):
+            got = mp.simulate_detector(seq.sweeps[t], t, trajs, reg, noise, SPEC, TAX,
+                                       provider=provider, seed=9)
+            dense, sem, feats, bev, rng = want[t]
+            assert len(made) == len(seq) - t
+            assert made[-1].bit_generator.state == rng.bit_generator.state
+            assert got.heatmaps.dense().tobytes() == dense.heatmaps.tobytes()
+            assert got.height.dense().tobytes() == dense.height.tobytes()
+            assert got.velocity.dense().tobytes() == dense.velocity.tobytes()
+            assert got.point_sem.tobytes() == sem.tobytes()
+            assert got.point_features.tobytes() == feats.tobytes()
+            assert got.bev_features.data.tobytes() == bev.tobytes()
+            centers += got.height.keys.size
+        assert centers > len(seq)
 
     def test_velocity_from_registry_vs_labels(self):
         cfg = simple_cfg(seed=16, motion="pass", sweep_count=6)
         seq, reg = mp.generate_sequence(cfg, TAX)
         trajs = build_trajectories(seq, TAX)
-        with_reg = mp.simulate_detector(seq, trajs, reg, NO_NOISE, SPEC, TAX)
-        label_only = mp.simulate_detector(seq, trajs, None, NO_NOISE, SPEC, TAX)
+        with_reg = simulate_all(seq, trajs, reg, NO_NOISE)
+        label_only = simulate_all(seq, trajs, None, NO_NOISE)
         # Interior sweeps: centered differences of modal centers track the
         # true velocity to within sampling noise of the centers.
         t = 2
-        cells = np.argwhere(with_reg[t].velocity.any(axis=2))
+        truth, labels = with_reg[t].velocity.dense(), label_only[t].velocity.dense()
+        cells = np.argwhere(truth.any(axis=2))
         for cx, cy in cells:
-            np.testing.assert_allclose(label_only[t].velocity[cx, cy],
-                                       with_reg[t].velocity[cx, cy], atol=0.2)
+            np.testing.assert_allclose(labels[cx, cy], truth[cx, cy], atol=0.2)
 
 
 class TestHandcraftedFeatures:
@@ -360,8 +402,7 @@ class TestFeaturesOncePerSweep:
     def test_simulate_detector(self):
         seq, reg = mp.generate_sequence(simple_cfg(seed=5, sweep_count=3), TAX)
         provider = CountingFeatures(SPEC)
-        maps = mp.simulate_detector(seq, build_trajectories(seq, TAX), reg, NO_NOISE, SPEC, TAX,
-                                    provider=provider)
+        maps = simulate_all(seq, build_trajectories(seq, TAX), reg, NO_NOISE, provider=provider)
         assert provider.calls == len(seq.sweeps)
         assert maps[0].bev_features.data.tobytes() == provider.bev_map(
             seq.sweeps[0], maps[0].point_features).data.tobytes()

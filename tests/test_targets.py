@@ -24,7 +24,12 @@ from modalpanoptic.targets import (
 )
 from modalpanoptic.voxels import GridSpec
 
-from oracles import aggregate_extent_reference, build_trajectories_reference, velocity_reference
+from oracles import (
+    aggregate_extent_reference,
+    build_trajectories_reference,
+    render_bev_targets_reference,
+    velocity_reference,
+)
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
                 ClassDef(3, "road", "stuff")), 10)
@@ -208,12 +213,12 @@ class TestRenderBevTargets:
         center_xy = cell_center(SPEC, 50, 60)
         inst = record(1, 1, [center_xy[0], center_xy[1], 0.5], [1.0, 0.5, 0.4])
         out = render_bev_targets(*boxes_of([inst]), SPEC, TAX.num_channels)
-        assert out.heatmaps[1, 50, 60] == 1.0
-        assert out.heatmaps[1].max() == 1.0
-        assert out.heatmaps[[0, 2, 3]].max() == 0.0
-        assert out.height[50, 60] == 0.5
-        assert out.valid_mask[50, 60]
-        assert out.valid_mask.sum() == 1
+        assert out.heatmaps.dense()[1, 50, 60] == 1.0
+        assert out.heatmaps.dense()[1].max() == 1.0
+        assert out.heatmaps.dense()[[0, 2, 3]].max() == 0.0
+        assert out.height.dense()[50, 60] == 0.5
+        assert out.valid_mask()[50, 60]
+        assert out.valid_mask().sum() == 1
 
     def test_value_at_sigma(self):
         center_xy = cell_center(SPEC, 50, 60)
@@ -222,7 +227,7 @@ class TestRenderBevTargets:
         out = render_bev_targets(*boxes_of([inst]), SPEC, TAX.num_channels)
         sigma = heatmap_sigma(extent, SPEC)
         assert sigma == 2.0 * SPEC.bev_cell_size
-        got = out.heatmaps[1, 52, 60]  # two cells away = one sigma, bitwise
+        got = out.heatmaps.dense()[1, 52, 60]  # two cells away = one sigma, bitwise
         np.testing.assert_allclose(got, np.exp(-0.5), atol=1e-9)
 
     def test_overlap_max_against_two_pass(self):
@@ -233,8 +238,9 @@ class TestRenderBevTargets:
         both = render_bev_targets(*boxes_of([a, b]), SPEC, TAX.num_channels)
         only_a = render_bev_targets(*boxes_of([a]), SPEC, TAX.num_channels)
         only_b = render_bev_targets(*boxes_of([b]), SPEC, TAX.num_channels)
-        np.testing.assert_allclose(both.heatmaps,
-                                   np.maximum(only_a.heatmaps, only_b.heatmaps), atol=0)
+        np.testing.assert_allclose(both.heatmaps.dense(), np.maximum(only_a.heatmaps.dense(),
+                                                                     only_b.heatmaps.dense()),
+                                   atol=0)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -244,8 +250,8 @@ class TestRenderBevTargets:
             instances.append(record(i, int(rng.integers(1, 3)), [xy[0], xy[1], 0.0],
                                     rng.uniform(0.1, 2.0, 3), idx=0))
         out = render_bev_targets(*boxes_of(instances), SPEC, TAX.num_channels)
-        assert out.heatmaps.min() >= 0.0
-        assert out.heatmaps.max() <= 1.0
+        assert out.heatmaps.dense().min() >= 0.0
+        assert out.heatmaps.dense().max() <= 1.0
 
     def test_out_of_range_center_rejected(self):
         inst = record(1, 1, [25.0, 0.0, 0.0], [1.0, 1.0, 1.0])
@@ -260,6 +266,54 @@ class TestRenderBevTargets:
         with pytest.raises(ValueError, match=r"peak_scale .*\[0, 1\]"):
             render_bev_targets(*boxes_of(insts), SPEC, TAX.num_channels,
                                peak_scale=[0.5, scale])
+
+
+@st.composite
+def bev_objects(draw):
+    """Objects on a few shared positions: same-cell pairs, overlaps and border clipping."""
+    coord = st.one_of(st.floats(-19.99, 19.99), st.sampled_from([-19.9, -19.7, 0.0, 19.7, 19.9]))
+    spots = draw(st.lists(st.tuples(coord, coord, st.floats(-1.9, 1.9))
+                          .filter(lambda p: np.hypot(p[0], p[1]) < SPEC.planar_range),
+                          min_size=1, max_size=4))
+    objects = draw(st.lists(st.tuples(
+        st.sampled_from(spots), st.integers(0, TAX.num_channels - 1),
+        st.lists(st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 0.3, 1.0])),
+                 min_size=3, max_size=3),
+        st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))), max_size=8))
+    if not objects:
+        return np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 2)), []
+    center, cls, extent, velocity, scale = zip(*objects)
+    return (np.array(center), np.array(cls), np.array(extent), np.array(velocity),
+            list(scale))
+
+
+class TestSparseRenderMatchesDense:
+    @PROPERTY
+    @given(bev_objects())
+    def test_densifies_byte_for_byte(self, objects):
+        center, cls, extent, velocity, scale = objects
+        got = render_bev_targets(center, cls, extent, velocity, SPEC, TAX.num_channels,
+                                 peak_scale=scale)
+        want = render_bev_targets_reference(center, cls, extent, velocity, SPEC,
+                                            TAX.num_channels, peak_scale=scale)
+        assert got.heatmaps.dense().tobytes() == want.heatmaps.tobytes()
+        assert got.height.dense().tobytes() == want.height.tobytes()
+        assert got.velocity.dense().tobytes() == want.velocity.tobytes()
+        assert got.valid_mask().tobytes() == want.valid_mask.tobytes()
+        assert np.all(got.heatmaps.values > 0)
+
+    def test_same_cell_last_writer_and_overlap_maximum(self):
+        xy = cell_center(SPEC, 98, 50)  # two cells from the border: patches clip
+        center = [[xy[0], xy[1], 0.5], [xy[0] + 0.1, xy[1], -0.25], [xy[0] - 0.8, xy[1], 1.0]]
+        args = (center, [1, 1, 1], [[1.0, 0.8, 0.5]] * 3, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+                SPEC, TAX.num_channels)
+        got = render_bev_targets(*args, peak_scale=[1.0, 0.0, 0.5])
+        want = render_bev_targets_reference(*args, peak_scale=[1.0, 0.0, 0.5])
+        assert got.heatmaps.dense().tobytes() == want.heatmaps.tobytes()
+        assert got.height.dense()[98, 50] == -0.25
+        np.testing.assert_array_equal(got.velocity.dense()[98, 50], [3.0, 4.0])
+        assert got.height.keys.tolist() == [96 * 100 + 50, 98 * 100 + 50]
 
 
 class TestVelocityTarget:

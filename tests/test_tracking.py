@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import modalpanoptic as mp
 from modalpanoptic.cloud import PanopticLabeling
 from modalpanoptic.membership import oracle_scores
-from modalpanoptic.pipeline import prepare_sweep_inputs
+from modalpanoptic.pipeline import infer_sequence, prepare_sweep_inputs
 from modalpanoptic.synth import NO_NOISE
 from modalpanoptic.targets import ExtentStrategy
 from modalpanoptic.tracking import (
@@ -115,12 +117,12 @@ def run_tracked(seed=21, noise=NO_NOISE, score=oracle_scores, sweep_count=10, dr
     cfg = mp.SceneConfig(seed=seed, sweep_count=sweep_count, count_range=(3, 4),
                          min_separation=8.0)
     seq, reg = mp.generate_sequence(cfg, TAX)
-    inputs = prepare_sweep_inputs(seq, mp.build_trajectories(seq, TAX), TAX, SPEC,
-                                  ExtentStrategy("MAX"), noise, registry=reg, seed=7)
+    inputs = list(prepare_sweep_inputs(seq, mp.build_trajectories(seq, TAX), TAX, SPEC,
+                                       ExtentStrategy("MAX"), noise, registry=reg, seed=7))
     if drop_sweep is not None:
         # Zero the heatmaps of one middle sweep: a detector dropout.
         m = inputs[drop_sweep].maps
-        blank = mp.PredictedMaps(np.zeros_like(m.heatmaps), m.height, m.velocity,
+        blank = mp.PredictedMaps(mp.SparseGrid(m.heatmaps.shape, [], []), m.height, m.velocity,
                                  m.point_sem, m.bev_features, m.point_features)
         inputs[drop_sweep] = type(inputs[drop_sweep])(inputs[drop_sweep].sweep, blank,
                                                       inputs[drop_sweep].extent_provider)
@@ -170,3 +172,36 @@ class TestPanopticTrackSequence:
                 got = got[got > 0]
                 assert got.size == 1
                 assert mapping.setdefault(int(iid), int(got[0])) == int(got[0])
+
+
+class TestOneSweepAlive:
+    """A streamed sequence keeps only the sweep in hand alive."""
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_maps_released_sweep_by_sweep(self, track):
+        cfg = mp.SceneConfig(seed=26, sweep_count=10, count_range=(3, 4), min_separation=8.0)
+        seq, reg = mp.generate_sequence(cfg, TAX)
+        stream = prepare_sweep_inputs(seq, mp.build_trajectories(seq, TAX), TAX, SPEC,
+                                      ExtentStrategy("MAX"), NO_NOISE, registry=reg)
+        alive, most, yielded = set(), [0], []
+
+        def watched(per_sweep):
+            for inputs in per_sweep:
+                t = len(yielded)
+                alive.add(t)
+                weakref.finalize(inputs.maps, alive.discard, t)
+                most[0] = max(most[0], len(alive))
+                yielded.append(t)
+                yield inputs
+                del inputs
+
+        pcfg = PipelineConfig(margin_floor=0.25, default_gate=3.0)
+        if track:
+            labelings = panoptic_track_sequence(watched(stream), TAX, SPEC, oracle_scores,
+                                                seq.period, pcfg)
+        else:
+            labelings = infer_sequence(watched(stream), TAX, SPEC, oracle_scores, pcfg)
+        assert len(labelings) == len(yielded) == 10
+        # Each sweep's maps are gone before the next sweep's are made.
+        assert most[0] == 1
+        assert alive == set()
