@@ -51,7 +51,6 @@ from .targets import (
     aggregate_extent,
     build_trajectories,
     class_wise_mean_extents,
-    instance_boxes,
     render_bev_targets,
     save_cwm_stats,
 )
@@ -176,6 +175,7 @@ def cmd_targets(args) -> int:
         tables.append(trajectories)
         strategy = _strategy(args, class_wise_mean_extents(trajectories, taxonomy))
         extents, excluded = aggregate_extent(trajectories, strategy)
+        max_extents = trajectories.max_extents
         seq_out = out / name
         seq_out.mkdir(parents=True, exist_ok=True)
         for t, sweep in enumerate(seq.sweeps):
@@ -190,7 +190,7 @@ def cmd_targets(args) -> int:
             np.save(seq_out / f"{frame}_height.npy", rendered.height.dense())
             np.save(seq_out / f"{frame}_velocity.npy", rendered.velocity.dense())
             np.save(seq_out / f"{frame}_valid.npy", rendered.valid_mask())
-            rows = _membership_rows(sweep, trajectories, np.flatnonzero(at))
+            rows = _membership_rows(sweep, trajectories, np.flatnonzero(at), max_extents)
             np.save(seq_out / f"{frame}_membership.npy", rows)
     stats = class_wise_mean_extents(tables, taxonomy)
     save_cwm_stats(stats, out / "cwm.tsv")
@@ -198,15 +198,15 @@ def cmd_targets(args) -> int:
     return 0
 
 
-def _membership_rows(sweep, trajectories, rows) -> np.ndarray:
+def _membership_rows(sweep, trajectories, rows, max_extents) -> np.ndarray:
     """(detection_index, point_index, label) triples for GT-center RoIs.
 
-    ``rows`` are the sweep's records in ``trajectories``: one per labeled
-    instance, in the ascending id order ``instance_boxes`` lists them.
+    ``rows`` are the sweep's records in ``trajectories``. Each RoI sits at
+    the sensor-frame ``sensor_center`` with its instance's (world-frame)
+    ``max_extents`` row.
     """
-    _, _, _, centers, _ = instance_boxes(sweep.xyz, sweep.inst_labels)
-    gt = Detections(centers, np.ones(rows.size), trajectories.class_id[rows],
-                    trajectories.max_extents[trajectories.row_instance[rows]])
+    gt = Detections(trajectories.sensor_center[rows], np.ones(rows.size),
+                    trajectories.class_id[rows], max_extents[trajectories.row_instance[rows]])
     # Zero margins leave each RoI the uninflated box.
     det, point = np.nonzero(roi_mask(gt, sweep.xyz, 0.0, 0.0))
     label = sweep.inst_labels[point] == trajectories.instance_id[rows][det]

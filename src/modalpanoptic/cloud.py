@@ -139,10 +139,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def check_rigid(pose: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise unless pose is a proper rigid transform (4x4, orthonormal R, det +1)."""
+    """Raise unless pose is a proper rigid transform (4x4, finite, orthonormal R, det +1)."""
     pose = np.asarray(pose, dtype=np.float64)
     if pose.shape != (4, 4):
         raise RigidTransformError(f"pose must be 4x4, got {pose.shape}")
+    # NaN slips through every comparison below, so it is rejected first.
+    if not np.all(np.isfinite(pose)):
+        raise RigidTransformError("pose entries must be finite")
     if not np.allclose(pose[3], [0.0, 0.0, 0.0, 1.0], atol=tol):
         raise RigidTransformError("bottom row must be [0, 0, 0, 1]")
     rot = pose[:3, :3]
@@ -245,9 +248,12 @@ class SweepSequence:
         object.__setattr__(self, "sweeps", tuple(self.sweeps))
         if not self.sweeps:
             raise ValueError("sequence must contain at least one sweep")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
         times = [s.timestamp for s in self.sweeps]
+        stray = np.flatnonzero(~np.isfinite(times))
+        if stray.size:
+            raise ValueError(f"sweep {stray[0]}: timestamp {times[stray[0]]} is not finite")
+        if not (np.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be positive and finite, got {self.period}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("sweep timestamps must be strictly increasing")
 

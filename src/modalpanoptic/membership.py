@@ -15,7 +15,7 @@ import numpy as np
 
 from .cloud import SweepSequence, Taxonomy, apply_pose
 from .mlp import MlpModel, OptimizerState, build_mlp, forward, train_epochs
-from .targets import build_trajectories, instance_boxes, widen_unobserved_axes
+from .targets import build_trajectories, widen_unobserved_axes
 from .voxels import BevMap, FeatureProvider, interpolate_bev_many
 
 if TYPE_CHECKING:
@@ -333,21 +333,20 @@ def oracle_scores(inputs: SweepInputs, detections: Detections, pairs: PairTable)
 
     A detection's source is the nearest same-class true modal center within
     1 m in the plane, the lower instance id on ties; unmatched detections
-    claim nothing. Used to exercise the fusion and tracking plumbing under
-    perfect inputs.
+    claim nothing. Candidates are ``inputs.records``' ``sensor_center``s,
+    every labeled instance of the sweep. Used to exercise the fusion and
+    tracking plumbing under perfect inputs.
     """
-    sweep = inputs.sweep
-    iids, first, _, centers, _ = instance_boxes(sweep.xyz, sweep.inst_labels)
-    classes = sweep.sem_labels[first]
+    truth = inputs.records
     source = np.full(len(detections), -1, dtype=np.int64)
-    if iids.size:
-        dist = np.where(classes == detections.class_id[:, None],
-                        np.linalg.norm(centers[:, :2] - detections.center[:, None, :2], axis=2),
-                        np.inf)
+    if len(truth):
+        gap = truth.sensor_center[:, :2] - detections.center[:, None, :2]
+        dist = np.where(truth.class_id == detections.class_id[:, None],
+                        np.linalg.norm(gap, axis=2), np.inf)
         nearest = np.argmin(dist, axis=1)
         close = dist[np.arange(len(detections)), nearest] < 1.0
-        source[close] = iids[nearest[close]]
-    return (sweep.inst_labels[pairs.point] == source[pairs.det]).astype(np.float64)
+        source[close] = truth.instance_id[nearest[close]]
+    return (inputs.sweep.inst_labels[pairs.point] == source[pairs.det]).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -375,7 +374,7 @@ def build_training_pairs(
     """Pair rows and binary labels from jittered ground-truth centers.
 
     Each sweep's thing instances stand in for its detections: one
-    ``Detections`` holds their modal centers, each jittered, with
+    ``Detections`` holds their sensor-frame ``sensor_center``s, each jittered, with
     trajectory-level maximum extents whose never-observed axes are widened to
     the class mean (``widen_unobserved_axes``) as a trained extent head would
     predict them. ``gather_pairs`` then applies the RoI margins and class
@@ -404,11 +403,8 @@ def build_training_pairs(
                 feats = provider.point_features(sweep)
                 if pair_cfg.include_bev:
                     bev = provider.bev_map(sweep, feats)
-            # Every labeled instance of the sweep has one record here, in
-            # ascending id order, as ``instance_boxes`` lists them.
             at = np.flatnonzero(table.sweep_index == t)
-            _, _, _, centers, _ = instance_boxes(sweep.xyz, sweep.inst_labels)
-            centers = centers + rng.normal(0.0, cfg.center_jitter, (at.size, 3))
+            centers = table.sensor_center[at] + rng.normal(0.0, cfg.center_jitter, (at.size, 3))
             if bev is not None:
                 # Inference proposes centers only on grid cells, so a center
                 # jittered off the BEV footprint has no map to read there.

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import ClassDef, PointCloudSweep, SweepSequence, Taxonomy
+from .cloud import NO_INSTANCE, ClassDef, PointCloudSweep, SweepSequence, Taxonomy
 from .inference import PredictedMaps
-from .targets import Trajectories, instance_boxes, render_bev_targets
+from .targets import Trajectories, render_bev_targets
 from .voxels import BevMap, FeatureProvider, GridSpec, flatten_bev, voxelize
 
 CAR = 1
@@ -486,12 +486,14 @@ def simulate_detector(
     holds the records the detector was trained on: the caller's
     ``targets.build_trajectories(seq, taxonomy)``, built once per sequence,
     or rows selected from it. Each instance with a record at this sweep gets
-    a center heatmap peak at its sensor-frame modal center, with jitter,
-    scaled by a noisy confidence; dropped instances, and instances without a
-    record here, leave no peak. Velocity cells carry the instance's planar
-    velocity plus noise; with a registry that is the generator truth,
-    otherwise the record's velocity (what a trained offset head regresses).
-    The maps come back sparse, as ``render_bev_targets`` lists them.
+    a peak on its ``class_id`` heatmap at the sensor-frame ``sensor_center``,
+    with jitter, sized by ``sensor_extent`` and scaled by a noisy
+    confidence; dropped instances, and instances without a record here,
+    leave no peak. Velocity cells carry the instance's planar velocity plus
+    noise; with a registry that is the generator truth, otherwise the
+    record's world-frame ``velocity`` (what a trained offset head
+    regresses). The maps come back sparse, as ``render_bev_targets`` lists
+    them. A record whose point count the sweep does not match raises.
 
     Deterministic per (inputs, seed, sweep_index): the sweep draws from
     ``SeedSequence(seed, spawn_key=(sweep_index,))``, the stream
@@ -506,33 +508,35 @@ def simulate_detector(
     sem_pred = sweep.sem_labels.astype(np.int32)
     if noise.semantic_flip_probability > 0:
         flip_semantics(sem_pred, class_ids, noise.semantic_flip_probability, rng)
-    ids, first, _, centers, extents = instance_boxes(sweep.xyz, sweep.inst_labels)
     rows = np.flatnonzero(trajectories.sweep_index == sweep_index)
-    if not np.isin(trajectories.instance_id[rows], ids).all():
+    iid = trajectories.instance_id[rows]
+    count = np.bincount(sweep.inst_labels[sweep.inst_labels > NO_INSTANCE],
+                        minlength=iid.max(initial=0) + 1)
+    if np.any(count[iid] != trajectories.point_count[rows]):
         raise ValueError(f"sweep {sweep_index}: trajectories hold an instance the sweep lacks")
-    slots = np.searchsorted(ids, trajectories.instance_id[rows])
     picked, jittered, velocities, peaks = [], [], [], []
-    for k, row in zip(slots.tolist(), rows.tolist()):
+    for row in rows.tolist():
         if rng.uniform() < noise.drop_probability:
             continue
-        center = centers[k] + rng.normal(0.0, noise.center_jitter, 3) \
-            if noise.center_jitter else centers[k]
+        center = trajectories.sensor_center[row] + rng.normal(0.0, noise.center_jitter, 3) \
+            if noise.center_jitter else trajectories.sensor_center[row]
         if not spec.in_range(center[None, :])[0]:
             continue
         conf = float(np.clip(1.0 - abs(rng.normal(0.0, noise.confidence_noise)), 0.05, 1.0)) \
             if noise.confidence_noise else 1.0
         if registry is not None:
-            vel = registry.instances[int(ids[k])].velocity[:2].copy()
+            vel = registry.instances[int(trajectories.instance_id[row])].velocity[:2].copy()
         else:
             vel = trajectories.velocity[row]
         if noise.velocity_noise:
             vel = vel + rng.normal(0.0, noise.velocity_noise, 2)
-        picked.append(k)
+        picked.append(row)
         jittered.append(center)
         velocities.append(vel)
         peaks.append(conf)
-    rendered = render_bev_targets(jittered, sweep.sem_labels[first[picked]], extents[picked],
-                                  velocities, spec, taxonomy.num_channels, peak_scale=peaks)
+    rendered = render_bev_targets(jittered, trajectories.class_id[picked],
+                                  trajectories.sensor_extent[picked], velocities, spec,
+                                  taxonomy.num_channels, peak_scale=peaks)
     if provider is not None:
         point_feats = provider.point_features(sweep)
         bev_feats = provider.bev_map(sweep, point_feats)

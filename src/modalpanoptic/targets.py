@@ -4,15 +4,15 @@ Modal centers and extents are statistics of the visible points of an
 instance: the center is the mean of the point set, the extent the per-axis
 maximum deviation from it; ``instance_boxes`` computes both for every
 instance of a point set in one pass. ``build_trajectories`` lays out a
-sequence's per-(instance, sweep) records as one ``Trajectories`` table of
-columns, and trajectory-level aggregation (MAX / CWM / DSB), which refines
-the per-sweep shrink-wrapped extents that occlusion makes unreliable,
-works on whole columns of it.
+sequence's per-(instance, sweep) boxes, in the world and sensor frames, as
+one ``Trajectories`` table of columns, and trajectory-level aggregation
+(MAX / CWM / DSB), which refines the per-sweep shrink-wrapped extents that
+occlusion makes unreliable, works on whole columns of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,37 +63,40 @@ class Trajectories:
     """One sequence's modal records as columns, one row per (instance, sweep).
 
     Rows are sorted by (instance id, sweep index), and the rows of the i-th
-    instance are ``offsets[i]:offsets[i + 1]``. Centers and extents are in
-    the world frame; ``velocity`` is each record's planar velocity target.
-    An instance keeps one class over its rows. Validated once, on creation.
+    instance are ``offsets[i]:offsets[i + 1]``. ``center``, ``extent`` and
+    the planar velocity target ``velocity`` are in the world frame;
+    ``sensor_center`` and ``sensor_extent`` are the same record's box in its
+    own sweep's sensor frame. An instance keeps one class over its rows.
+    Validated once, on creation.
     """
 
-    instance_id: np.ndarray  # (R,) int64
-    sweep_index: np.ndarray  # (R,) int64
-    class_id: np.ndarray     # (R,) int64
-    point_count: np.ndarray  # (R,) int64
-    center: np.ndarray       # (R, 3) meters
-    extent: np.ndarray       # (R, 3) shrink-wrapped half extent, meters
-    velocity: np.ndarray     # (R, 2) m/s
+    instance_id: np.ndarray    # (R,) int64
+    sweep_index: np.ndarray    # (R,) int64
+    class_id: np.ndarray       # (R,) int64
+    point_count: np.ndarray    # (R,) int64
+    center: np.ndarray         # (R, 3) world frame, meters
+    extent: np.ndarray         # (R, 3) world-frame shrink-wrapped half extent, meters
+    sensor_center: np.ndarray  # (R, 3) sensor frame of the record's sweep, meters
+    sensor_extent: np.ndarray  # (R, 3) sensor-frame shrink-wrapped half extent, meters
+    velocity: np.ndarray       # (R, 2) world frame, m/s
     offsets: np.ndarray = field(init=False)       # (I + 1,) row offsets per instance
     row_instance: np.ndarray = field(init=False)  # (R,) instance index of each row
 
     def __post_init__(self):
-        for name, dtype in (("instance_id", np.int64), ("sweep_index", np.int64),
-                            ("class_id", np.int64), ("point_count", np.int64),
-                            ("center", np.float64), ("extent", np.float64),
-                            ("velocity", np.float64)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        for name in ("instance_id", "sweep_index", "class_id", "point_count"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        for name in ("center", "extent", "sensor_center", "sensor_extent", "velocity"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         iid, sweep = self.instance_id, self.sweep_index
         r = iid.shape[0] if iid.ndim == 1 else -1
+        boxes = (self.center, self.extent, self.sensor_center, self.sensor_extent)
         if (sweep.shape != (r,) or self.class_id.shape != (r,) or self.point_count.shape != (r,)
-                or self.center.shape != (r, 3) or self.extent.shape != (r, 3)
-                or self.velocity.shape != (r, 2)):
+                or any(box.shape != (r, 3) for box in boxes) or self.velocity.shape != (r, 2)):
             raise ValueError("trajectories need (R,) ids/sweeps/classes/counts, (R, 3) "
-                             "centers/extents and (R, 2) velocities")
+                             "centers/extents in both frames and (R, 2) velocities")
         if np.any(self.point_count < 1):
             raise ValueError("an instance record needs at least one point")
-        if np.any(self.extent < 0):
+        if np.any(self.extent < 0) or np.any(self.sensor_extent < 0):
             raise ValueError("extent components must be >= 0")
         new = np.ones(r, dtype=bool)
         new[1:] = iid[1:] != iid[:-1]
@@ -122,9 +125,8 @@ class Trajectories:
 
     def select(self, rows) -> Trajectories:
         """The table of the given rows (a mask or ascending indices), columns unchanged."""
-        return Trajectories(self.instance_id[rows], self.sweep_index[rows], self.class_id[rows],
-                            self.point_count[rows], self.center[rows], self.extent[rows],
-                            self.velocity[rows])
+        return Trajectories(*(getattr(self, column.name)[rows] for column in fields(self)
+                              if column.init))
 
 
 def modal_center(points: np.ndarray) -> np.ndarray:
@@ -160,17 +162,19 @@ def instance_boxes(xyz: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...
 
 
 def build_trajectories(seq: SweepSequence, taxonomy: Taxonomy) -> Trajectories:
-    """Every labeled instance's per-sweep modal record, in the world frame, as one table.
+    """Every labeled instance's per-sweep modal record, in both frames, as one table.
 
     Each sweep's points are moved into the world frame through its ego pose
     (``transform_to_frame``'s product), so centers and extents from
     different sweeps are comparable; one ``instance_boxes`` pass keyed by
-    (instance, sweep) then gives all records. A record's velocity is the
-    centered difference (mu[t+1] - mu[t-1]) / (2 dt) of the planar centers
-    when the instance has both neighboring sweeps, one-sided when it has
-    one, and zero when it has neither. Raises ``ValueError`` naming the
-    sweep and instance when an instance's first point is not of a thing
-    class.
+    (instance, sweep) then gives every world-frame box, and a second pass
+    with the same keys over the sensor-frame points gives each record's box
+    in its own sweep's frame, bit-equal to ``instance_boxes`` of that sweep
+    alone. A record's velocity is the centered difference (mu[t+1] -
+    mu[t-1]) / (2 dt) of the planar centers when the instance has both
+    neighboring sweeps, one-sided when it has one, and zero when it has
+    neither. Raises ``ValueError`` naming the sweep and instance when an
+    instance's first point is not of a thing class.
     """
     count = len(seq)
     xyz, keys, sem = [], [], []
@@ -182,8 +186,10 @@ def build_trajectories(seq: SweepSequence, taxonomy: Taxonomy) -> Trajectories:
         inst = sweep.inst_labels.astype(np.int64)
         keys.append(np.where(inst > NO_INSTANCE, inst * count + t, NO_INSTANCE))
         sem.append(sweep.sem_labels)
-    key, first, points, center, extent = instance_boxes(np.concatenate(xyz),
-                                                        np.concatenate(keys))
+    keys = np.concatenate(keys)
+    key, first, points, center, extent = instance_boxes(np.concatenate(xyz), keys)
+    _, _, _, sensor_center, sensor_extent = instance_boxes(
+        np.concatenate([sweep.xyz for sweep in seq.sweeps]), keys)
     iid, sweep_index = np.divmod(key, count)
     class_id = np.concatenate(sem)[first]
     stuff = np.flatnonzero(~np.isin(class_id, list(taxonomy.thing_ids)))
@@ -198,7 +204,8 @@ def build_trajectories(seq: SweepSequence, taxonomy: Taxonomy) -> Trajectories:
     delta = center[rows + has_next, :2] - center[rows - has_prev, :2]
     velocity = np.divide(delta, span[:, None], out=np.zeros((iid.size, 2)),
                          where=span[:, None] > 0)
-    return Trajectories(iid, sweep_index, class_id, points, center, extent, velocity)
+    return Trajectories(iid, sweep_index, class_id, points, center, extent, sensor_center,
+                        sensor_extent, velocity)
 
 
 def aggregate_extent(
@@ -273,18 +280,6 @@ def save_cwm_stats(stats: dict[int, np.ndarray], path) -> None:
         for cid in sorted(stats):
             rx, ry, rz = (float(v) for v in stats[cid])
             fh.write(f"{cid}\t{rx!r}\t{ry!r}\t{rz!r}\n")
-
-
-def load_cwm_stats(path) -> dict[int, np.ndarray]:
-    stats: dict[int, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            cid, rx, ry, rz = line.split("\t")
-            stats[int(cid)] = np.array([float(rx), float(ry), float(rz)])
-    return stats
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .inference import (
     nms_detect,
 )
 from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detections, PairTable
+from .targets import Trajectories
 from .voxels import GridSpec
 
 MAX_TRACK_ID = 65535  # the on-disk label format packs ids into 16 bits
@@ -107,11 +108,14 @@ def greedy_associate(
 
 @dataclass(frozen=True)
 class SweepInputs:
-    """Everything inference needs for one sweep."""
+    """Everything inference needs for one sweep; ``records`` is the sweep's
+    rows of the full trajectory table (every labeled instance, trained on or
+    not), whose sensor-frame columns ``membership.oracle_scores`` reads."""
 
     sweep: PointCloudSweep
     maps: PredictedMaps
     extent_provider: ExtentProvider
+    records: Trajectories
 
 
 # The membership scorers' signature (``membership.nn_scores`` and its kin).

@@ -1,5 +1,5 @@
 """Stand-ins the tests hand to the library: fixed extents, fixed memberships, row stacking,
-sparse grids from dense arrays."""
+sparse grids from dense arrays, sequences whose sensor frames yaw."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 
+from modalpanoptic.cloud import PointCloudSweep, SweepSequence
 from modalpanoptic.membership import DetectionRow, Detections, PairTable
 from modalpanoptic.voxels import SparseGrid
 
@@ -64,3 +65,23 @@ def sparse_of(dense, vector: bool = False) -> SparseGrid:
     listed = cells != 0
     keys = np.flatnonzero(listed.any(axis=1) if vector else listed)
     return SparseGrid(dense.shape, keys, cells[keys])
+
+
+def yaw_pose(yaw, translation):
+    pose = np.eye(4)
+    c, s = np.cos(yaw), np.sin(yaw)
+    pose[:2, :2] = [[c, -s], [s, c]]
+    pose[:3, 3] = translation
+    return pose
+
+
+def rotated(seq, yaws):
+    """``seq`` with each sweep's frame turned by a yaw about its origin, world points kept."""
+    sweeps = []
+    for sweep, yaw in zip(seq.sweeps, yaws):
+        turn = yaw_pose(yaw, np.zeros(3))
+        points = sweep.points.copy()
+        points[:, :3] = points[:, :3] @ turn[:3, :3]
+        sweeps.append(PointCloudSweep(sweep.timestamp, points, sweep.sem_labels,
+                                      sweep.inst_labels, sweep.ego_pose @ turn))
+    return SweepSequence(tuple(sweeps), seq.period)

@@ -10,6 +10,7 @@ from modalpanoptic.cloud import (
     TaxonomyError,
     Taxonomy,
     ClassDef,
+    check_rigid,
     load_taxonomy,
     save_taxonomy,
     transform_to_frame,
@@ -130,6 +131,17 @@ class TestTransform:
         with pytest.raises(RigidTransformError):
             transform_to_frame(sweep, bad)
 
+    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((0, 3), np.inf),
+                                              ((1, 3), np.nan), ((2, 1), -np.inf)])
+    def test_non_finite_pose_rejected(self, entry, value):
+        # NaN fails every tolerance comparison, so only an explicit check catches it.
+        pose = np.eye(4)
+        pose[entry] = value
+        with pytest.raises(RigidTransformError, match="finite"):
+            check_rigid(pose)
+        with pytest.raises(RigidTransformError, match="finite"):
+            make_sweep([[0.0, 0.0, 0.0]], [1], [0], pose=pose)
+
 
 class TestSweepValidation:
     def test_positive_dt_rejected(self):
@@ -160,6 +172,17 @@ class TestSequence:
         b = make_sweep([[0, 0, 0]], [1], [0], timestamp=0.0)
         with pytest.raises(ValueError):
             SweepSequence((a, b), period=0.1)
+
+    @pytest.mark.parametrize("times, period, message", [
+        ((0.0, np.nan, 1.0), 0.5, "sweep 1: timestamp nan is not finite"),
+        ((0.0, 0.5, np.inf), 0.5, "sweep 2: timestamp inf is not finite"),
+        ((0.0, 0.5, 1.0), np.inf, "period"),
+        ((0.0, 0.5, 1.0), np.nan, "period"),
+    ])
+    def test_non_finite_times_rejected(self, times, period, message):
+        sweeps = tuple(make_sweep([[0, 0, 0]], [1], [0], timestamp=t) for t in times)
+        with pytest.raises(ValueError, match=message):
+            SweepSequence(sweeps, period=period)
 
     def test_instance_keeps_one_class(self):
         tax = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),

@@ -326,6 +326,23 @@ class TestCli:
         assert code == 4
         assert f"{name}: 1 entries for 3 frames" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, message", [
+        ("poses.txt", "pose entries must be finite"),
+        ("times.txt", "sweep 1: timestamp nan is not finite"),
+    ])
+    def test_non_finite_sequence_file_exit_code(self, tmp_path, name, message, capsys):
+        data, pred = tmp_path / "data", tmp_path / "pred"
+        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
+        path = data / "sequences" / "0000" / name
+        # Sweep 1's pose gets a nan x translation (its 4th value), or its timestamp a nan.
+        lines = [line.split() for line in path.read_text().splitlines()]
+        lines[1][3 if name == "poses.txt" else 0] = "nan"
+        path.write_text("".join(" ".join(line) + "\n" for line in lines))
+        capsys.readouterr()
+        assert main(["track", "--data", str(data), "--out", str(pred)]) == 4
+        assert message in capsys.readouterr().err
+        assert not pred.exists() or not any(pred.rglob("*.label"))
+
     def test_unknown_flag_exit_code(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

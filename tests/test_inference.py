@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modalpanoptic.cloud import ClassDef, PointCloudSweep, Taxonomy
+from modalpanoptic.cloud import ClassDef, PointCloudSweep, SweepSequence, Taxonomy
 from modalpanoptic.inference import NearestCenterExtents, PredictedMaps, fuse_panoptic, nms_detect
 from modalpanoptic.membership import (
     PairTable,
@@ -10,10 +10,11 @@ from modalpanoptic.membership import (
     nn_scores,
     oracle_scores,
 )
+from modalpanoptic.targets import build_trajectories
 from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import BevMap, GridSpec
 
-from fakes import CwmExtents, make_table_membership, row, sparse_of, stack
+from fakes import CwmExtents, make_table_membership, row, sparse_of, stack, yaw_pose
 from oracles import fuse_reference, nms_detect_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
@@ -390,11 +391,14 @@ class TestFusePanoptic:
         np.testing.assert_array_equal(a.inst, b.inst)
 
 
-def inputs_of(pts, sems, inst=None):
+def inputs_of(pts, sems, inst=None, pose=None):
     pts = np.asarray(pts, dtype=float)
     inst = np.zeros(len(pts)) if inst is None else inst
-    sweep = PointCloudSweep(0.0, np.column_stack([pts, np.zeros((len(pts), 2))]), sems, inst)
-    return SweepInputs(sweep, maps_of({}, point_sem=sems), CwmExtents({}, default=np.ones(3)))
+    sweep = PointCloudSweep(0.0, np.column_stack([pts, np.zeros((len(pts), 2))]), sems, inst,
+                            np.eye(4) if pose is None else pose)
+    records = build_trajectories(SweepSequence((sweep,), 1.0), TAX)
+    return SweepInputs(sweep, maps_of({}, point_sem=sems), CwmExtents({}, default=np.ones(3)),
+                       records)
 
 
 def one_group(n_points):
@@ -421,6 +425,16 @@ class TestMembershipAdapters:
         gt_inst = np.array([7, 7, 9])
         det = row(np.array([0.05, 0, 0]), 1.0)
         probs = oracle_scores(inputs_of(pts, [1, 1, 1], gt_inst), stack([det]), one_group(3))
+        np.testing.assert_array_equal(probs, [1.0, 1.0, 0.0])
+
+    def test_oracle_membership_reads_the_sensor_frame(self):
+        # The sensor sits 10 m along x and turned a quarter circle in the world;
+        # detections live in the sensor frame, so the sources must too.
+        pts = np.array([[0.0, 0, 0], [0.1, 0, 0], [3.0, 0, 0]])
+        det = row(np.array([0.05, 0, 0]), 1.0)
+        pose = yaw_pose(np.pi / 2, [10.0, 0.0, 0.0])
+        probs = oracle_scores(inputs_of(pts, [1, 1, 1], np.array([7, 7, 9]), pose),
+                              stack([det]), one_group(3))
         np.testing.assert_array_equal(probs, [1.0, 1.0, 0.0])
 
     def test_oracle_membership_unmatched_detection_claims_nothing(self):

@@ -17,6 +17,7 @@ from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
 from modalpanoptic.targets import build_trajectories, instance_boxes, modal_center
 from modalpanoptic.voxels import GridSpec
 
+from fakes import rotated
 from oracles import (
     bev_mean_reference,
     flip_semantics_reference,
@@ -292,6 +293,23 @@ class TestSimulateDetector:
             assert got.bev_features.data.tobytes() == bev.tobytes()
             centers += got.height.keys.size
         assert centers > len(seq)
+
+    def test_yawed_sensor_frames_match_the_per_sequence_reference(self):
+        # World and sensor boxes differ here, so a world-frame column read in
+        # place of a sensor-frame one moves or resizes the peaks.
+        seq, _ = mp.generate_sequence(simple_cfg(seed=19, sweep_count=4, count_range=(4, 5),
+                                                 min_separation=5.0), TAX)
+        seq = rotated(seq, [0.3 + 0.7 * t for t in range(len(seq))])
+        trajs = build_trajectories(seq, TAX)
+        assert not np.array_equal(trajs.extent, trajs.sensor_extent)
+        noise = DetectorNoise(center_jitter=0.2, confidence_noise=0.2, drop_probability=0.2,
+                              velocity_noise=0.3)
+        want = simulate_detector_reference(seq, trajs, None, noise, SPEC, TAX, seed=9)
+        for t, got in enumerate(simulate_all(seq, trajs, None, noise, seed=9)):
+            dense = want[t][0]
+            assert got.heatmaps.dense().tobytes() == dense.heatmaps.tobytes(), t
+            assert got.height.dense().tobytes() == dense.height.tobytes(), t
+            assert got.velocity.dense().tobytes() == dense.velocity.tobytes(), t
 
     def test_velocity_from_registry_vs_labels(self):
         cfg = simple_cfg(seed=16, motion="pass", sweep_count=6)

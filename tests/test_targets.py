@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,13 @@ from modalpanoptic.targets import (
     class_wise_mean_extents,
     heatmap_sigma,
     instance_boxes,
-    load_cwm_stats,
     modal_center,
     render_bev_targets,
     save_cwm_stats,
 )
 from modalpanoptic.voxels import GridSpec
 
+from fakes import rotated, yaw_pose
 from oracles import (
     aggregate_extent_reference,
     build_trajectories_reference,
@@ -38,16 +40,20 @@ SPEC = GridSpec(voxel_size=(0.1, 0.1, 0.2), planar_range=20.0, z_min=-2.0, z_max
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
-def record(iid, cid, center, extent, count=10, idx=0):
-    """One (instance, sweep) row: id, sweep, class, point count, center, extent."""
-    return iid, idx, cid, count, np.asarray(center, float), np.asarray(extent, float)
+def record(iid, cid, center, extent, count=10, idx=0, sensor=None):
+    """One (instance, sweep) row: id, sweep, class, point count, center, extent, then the
+    sensor-frame center and extent, which are the world ones unless ``sensor`` gives them."""
+    sensor_center, sensor_extent = (center, extent) if sensor is None else sensor
+    return (iid, idx, cid, count, np.asarray(center, float), np.asarray(extent, float),
+            np.asarray(sensor_center, float), np.asarray(sensor_extent, float))
 
 
 def traj(records):
     """A table of the given rows, sorted by (instance, sweep), with zero velocities."""
-    iid, sweep, cid, count, center, extent = zip(*records)
+    iid, sweep, cid, count, center, extent, sensor_center, sensor_extent = zip(*records)
     return Trajectories(iid, sweep, cid, count, np.reshape(center, (-1, 3)),
-                        np.reshape(extent, (-1, 3)), np.zeros((len(records), 2)))
+                        np.reshape(extent, (-1, 3)), np.array(sensor_center),
+                        np.array(sensor_extent), np.zeros((len(records), 2)))
 
 
 def extent_sw(points, center):
@@ -67,7 +73,7 @@ def point_sequence(centers, period=0.5):
 
 def boxes_of(records, spec=SPEC):
     """``render_bev_targets``' (center, class, extent, velocity) columns of ``record`` rows."""
-    _, _, cid, _, center, extent = zip(*records)
+    _, _, cid, _, center, extent, _, _ = zip(*records)
     return (np.reshape(center, (-1, 3)), np.array(cid), np.reshape(extent, (-1, 3)),
             np.zeros((len(records), 2)))
 
@@ -198,7 +204,8 @@ class TestClassWiseMean:
         stats = {1: np.array([2.0, 1.0, 0.5]), 2: np.array([0.3, 0.3, 0.9])}
         f = tmp_path / "cwm.tsv"
         save_cwm_stats(stats, f)
-        loaded = load_cwm_stats(f)
+        loaded = {int(cid): np.array([float(v) for v in values])
+                  for cid, *values in (line.split("\t") for line in f.read_text().splitlines())}
         assert set(loaded) == {1, 2}
         for cid in stats:
             np.testing.assert_array_equal(loaded[cid], stats[cid])
@@ -344,26 +351,6 @@ class TestVelocityTarget:
 
 # ---------------------------------------------------------------- the table
 
-def yaw_pose(yaw, translation):
-    pose = np.eye(4)
-    c, s = np.cos(yaw), np.sin(yaw)
-    pose[:2, :2] = [[c, -s], [s, c]]
-    pose[:3, 3] = translation
-    return pose
-
-
-def rotated(seq, yaws):
-    """``seq`` with each sweep's frame turned by a yaw about its origin, world points kept."""
-    sweeps = []
-    for sweep, yaw in zip(seq.sweeps, yaws):
-        turn = yaw_pose(yaw, np.zeros(3))
-        points = sweep.points.copy()
-        points[:, :3] = points[:, :3] @ turn[:3, :3]
-        sweeps.append(PointCloudSweep(sweep.timestamp, points, sweep.sem_labels,
-                                      sweep.inst_labels, sweep.ego_pose @ turn))
-    return SweepSequence(tuple(sweeps), seq.period)
-
-
 @st.composite
 def generated_sequences(draw):
     """Crowded pass-motion or orbit-ego scenes, each optionally yaw-rotated per sweep."""
@@ -430,6 +417,14 @@ def assert_table_is_reference(table, seq, taxonomy):
         assert table.extent[r].tobytes() == rec.extent.tobytes(), r
         want = velocity_reference(records, rec.sweep_index, seq.period)
         assert table.velocity[r].tobytes() == want.tobytes(), r
+    # The sensor-frame columns are each sweep's own grouping, bit for bit.
+    for t, sweep in enumerate(seq.sweeps):
+        ids, first, _, centers, extents = instance_boxes(sweep.xyz, sweep.inst_labels)
+        at = table.sweep_index == t
+        assert table.instance_id[at].tolist() == ids.tolist(), t
+        assert table.class_id[at].tolist() == sweep.sem_labels[first].tolist(), t
+        assert table.sensor_center[at].tobytes() == centers.tobytes(), t
+        assert table.sensor_extent[at].tobytes() == extents.tobytes(), t
 
 
 def assert_aggregates_are_reference(table, seq, taxonomy):
@@ -482,7 +477,8 @@ class TestTrajectoryTable:
         mapped = np.array([new_ids[int(i)] for i in base.instance_id], dtype=np.int64)
         perm = np.lexsort((base.sweep_index, mapped))
         np.testing.assert_array_equal(got.instance_id, mapped[perm])
-        for name in ("sweep_index", "class_id", "point_count", "center", "extent", "velocity"):
+        for name in ("sweep_index", "class_id", "point_count", "center", "extent",
+                     "sensor_center", "sensor_extent", "velocity"):
             assert getattr(got, name).tobytes() == getattr(base, name)[perm].tobytes(), name
 
     def test_columns_and_offsets(self):
@@ -494,6 +490,19 @@ class TestTrajectoryTable:
             0.0, np.zeros((2, 5)), [3, 3], [0, 0]),), 0.5), TAX)
         assert len(empty) == 0 and empty.offsets.tolist() == [0]
         assert empty.max_extents.shape == (0, 3) and class_wise_mean_extents(empty, TAX) == {}
+
+    def test_select_carries_every_column(self):
+        seq, _ = mp.generate_sequence(mp.SceneConfig(seed=3, sweep_count=3, count_range=(3, 4),
+                                                     min_separation=6.0), mp.default_taxonomy())
+        table = build_trajectories(rotated(seq, [0.4, 1.1, -2.0]), mp.default_taxonomy())
+        rows = np.flatnonzero(table.sweep_index == 1)
+        got = table.select(rows)
+        columns = ("instance_id", "sweep_index", "class_id", "point_count", "center", "extent",
+                   "sensor_center", "sensor_extent", "velocity")
+        assert {c.name for c in dataclasses.fields(table) if c.init} == set(columns)
+        for name in columns:
+            assert getattr(got, name).tobytes() == getattr(table, name)[rows].tobytes(), name
+        assert not np.array_equal(got.center, got.sensor_center)
 
     def test_instance_on_a_stuff_point_rejected(self):
         sweeps = [PointCloudSweep(0.5 * t, np.zeros((2, 5)), [1, 3], [1, 777 if t else 0])
@@ -509,6 +518,8 @@ class TestTrajectoryTable:
           record(1, 2, [0, 0, 0], [1, 1, 1], idx=1)], "instance 1 changes class at sweep 1"),
         ([record(1, 1, [0, 0, 0], [1, -1, 1])], "extent"),
         ([record(1, 1, [0, 0, 0], [1, 1, 1], count=0)], "at least one point"),
+        ([record(1, 1, [0, 0, 0], [1, 1, 1], sensor=([0, 0, 0], [1, -1, 1]))], "extent"),
+        ([record(1, 1, [0, 0, 0], [1, 1, 1], sensor=([0, 0], [1, 1, 1]))], "both frames"),
     ])
     def test_malformed_rows_rejected(self, rows, message):
         with pytest.raises(ValueError, match=message):

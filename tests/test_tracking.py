@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import modalpanoptic as mp
 from modalpanoptic.cloud import PanopticLabeling
 from modalpanoptic.membership import oracle_scores
-from modalpanoptic.pipeline import infer_sequence, prepare_sweep_inputs
+from modalpanoptic.pipeline import build_extent_model, infer_sequence, prepare_sweep_inputs
 from modalpanoptic.synth import NO_NOISE
 from modalpanoptic.targets import ExtentStrategy
 from modalpanoptic.tracking import (
@@ -124,8 +125,7 @@ def run_tracked(seed=21, noise=NO_NOISE, score=oracle_scores, sweep_count=10, dr
         m = inputs[drop_sweep].maps
         blank = mp.PredictedMaps(mp.SparseGrid(m.heatmaps.shape, [], []), m.height, m.velocity,
                                  m.point_sem, m.bev_features, m.point_features)
-        inputs[drop_sweep] = type(inputs[drop_sweep])(inputs[drop_sweep].sweep, blank,
-                                                      inputs[drop_sweep].extent_provider)
+        inputs[drop_sweep] = dataclasses.replace(inputs[drop_sweep], maps=blank)
     pcfg = PipelineConfig(margin_floor=0.25, default_gate=3.0, max_age=max_age)
     labelings = panoptic_track_sequence(inputs, TAX, SPEC, score, seq.period, pcfg)
     gts = [PanopticLabeling(s.sem_labels, s.inst_labels) for s in seq.sweeps]
@@ -205,3 +205,24 @@ class TestOneSweepAlive:
         # Each sweep's maps are gone before the next sweep's are made.
         assert most[0] == 1
         assert alive == set()
+
+
+class TestSweepRecords:
+    """Each streamed sweep lists all of its labeled instances, trained on or not."""
+
+    def test_dsb_suppressed_instances_stay_listed(self):
+        cfg = mp.SceneConfig(seed=27, sweep_count=6, count_range=(6, 8), min_separation=4.0)
+        seq, reg = mp.generate_sequence(cfg, TAX)
+        table = mp.build_trajectories(seq, TAX)
+        strategy = ExtentStrategy("DSB", dsb_min_points=150)
+        _, suppressed = build_extent_model(table, strategy)
+        assert suppressed.any() and not suppressed.all()
+        stream = prepare_sweep_inputs(seq, table, TAX, SPEC, strategy, NO_NOISE, registry=reg)
+        listed = 0
+        for t, (sweep, inputs) in enumerate(zip(seq.sweeps, stream)):
+            # The oracle's candidate sources: every labeled instance of the sweep.
+            ids, _, _, centers, _ = mp.instance_boxes(sweep.xyz, sweep.inst_labels)
+            assert inputs.records.instance_id.tolist() == ids.tolist(), t
+            assert inputs.records.sensor_center.tobytes() == centers.tobytes(), t
+            listed += len(inputs.records)
+        assert listed == len(table)
