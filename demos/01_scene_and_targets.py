@@ -8,7 +8,6 @@ import numpy as np
 
 import modalpanoptic as mp
 from modalpanoptic.targets import aggregate_extent
-from modalpanoptic.voxels import majority_vote_labels
 
 taxonomy = mp.default_taxonomy()
 spec = mp.GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
@@ -22,9 +21,6 @@ print(f"true boxes: { {i: t.half_extent.round(2).tolist() for i, t in registry.i
 sweep = seq.sweeps[0]
 grid = mp.voxelize(sweep.points, spec)
 print(f"\nvoxel grid: {len(grid)} occupied cells, {grid.dropped} points out of range")
-votes = majority_vote_labels(grid, sweep.sem_labels)
-values, counts = np.unique(votes, return_counts=True)
-print("voxel semantic votes:", dict(zip(values.tolist(), counts.tolist())))
 
 trajectories = mp.build_trajectories(seq, taxonomy)
 print("\nper-instance modal statistics (sweep 0 vs trajectory MAX):")

@@ -11,7 +11,7 @@ import numpy as np
 IGNORE_CLASS = 0
 NO_INSTANCE = 0
 
-POINT_DIMS = 5  # x, y, z, intensity, dt
+POINT_DIMS = 4  # x, y, z, intensity
 
 
 class TaxonomyError(ValueError):
@@ -177,8 +177,7 @@ def apply_pose(pose: np.ndarray, centers: np.ndarray) -> np.ndarray:
 class PointCloudSweep:
     """One timestamped sweep with per-point labels, immutable after construction.
 
-    ``points`` is (N, 5) float64 ``[x, y, z, intensity, dt]`` where dt <= 0 is
-    the age of accumulated history points (0 for the current sweep).
+    ``points`` is (N, 4) float64 ``[x, y, z, intensity]`` in the sensor frame.
     ``ego_pose`` maps sensor-frame coordinates into the world frame.
     """
 
@@ -194,8 +193,6 @@ class PointCloudSweep:
             raise ValueError(f"points must be (N, {POINT_DIMS}), got {pts.shape}")
         if not np.all(np.isfinite(pts[:, :3])):
             raise ValueError("point coordinates must be finite")
-        if pts.shape[0] and pts[:, 4].max(initial=0.0) > 0.0:
-            raise ValueError("dt must be <= 0 (history points look backwards)")
         sem = np.asarray(self.sem_labels, dtype=np.int32)
         inst = np.asarray(self.inst_labels, dtype=np.int32)
         if sem.shape != (pts.shape[0],) or inst.shape != (pts.shape[0],):
@@ -223,18 +220,6 @@ class PointCloudSweep:
             raise ValueError(
                 f"point {idx}: instance {self.inst_labels[idx]} on non-thing class {self.sem_labels[idx]}"
             )
-
-
-def transform_to_frame(sweep: PointCloudSweep, target_pose: np.ndarray) -> PointCloudSweep:
-    """Re-express a sweep in the frame given by ``target_pose`` (frame -> world).
-
-    Labels are unchanged; the result's ego_pose is ``target_pose``.
-    """
-    check_rigid(target_pose)
-    rel = invert_pose(np.asarray(target_pose, dtype=np.float64)) @ sweep.ego_pose
-    pts = sweep.points.copy()
-    pts[:, :3] = pts[:, :3] @ rel[:3, :3].T + rel[:3, 3]
-    return PointCloudSweep(sweep.timestamp, pts, sweep.sem_labels, sweep.inst_labels, target_pose)
 
 
 @dataclass(frozen=True)

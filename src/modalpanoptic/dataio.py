@@ -14,11 +14,13 @@ Frame names are zero-padded 6-digit consecutive integers.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloudSweep, SweepSequence, Taxonomy, load_taxonomy, save_taxonomy
+from .cloud import PointCloudSweep, RigidTransformError, SweepSequence, Taxonomy, load_taxonomy, \
+    save_taxonomy
 
 SEM_MASK = 0xFFFF
 MAX_PACKED_ID = 0xFFFF
@@ -119,7 +121,19 @@ def _frame_names(directory: Path, suffix: str) -> list[str]:
     return names
 
 
-def read_sequence(root, name: str, period: float | None = None) -> SweepSequence:
+def _numbers(path: Path, lineno: int, line: str) -> list[float]:
+    try:
+        return [float(token) for token in line.split()]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def read_sequence(root, name: str) -> SweepSequence:
+    """Read one sequence; without ``times.txt`` sweeps are 0.1 s apart.
+
+    A malformed ``poses.txt`` or ``times.txt`` entry raises a ``ValueError``
+    that names the file and the line.
+    """
     seq_dir = Path(root) / "sequences" / name
     if not seq_dir.is_dir():
         raise FileNotFoundError(f"{seq_dir} does not exist")
@@ -127,31 +141,39 @@ def read_sequence(root, name: str, period: float | None = None) -> SweepSequence
     label_frames = _frame_names(seq_dir / "labels", ".label")
     if frames != label_frames:
         raise ValueError(f"{seq_dir}: velodyne and label frame sets differ")
-    pose_lines = (seq_dir / "poses.txt").read_text(encoding="utf-8").splitlines()
+    poses_path = seq_dir / "poses.txt"
+    pose_lines = poses_path.read_text(encoding="utf-8").splitlines()
     times_path = seq_dir / "times.txt"
     if times_path.exists():
-        times = [float(x) for x in times_path.read_text(encoding="utf-8").split()]
+        times = []
+        for lineno, line in enumerate(times_path.read_text(encoding="utf-8").splitlines(), 1):
+            for value in _numbers(times_path, lineno, line):
+                if not math.isfinite(value):
+                    raise ValueError(f"{times_path}:{lineno}: sweep {len(times)}: "
+                                     f"timestamp {value} is not finite")
+                times.append(value)
     else:
-        step = period if period else 0.1
-        times = [i * step for i in range(len(frames))]
-    for path, count in ((seq_dir / "poses.txt", len(pose_lines)), (times_path, len(times))):
+        times = [i * 0.1 for i in range(len(frames))]
+    for path, count in ((poses_path, len(pose_lines)), (times_path, len(times))):
         if count < len(frames):
             raise ValueError(f"{path}: {count} entries for {len(frames)} frames")
     sweeps = []
     for idx, frame in enumerate(frames):
-        pts4 = read_point_bin(seq_dir / "velodyne" / f"{frame}.bin")
+        pts = read_point_bin(seq_dir / "velodyne" / f"{frame}.bin")
         sem, inst = read_label_file(seq_dir / "labels" / f"{frame}.label")
-        if sem.shape[0] != pts4.shape[0]:
+        if sem.shape[0] != pts.shape[0]:
             raise ValueError(f"{seq_dir}/{frame}: label/point count mismatch")
+        values = _numbers(poses_path, idx + 1, pose_lines[idx])
+        if len(values) != 12:
+            raise ValueError(f"{poses_path}:{idx + 1}: {len(values)} values, a pose needs 12")
         pose = np.eye(4)
-        pose[:3] = np.array([float(v) for v in pose_lines[idx].split()]).reshape(3, 4)
-        pts = np.zeros((pts4.shape[0], 5))
-        pts[:, :4] = pts4
-        sweeps.append(PointCloudSweep(times[idx], pts, sem, inst, pose))
-    if period is None:
-        diffs = np.diff(times)
-        period = float(np.median(diffs)) if len(diffs) else 0.1
-    return SweepSequence(tuple(sweeps), period)
+        pose[:3] = np.reshape(values, (3, 4))
+        try:
+            sweeps.append(PointCloudSweep(times[idx], pts, sem, inst, pose))
+        except RigidTransformError as exc:
+            raise RigidTransformError(f"{poses_path}:{idx + 1}: {exc}") from None
+    diffs = np.diff(times)
+    return SweepSequence(tuple(sweeps), float(np.median(diffs)) if len(diffs) else 0.1)
 
 
 def dataset_taxonomy(root) -> Taxonomy:

@@ -333,19 +333,20 @@ def oracle_scores(inputs: SweepInputs, detections: Detections, pairs: PairTable)
 
     A detection's source is the nearest same-class true modal center within
     1 m in the plane, the lower instance id on ties; unmatched detections
-    claim nothing. Candidates are ``inputs.records``' ``sensor_center``s,
-    every labeled instance of the sweep. Used to exercise the fusion and
-    tracking plumbing under perfect inputs.
+    claim nothing. Candidates are the ``sensor_center``s of the sweep's rows
+    of ``inputs.trajectories``, every labeled instance of the sweep. Used to
+    exercise the fusion and tracking plumbing under perfect inputs.
     """
-    truth = inputs.records
+    truth = inputs.trajectories
+    rows = np.flatnonzero(truth.sweep_index == inputs.sweep_index)
     source = np.full(len(detections), -1, dtype=np.int64)
-    if len(truth):
-        gap = truth.sensor_center[:, :2] - detections.center[:, None, :2]
-        dist = np.where(truth.class_id == detections.class_id[:, None],
+    if rows.size:
+        gap = truth.sensor_center[rows, :2] - detections.center[:, None, :2]
+        dist = np.where(truth.class_id[rows] == detections.class_id[:, None],
                         np.linalg.norm(gap, axis=2), np.inf)
         nearest = np.argmin(dist, axis=1)
         close = dist[np.arange(len(detections)), nearest] < 1.0
-        source[close] = truth.instance_id[nearest[close]]
+        source[close] = truth.instance_id[rows[nearest[close]]]
     return (inputs.sweep.inst_labels[pairs.point] == source[pairs.det]).astype(np.float64)
 
 

@@ -192,12 +192,6 @@ def _class_iou(conf: np.ndarray, taxonomy: Taxonomy) -> tuple[dict[int, float], 
     return out, float(np.mean(list(out.values()))) if out else 0.0
 
 
-def compute_pq(gt: PanopticLabeling, pred: PanopticLabeling, taxonomy: Taxonomy) -> PqReport:
-    acc = PqAccumulator(taxonomy)
-    acc.add(gt, pred)
-    return acc.report()
-
-
 def compute_miou(gt_sem: np.ndarray, pred_sem: np.ndarray, taxonomy: Taxonomy
                  ) -> tuple[dict[int, float], float]:
     """Per-class point IoU and its mean over classes present in gt or pred.
@@ -278,17 +272,6 @@ class LstqAccumulator:
         _, s_cls = _class_iou(self.confusion, self.taxonomy)
         s_assoc = self.outer_sum / self.num_tubes if self.num_tubes else 1.0
         return LstqReport(s_assoc, s_cls)
-
-
-def compute_lstq(
-    gt_labelings: list[PanopticLabeling],
-    pred_labelings: list[PanopticLabeling],
-    taxonomy: Taxonomy,
-) -> LstqReport:
-    """Sequence-level quality for a single sequence; see LstqAccumulator."""
-    acc = LstqAccumulator(taxonomy)
-    acc.add_sequence(gt_labelings, pred_labelings)
-    return acc.report()
 
 
 def match_instances_to_detections(

@@ -68,7 +68,7 @@ def prepare_sweep_inputs(
     the next keeps one sweep's maps alive at a time. Iterate it once. Only
     the trained records reach ``simulate_detector``, and each sweep's extent
     lookup holds those records' world centers mapped into the sensor frame
-    with their instance's estimate; ``SweepInputs.records`` holds all.
+    with their instance's estimate; ``SweepInputs.trajectories`` holds all.
     """
     predicted, suppressed = build_extent_model(trajectories, strategy)
     trained = trajectories.select(~suppressed)
@@ -81,8 +81,7 @@ def prepare_sweep_inputs(
             trained.class_id[rows], extents[rows], FALLBACK_EXTENT)
         maps = simulate_detector(sweep, t, trained, registry, noise, spec, taxonomy,
                                  provider=provider, seed=seed)
-        return SweepInputs(sweep, maps, entries,
-                           trajectories.select(trajectories.sweep_index == t))
+        return SweepInputs(sweep, maps, entries, trajectories, t)
 
     return (sweep_inputs(t, sweep) for t, sweep in enumerate(seq.sweeps))
 

@@ -22,6 +22,11 @@ CAR = 1
 PEDESTRIAN = 2
 GROUND = 3
 
+REF_RANGE = 10.0  # meters; point densities are quoted at this range
+GROUND_POINTS_PER_M2 = 1.5  # at REF_RANGE
+GROUND_RADIUS = 30.0  # meters of ground disk around the sensor
+SENSOR_HEIGHT = 1.0  # meters above the ground plane
+
 _NEIGHBOR_RADIUS = 0.6  # meters, for the handcrafted local features
 _PAIR_CHUNK = 1 << 13  # candidate pairs expanded at a time by point_features
 
@@ -60,12 +65,8 @@ class SceneConfig:
     box_specs: dict[int, BoxSpec] = field(default_factory=lambda: dict(DEFAULT_BOX_SPECS))
     count_range: tuple[int, int] = (3, 6)
     speed_range: tuple[float, float] = (0.5, 4.0)
-    points_per_m2: float = 60.0        # on instance faces, at ref_range
-    ref_range: float = 10.0
-    ground_points_per_m2: float = 1.5  # at ref_range
-    ground_radius: float = 30.0
+    points_per_m2: float = 60.0        # on instance faces, at REF_RANGE
     occlusion: bool = True
-    sensor_height: float = 1.0
     min_separation: float = 7.0
     max_range: float = 38.0            # instances beyond this leave no points
     motion: str = "pass"               # pass | drift | static
@@ -73,17 +74,15 @@ class SceneConfig:
     pair_gap_range: tuple[float, float] | None = None  # adjacent same-class rows
     pair_offset_range: tuple[float, float] = (0.3, 1.8)
     row_partners: int = 1              # boxes added beside each base instance
-    unpaired_passers: int = 0          # extra pass-motion singles mixed into row scenes
     ego_motion: str = "static"         # static | orbit
     orbit_radius: float = 8.0
     spawn_radius_range: tuple[float, float] | None = None  # drift/static placement
-    spawn_sector: tuple | None = None  # bearing corridor(s), radians: (lo, hi) or ((lo, hi), ...)
 
     def __post_init__(self):
         if self.sweep_count < 1 or self.period <= 0:
             raise ValueError("need at least one sweep and a positive period")
-        if self.points_per_m2 <= 0 or self.ground_points_per_m2 < 0:
-            raise ValueError("densities must be positive")
+        if self.points_per_m2 <= 0:
+            raise ValueError("points_per_m2 must be positive")
         if self.count_range[0] < 1 or self.count_range[0] > self.count_range[1]:
             raise ValueError("bad instance count range")
         if self.motion not in ("pass", "drift", "static"):
@@ -125,8 +124,8 @@ def _sensor_position(cfg: SceneConfig, t: float) -> np.ndarray:
         omega = 2.0 * np.pi / (cfg.sweep_count * cfg.period)
         return np.array([cfg.orbit_radius * np.cos(omega * t),
                          cfg.orbit_radius * np.sin(omega * t),
-                         cfg.sensor_height])
-    return np.array([0.0, 0.0, cfg.sensor_height])
+                         SENSOR_HEIGHT])
+    return np.array([0.0, 0.0, SENSOR_HEIGHT])
 
 
 # Axis-aligned box faces: (normal axis, sign). Lateral faces first.
@@ -175,17 +174,15 @@ def _sample_face(center, half, axis, sign, density, rng) -> np.ndarray:
     return pts
 
 
-def _sample_ground(cfg: SceneConfig, sensor: np.ndarray, rng) -> np.ndarray:
+def _sample_ground(sensor: np.ndarray, rng) -> np.ndarray:
     """Annulus-by-annulus disk sampling around the sensor footprint, z = 0."""
     points = []
-    edges = np.arange(1.0, cfg.ground_radius + 1.0, 1.0)
+    edges = np.arange(1.0, GROUND_RADIUS + 1.0, 1.0)
     for r_in, r_out in zip(edges, edges[1:]):
         r_mid = 0.5 * (r_in + r_out)
         area = np.pi * (r_out ** 2 - r_in ** 2)
-        density = cfg.ground_points_per_m2 * (cfg.ref_range / r_mid) ** 2
+        density = GROUND_POINTS_PER_M2 * (REF_RANGE / r_mid) ** 2
         n = int(round(area * density))
-        if n == 0:
-            continue
         radius = np.sqrt(rng.uniform(r_in ** 2, r_out ** 2, n))
         theta = rng.uniform(0.0, 2.0 * np.pi, n)
         ring = np.column_stack([
@@ -194,7 +191,7 @@ def _sample_ground(cfg: SceneConfig, sensor: np.ndarray, rng) -> np.ndarray:
             np.zeros(n),
         ])
         points.append(ring)
-    return np.concatenate(points, axis=0) if points else np.zeros((0, 3))
+    return np.concatenate(points, axis=0)
 
 
 def _place_instances(cfg: SceneConfig, rng) -> dict[int, TrueInstance]:
@@ -203,12 +200,6 @@ def _place_instances(cfg: SceneConfig, rng) -> dict[int, TrueInstance]:
     times = np.arange(cfg.sweep_count) * cfg.period
     count = int(rng.integers(cfg.count_range[0], cfg.count_range[1] + 1))
     spawn_range = cfg.spawn_radius_range or (4.0, 0.8 * cfg.max_range)
-    if cfg.spawn_sector is None:
-        sectors = [(0.0, 2.0 * np.pi)]
-    elif np.isscalar(cfg.spawn_sector[0]):
-        sectors = [tuple(cfg.spawn_sector)]
-    else:
-        sectors = [tuple(s) for s in cfg.spawn_sector]
     class_ids = sorted(cfg.box_specs)
     placed: list[TrueInstance] = []
     next_id = 1
@@ -238,16 +229,11 @@ def _place_instances(cfg: SceneConfig, rng) -> dict[int, TrueInstance]:
                 t_star = rng.uniform(0.15, 0.85) * duration
                 base = perp * offset - direction * speed * t_star
                 vel = direction * speed
-            elif cfg.motion == "drift":
-                radius = rng.uniform(*spawn_range)
-                angle = rng.uniform(*sectors[int(rng.integers(len(sectors)))])
-                base = np.array([radius * np.cos(angle), radius * np.sin(angle), 0.0])
-                vel = direction * speed
             else:
                 radius = rng.uniform(*spawn_range)
-                angle = rng.uniform(*sectors[int(rng.integers(len(sectors)))])
+                angle = rng.uniform(0.0, 2.0 * np.pi)
                 base = np.array([radius * np.cos(angle), radius * np.sin(angle), 0.0])
-                vel = np.zeros(3)
+                vel = direction * speed if cfg.motion == "drift" else np.zeros(3)
             base[2] = half[2]  # box rests on the ground plane
             group = next_id
             if not trajectory_ok(base, vel, group):
@@ -283,28 +269,6 @@ def _place_instances(cfg: SceneConfig, rng) -> dict[int, TrueInstance]:
             break
         else:
             raise ValueError("could not place instances under min_separation; relax the config")
-    for _ in range(cfg.unpaired_passers):
-        cid = class_ids[int(rng.integers(len(class_ids)))]
-        spec = cfg.box_specs[cid]
-        for _attempt in range(1000):
-            half = np.maximum(np.abs(rng.normal(spec.half_extent_mean, spec.half_extent_std)), 0.05)
-            speed = rng.uniform(max(cfg.speed_range[0], 2.0), max(cfg.speed_range[1], 4.0))
-            heading = rng.uniform(0.0, 2.0 * np.pi)
-            direction = np.array([np.cos(heading), np.sin(heading), 0.0])
-            offset = rng.uniform(*cfg.approach_range) * (1 if rng.uniform() < 0.5 else -1)
-            perp = np.array([-direction[1], direction[0], 0.0])
-            t_star = rng.uniform(0.15, 0.85) * duration
-            base = perp * offset - direction * speed * t_star
-            base[2] = half[2]
-            vel = direction * speed
-            group = next_id
-            if not trajectory_ok(base, vel, group):
-                continue
-            placed.append(TrueInstance(next_id, cid, half, base, vel, group))
-            next_id += 1
-            break
-        else:
-            raise ValueError("could not place passer under min_separation; relax the config")
     return {inst.instance_id: inst for inst in placed}
 
 
@@ -324,7 +288,7 @@ def generate_sequence(cfg: SceneConfig, taxonomy: Taxonomy | None = None
     for t_idx, t in enumerate(times):
         rng = np.random.default_rng(sweep_seeds[t_idx])
         sensor = _sensor_position(cfg, t)
-        xyz_world = [_sample_ground(cfg, sensor, rng)]
+        xyz_world = [_sample_ground(sensor, rng)]
         sems = [np.full(xyz_world[0].shape[0], GROUND, dtype=np.int32)]
         insts = [np.zeros(xyz_world[0].shape[0], dtype=np.int32)]
         for inst in instances.values():
@@ -332,14 +296,14 @@ def generate_sequence(cfg: SceneConfig, taxonomy: Taxonomy | None = None
             planar = np.hypot(*(center[:2] - sensor[:2]))
             if planar > cfg.max_range:
                 continue
-            density = cfg.points_per_m2 * (cfg.ref_range / max(planar, 1.0)) ** 2
+            density = cfg.points_per_m2 * (REF_RANGE / max(planar, 1.0)) ** 2
             for axis, sign in visible_faces(center, inst.half_extent, sensor, cfg.occlusion):
                 pts = _sample_face(center, inst.half_extent, axis, sign, density, rng)
                 xyz_world.append(pts)
                 sems.append(np.full(pts.shape[0], inst.class_id, dtype=np.int32))
                 insts.append(np.full(pts.shape[0], inst.instance_id, dtype=np.int32))
         world = np.concatenate(xyz_world, axis=0)
-        rows = np.zeros((world.shape[0], 5))
+        rows = np.zeros((world.shape[0], 4))
         # Stored at float32 precision so on-disk round trips are bit exact.
         rows[:, :3] = (world - sensor).astype(np.float32)
         rows[:, 3] = rng.uniform(0.0, 1.0, world.shape[0]).astype(np.float32)

@@ -165,12 +165,12 @@ def build_trajectories(seq: SweepSequence, taxonomy: Taxonomy) -> Trajectories:
     """Every labeled instance's per-sweep modal record, in both frames, as one table.
 
     Each sweep's points are moved into the world frame through its ego pose
-    (``transform_to_frame``'s product), so centers and extents from
-    different sweeps are comparable; one ``instance_boxes`` pass keyed by
-    (instance, sweep) then gives every world-frame box, and a second pass
-    with the same keys over the sensor-frame points gives each record's box
-    in its own sweep's frame, bit-equal to ``instance_boxes`` of that sweep
-    alone. A record's velocity is the centered difference (mu[t+1] -
+    (``xyz @ R.T + t``; left as they are under an identity pose), so centers
+    and extents from different sweeps are comparable; one ``instance_boxes``
+    pass keyed by (instance, sweep) then gives every world-frame box, and a
+    second pass with the same keys over the sensor-frame points gives each
+    record's box in its own sweep's frame, bit-equal to ``instance_boxes`` of
+    that sweep alone. A record's velocity is the centered difference (mu[t+1] -
     mu[t-1]) / (2 dt) of the planar centers when the instance has both
     neighboring sweeps, one-sided when it has one, and zero when it has
     neither. Raises ``ValueError`` naming the sweep and instance when an

@@ -108,14 +108,16 @@ def greedy_associate(
 
 @dataclass(frozen=True)
 class SweepInputs:
-    """Everything inference needs for one sweep; ``records`` is the sweep's
-    rows of the full trajectory table (every labeled instance, trained on or
-    not), whose sensor-frame columns ``membership.oracle_scores`` reads."""
+    """Everything inference needs for one sweep, sweep ``sweep_index`` of a
+    sequence whose full trajectory table (every labeled instance, trained on
+    or not) is ``trajectories``; ``membership.oracle_scores`` reads that
+    sweep's rows of it."""
 
     sweep: PointCloudSweep
     maps: PredictedMaps
     extent_provider: ExtentProvider
-    records: Trajectories
+    trajectories: Trajectories
+    sweep_index: int
 
 
 # The membership scorers' signature (``membership.nn_scores`` and its kin).

@@ -1,4 +1,4 @@
-"""Sparse voxelization, majority-vote voxel labels, BEV flattening and sparse BEV grids."""
+"""Sparse voxelization, BEV flattening and sparse BEV grids."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .cloud import IGNORE_CLASS, PointCloudSweep
+from .cloud import PointCloudSweep
 
 _DIM_TOL = 1e-6
 
@@ -170,24 +170,6 @@ def _group_sums(group: np.ndarray, rows: np.ndarray, groups: int) -> np.ndarray:
     f = rows.shape[1]
     codes = (group[:, None] * f + np.arange(f)).ravel()
     return np.bincount(codes, weights=rows.ravel(), minlength=groups * f).reshape(groups, f)
-
-
-def majority_vote_labels(grid: SparseVoxelGrid, sem_labels: np.ndarray,
-                         current_mask: np.ndarray | None = None) -> np.ndarray:
-    """(M,) modal class per voxel of ``grid.occupied`` among its current-sweep points.
-
-    One ``bincount`` over (voxel, class) counts the votes; ``argmax`` breaks
-    ties toward the lower class id. Voxels holding only history points get
-    the ignore class so the segmentation loss can mask them out.
-    """
-    sem = np.asarray(sem_labels)[grid.point_index]
-    cell = np.repeat(np.arange(len(grid)), np.diff(grid.starts))
-    if current_mask is not None:
-        current = np.asarray(current_mask)[grid.point_index]
-        sem, cell = sem[current], cell[current]
-    classes = int(sem.max()) + 1 if sem.size else 1
-    counts = np.bincount(cell * classes + sem, minlength=len(grid) * classes).reshape(-1, classes)
-    return np.where(counts.any(axis=1), counts.argmax(axis=1), IGNORE_CLASS)
 
 
 @dataclass(frozen=True)

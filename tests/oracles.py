@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from modalpanoptic.cloud import transform_to_frame
+from modalpanoptic.cloud import PointCloudSweep, check_rigid, invert_pose
 from modalpanoptic.losses import bce_loss
 from modalpanoptic.membership import PairTable
 from modalpanoptic.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, recalibrate_batchnorm
@@ -586,6 +586,18 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
                     feats[roi] if pair_cfg.include_point_features else None, bev))
                 labels.append([float(inst[i] == iid) for i in roi])
     return np.concatenate(rows), np.concatenate(labels)
+
+
+def transform_to_frame(sweep, target_pose):
+    """Re-express a sweep in the frame given by ``target_pose`` (frame -> world).
+
+    Labels are unchanged; the result's ego_pose is ``target_pose``.
+    """
+    check_rigid(target_pose)
+    rel = invert_pose(np.asarray(target_pose, dtype=np.float64)) @ sweep.ego_pose
+    pts = sweep.points.copy()
+    pts[:, :3] = pts[:, :3] @ rel[:3, :3].T + rel[:3, 3]
+    return PointCloudSweep(sweep.timestamp, pts, sweep.sem_labels, sweep.inst_labels, target_pose)
 
 
 @dataclass(frozen=True)

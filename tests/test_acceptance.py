@@ -209,7 +209,9 @@ def test_acceptance_3_perfect_input_identity():
         for gt, lab in zip(gts, labelings):
             acc.add(gt, lab)
         report = acc.report()
-        lstq = mp.compute_lstq(gts, labelings, TAX)
+        tubes = mp.LstqAccumulator(TAX)
+        tubes.add_sequence(gts, labelings)
+        lstq = tubes.report()
         assert abs(report.pq - 1.0) <= 1e-9, f"seed {seed} PQ {report.pq}"
         assert abs(lstq.s_assoc - 1.0) <= 1e-9, f"seed {seed} S_assoc {lstq.s_assoc}"
         assert abs(lstq.lstq - 1.0) <= 1e-9, f"seed {seed} LSTQ {lstq.lstq}"
@@ -227,7 +229,9 @@ def test_acceptance_4_metric_oracle_equivalence():
         n_points = int(rng.integers(40, 2000))
         n_inst = int(rng.integers(1, 9))
         gt, pred = random_scene(rng, n_points=n_points, n_inst=n_inst)
-        report = mp.compute_pq(gt, pred, MTAX)
+        acc = mp.PqAccumulator(MTAX)
+        acc.add(gt, pred)
+        report = acc.report()
         want = pq_counts(gt.sem, gt.inst, pred.sem, pred.inst,
                          set(MTAX.thing_ids), set(MTAX.stuff_ids),
                          set(MTAX.ignore_ids), MTAX.min_instance_points)
@@ -235,7 +239,9 @@ def test_acceptance_4_metric_oracle_equivalence():
             st = report.per_class[cid]
             assert (st.tp, st.fp, st.fn) == (tp, fp, fn), f"trial {trial} class {cid}"
             assert abs(st.iou_sum - iou_sum) < 1e-12
-        got = mp.compute_lstq([gt], [pred], MTAX).s_assoc
+        acc = mp.LstqAccumulator(MTAX)
+        acc.add_sequence([gt], [pred])
+        got = acc.report().s_assoc
         ref = tube_s_assoc([gt.sem], [gt.inst], [pred.sem], [pred.inst],
                            set(MTAX.thing_ids), set(MTAX.ignore_ids))
         assert abs(got - ref) < 1e-12, f"trial {trial}"
@@ -244,7 +250,9 @@ def test_acceptance_4_metric_oracle_equivalence():
     gt = [mp.PanopticLabeling(np.full(8, 1), np.full(8, 3)) for _ in range(10)]
     pred = [mp.PanopticLabeling(np.full(8, 1), np.full(8, 1 if t < 5 else 2))
             for t in range(10)]
-    s = mp.compute_lstq(gt, pred, MTAX).s_assoc
+    acc = mp.LstqAccumulator(MTAX)
+    acc.add_sequence(gt, pred)
+    s = acc.report().s_assoc
     assert abs(s - 0.5) <= 1e-12
     print("\nACCEPTANCE 4 PASS: PQ and LSTQ match brute-force matchers on 200 "
           "random scenes; id-switch S_assoc = 0.5 exact")
@@ -357,7 +365,7 @@ def test_acceptance_7_target_math():
     # is one point per sweep, so its modal centers are exact; car 6 shows once.
     v = np.array([1.25, -0.75])
     sweeps = tuple(mp.PointCloudSweep(
-        0.5 * t, [[v[0] * 0.5 * t, v[1] * 0.5 * t, 0.0, 0.0, 0.0], [5.0, 5.0, 0.0, 0.0, 0.0]],
+        0.5 * t, [[v[0] * 0.5 * t, v[1] * 0.5 * t, 0.0, 0.0], [5.0, 5.0, 0.0, 0.0]],
         [1, 1], [5, 6 if t == 0 else 0]) for t in range(5))
     table = build_trajectories(mp.SweepSequence(sweeps, 0.5), TAX)
     for t in (1, 2, 3):

@@ -13,8 +13,9 @@ from modalpanoptic.cloud import (
     check_rigid,
     load_taxonomy,
     save_taxonomy,
-    transform_to_frame,
 )
+
+from oracles import transform_to_frame
 
 NUSCENES_CLASSES = [
     (1, "barrier", "thing"), (2, "bicycle", "thing"), (3, "bus", "thing"),
@@ -33,7 +34,7 @@ def write_taxonomy(path, classes, min_points):
 
 
 def make_sweep(xyz, sem, inst, timestamp=0.0, pose=None):
-    pts = np.zeros((len(xyz), 5))
+    pts = np.zeros((len(xyz), 4))
     pts[:, :3] = xyz
     return PointCloudSweep(timestamp, pts, np.asarray(sem), np.asarray(inst),
                            np.eye(4) if pose is None else pose)
@@ -144,15 +145,14 @@ class TestTransform:
 
 
 class TestSweepValidation:
-    def test_positive_dt_rejected(self):
-        pts = np.zeros((1, 5))
-        pts[0, 4] = 0.1
-        with pytest.raises(ValueError):
-            PointCloudSweep(0.0, pts, np.array([1]), np.array([0]))
+    def test_five_point_columns_rejected(self):
+        # A row is x, y, z, intensity; a fifth column (a history-point age) has no meaning.
+        with pytest.raises(ValueError, match=r"points must be \(N, 4\), got \(1, 5\)"):
+            PointCloudSweep(0.0, np.zeros((1, 5)), np.array([1]), np.array([0]))
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
-            PointCloudSweep(0.0, np.zeros((2, 5)), np.array([1]), np.array([0, 0]))
+            PointCloudSweep(0.0, np.zeros((2, 4)), np.array([1]), np.array([0, 0]))
 
     def test_instance_on_stuff_rejected(self):
         tax = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "road", "stuff")), 10)

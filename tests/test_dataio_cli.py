@@ -24,6 +24,8 @@ from modalpanoptic.dataio import (
 )
 from modalpanoptic.synth import CAR, GROUND
 
+from oracles import transform_to_frame
+
 
 def tree_bytes(root):
     out = {}
@@ -103,11 +105,22 @@ class TestSequenceRoundtrip:
         back = read_sequence(tmp_path, "0000")
         assert len(back) == len(seq)
         for a, b in zip(seq.sweeps, back.sweeps):
-            np.testing.assert_array_equal(a.points[:, :4], b.points[:, :4])
+            np.testing.assert_array_equal(a.points, b.points)
             np.testing.assert_array_equal(a.sem_labels, b.sem_labels)
             np.testing.assert_array_equal(a.inst_labels, b.inst_labels)
             np.testing.assert_allclose(a.ego_pose, b.ego_pose, atol=0)
             assert a.timestamp == b.timestamp
+
+    def test_without_times_file_sweeps_are_a_tenth_apart(self, tmp_path):
+        tax = mp.default_taxonomy()
+        seq, _ = mp.generate_sequence(mp.SceneConfig(seed=2, sweep_count=4,
+                                                     count_range=(2, 2)), tax)
+        write_sequence(tmp_path, "0000", seq, tax)
+        (tmp_path / "sequences" / "0000" / "times.txt").unlink()
+        back = read_sequence(tmp_path, "0000")
+        assert seq.period == 0.5
+        assert [s.timestamp for s in back.sweeps] == [0.0, 0.1, 0.2, 0.30000000000000004]
+        assert back.period == 0.1
 
     def test_missing_sequence_raises(self, tmp_path):
         (tmp_path / "sequences").mkdir()
@@ -228,7 +241,7 @@ class TestCli:
                             @ np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
                             @ np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]]))
             pose[:3, 3] = [1.5 * t, -0.5 * t, 0.1]
-            sweeps.append(mp.transform_to_frame(sweep, pose))
+            sweeps.append(transform_to_frame(sweep, pose))
         data, out = tmp_path / "data", tmp_path / "targets"
         write_sequence(data, "0000", mp.SweepSequence(tuple(sweeps), seq.period), tax)
         assert main(["targets", "--data", str(data), "--out", str(out), "--strategy", "SW"]) == 0
@@ -326,22 +339,46 @@ class TestCli:
         assert code == 4
         assert f"{name}: 1 entries for 3 frames" in capsys.readouterr().err
 
+    @staticmethod
+    def track_after_editing_line_2(tmp_path, capsys, name, edit):
+        """``track``'s exit code, stderr and ``<file>:2: `` after ``edit`` rewrites that line."""
+        data, pred = tmp_path / "data", tmp_path / "pred"
+        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
+        path = data / "sequences" / "0000" / name
+        lines = path.read_text().splitlines()
+        lines[1] = edit(lines[1])
+        path.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        code = main(["track", "--data", str(data), "--out", str(pred)])
+        assert not pred.exists() or not any(pred.rglob("*.label"))
+        return code, capsys.readouterr().err, f"{path}:2: "
+
     @pytest.mark.parametrize("name, message", [
         ("poses.txt", "pose entries must be finite"),
         ("times.txt", "sweep 1: timestamp nan is not finite"),
     ])
     def test_non_finite_sequence_file_exit_code(self, tmp_path, name, message, capsys):
-        data, pred = tmp_path / "data", tmp_path / "pred"
-        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
-        path = data / "sequences" / "0000" / name
         # Sweep 1's pose gets a nan x translation (its 4th value), or its timestamp a nan.
-        lines = [line.split() for line in path.read_text().splitlines()]
-        lines[1][3 if name == "poses.txt" else 0] = "nan"
-        path.write_text("".join(" ".join(line) + "\n" for line in lines))
-        capsys.readouterr()
-        assert main(["track", "--data", str(data), "--out", str(pred)]) == 4
-        assert message in capsys.readouterr().err
-        assert not pred.exists() or not any(pred.rglob("*.label"))
+        def nan_entry(line):
+            values = line.split()
+            values[3 if name == "poses.txt" else 0] = "nan"
+            return " ".join(values)
+
+        code, err, where = self.track_after_editing_line_2(tmp_path, capsys, name, nan_entry)
+        assert code == 4
+        assert where + message in err
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("poses.txt", "2 0 0 0 0 1 0 0 0 0 1 0", "rotation block not orthonormal"),
+        ("poses.txt", "1 0 0 x 0 1 0 0 0 0 1 0", "could not convert string to float: 'x'"),
+        ("poses.txt", "1 0 0 0 0 1 0 0 0 0 1", "11 values, a pose needs 12"),
+        ("times.txt", "0.5s", "could not convert string to float: '0.5s'"),
+    ], ids=["non-rigid-pose", "non-numeric-pose", "short-pose", "non-numeric-time"])
+    def test_malformed_sequence_line_exit_code(self, tmp_path, name, line, message, capsys):
+        code, err, where = self.track_after_editing_line_2(tmp_path, capsys, name,
+                                                           lambda _: line)
+        assert code == 4
+        assert where + message in err
 
     def test_unknown_flag_exit_code(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -420,8 +457,9 @@ class TestCli:
         seq = read_sequence(data, "0000")
         preds = read_predictions(p1, "0000")
         gt = mp.PanopticLabeling(seq.sweeps[0].sem_labels, seq.sweeps[0].inst_labels)
-        rep = mp.compute_pq(gt, preds[0], mp.default_taxonomy())
-        assert rep.pq == 1.0
+        acc = mp.PqAccumulator(mp.default_taxonomy())
+        acc.add(gt, preds[0])
+        assert acc.report().pq == 1.0
 
     def test_config_sets_only_its_own_keys(self, tmp_path):
         data = tmp_path / "data"
@@ -451,7 +489,7 @@ class TestCli:
             n_car, n_other = len(car), len(other)
             sem = np.r_[np.full(n_car + n_other, CAR), np.full(len(ground), GROUND)]
             inst = np.r_[np.full(n_car, 1), np.full(n_other, 2), np.zeros(len(ground))]
-            points = np.column_stack([xyz, np.zeros(len(xyz)), np.zeros(len(xyz))])
+            points = np.column_stack([xyz, np.zeros(len(xyz))])
             sweeps.append(mp.PointCloudSweep(0.1 * t, points, sem, inst))
         data = tmp_path / "data"
         write_sequence(data, "0000", mp.SweepSequence(tuple(sweeps), 0.1), mp.default_taxonomy())

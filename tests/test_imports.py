@@ -1,7 +1,9 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every re-export is read.
 
 A stdlib ``ast`` scan over ``src/`` and ``tests/``. Package ``__init__.py``
-files are exempt: their imports are the package's re-exports.
+files are exempt from the first check: their imports are the package's
+re-exports, and each of those must be read through the package namespace
+(``from modalpanoptic import X`` or ``mp.X``) by a demo or a test.
 """
 
 import ast
@@ -12,6 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
+PACKAGE = "modalpanoptic"
+READERS = sorted(p for d in ("demos", "tests") for p in (ROOT / d).rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -49,3 +53,33 @@ def test_scan_flags_an_unused_import():
                      "    return replace(x)\n")
     names = imported_names(tree)
     assert sorted(n for n in names if n not in used_names(tree)) == ["field", "os"]
+
+
+def package_reads(tree: ast.Module) -> set[str]:
+    """Names read through the package namespace: ``from modalpanoptic import X`` and ``mp.X``."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == PACKAGE}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == PACKAGE and not node.level:
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def test_every_reexport_is_read():
+    init = ROOT / "src" / PACKAGE / "__init__.py"
+    exported = set(imported_names(ast.parse(init.read_text(encoding="utf-8"))))
+    read = set().union(*(package_reads(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in READERS))
+    assert sorted(exported - read) == [], "re-exported but read by no demo or test"
+
+
+def test_scan_finds_package_reads():
+    tree = ast.parse("import modalpanoptic as mp\n"
+                     "from modalpanoptic import cli, SceneConfig\n"
+                     "from modalpanoptic.voxels import voxelize\n"
+                     "mp.GridSpec(); cli.main(); voxelize.x\n")
+    assert package_reads(tree) == {"cli", "SceneConfig", "GridSpec"}

@@ -394,11 +394,11 @@ class TestFusePanoptic:
 def inputs_of(pts, sems, inst=None, pose=None):
     pts = np.asarray(pts, dtype=float)
     inst = np.zeros(len(pts)) if inst is None else inst
-    sweep = PointCloudSweep(0.0, np.column_stack([pts, np.zeros((len(pts), 2))]), sems, inst,
+    sweep = PointCloudSweep(0.0, np.column_stack([pts, np.zeros(len(pts))]), sems, inst,
                             np.eye(4) if pose is None else pose)
-    records = build_trajectories(SweepSequence((sweep,), 1.0), TAX)
+    table = build_trajectories(SweepSequence((sweep,), 1.0), TAX)
     return SweepInputs(sweep, maps_of({}, point_sem=sems), CwmExtents({}, default=np.ones(3)),
-                       records)
+                       table, 0)
 
 
 def one_group(n_points):
@@ -436,6 +436,19 @@ class TestMembershipAdapters:
         probs = oracle_scores(inputs_of(pts, [1, 1, 1], np.array([7, 7, 9]), pose),
                               stack([det]), one_group(3))
         np.testing.assert_array_equal(probs, [1.0, 1.0, 0.0])
+
+    def test_oracle_membership_reads_only_its_sweep(self):
+        # Instance 9 sat on the detection in sweep 0 and is 5 m away in sweep 1,
+        # where instance 7 is the nearest source.
+        xyz = ([[0.0, 0, 0], [0.1, 0, 0]], [[0.6, 0, 0], [0.7, 0, 0], [5.0, 0, 0], [5.1, 0, 0]])
+        ids = ([9, 9], [7, 7, 9, 9])
+        sweeps = tuple(PointCloudSweep(float(t), np.column_stack([xyz[t], np.zeros(len(xyz[t]))]),
+                                       np.ones(len(ids[t])), ids[t]) for t in (0, 1))
+        table = build_trajectories(SweepSequence(sweeps, 1.0), TAX)
+        inputs = SweepInputs(sweeps[1], maps_of({}, point_sem=np.ones(4)),
+                             CwmExtents({}, default=np.ones(3)), table, 1)
+        probs = oracle_scores(inputs, stack([row(np.array([0.05, 0, 0]), 1.0)]), one_group(4))
+        np.testing.assert_array_equal(probs, [1.0, 1.0, 0.0, 0.0])
 
     def test_oracle_membership_unmatched_detection_claims_nothing(self):
         pts = np.zeros((2, 3))

@@ -442,7 +442,7 @@ def edge_sequence(border_x=7.55, border_half=0.06):
     sweeps = []
     for t, parts in enumerate(layouts):
         xyz = np.concatenate([part for part, _, _ in parts])
-        points = np.zeros((len(xyz), 5))
+        points = np.zeros((len(xyz), 4))
         points[:, :3] = xyz
         sem = np.concatenate([np.full(len(part), c) for part, c, _ in parts])
         inst = np.concatenate([np.full(len(part), i) for part, _, i in parts])

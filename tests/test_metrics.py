@@ -6,9 +6,7 @@ from modalpanoptic.membership import roi_points
 from modalpanoptic.metrics import (
     LstqAccumulator,
     PqAccumulator,
-    compute_lstq,
     compute_miou,
-    compute_pq,
     lstq_report_csv,
     match_instances_to_detections,
     membership_accuracy,
@@ -53,7 +51,9 @@ def random_scene(rng, n_points=400, n_inst=5):
 
 
 def assert_matches_oracle(gt, pred, taxonomy=TAX):
-    report = compute_pq(gt, pred, taxonomy)
+    acc = PqAccumulator(taxonomy)
+    acc.add(gt, pred)
+    report = acc.report()
     want = pq_counts(gt.sem, gt.inst, pred.sem, pred.inst,
                      set(taxonomy.thing_ids), set(taxonomy.stuff_ids),
                      set(taxonomy.ignore_ids), taxonomy.min_instance_points)
@@ -66,7 +66,9 @@ def assert_matches_oracle(gt, pred, taxonomy=TAX):
 class TestComputePq:
     def test_perfect_prediction(self):
         gt = lab([1, 1, 1, 3, 3, 2, 2, 2], [4, 4, 4, 0, 0, 7, 7, 7])
-        report = compute_pq(gt, gt, TAX)
+        acc = PqAccumulator(TAX)
+        acc.add(gt, gt)
+        report = acc.report()
         for cid in (1, 2, 3):
             st = report.per_class[cid]
             assert st.pq == st.sq == st.rq == 1.0
@@ -75,7 +77,9 @@ class TestComputePq:
     def test_empty_predictions(self):
         gt = lab([1, 1, 1, 3, 3], [5, 5, 5, 0, 0])
         pred = lab([0, 0, 0, 0, 0], [0, 0, 0, 0, 0])
-        report = compute_pq(gt, pred, TAX)
+        acc = PqAccumulator(TAX)
+        acc.add(gt, pred)
+        report = acc.report()
         assert report.per_class[1].fn == 1
         assert report.per_class[1].pq == 0.0
         assert report.per_class[3].pq == 0.0
@@ -89,7 +93,9 @@ class TestComputePq:
         pred_inst[:6] = 21; pred_inst[6:12] = 22
         gt, pred = lab(gt_sem, gt_inst), lab(pred_sem, pred_inst)
         assert_matches_oracle(gt, pred)
-        report = compute_pq(gt, pred, TAX)
+        acc = PqAccumulator(TAX)
+        acc.add(gt, pred)
+        report = acc.report()
         assert report.per_class[1].tp == 0
         assert report.per_class[1].fn == 1
         assert report.per_class[1].fp == 2
@@ -98,26 +104,34 @@ class TestComputePq:
         # 2-point instance below the threshold becomes ignore on both sides.
         gt = lab([1, 1, 3, 3, 3, 3], [9, 9, 0, 0, 0, 0])
         pred = lab([1, 1, 3, 3, 3, 3], [1, 1, 0, 0, 0, 0])
-        report = compute_pq(gt, pred, TAX)
+        acc = PqAccumulator(TAX)
+        acc.add(gt, pred)
+        report = acc.report()
         assert not report.per_class[1].populated
         assert_matches_oracle(gt, pred)
 
     def test_unmatched_pred_on_void_not_fp(self):
         gt = lab([0, 0, 0, 3, 3, 3], [0, 0, 0, 0, 0, 0])
         pred = lab([1, 1, 1, 3, 3, 3], [5, 5, 5, 0, 0, 0])
-        report = compute_pq(gt, pred, TAX)
+        acc = PqAccumulator(TAX)
+        acc.add(gt, pred)
+        report = acc.report()
         assert report.per_class[1].fp == 0
         assert_matches_oracle(gt, pred)
 
     def test_id_relabeling_invariance(self):
         rng = np.random.default_rng(0)
         gt, pred = random_scene(rng)
-        base = compute_pq(gt, pred, TAX)
+        acc = PqAccumulator(TAX)
+        acc.add(gt, pred)
+        base = acc.report()
         remap_g = {i: 1000 - i for i in np.unique(gt.inst[gt.inst > 0])}
         remap_p = {i: 77 + 3 * i for i in np.unique(pred.inst[pred.inst > 0])}
         gt2 = lab(gt.sem, [remap_g.get(i, 0) for i in gt.inst])
         pred2 = lab(pred.sem, [remap_p.get(i, 0) for i in pred.inst])
-        other = compute_pq(gt2, pred2, TAX)
+        acc = PqAccumulator(TAX)
+        acc.add(gt2, pred2)
+        other = acc.report()
         for cid, st in base.per_class.items():
             st2 = other.per_class[cid]
             assert (st.tp, st.fp, st.fn) == (st2.tp, st2.fp, st2.fn)
@@ -132,7 +146,9 @@ class TestComputePq:
     def test_pq_equals_sq_times_rq(self):
         rng = np.random.default_rng(2)
         gt, pred = random_scene(rng)
-        report = compute_pq(gt, pred, TAX)
+        acc = PqAccumulator(TAX)
+        acc.add(gt, pred)
+        report = acc.report()
         for st in report.per_class.values():
             assert abs(st.pq - st.sq * st.rq) < 1e-12
 
@@ -159,7 +175,7 @@ class TestComputePq:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            compute_pq(lab([1], [1]), lab([1, 1], [1, 1]), TAX)
+            PqAccumulator(TAX).add(lab([1], [1]), lab([1, 1], [1, 1]))
 
 
 class TestComputeMiou:
@@ -198,7 +214,9 @@ class TestComputeLstq:
 
     def test_perfect(self):
         gts = self.seq_lab([[1, 1, 3]] * 4, [[5, 5, 0]] * 4)
-        report = compute_lstq(gts, gts, TAX)
+        acc = LstqAccumulator(TAX)
+        acc.add_sequence(gts, gts)
+        report = acc.report()
         assert report.s_assoc == 1.0
         assert report.lstq == 1.0
 
@@ -209,14 +227,18 @@ class TestComputeLstq:
         pred_insts = [[1] * 8 if t < 5 else [2] * 8 for t in range(10)]
         gts = self.seq_lab(gt_sems, gt_insts)
         preds = self.seq_lab(gt_sems, pred_insts)
-        report = compute_lstq(gts, preds, TAX)
+        acc = LstqAccumulator(TAX)
+        acc.add_sequence(gts, preds)
+        report = acc.report()
         assert abs(report.s_assoc - 0.5) < 1e-12
         assert abs(report.lstq - np.sqrt(0.5)) < 1e-12
 
     def test_empty_predictions(self):
         gts = self.seq_lab([[1, 1, 1, 3]] * 3, [[2, 2, 2, 0]] * 3)
         preds = self.seq_lab([[0, 0, 0, 0]] * 3, [[0, 0, 0, 0]] * 3)
-        report = compute_lstq(gts, preds, TAX)
+        acc = LstqAccumulator(TAX)
+        acc.add_sequence(gts, preds)
+        report = acc.report()
         assert report.s_assoc == 0.0
         assert report.lstq == 0.0
 
@@ -229,7 +251,9 @@ class TestComputeLstq:
                 gt, pred = random_scene(rng, n_points=int(rng.integers(30, 150)))
                 gts.append(gt)
                 preds.append(pred)
-            got = compute_lstq(gts, preds, TAX).s_assoc
+            acc = LstqAccumulator(TAX)
+            acc.add_sequence(gts, preds)
+            got = acc.report().s_assoc
             want = tube_s_assoc([g.sem for g in gts], [g.inst for g in gts],
                                 [p.sem for p in preds], [p.inst for p in preds],
                                 set(TAX.thing_ids), set(TAX.ignore_ids))
@@ -242,17 +266,26 @@ class TestComputeLstq:
             gt, pred = random_scene(rng)
             gts.append(gt)
             preds.append(pred)
-        base = compute_lstq(gts, preds, TAX)
+        acc = LstqAccumulator(TAX)
+        acc.add_sequence(gts, preds)
+        base = acc.report()
         preds2 = [lab(p.sem, np.where(p.inst > 0, p.inst * 7 + 3, 0)) for p in preds]
-        again = compute_lstq(gts, preds2, TAX)
+        acc = LstqAccumulator(TAX)
+        acc.add_sequence(gts, preds2)
+        again = acc.report()
         assert abs(base.s_assoc - again.s_assoc) < 1e-12
 
     def test_single_sweep_perfect_iff_projected(self):
         gt = lab([1, 1, 2, 3], [4, 4, 6, 0])
         good = lab([1, 1, 2, 3], [9, 9, 2, 0])
         bad = lab([1, 1, 2, 3], [9, 8, 2, 0])
-        assert compute_lstq([gt], [good], TAX).s_assoc == 1.0
-        assert compute_lstq([gt], [bad], TAX).s_assoc < 1.0
+        reports = []
+        for pred in (good, bad):
+            acc = LstqAccumulator(TAX)
+            acc.add_sequence([gt], [pred])
+            reports.append(acc.report())
+        assert reports[0].s_assoc == 1.0
+        assert reports[1].s_assoc < 1.0
 
     def test_accumulator_pools_sequences(self):
         rng = np.random.default_rng(7)
@@ -380,7 +413,9 @@ class TestMembershipAccuracy:
 class TestCsvReports:
     def test_pq_csv_columns(self):
         gt = lab([1, 1, 1, 3], [2, 2, 2, 0])
-        report = compute_pq(gt, gt, TAX)
+        acc = PqAccumulator(TAX)
+        acc.add(gt, gt)
+        report = acc.report()
         text = pq_report_csv(report)
         assert text.splitlines()[0] == "class,pq,sq,rq,iou,tp,fp,fn"
         assert "car,1," in text
@@ -388,6 +423,8 @@ class TestCsvReports:
 
     def test_lstq_csv(self):
         gt = lab([1, 1], [3, 3])
-        text = lstq_report_csv(compute_lstq([gt], [gt], TAX))
+        acc = LstqAccumulator(TAX)
+        acc.add_sequence([gt], [gt])
+        text = lstq_report_csv(acc.report())
         assert "s_assoc,1" in text
         assert "lstq,1" in text

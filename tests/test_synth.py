@@ -118,8 +118,7 @@ class TestGenerateSequence:
         # is sampled, collapsing the shrink-wrapped extent along the bearing.
         cfg = mp.SceneConfig(seed=7, sweep_count=1, count_range=(1, 1),
                              box_specs={1: mp.BoxSpec((2.25, 1.0, 0.75), (0.0, 0.0, 0.0))},
-                             motion="static", min_separation=1.0, sensor_height=1.0,
-                             ground_points_per_m2=0.0, points_per_m2=120.0)
+                             motion="static", min_separation=1.0, points_per_m2=120.0)
         seq, reg = mp.generate_sequence(cfg, TAX)
         inst = next(iter(reg.instances.values()))
         sweep = seq.sweeps[0]
@@ -133,10 +132,10 @@ class TestGenerateSequence:
         assert r[axis] < 0.05 * inst.half_extent[axis]
 
     def test_elevated_sensor_adds_top_face(self):
+        # A 0.6 m tall box sits below the sensor, which rides 1 m above the ground.
         cfg = mp.SceneConfig(seed=8, sweep_count=1, count_range=(1, 1),
-                             box_specs={1: mp.BoxSpec((2.25, 1.0, 0.75), (0.0, 0.0, 0.0))},
-                             motion="static", min_separation=1.0, sensor_height=4.0,
-                             ground_points_per_m2=0.0)
+                             box_specs={1: mp.BoxSpec((2.25, 1.0, 0.3), (0.0, 0.0, 0.0))},
+                             motion="static", min_separation=1.0)
         seq, reg = mp.generate_sequence(cfg, TAX)
         inst = next(iter(reg.instances.values()))
         sweep = seq.sweeps[0]
@@ -148,8 +147,7 @@ class TestGenerateSequence:
         cfg = mp.SceneConfig(seed=9, sweep_count=8, period=0.5, count_range=(1, 1),
                              box_specs={1: mp.BoxSpec((2.0, 1.0, 0.75), (0.0, 0.0, 0.0))},
                              motion="static", min_separation=1.0, ego_motion="orbit",
-                             orbit_radius=12.0, ground_points_per_m2=0.0,
-                             points_per_m2=150.0, spawn_radius_range=(1.0, 4.0))
+                             orbit_radius=12.0, points_per_m2=150.0, spawn_radius_range=(1.0, 4.0))
         seq, reg = mp.generate_sequence(cfg, TAX)
         inst = next(iter(reg.instances.values()))
         # Re-derive which faces got sampled from the world-frame point planes.
@@ -171,8 +169,7 @@ class TestGenerateSequence:
     def test_density_falls_with_range(self):
         cfg = mp.SceneConfig(seed=10, sweep_count=1, count_range=(2, 2),
                              box_specs={1: mp.BoxSpec((2.0, 1.0, 0.75), (0.0, 0.0, 0.0))},
-                             motion="static", min_separation=12.0,
-                             ground_points_per_m2=0.0, points_per_m2=60.0)
+                             motion="static", min_separation=12.0, points_per_m2=60.0)
         seq, reg = mp.generate_sequence(cfg, TAX)
         sweep = seq.sweeps[0]
         counts = {}
@@ -357,7 +354,7 @@ FEATURE_SCENES = {
 
 def bare_sweep(xyz):
     xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    points = np.zeros((xyz.shape[0], 5))
+    points = np.zeros((xyz.shape[0], 4))
     points[:, :3] = xyz
     n = xyz.shape[0]
     return mp.PointCloudSweep(0.0, points, np.zeros(n, np.int32), np.zeros(n, np.int32))

@@ -66,7 +66,7 @@ def extent_sw(points, center):
 
 def point_sequence(centers, period=0.5):
     """Car 1 as one point per sweep at each center: its modal centers are exact."""
-    sweeps = [PointCloudSweep(period * t, [[*c, 0.0, 0.0]], [1], [1])
+    sweeps = [PointCloudSweep(period * t, [[*c, 0.0]], [1], [1])
               for t, c in enumerate(centers)]
     return SweepSequence(tuple(sweeps), period)
 
@@ -395,7 +395,7 @@ def gappy_sequences(draw):
             if draw(st.booleans()) else np.eye(4)
         world = np.concatenate(world)[order]
         sensor = (world - pose[:3, 3]) @ pose[:3, :3]
-        points = np.column_stack([sensor, np.zeros((len(order), 2))])
+        points = np.column_stack([sensor, np.zeros(len(order))])
         sweeps.append(PointCloudSweep(0.5 * t, points, np.concatenate(sem)[order],
                                       np.concatenate(inst)[order], pose))
     return SweepSequence(tuple(sweeps), 0.5)
@@ -487,7 +487,7 @@ class TestTrajectoryTable:
         assert table.offsets.tolist() == [0, 2] and table.row_instance.tolist() == [0, 0]
         assert table.instance_class.tolist() == [1]
         empty = build_trajectories(SweepSequence((PointCloudSweep(
-            0.0, np.zeros((2, 5)), [3, 3], [0, 0]),), 0.5), TAX)
+            0.0, np.zeros((2, 4)), [3, 3], [0, 0]),), 0.5), TAX)
         assert len(empty) == 0 and empty.offsets.tolist() == [0]
         assert empty.max_extents.shape == (0, 3) and class_wise_mean_extents(empty, TAX) == {}
 
@@ -505,7 +505,7 @@ class TestTrajectoryTable:
         assert not np.array_equal(got.center, got.sensor_center)
 
     def test_instance_on_a_stuff_point_rejected(self):
-        sweeps = [PointCloudSweep(0.5 * t, np.zeros((2, 5)), [1, 3], [1, 777 if t else 0])
+        sweeps = [PointCloudSweep(0.5 * t, np.zeros((2, 4)), [1, 3], [1, 777 if t else 0])
                   for t in range(2)]
         with pytest.raises(ValueError, match="sweep 1: instance 777 is on non-thing class 3"):
             build_trajectories(SweepSequence(tuple(sweeps), 0.5), TAX)

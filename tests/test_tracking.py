@@ -136,12 +136,16 @@ class TestPanopticTrackSequence:
     def test_single_sweep_equals_fusion(self):
         seq, gts, labelings = run_tracked(seed=22, sweep_count=1)
         assert len(labelings) == 1
-        report = mp.compute_pq(gts[0], labelings[0], TAX)
+        acc = mp.PqAccumulator(TAX)
+        acc.add(gts[0], labelings[0])
+        report = acc.report()
         assert report.pq == pytest.approx(1.0, abs=1e-9)
 
     def test_perfect_inputs_no_id_switches(self):
         seq, gts, labelings = run_tracked(seed=23)
-        lstq = mp.compute_lstq(gts, labelings, TAX)
+        acc = mp.LstqAccumulator(TAX)
+        acc.add_sequence(gts, labelings)
+        lstq = acc.report()
         assert lstq.s_assoc == pytest.approx(1.0, abs=1e-9)
         assert lstq.lstq == pytest.approx(1.0, abs=1e-9)
 
@@ -222,7 +226,9 @@ class TestSweepRecords:
         for t, (sweep, inputs) in enumerate(zip(seq.sweeps, stream)):
             # The oracle's candidate sources: every labeled instance of the sweep.
             ids, _, _, centers, _ = mp.instance_boxes(sweep.xyz, sweep.inst_labels)
-            assert inputs.records.instance_id.tolist() == ids.tolist(), t
-            assert inputs.records.sensor_center.tobytes() == centers.tobytes(), t
-            listed += len(inputs.records)
+            assert inputs.sweep_index == t
+            rows = inputs.trajectories.sweep_index == t
+            assert inputs.trajectories.instance_id[rows].tolist() == ids.tolist(), t
+            assert inputs.trajectories.sensor_center[rows].tobytes() == centers.tobytes(), t
+            listed += int(rows.sum())
         assert listed == len(table)

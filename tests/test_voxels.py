@@ -6,7 +6,6 @@ from modalpanoptic.voxels import (
     GridSpec,
     flatten_bev,
     interpolate_bev_many,
-    majority_vote_labels,
     voxelize,
 )
 
@@ -22,11 +21,8 @@ SMALL = GridSpec(voxel_size=(0.5, 0.5, 0.5), planar_range=8.0, z_min=-2.0, z_max
 
 
 def pts(rows):
-    arr = np.zeros((len(rows), 5))
-    arr[:, :3] = [r[:3] for r in rows]
-    for i, r in enumerate(rows):
-        if len(r) > 3:
-            arr[i, 4] = r[3]  # dt
+    arr = np.zeros((len(rows), 4))
+    arr[:, :3] = rows
     return arr
 
 
@@ -55,7 +51,7 @@ def cells(grid):
 
 def random_cloud(seed, n, scale):
     rng = np.random.default_rng(seed)
-    cloud = np.zeros((n, 5))
+    cloud = np.zeros((n, 4))
     cloud[:, :3] = rng.uniform(-1.0, 1.0, size=(n, 3)) * scale
     return cloud
 
@@ -93,7 +89,7 @@ class TestVoxelize:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
-        cloud = np.zeros((200, 5))
+        cloud = np.zeros((200, 4))
         cloud[:, :3] = rng.uniform(-7, 7, size=(200, 3)) * [1, 1, 0.25]
         grid_a = voxelize(cloud, SMALL)
         perm = rng.permutation(200)
@@ -105,65 +101,12 @@ class TestVoxelize:
 
     def test_count_conservation(self):
         rng = np.random.default_rng(1)
-        cloud = np.zeros((500, 5))
+        cloud = np.zeros((500, 4))
         cloud[:, :3] = rng.uniform(-12, 12, size=(500, 3))
         grid = voxelize(cloud, SMALL)
         assert grid.starts[-1] == grid.point_index.size
         assert np.all(np.diff(grid.starts) > 0)
         assert grid.point_index.size + grid.dropped == 500
-
-
-class TestMajorityVote:
-    def test_strict_majority(self):
-        grid = voxelize(pts([(0.1, 0.1, 0.1)] * 3), SMALL)
-        votes = majority_vote_labels(grid, np.array([1, 1, 2]))
-        assert votes.tolist() == [1]
-
-    def test_tie_breaks_low_id(self):
-        grid = voxelize(pts([(0.1, 0.1, 0.1)] * 2), SMALL)
-        votes = majority_vote_labels(grid, np.array([2, 1]))
-        assert votes.tolist() == [1]
-
-    def test_history_only_cell_is_ignore(self):
-        cloud = pts([(0.1, 0.1, 0.1, -0.1), (3.0, 3.0, 0.1, 0.0)])
-        grid = voxelize(cloud, SMALL)
-        votes = majority_vote_labels(grid, np.array([1, 2]), current_mask=cloud[:, 4] == 0.0)
-        by_cell = dict(zip(map(tuple, grid.occupied.tolist()), votes.tolist()))
-        history_cell = SMALL.voxel_index(np.array([[0.1, 0.1, 0.1]]))[0]
-        assert by_cell[tuple(history_cell)] == 0
-        current_cell = SMALL.voxel_index(np.array([[3.0, 3.0, 0.1]]))[0]
-        assert by_cell[tuple(current_cell)] == 2
-
-    def test_no_foreign_classes(self):
-        rng = np.random.default_rng(2)
-        cloud = np.zeros((300, 5))
-        cloud[:, :3] = rng.uniform(-7, 7, size=(300, 3)) * [1, 1, 0.2]
-        sems = rng.integers(1, 5, size=300)
-        grid = voxelize(cloud, SMALL)
-        votes = majority_vote_labels(grid, sems)
-        assert votes.shape == (len(grid),)
-        for vote, rows in zip(votes.tolist(), cells(grid).values()):
-            assert vote in set(sems[rows].tolist())
-
-    def test_matches_per_cell_unique(self):
-        rng = np.random.default_rng(10)
-        cloud = random_cloud(10, 500, [2, 2, 1])
-        cloud[::3, 4] = -0.5
-        sems = rng.integers(0, 7, size=500)
-        current = cloud[:, 4] == 0.0
-        grid = voxelize(cloud, SMALL)
-        votes = majority_vote_labels(grid, sems, current_mask=current)
-        for vote, rows in zip(votes.tolist(), cells(grid).values()):
-            rows = [i for i in rows if current[i]]
-            if not rows:
-                assert vote == 0
-                continue
-            values, counts = np.unique(sems[rows], return_counts=True)
-            assert vote == values[np.argmax(counts)]
-
-    def test_empty_grid(self):
-        grid = voxelize(np.zeros((0, 5)), SMALL)
-        assert majority_vote_labels(grid, np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 class TestVoxelFeatureReduction:
@@ -178,10 +121,9 @@ class TestVoxelFeatureReduction:
 
     def test_bytes_match_per_cell_reference(self):
         rng = np.random.default_rng(8)
-        cloud = np.zeros((600, 5))
+        cloud = np.zeros((600, 4))
         cloud[:, :3] = rng.uniform(-2.0, 2.0, size=(600, 3)) * [1, 1, 0.5]
         cloud[:40, :3] = rng.uniform(-10.0, 10.0, size=(40, 3))  # some out of range
-        cloud[::7, 4] = -0.5  # history points
         feats = rng.normal(size=(600, 5)) * 10.0 ** rng.uniform(-6, 6, size=(600, 1))
         grid = self.check_cells(cloud, feats)
         assert np.diff(grid.starts).max() > 5
@@ -229,7 +171,7 @@ class TestFlattenBev:
 
     def test_sum_conservation(self):
         rng = np.random.default_rng(3)
-        cloud = np.zeros((120, 5))
+        cloud = np.zeros((120, 4))
         cloud[:, :3] = rng.uniform(-7, 7, size=(120, 3)) * [1, 1, 0.25]
         feats = rng.normal(size=(120, 4))
         grid = voxelize(cloud, SMALL, features=feats)
@@ -247,7 +189,7 @@ class TestFlattenBev:
         assert not np.any(np.signbit(bev.data))
 
     def test_empty_grid_keeps_channels(self):
-        grid = voxelize(np.zeros((0, 5)), SMALL, features=np.zeros((0, 3)))
+        grid = voxelize(np.zeros((0, 4)), SMALL, features=np.zeros((0, 3)))
         bev = flatten_bev(grid)
         assert bev.data.shape == (SMALL.bev_width, SMALL.bev_depth, 3)
         assert not np.any(bev.data)
