@@ -10,10 +10,10 @@ import modalpanoptic as mp
 from modalpanoptic.targets import aggregate_extent
 
 taxonomy = mp.default_taxonomy()
-spec = mp.GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
+spec = mp.GridSpec()
 
 cfg = mp.SceneConfig(seed=7, sweep_count=6, period=0.5, count_range=(3, 4),
-                     min_separation=8.0)
+                     min_separation=8.0, points_per_m2=60.0)
 seq, registry = mp.generate_sequence(cfg, taxonomy)
 print(f"sequence: {len(seq)} sweeps, {len(seq.sweeps[0])} points in sweep 0")
 print(f"true boxes: { {i: t.half_extent.round(2).tolist() for i, t in registry.instances.items()} }")

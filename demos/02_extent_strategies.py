@@ -13,10 +13,9 @@ from modalpanoptic.membership import nn_scores
 from modalpanoptic.pipeline import infer_sequence, prepare_sweep_inputs
 from modalpanoptic.synth import NO_NOISE
 from modalpanoptic.targets import ExtentStrategy, aggregate_extent, class_wise_mean_extents
-from modalpanoptic.tracking import PipelineConfig
 
 taxonomy = mp.default_taxonomy()
-spec = mp.GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
+spec = mp.GridSpec()
 car_only = {1: mp.BoxSpec((2.25, 1.0, 0.75), (0.2, 0.1, 0.06))}
 
 print("generating 8 sequences of passing traffic (occlusion on) ...")
@@ -46,7 +45,6 @@ strategies = {
     "CWM": ExtentStrategy("CWM", cwm_stats=cwm),
     "DSB": ExtentStrategy("DSB", dsb_min_points=40),
 }
-pcfg = PipelineConfig(margin_floor=0.25)
 print("\nrunning detection + fusion with the nearest-center membership:")
 for name, strategy in strategies.items():
     acc = mp.PqAccumulator(taxonomy)
@@ -54,6 +52,6 @@ for name, strategy in strategies.items():
         inputs = prepare_sweep_inputs(seq, trajs, taxonomy, spec, strategy, NO_NOISE,
                                       registry=reg)
         for sweep, lab in zip(seq.sweeps,
-                              infer_sequence(inputs, taxonomy, spec, nn_scores, pcfg)):
+                              infer_sequence(inputs, taxonomy, spec, nn_scores)):
             acc.add(mp.PanopticLabeling(sweep.sem_labels, sweep.inst_labels), lab)
     print(f"  PQ({name:3s}) = {acc.report().pq:.3f}")

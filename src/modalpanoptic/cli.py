@@ -4,6 +4,10 @@ Every command is deterministic given its seed: rerunning with identical
 arguments produces byte-identical outputs. ``MODAL_PANOPTIC_SEED`` overrides
 the configured seed (useful in CI).
 
+Flag defaults come from the library types and constants that own each knob
+(``GridSpec``, ``SceneConfig``, ``DetectorNoise``, ``ROI_MARGIN_FLOOR``, ...) and
+``choices`` are the tuples the library checks, so the CLI runs library defaults.
+
 ``--config PATH`` reads ``key = value`` lines; ``#`` starts a comment. A key
 is an option's long name without the dashes and with ``-`` written as ``_``
 (``margin_floor = 0.3`` for ``--margin-floor 0.3``); its value is checked
@@ -24,8 +28,9 @@ import numpy as np
 
 from . import dataio
 from .cloud import PanopticLabeling, apply_pose, invert_pose
-from .inference import NMS_MAX_DETECTIONS, NMS_THRESHOLD
+from .inference import CONFLICT_RULES, NMS_MAX_DETECTIONS, NMS_THRESHOLD
 from .membership import (
+    ROI_MARGIN_FLOOR,
     ROI_MARGIN_FRAC,
     Detections,
     MembershipTrainConfig,
@@ -37,9 +42,10 @@ from .membership import (
     train_membership_stage2,
 )
 from .metrics import LstqAccumulator, PqAccumulator, lstq_report_csv, pq_report_csv
-from .mlp import load_model, save_model
+from .mlp import OPTIMIZERS, load_model, save_model
 from .pipeline import infer_sequence, prepare_sweep_inputs
 from .synth import (
+    MOTIONS,
     DetectorNoise,
     HandcraftedFeatures,
     SceneConfig,
@@ -47,6 +53,7 @@ from .synth import (
     generate_sequence,
 )
 from .targets import (
+    EXTENT_STRATEGIES,
     ExtentStrategy,
     aggregate_extent,
     build_trajectories,
@@ -97,12 +104,9 @@ def _grid(args) -> GridSpec:
 
 def _pair_config(args, taxonomy) -> PairFeatureConfig:
     """The ``--features`` pair encoding over the handcrafted feature widths."""
-    include_point, include_bev = {"geo": (False, False), "geo+bev": (False, True),
-                                  "full": (True, True)}[args.features]
-    return PairFeatureConfig(taxonomy.num_channels,
-                             HandcraftedFeatures.DIM if include_point else 0,
-                             HandcraftedFeatures.DIM if include_bev else 0,
-                             include_point, include_bev)
+    dim = HandcraftedFeatures.DIM
+    point_dim, bev_dim = {"geo": (0, 0), "geo+bev": (0, dim), "full": (dim, dim)}[args.features]
+    return PairFeatureConfig(taxonomy.num_channels, point_dim, bev_dim)
 
 
 def _synth_one(task) -> str:
@@ -228,7 +232,7 @@ def cmd_train_mem(args) -> int:
         learning_rate=args.learning_rate,
         optimizer=args.optimizer,
         batch_size=args.batch_size,
-        hidden_dims=tuple([args.hidden] * 3),
+        hidden_dims=(args.hidden,) * len(MembershipTrainConfig.hidden_dims),
         seed=_seed_of(args),
     )
     model, trace = train_membership_stage2(sequences, taxonomy, cfg, provider)
@@ -343,14 +347,10 @@ def cmd_report(args) -> int:
         lstq_path = path / "lstq.csv"
         if lstq_path.exists():
             entry["lstq"] = _read_csv_value(lstq_path, "lstq", "value")
-        acc_path = path / "membership.csv"
-        if acc_path.exists():
-            entry["membership_acc"] = _read_csv_value(acc_path, "accuracy", "value")
         runs.append(entry)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    columns = ["name", "pq"] + (["lstq"] if any("lstq" in r for r in runs) else []) \
-        + (["membership_acc"] if any("membership_acc" in r for r in runs) else [])
+    columns = ["name", "pq"] + (["lstq"] if any("lstq" in r for r in runs) else [])
     lines = [",".join(columns)]
     for r in runs:
         lines.append(",".join(str(r.get(c, "")) for c in columns))
@@ -395,31 +395,34 @@ def build_parser() -> argparse.ArgumentParser:
     seed, extent, pairs, grid, infer = (argparse.ArgumentParser(add_help=False)
                                         for _ in range(5))
     seed.add_argument("--seed", type=int, default=0)
-    extent.add_argument("--strategy", default="MAX", choices=["SW", "MAX", "CWM", "DSB"])
+    extent.add_argument("--strategy", default="MAX", choices=EXTENT_STRATEGIES)
     extent.add_argument("--dsb-min-points", type=int, default=40)
     pairs.add_argument("--features", default="full", choices=["geo", "geo+bev", "full"])
-    pairs.add_argument("--margin-floor", type=float, default=0.25)
-    grid.add_argument("--voxel-size", type=float, default=0.1)
-    grid.add_argument("--voxel-size-z", type=float, default=0.2)
-    grid.add_argument("--planar-range", type=float, default=40.0)
-    grid.add_argument("--z-min", type=float, default=-2.0)
-    grid.add_argument("--z-max", type=float, default=3.0)
-    grid.add_argument("--bev-downsample", type=int, default=2)
+    pairs.add_argument("--margin-floor", type=float, default=ROI_MARGIN_FLOOR)
+    grid.add_argument("--voxel-size", type=float, default=GridSpec.voxel_size[0])
+    grid.add_argument("--voxel-size-z", type=float, default=GridSpec.voxel_size[2])
+    grid.add_argument("--planar-range", type=float, default=GridSpec.planar_range)
+    grid.add_argument("--z-min", type=float, default=GridSpec.z_min)
+    grid.add_argument("--z-max", type=float, default=GridSpec.z_max)
+    grid.add_argument("--bev-downsample", type=int, default=GridSpec.bev_downsample)
     infer.add_argument("--membership", default="nn", choices=["nn", "mlp", "oracle"])
     infer.add_argument("--model", help="checkpoint path (required for --membership mlp)")
     infer.add_argument("--nms-threshold", type=float, default=NMS_THRESHOLD)
     infer.add_argument("--nms-max-detections", type=int, default=NMS_MAX_DETECTIONS)
     infer.add_argument("--margin-frac", type=float, default=ROI_MARGIN_FRAC)
-    infer.add_argument("--conflict", default="first_wins", choices=["first_wins", "argmax"],
+    infer.add_argument("--conflict", default=PipelineConfig.conflict, choices=CONFLICT_RULES,
                        help="owner of a point two detections claim: the first (most "
                             "confident) claimant, or the highest membership; under "
                             "--membership nn no point has two claimants, so both write "
                             "the same bytes")
-    infer.add_argument("--center-jitter", type=float, default=0.0)
-    infer.add_argument("--confidence-noise", type=float, default=0.0)
-    infer.add_argument("--drop-probability", type=float, default=0.0)
-    infer.add_argument("--semantic-flip", type=float, default=0.0)
-    infer.add_argument("--velocity-noise", type=float, default=0.0)
+    infer.add_argument("--center-jitter", type=float, default=DetectorNoise.center_jitter)
+    infer.add_argument("--confidence-noise", type=float,
+                       default=DetectorNoise.confidence_noise)
+    infer.add_argument("--drop-probability", type=float,
+                       default=DetectorNoise.drop_probability)
+    infer.add_argument("--semantic-flip", type=float,
+                       default=DetectorNoise.semantic_flip_probability)
+    infer.add_argument("--velocity-noise", type=float, default=DetectorNoise.velocity_noise)
 
     parser = argparse.ArgumentParser(prog="modalpanoptic",
                                      description=__doc__.splitlines()[0])
@@ -428,19 +431,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset", parents=[seed])
     p.add_argument("--out", required=True)
     p.add_argument("--sequences", type=int, default=1)
-    p.add_argument("--sweeps", type=int, default=10)
-    p.add_argument("--period", type=float, default=0.5)
-    p.add_argument("--min-instances", type=int, default=3)
-    p.add_argument("--max-instances", type=int, default=4)
-    p.add_argument("--min-speed", type=float, default=0.5)
-    p.add_argument("--max-speed", type=float, default=4.0)
-    p.add_argument("--density", type=float, default=40.0)
-    p.add_argument("--motion", default="pass", choices=["pass", "drift", "static"])
-    p.add_argument("--pair-gap", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--row-partners", type=int, default=1)
-    p.add_argument("--min-separation", type=float, default=7.0)
-    p.add_argument("--max-range", type=float, default=38.0)
-    p.add_argument("--min-instance-points", type=int, default=15)
+    p.add_argument("--sweeps", type=int, default=SceneConfig.sweep_count)
+    p.add_argument("--period", type=float, default=SceneConfig.period)
+    p.add_argument("--min-instances", type=int, default=SceneConfig.count_range[0])
+    p.add_argument("--max-instances", type=int, default=SceneConfig.count_range[1])
+    p.add_argument("--min-speed", type=float, default=SceneConfig.speed_range[0])
+    p.add_argument("--max-speed", type=float, default=SceneConfig.speed_range[1])
+    p.add_argument("--density", type=float, default=SceneConfig.points_per_m2)
+    p.add_argument("--motion", default=SceneConfig.motion, choices=MOTIONS)
+    p.add_argument("--pair-gap", type=float, nargs=2, metavar=("LO", "HI"),
+                   default=SceneConfig.pair_gap_range)
+    p.add_argument("--row-partners", type=int, default=SceneConfig.row_partners)
+    p.add_argument("--min-separation", type=float, default=SceneConfig.min_separation)
+    p.add_argument("--max-range", type=float, default=SceneConfig.max_range)
+    p.add_argument("--min-instance-points", type=int,
+                   default=default_taxonomy().min_instance_points)
     p.add_argument("--no-occlusion", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_synth)
@@ -458,10 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace")
     p.add_argument("--epochs", type=int, default=MembershipTrainConfig.epochs)
     p.add_argument("--learning-rate", type=float, default=MembershipTrainConfig.learning_rate)
-    p.add_argument("--optimizer", default=MembershipTrainConfig.optimizer,
-                   choices=["sgd", "adam"])
+    p.add_argument("--optimizer", default=MembershipTrainConfig.optimizer, choices=OPTIMIZERS)
     p.add_argument("--batch-size", type=int, default=MembershipTrainConfig.batch_size)
-    p.add_argument("--hidden", type=int, default=64)
+    p.add_argument("--hidden", type=int, default=MembershipTrainConfig.hidden_dims[0])
     p.add_argument("--train-jitter", type=float, default=MembershipTrainConfig.center_jitter)
     p.set_defaults(func=cmd_train_mem)
 

@@ -12,6 +12,7 @@ IGNORE_CLASS = 0
 NO_INSTANCE = 0
 
 POINT_DIMS = 4  # x, y, z, intensity
+RIGID_TOL = 1e-9  # largest accepted deviation of a pose from a rigid transform
 
 
 class TaxonomyError(ValueError):
@@ -138,7 +139,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_rigid(pose: np.ndarray, tol: float = 1e-9) -> None:
+def check_rigid(pose: np.ndarray) -> None:
     """Raise unless pose is a proper rigid transform (4x4, finite, orthonormal R, det +1)."""
     pose = np.asarray(pose, dtype=np.float64)
     if pose.shape != (4, 4):
@@ -146,11 +147,11 @@ def check_rigid(pose: np.ndarray, tol: float = 1e-9) -> None:
     # NaN slips through every comparison below, so it is rejected first.
     if not np.all(np.isfinite(pose)):
         raise RigidTransformError("pose entries must be finite")
-    if not np.allclose(pose[3], [0.0, 0.0, 0.0, 1.0], atol=tol):
+    if not np.allclose(pose[3], [0.0, 0.0, 0.0, 1.0], atol=RIGID_TOL):
         raise RigidTransformError("bottom row must be [0, 0, 0, 1]")
     rot = pose[:3, :3]
     err = np.abs(rot.T @ rot - np.eye(3)).max()
-    if err > tol:
+    if err > RIGID_TOL:
         raise RigidTransformError(f"rotation block not orthonormal (|R^T R - I| = {err:.3e})")
     if np.linalg.det(rot) < 0:
         raise RigidTransformError("rotation block has negative determinant")

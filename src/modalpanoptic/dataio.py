@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloudSweep, RigidTransformError, SweepSequence, Taxonomy, load_taxonomy, \
-    save_taxonomy
+from .cloud import POINT_DIMS, PointCloudSweep, RigidTransformError, SweepSequence, Taxonomy, \
+    load_taxonomy, save_taxonomy
 
 SEM_MASK = 0xFFFF
 MAX_PACKED_ID = 0xFFFF
@@ -55,11 +55,12 @@ def decode_labels(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def write_point_bin(path, points: np.ndarray) -> None:
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] < 4:
-        raise ValueError("points must be (N, >=4) with x, y, z, intensity")
+    if pts.ndim != 2 or pts.shape[1] != POINT_DIMS:
+        raise ValueError(f"points must be (N, {POINT_DIMS}) with x, y, z, intensity, "
+                         f"got {pts.shape}")
     if pts.shape[0] == 0:
         raise ValueError("refusing to write an empty sweep")
-    np.ascontiguousarray(pts[:, :4], dtype="<f4").tofile(path)
+    np.ascontiguousarray(pts, dtype="<f4").tofile(path)
 
 
 def read_point_bin(path) -> np.ndarray:
@@ -131,8 +132,9 @@ def _numbers(path: Path, lineno: int, line: str) -> list[float]:
 def read_sequence(root, name: str) -> SweepSequence:
     """Read one sequence; without ``times.txt`` sweeps are 0.1 s apart.
 
-    A malformed ``poses.txt`` or ``times.txt`` entry raises a ``ValueError``
-    that names the file and the line.
+    ``poses.txt`` holds one pose line and ``times.txt`` one timestamp per
+    frame, no more and no fewer; trailing blank lines are fine. A malformed
+    entry raises a ``ValueError`` that names the file and the line.
     """
     seq_dir = Path(root) / "sequences" / name
     if not seq_dir.is_dir():
@@ -142,7 +144,7 @@ def read_sequence(root, name: str) -> SweepSequence:
     if frames != label_frames:
         raise ValueError(f"{seq_dir}: velodyne and label frame sets differ")
     poses_path = seq_dir / "poses.txt"
-    pose_lines = poses_path.read_text(encoding="utf-8").splitlines()
+    pose_lines = poses_path.read_text(encoding="utf-8").rstrip().splitlines()
     times_path = seq_dir / "times.txt"
     if times_path.exists():
         times = []
@@ -155,7 +157,7 @@ def read_sequence(root, name: str) -> SweepSequence:
     else:
         times = [i * 0.1 for i in range(len(frames))]
     for path, count in ((poses_path, len(pose_lines)), (times_path, len(times))):
-        if count < len(frames):
+        if count != len(frames):
             raise ValueError(f"{path}: {count} entries for {len(frames)} frames")
     sweeps = []
     for idx, frame in enumerate(frames):

@@ -13,6 +13,7 @@ from .voxels import BevMap, GridSpec, SparseGrid
 
 NMS_THRESHOLD = 0.3
 NMS_MAX_DETECTIONS = 500
+CONFLICT_RULES = ("first_wins", "argmax")  # fuse_panoptic's overlap rules
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def fuse_panoptic(
     membership (``nn_scores``) gives each point at most one claimant, so
     under it both rules give the same result.
     """
-    if conflict not in ("first_wins", "argmax"):
+    if conflict not in CONFLICT_RULES:
         raise ValueError(f"unknown conflict rule {conflict!r}")
     foreign = detections.class_id[~np.isin(detections.class_id, taxonomy.class_ids)]
     if foreign.size:

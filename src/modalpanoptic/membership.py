@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .tracking import SweepInputs
 
 ROI_MARGIN_FRAC = 0.1
-ROI_MARGIN_FLOOR = 0.1
+ROI_MARGIN_FLOOR = 0.25
 
 
 class DetectionRow(NamedTuple):
@@ -112,34 +112,28 @@ def roi_mask(detections: Detections, points_xyz: np.ndarray, margin_frac: float,
 
 @dataclass(frozen=True)
 class PairFeatureConfig:
-    """Which feature blocks enter the point-center pair encoding."""
+    """Which feature blocks enter the point-center pair encoding.
+
+    A block of width 0 is left out: point features when ``point_feature_dim``
+    is 0, BEV features when ``bev_feature_dim`` is 0.
+    """
 
     num_classes: int
     point_feature_dim: int = 0
     bev_feature_dim: int = 0
-    include_point_features: bool = True
-    include_bev: bool = True
 
     @property
     def needs_features(self) -> bool:
         """Whether any block reads a ``FeatureProvider``'s output."""
-        return self.include_point_features or self.include_bev
+        return self.point_feature_dim > 0 or self.bev_feature_dim > 0
 
     @property
     def point_block(self) -> int:
-        width = 3 + self.num_classes
-        if self.include_point_features:
-            width += self.point_feature_dim
-        if self.include_bev:
-            width += self.bev_feature_dim
-        return width
+        return 3 + self.num_classes + self.point_feature_dim + self.bev_feature_dim
 
     @property
     def center_block(self) -> int:
-        width = 3 + self.num_classes
-        if self.include_bev:
-            width += self.bev_feature_dim
-        return width
+        return 3 + self.num_classes + self.bev_feature_dim
 
     @property
     def width(self) -> int:
@@ -182,14 +176,14 @@ def assemble_pair_features(
     pts = np.asarray(points_xyz, dtype=np.float64)[:, :3]
     point = pairs.point
     blocks = [pts[point] - detections.center[pairs.det]]
-    if cfg.include_point_features:
+    if cfg.point_feature_dim > 0:
         if point_features is None:
             raise ValueError("configuration expects point features")
         pf = np.asarray(point_features, dtype=np.float64)
         if pf.shape != (pts.shape[0], cfg.point_feature_dim):
             raise ValueError(f"point features must be ({pts.shape[0]}, {cfg.point_feature_dim})")
         blocks.append(pf[point])
-    if cfg.include_bev:
+    if cfg.bev_feature_dim > 0:
         if bev is None:
             raise ValueError("configuration expects a BEV feature map")
         blocks.append(interpolate_bev_many(bev, pts[point, :2]))
@@ -204,7 +198,7 @@ def assemble_pair_features(
     # learning geometry.
     center_parts = [np.column_stack([np.hypot(center[:, 0], center[:, 1]) / 10.0,
                                      center[:, 2], np.zeros(owners.size)])]
-    if cfg.include_bev:
+    if cfg.bev_feature_dim > 0:
         center_parts.append(interpolate_bev_many(bev, center[:, :2]))
     center_parts.append(_one_hot(detections.class_id[owners], cfg.num_classes))
     # Pairs are grouped by detection, so each owner's row repeats over its group.
@@ -402,7 +396,7 @@ def build_training_pairs(
             feats = bev = None
             if pair_cfg.needs_features:
                 feats = provider.point_features(sweep)
-                if pair_cfg.include_bev:
+                if pair_cfg.bev_feature_dim > 0:
                     bev = provider.bev_map(sweep, feats)
             at = np.flatnonzero(table.sweep_index == t)
             centers = table.sensor_center[at] + rng.normal(0.0, cfg.center_jitter, (at.size, 3))

@@ -29,6 +29,9 @@ BN_MOMENTUM = 0.1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+OPTIMIZERS = ("sgd", "adam")
+FINAL_ACTIVATION = "sigmoid"  # the output layer emits membership probabilities
+RECALIBRATION_CHUNK = 4096  # rows per forward pass when recalibrating batch norm
 
 _ACTIVATIONS = ("none", "relu", "sigmoid")
 
@@ -148,7 +151,6 @@ def build_mlp(
     dims: list[int],
     batchnorm: bool = True,
     hidden_activation: str = "relu",
-    final_activation: str = "sigmoid",
     seed: int = 0,
 ) -> MlpModel:
     """Glorot-uniform initialized MLP; the final layer carries no batch norm."""
@@ -166,7 +168,7 @@ def build_mlp(
             rng.uniform(-limit, limit, size=(dout, din)),
             np.zeros(dout),
             bn,
-            final_activation if last else hidden_activation,
+            FINAL_ACTIVATION if last else hidden_activation,
         ))
     return MlpModel(layers)
 
@@ -278,7 +280,7 @@ class OptimizerState:
     moments: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
+        if self.kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.kind!r}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must not be negative")
@@ -310,8 +312,7 @@ def optimizer_step(model: MlpModel, grads: ParamVector,
     return model, state
 
 
-def recalibrate_batchnorm(model: MlpModel, features: np.ndarray,
-                          chunk: int = 4096) -> None:
+def recalibrate_batchnorm(model: MlpModel, features: np.ndarray) -> None:
     """Set running statistics to the full-dataset activation moments.
 
     The EMA gathered during training reflects batch-level statistics; after
@@ -330,8 +331,8 @@ def recalibrate_batchnorm(model: MlpModel, features: np.ndarray,
             continue
         mean = np.zeros(layer.out_dim)
         sq = np.zeros(layer.out_dim)
-        for start in range(0, n, chunk):
-            h = x[start:start + chunk]
+        for start in range(0, n, RECALIBRATION_CHUNK):
+            h = x[start:start + RECALIBRATION_CHUNK]
             for j in range(i + 1):
                 inner = model.layers[j]
                 z = h @ inner.weights.T + inner.bias

@@ -18,7 +18,7 @@ from .inference import NearestCenterExtents
 from .targets import ExtentStrategy, Trajectories, aggregate_extent, widen_unobserved_axes
 from .synth import DetectorNoise, SceneRegistry, simulate_detector
 from .tracking import PipelineConfig, Scorer, SweepInputs, infer_sweep
-from .voxels import FeatureProvider, GridSpec
+from .voxels import FeatureProvider, GridSpec, _group_sums
 
 FALLBACK_EXTENT = np.array([1.0, 1.0, 1.0])
 
@@ -39,8 +39,7 @@ def build_extent_model(
     n = trajectories.offsets.size - 1
     owner = trajectories.row_instance[~excluded]
     count = np.bincount(owner, minlength=n)
-    sums = np.column_stack([np.bincount(owner, weights=extents[~excluded, axis], minlength=n)
-                            for axis in range(3)])
+    sums = _group_sums(owner, extents[~excluded], n)
     trained = count > 0
     predicted = np.full((n, 3), np.nan)
     predicted[trained] = widen_unobserved_axes(trajectories.instance_class[trained],

@@ -26,6 +26,7 @@ REF_RANGE = 10.0  # meters; point densities are quoted at this range
 GROUND_POINTS_PER_M2 = 1.5  # at REF_RANGE
 GROUND_RADIUS = 30.0  # meters of ground disk around the sensor
 SENSOR_HEIGHT = 1.0  # meters above the ground plane
+MOTIONS = ("pass", "drift", "static")  # SceneConfig.motion
 
 _NEIGHBOR_RADIUS = 0.6  # meters, for the handcrafted local features
 _PAIR_CHUNK = 1 << 13  # candidate pairs expanded at a time by point_features
@@ -63,13 +64,13 @@ class SceneConfig:
     sweep_count: int = 10
     period: float = 0.5
     box_specs: dict[int, BoxSpec] = field(default_factory=lambda: dict(DEFAULT_BOX_SPECS))
-    count_range: tuple[int, int] = (3, 6)
+    count_range: tuple[int, int] = (3, 4)
     speed_range: tuple[float, float] = (0.5, 4.0)
-    points_per_m2: float = 60.0        # on instance faces, at REF_RANGE
+    points_per_m2: float = 40.0        # on instance faces, at REF_RANGE
     occlusion: bool = True
     min_separation: float = 7.0
     max_range: float = 38.0            # instances beyond this leave no points
-    motion: str = "pass"               # pass | drift | static
+    motion: str = "pass"               # one of MOTIONS
     approach_range: tuple[float, float] = (3.0, 12.0)
     pair_gap_range: tuple[float, float] | None = None  # adjacent same-class rows
     pair_offset_range: tuple[float, float] = (0.3, 1.8)
@@ -85,7 +86,7 @@ class SceneConfig:
             raise ValueError("points_per_m2 must be positive")
         if self.count_range[0] < 1 or self.count_range[0] > self.count_range[1]:
             raise ValueError("bad instance count range")
-        if self.motion not in ("pass", "drift", "static"):
+        if self.motion not in MOTIONS:
             raise ValueError(f"unknown motion {self.motion!r}")
         if self.ego_motion not in ("static", "orbit"):
             raise ValueError(f"unknown ego motion {self.ego_motion!r}")

@@ -17,12 +17,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cloud import NO_INSTANCE, SweepSequence, Taxonomy
-from .voxels import GridSpec, SparseGrid
+from .voxels import GridSpec, SparseGrid, _group_sums
 
 SW = "SW"
 MAX = "MAX"
 CWM = "CWM"
 DSB = "DSB"
+EXTENT_STRATEGIES = (SW, MAX, CWM, DSB)
 
 # Extent components below this are treated as unobserved axes.
 DEGENERATE_EXTENT = 0.05
@@ -46,7 +47,7 @@ class ExtentStrategy:
     cwm_stats: dict[int, np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.variant not in (SW, MAX, CWM, DSB):
+        if self.variant not in EXTENT_STRATEGIES:
             raise ValueError(f"unknown extent strategy {self.variant!r}")
         if self.variant == DSB and self.dsb_min_points is None:
             raise ValueError("DSB requires dsb_min_points")
@@ -150,9 +151,7 @@ def instance_boxes(xyz: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...
     ids, first, which, count = np.unique(labels[labeled], return_index=True,
                                          return_inverse=True, return_counts=True)
     pts = xyz[labeled]
-    sums = np.column_stack([np.bincount(which, weights=pts[:, axis], minlength=ids.size)
-                            for axis in range(3)])
-    center = sums / count[:, None]
+    center = _group_sums(which, pts, ids.size) / count[:, None]
     deviation = np.abs(pts - center[which])
     extent = np.zeros((ids.size, 3))
     for axis in range(3):
@@ -248,13 +247,8 @@ def widen_unobserved_axes(class_id, extent) -> np.ndarray:
     extent = np.reshape(np.asarray(extent, dtype=np.float64), (-1, 3))
     classes, which = np.unique(np.asarray(class_id, dtype=np.int64), return_inverse=True)
     seen = extent >= DEGENERATE_EXTENT
-
-    def class_sums(values: np.ndarray) -> np.ndarray:
-        # bincount accumulates in row order, one running sum per class.
-        return np.column_stack([np.bincount(which, weights=values[:, axis],
-                                            minlength=classes.size) for axis in range(3)])
-
-    mean = class_sums(np.where(seen, extent, 0.0)) / np.maximum(class_sums(seen), 1)
+    mean = (_group_sums(which, np.where(seen, extent, 0.0), classes.size)
+            / np.maximum(_group_sums(which, seen, classes.size), 1))
     return np.where(seen, extent, np.maximum(mean[which], extent))
 
 

@@ -19,14 +19,15 @@ class GridSpec:
     The planar extent covers [-planar_range, planar_range) on x and y; the
     vertical extent covers [z_min, z_max). Derived cell counts must come out
     as whole numbers, and the BEV downsampling must divide the planar counts
-    exactly.
+    exactly. The defaults are the desk-scale grid the CLI runs; the paper's is
+    0.075 m voxels over 54 m, z from -5 to 3 m, BEV stride 8.
     """
 
-    voxel_size: tuple[float, float, float] = (0.075, 0.075, 0.2)
-    planar_range: float = 54.0
-    z_min: float = -5.0
+    voxel_size: tuple[float, float, float] = (0.1, 0.1, 0.2)
+    planar_range: float = 40.0
+    z_min: float = -2.0
     z_max: float = 3.0
-    bev_downsample: int = 8
+    bev_downsample: int = 2
 
     def __post_init__(self):
         vx, vy, vz = self.voxel_size

@@ -1,5 +1,5 @@
 """Stand-ins the tests hand to the library: fixed extents, fixed memberships, row stacking,
-sparse grids from dense arrays, sequences whose sensor frames yaw."""
+sparse grids from dense arrays, sequences whose sensor frames yaw, the paper's grid."""
 
 from __future__ import annotations
 
@@ -10,7 +10,11 @@ import numpy as np
 
 from modalpanoptic.cloud import PointCloudSweep, SweepSequence
 from modalpanoptic.membership import DetectionRow, Detections, PairTable
-from modalpanoptic.voxels import SparseGrid
+from modalpanoptic.voxels import GridSpec, SparseGrid
+
+# The paper's grid: 0.075 m voxels in x and y, 0.2 m in z, 54 m planar range,
+# z from -5 to 3 m, BEV stride 8. ``GridSpec()`` is the smaller grid the CLI runs.
+PAPER_GRID = GridSpec((0.075, 0.075, 0.2), 54.0, -5.0, 3.0, 8)
 
 
 def stack(rows) -> Detections:

@@ -503,13 +503,13 @@ def pair_rows_one_center(pts, sem, center, class_id, cfg, point_features=None, b
     """Pair rows for points that all face one center: the per-detection assembly."""
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))[:, :3]
     blocks = [pts - center]
-    if cfg.include_point_features:
+    if cfg.point_feature_dim > 0:
         blocks.append(np.asarray(point_features, dtype=np.float64))
-    if cfg.include_bev:
+    if cfg.bev_feature_dim > 0:
         blocks.append(interpolate_bev_many(bev, pts[:, :2]))
     blocks.append(_one_hot_rows(sem, cfg.num_classes))
     center_row = [np.array([np.hypot(center[0], center[1]) / 10.0, center[2], 0.0])]
-    if cfg.include_bev:
+    if cfg.bev_feature_dim > 0:
         center_row.append(interpolate_bev_many(bev, center[None, :2])[0])
     center_row.append(_one_hot_rows([class_id], cfg.num_classes)[0])
     return np.concatenate(blocks + [np.tile(np.concatenate(center_row), (len(pts), 1))],
@@ -525,7 +525,7 @@ def pair_rows_reference(points_xyz, point_sem, detections, pairs, cfg, point_fea
         idx = pairs.point[pairs.group(d)]
         if idx.size == 0:
             continue
-        feats = point_features[idx] if cfg.include_point_features else None
+        feats = point_features[idx] if cfg.point_feature_dim > 0 else None
         rows.append(pair_rows_one_center(pts[idx], np.asarray(point_sem)[idx], det.center,
                                          det.class_id, cfg, feats, bev))
     return np.concatenate(rows)
@@ -557,9 +557,9 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
     for seq, trajs in zip(sequences, per_seq):
         for sweep in seq.sweeps:
             feats = bev = None
-            if pair_cfg.include_point_features or pair_cfg.include_bev:
+            if pair_cfg.point_feature_dim > 0 or pair_cfg.bev_feature_dim > 0:
                 feats = provider.point_features(sweep)
-                if pair_cfg.include_bev:
+                if pair_cfg.bev_feature_dim > 0:
                     bev = provider.bev_map(sweep, feats)
             xyz, inst, sem = sweep.xyz, sweep.inst_labels, sweep.sem_labels
             for iid in sorted(set(inst[inst > 0].tolist())):
@@ -583,7 +583,7 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
                     continue
                 rows.append(pair_rows_one_center(
                     xyz[roi], sem[roi], center, cid, pair_cfg,
-                    feats[roi] if pair_cfg.include_point_features else None, bev))
+                    feats[roi] if pair_cfg.point_feature_dim > 0 else None, bev))
                 labels.append([float(inst[i] == iid) for i in roi])
     return np.concatenate(rows), np.concatenate(labels)
 

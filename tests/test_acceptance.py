@@ -45,7 +45,7 @@ from oracles import fd_gradient, fuse_reference, pq_counts, rel_err, tube_s_asso
 from test_inference import TAX as FUSE_TAX, maps_of, random_fusion_case
 
 TAX = mp.default_taxonomy()
-SPEC = GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
+SPEC = GridSpec()
 CAR_BOX = {1: mp.BoxSpec((2.25, 1.0, 0.75), (0.2, 0.1, 0.06))}
 MARGIN = dict(margin_frac=0.1, margin_floor=0.3)
 
@@ -170,7 +170,7 @@ def test_acceptance_2_membership_trend(membership_setup):
         epochs=30, learning_rate=1e-3, optimizer="adam", center_jitter=0.3, margin_floor=0.3,
         seed=7)
     geo_cfg = MembershipTrainConfig(
-        PairFeatureConfig(TAX.num_channels, include_point_features=False, include_bev=False),
+        PairFeatureConfig(TAX.num_channels),
         epochs=30, learning_rate=1e-3, optimizer="adam", center_jitter=0.3,
         margin_floor=0.3, seed=7)
     full_model, _ = train_membership_stage2(train_seqs, TAX, full_cfg, provider)
@@ -198,7 +198,7 @@ def test_acceptance_3_perfect_input_identity():
     pcfg = PipelineConfig(margin_floor=0.25, default_gate=3.0)
     for seed in (11, 12, 13):
         cfg = mp.SceneConfig(seed=seed, sweep_count=10, count_range=(3, 4),
-                             min_separation=8.0)
+                             min_separation=8.0, points_per_m2=60.0)
         seq, reg = mp.generate_sequence(cfg, TAX)
         inputs = prepare_sweep_inputs(seq, build_trajectories(seq, TAX), TAX, SPEC,
                                       ExtentStrategy("MAX"), NO_NOISE, registry=reg)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import modalpanoptic as mp
-from modalpanoptic.cli import main
+from modalpanoptic.cli import _grid, _noise, build_parser, main
 from modalpanoptic.cloud import apply_pose, invert_pose
 from modalpanoptic.dataio import (
     LabelRangeError,
@@ -22,7 +22,12 @@ from modalpanoptic.dataio import (
     write_point_bin,
     write_sequence,
 )
-from modalpanoptic.synth import CAR, GROUND
+from modalpanoptic.inference import CONFLICT_RULES
+from modalpanoptic.membership import ROI_MARGIN_FLOOR, MembershipTrainConfig, PairFeatureConfig
+from modalpanoptic.mlp import OPTIMIZERS
+from modalpanoptic.synth import CAR, GROUND, MOTIONS, DetectorNoise
+from modalpanoptic.targets import EXTENT_STRATEGIES
+from modalpanoptic.tracking import PipelineConfig
 
 from oracles import transform_to_frame
 
@@ -66,9 +71,15 @@ class TestBinaryFiles:
         rng = np.random.default_rng(1)
         pts = rng.uniform(-50, 50, size=(200, 4)).astype(np.float32).astype(np.float64)
         path = tmp_path / "s.bin"
-        write_point_bin(path, np.column_stack([pts, np.zeros(200)]))
+        write_point_bin(path, pts)
         back = read_point_bin(path)
         np.testing.assert_array_equal(back, pts)
+
+    def test_extra_point_columns_rejected(self, tmp_path):
+        path = tmp_path / "s.bin"
+        with pytest.raises(ValueError, match=r"\(N, 4\).*got \(3, 5\)"):
+            write_point_bin(path, np.zeros((3, 5)))
+        assert not path.exists()
 
     def test_truncated_bin_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -99,8 +110,8 @@ class TestBinaryFiles:
 class TestSequenceRoundtrip:
     def test_write_read_identical(self, tmp_path):
         tax = mp.default_taxonomy()
-        seq, _ = mp.generate_sequence(mp.SceneConfig(seed=2, sweep_count=3,
-                                                     count_range=(2, 2)), tax)
+        seq, _ = mp.generate_sequence(mp.SceneConfig(seed=2, sweep_count=3, count_range=(2, 2),
+                                                     points_per_m2=60.0), tax)
         write_sequence(tmp_path, "0000", seq, tax)
         back = read_sequence(tmp_path, "0000")
         assert len(back) == len(seq)
@@ -113,8 +124,8 @@ class TestSequenceRoundtrip:
 
     def test_without_times_file_sweeps_are_a_tenth_apart(self, tmp_path):
         tax = mp.default_taxonomy()
-        seq, _ = mp.generate_sequence(mp.SceneConfig(seed=2, sweep_count=4,
-                                                     count_range=(2, 2)), tax)
+        seq, _ = mp.generate_sequence(mp.SceneConfig(seed=2, sweep_count=4, count_range=(2, 2),
+                                                     points_per_m2=60.0), tax)
         write_sequence(tmp_path, "0000", seq, tax)
         (tmp_path / "sequences" / "0000" / "times.txt").unlink()
         back = read_sequence(tmp_path, "0000")
@@ -230,8 +241,8 @@ class TestCli:
         # Under poses that roll, pitch and yaw, centers must reach the sensor
         # frame through ``invert_pose``, as ``prepare_sweep_inputs`` takes them.
         tax = mp.default_taxonomy()
-        seq, _ = mp.generate_sequence(mp.SceneConfig(seed=207, sweep_count=4,
-                                                     count_range=(3, 4)), tax)
+        seq, _ = mp.generate_sequence(mp.SceneConfig(seed=207, sweep_count=4, count_range=(3, 4),
+                                                     points_per_m2=60.0), tax)
         sweeps = []
         for t, sweep in enumerate(seq.sweeps):
             (cr, sr), (cp, sp), (cy, sy) = ((np.cos(a), np.sin(a)) for a in
@@ -247,7 +258,7 @@ class TestCli:
         assert main(["targets", "--data", str(data), "--out", str(out), "--strategy", "SW"]) == 0
         seq = read_sequence(data, "0000")
         table = mp.build_trajectories(seq, tax)
-        spec = mp.GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)  # the CLI's grid defaults
+        spec = mp.GridSpec()  # the grid the CLI runs by default
         for t, sweep in enumerate(seq.sweeps):
             rows = np.flatnonzero(table.sweep_index == t)
             want = mp.render_bev_targets(
@@ -338,6 +349,27 @@ class TestCli:
                      "--membership", "oracle"])
         assert code == 4
         assert f"{name}: 1 entries for 3 frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, extra, message", [
+        ("poses.txt", ["garbage line", "1 0 0"], "5 entries for 3 frames"),
+        ("times.txt", ["99"], "4 entries for 3 frames"),
+        ("poses.txt", ["", ""], None),
+        ("times.txt", ["", ""], None),
+    ], ids=["surplus-poses", "surplus-time", "blank-pose-lines", "blank-time-lines"])
+    def test_surplus_sequence_entries_exit_code(self, tmp_path, name, extra, message, capsys):
+        # Entries past the last frame are an error; trailing blank lines are not.
+        data = tmp_path / "data"
+        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
+        path = data / "sequences" / "0000" / name
+        path.write_text(path.read_text() + "".join(line + "\n" for line in extra))
+        capsys.readouterr()
+        code = main(["infer", "--data", str(data), "--out", str(tmp_path / "pred"),
+                     "--membership", "oracle"])
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 4
+            assert f"{path}: {message}" in capsys.readouterr().err
 
     @staticmethod
     def track_after_editing_line_2(tmp_path, capsys, name, edit):
@@ -513,3 +545,65 @@ class TestCli:
         assert main(args + ["--out", str(a), "--jobs", "1"]) == 0
         assert main(args + ["--out", str(b), "--jobs", "3"]) == 0
         assert tree_bytes(a) == tree_bytes(b)
+
+
+# Each command with only its required arguments.
+BARE = {
+    "synth": ["synth", "--out", "o"],
+    "targets": ["targets", "--data", "d", "--out", "o"],
+    "train-mem": ["train-mem", "--data", "d", "--out", "o"],
+    "infer": ["infer", "--data", "d", "--out", "o"],
+    "track": ["track", "--data", "d", "--out", "o"],
+}
+
+
+class TestFlagDefaults:
+    """A flag that sets a library knob defaults to the library's value."""
+
+    @staticmethod
+    def parse(command):
+        return build_parser().parse_args(BARE[command])
+
+    def test_synth_flags_are_scene_defaults(self):
+        args, scene = self.parse("synth"), mp.SceneConfig()
+        assert args.sweeps == scene.sweep_count
+        assert args.period == scene.period
+        assert (args.min_instances, args.max_instances) == scene.count_range
+        assert (args.min_speed, args.max_speed) == scene.speed_range
+        assert args.density == scene.points_per_m2
+        assert args.motion == scene.motion
+        assert args.pair_gap == scene.pair_gap_range
+        assert args.row_partners == scene.row_partners
+        assert args.min_separation == scene.min_separation
+        assert args.max_range == scene.max_range
+        assert (not args.no_occlusion) == scene.occlusion
+        assert args.min_instance_points == mp.default_taxonomy().min_instance_points
+
+    @pytest.mark.parametrize("command", ["targets", "train-mem", "infer", "track"])
+    def test_grid_flags_are_the_default_grid(self, command):
+        assert _grid(self.parse(command)) == mp.GridSpec()
+
+    @pytest.mark.parametrize("command", ["infer", "track"])
+    def test_inference_flags_are_library_defaults(self, command):
+        args, cfg = self.parse(command), PipelineConfig()
+        assert _noise(args) == DetectorNoise()
+        assert args.margin_floor == cfg.margin_floor == ROI_MARGIN_FLOOR
+        assert args.conflict == cfg.conflict
+
+    def test_train_flags_are_library_defaults(self):
+        args, cfg = self.parse("train-mem"), MembershipTrainConfig(PairFeatureConfig(1))
+        assert args.margin_floor == cfg.margin_floor == ROI_MARGIN_FLOOR
+        assert (args.hidden,) * 3 == cfg.hidden_dims
+
+    @pytest.mark.parametrize("command, dest, allowed", [
+        ("synth", "motion", MOTIONS),
+        ("targets", "strategy", EXTENT_STRATEGIES),
+        ("track", "strategy", EXTENT_STRATEGIES),
+        ("train-mem", "optimizer", OPTIMIZERS),
+        ("infer", "conflict", CONFLICT_RULES),
+    ], ids=["synth-motion", "targets-strategy", "track-strategy", "train-mem-optimizer",
+            "infer-conflict"])
+    def test_choices_are_the_library_tuples(self, command, dest, allowed):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        (action,) = [a for a in sub._actions if a.dest == dest]
+        assert action.choices is allowed

@@ -238,5 +238,6 @@ class TestFusePanopticProperties:
         dets = stack([(np.zeros(3), 0.9, 1, np.ones(3)), (np.zeros(3), 0.9, 1, np.ones(3))])
         table = np.array([[0.6, 0.7], [0.6, 0.8]])
         got = fuse_panoptic(np.zeros((2, 3)), dets, maps_of({}, point_sem=[1, 1]),
-                            make_table_membership(table), TAX, conflict="argmax")
+                            make_table_membership(table), TAX, margin_floor=0.1,
+                            conflict="argmax")
         assert got.point_detection.tolist() == [0, 1]

@@ -303,7 +303,7 @@ class TestFusePanoptic:
         pts = np.zeros((4, 3))
         maps = maps_of({}, point_sem=[3, 3, 3, 3])
         result = fuse_panoptic(pts, stack([]), maps, make_table_membership(np.zeros((0, 4))),
-                               TAX)
+                               TAX, margin_floor=0.1)
         np.testing.assert_array_equal(result.sem, [3, 3, 3, 3])
         np.testing.assert_array_equal(result.inst, [0, 0, 0, 0])
 
@@ -313,7 +313,8 @@ class TestFusePanoptic:
         det = row(np.array([0.2, 0, 0]), 0.9)
         table = np.array([[0.9, 0.500000, 0.51, 0.9]])  # membership 0.5 exactly -> out
         maps = maps_of({}, point_sem=sems)
-        result = fuse_panoptic(pts, stack([det]), maps, make_table_membership(table), TAX)
+        result = fuse_panoptic(pts, stack([det]), maps, make_table_membership(table), TAX,
+                               margin_floor=0.1)
         np.testing.assert_array_equal(result.inst, [1, 0, 1, 0])
         assert result.sem[1] == 1  # falls back to predicted semantics
         assert result.sem[3] == 3
@@ -323,7 +324,8 @@ class TestFusePanoptic:
         det = row(np.zeros(3), 0.9)
         maps = maps_of({}, point_sem=[2, 1])
         table = np.ones((1, 2))
-        result = fuse_panoptic(pts, stack([det]), maps, make_table_membership(table), TAX)
+        result = fuse_panoptic(pts, stack([det]), maps, make_table_membership(table), TAX,
+                               margin_floor=0.1)
         np.testing.assert_array_equal(result.inst, [0, 1])
 
     def test_confident_detection_wins_contested_points(self):
@@ -332,7 +334,8 @@ class TestFusePanoptic:
         d2 = row(np.array([-0.1, 0, 0]), 0.6)
         maps = maps_of({}, point_sem=[1])
         table = np.array([[0.7], [0.99]])
-        result = fuse_panoptic(pts, stack([d1, d2]), maps, make_table_membership(table), TAX)
+        result = fuse_panoptic(pts, stack([d1, d2]), maps, make_table_membership(table), TAX,
+                               margin_floor=0.1)
         assert result.point_detection[0] == 0  # first (more confident) keeps it
 
     def test_argmax_mode_prefers_higher_membership(self):
@@ -342,7 +345,7 @@ class TestFusePanoptic:
         maps = maps_of({}, point_sem=[1])
         table = np.array([[0.7], [0.99]])
         result = fuse_panoptic(pts, stack([d1, d2]), maps, make_table_membership(table), TAX,
-                               conflict="argmax")
+                               margin_floor=0.1, conflict="argmax")
         assert result.point_detection[0] == 1
 
     def test_matches_line_by_line_reference(self):
@@ -365,7 +368,8 @@ class TestFusePanoptic:
         for _ in range(25):
             pts, sems, dets, table = random_fusion_case(rng)
             maps = maps_of({}, point_sem=sems)
-            result = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX)
+            result = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX,
+                                   margin_floor=0.1)
             result.labeling.validate(TAX)
             inst = result.inst
             assert len(np.unique(inst[inst > 0])) <= len(dets)
@@ -385,8 +389,8 @@ class TestFusePanoptic:
         rng = np.random.default_rng(4)
         pts, sems, dets, table = random_fusion_case(rng)
         maps = maps_of({}, point_sem=sems)
-        a = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX)
-        b = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX)
+        a = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX, margin_floor=0.1)
+        b = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX, margin_floor=0.1)
         np.testing.assert_array_equal(a.sem, b.sem)
         np.testing.assert_array_equal(a.inst, b.inst)
 
@@ -404,7 +408,7 @@ def inputs_of(pts, sems, inst=None, pose=None):
 def one_group(n_points):
     """All points paired with detection 0."""
     return PairTable(np.zeros(n_points, dtype=np.int64), np.arange(n_points),
-                     np.array([0, n_points]))
+                     np.array([0, n_points]), margin_floor=0.1)
 
 
 class TestMembershipAdapters:
@@ -414,11 +418,11 @@ class TestMembershipAdapters:
         sems = rng.choice([1, 2], size=30)
         dets = stack((rng.uniform(-2, 2, 3), 0.9, int(rng.integers(1, 3)), rng.uniform(1, 2, 3))
                      for _ in range(3))
-        pairs = gather_pairs(pts, sems, dets)
+        pairs = gather_pairs(pts, sems, dets, margin_floor=0.1)
         probs = nn_scores(inputs_of(pts, sems), dets, pairs)
         assert set(np.unique(probs)) <= {0.0, 1.0}
         np.testing.assert_array_equal(
-            probs, nn_baseline(pts, sems, dets)[pairs.point] == pairs.det)
+            probs, nn_baseline(pts, sems, dets, margin_floor=0.1)[pairs.point] == pairs.det)
 
     def test_oracle_membership_claims_source_instance(self):
         pts = np.array([[0.0, 0, 0], [0.1, 0, 0], [3.0, 0, 0]])

@@ -38,24 +38,25 @@ class TestRoiPoints:
     def test_point_at_center_included(self):
         pts = np.array([[1.0, 2.0, 0.5]])
         d = det([1.0, 2.0, 0.5])
-        assert roi_points(d, pts).tolist() == [0]
+        assert roi_points(d, pts, margin_floor=0.1).tolist() == [0]
 
     def test_boundary_strictness_and_margin(self):
         d = det([0.0, 0.0, 0.0], extent=(1.0, 1.0, 1.0))
         boundary = np.array([[1.0, 0.0, 0.0]])
-        assert roi_points(d, boundary, inflate=False).size == 0   # strict <
-        assert roi_points(d, boundary, inflate=True).size == 1    # margin lets it in
+        # Strict <, and the margin lets the boundary point in.
+        assert roi_points(d, boundary, inflate=False, margin_floor=0.1).size == 0
+        assert roi_points(d, boundary, inflate=True, margin_floor=0.1).size == 1
 
     def test_margin_floor_on_small_extents(self):
         d = det([0.0, 0.0, 0.0], extent=(0.2, 0.2, 0.2))
         p = np.array([[0.25, 0.0, 0.0]])
-        assert roi_points(d, p, inflate=True).size == 1  # floor 0.1 > 10% of 0.2
+        assert roi_points(d, p, inflate=True, margin_floor=0.1).size == 1  # 0.1 > 10% of 0.2
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-3, 3, size=(500, 3))
         d = det([0.3, -0.5, 0.2], extent=(1.2, 0.7, 0.9))
-        got = set(roi_points(d, pts, inflate=True).tolist())
+        got = set(roi_points(d, pts, inflate=True, margin_floor=0.1).tolist())
         radius = d.extent + np.maximum(0.1 * d.extent, 0.1)
         want = {i for i in range(500) if all(abs(pts[i] - d.center) < radius)}
         assert got == want
@@ -64,21 +65,21 @@ class TestRoiPoints:
         rng = np.random.default_rng(1)
         pts = rng.uniform(-2, 2, size=(100, 3))
         d = det([0, 0, 0])
-        base = set(roi_points(d, pts).tolist())
+        base = set(roi_points(d, pts, margin_floor=0.1).tolist())
         perm = rng.permutation(100)
-        again = set(perm[roi_points(d, pts[perm])].tolist())
+        again = set(perm[roi_points(d, pts[perm], margin_floor=0.1)].tolist())
         assert base == again
 
 
 def one_group(n):
     """A table in which detection 0 owns points 0..n-1."""
-    return PairTable(np.zeros(n, dtype=np.int64), np.arange(n), np.array([0, n]))
+    return PairTable(np.zeros(n, dtype=np.int64), np.arange(n), np.array([0, n]),
+                     margin_floor=0.1)
 
 
 class TestPairFeatures:
     def test_layout_offsets(self):
-        cfg = PairFeatureConfig(num_classes=3, point_feature_dim=0, bev_feature_dim=0,
-                                include_point_features=False, include_bev=False)
+        cfg = PairFeatureConfig(num_classes=3, point_feature_dim=0, bev_feature_dim=0)
         pts = np.array([[1.0, 2.0, 3.0]])
         rows = assemble_pair_features(pts, np.array([1]), stack([det([4.0, 5.0, 6.0], cid=1)]),
                                       one_group(1), cfg)
@@ -90,8 +91,7 @@ class TestPairFeatures:
         np.testing.assert_array_equal(rows[0, 9:12], [0, 1, 0])     # center class one-hot
 
     def test_center_block_shared(self):
-        cfg = PairFeatureConfig(num_classes=3, include_point_features=False,
-                                include_bev=False)
+        cfg = PairFeatureConfig(num_classes=3)
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         rows = assemble_pair_features(pts, np.array([2, 2]), stack([det([4.0, 5.0, 6.0], cid=2)]),
                                       one_group(2), cfg)
@@ -99,12 +99,12 @@ class TestPairFeatures:
 
     def test_rows_follow_the_table(self):
         # Detection 1 owns nothing; point 2 is in both other groups.
-        cfg = PairFeatureConfig(num_classes=3, include_point_features=False,
-                                include_bev=False)
+        cfg = PairFeatureConfig(num_classes=3)
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 0.0, 0.0]])
         dets = stack([det([0.0, 0.0, 0.0], cid=1), det([9.0, 9.0, 0.0], cid=2),
                       det([3.0, 0.0, 0.0], cid=1)])
-        table = PairTable(np.array([0, 0, 2]), np.array([0, 2, 2]), np.array([0, 2, 2, 3]))
+        table = PairTable(np.array([0, 0, 2]), np.array([0, 2, 2]), np.array([0, 2, 2, 3]),
+                          margin_floor=0.1)
         rows = assemble_pair_features(pts, np.array([1, 1, 1]), dets, table, cfg)
         np.testing.assert_array_equal(rows[:, :3], [[0, 0, 0], [2, 0, 0], [-1, 0, 0]])
         np.testing.assert_array_equal(rows[:, 6], [0.0, 0.0, 0.3])
@@ -129,8 +129,7 @@ class TestPairFeatures:
 
 class TestPredictMembership:
     def test_zero_weight_model_gives_half(self):
-        cfg = PairFeatureConfig(num_classes=3, include_point_features=False,
-                                include_bev=False)
+        cfg = PairFeatureConfig(num_classes=3)
         model = MlpModel([Layer(np.zeros((1, cfg.width)), np.zeros(1), None, "sigmoid")])
         rows = np.random.default_rng(3).normal(size=(5, cfg.width))
         probs = predict_membership(model, rows)
@@ -158,26 +157,26 @@ class TestPredictMembership:
 class TestNnBaseline:
     def test_single_detection(self):
         pts = np.array([[0.1, 0.0, 0.0]])
-        assign = nn_baseline(pts, np.array([1]), stack([det([0, 0, 0])]))
+        assign = nn_baseline(pts, np.array([1]), stack([det([0, 0, 0])]), margin_floor=0.1)
         assert assign.tolist() == [0]
 
     def test_prefers_nearer_center(self):
         pts = np.array([[1.0, 0.0, 0.0]])
         dets = stack([det([0.0, 0.0, 0.0], extent=(3, 3, 3)),
                       det([3.0, 0.0, 0.0], extent=(3, 3, 3))])
-        assert nn_baseline(pts, np.array([1]), dets).tolist() == [0]
+        assert nn_baseline(pts, np.array([1]), dets, margin_floor=0.1).tolist() == [0]
 
     def test_class_filter(self):
         pts = np.array([[0.0, 0.0, 0.0]])
         dets = stack([det([0.1, 0, 0], cid=2)])
-        assert nn_baseline(pts, np.array([1]), dets).tolist() == [-1]
+        assert nn_baseline(pts, np.array([1]), dets, margin_floor=0.1).tolist() == [-1]
 
     def test_tie_breaks_by_confidence_then_index(self):
         pts = np.array([[0.0, 0.0, 0.0]])
         dets = stack([det([-1.0, 0, 0], conf=0.9), det([1.0, 0, 0], conf=0.5)])
-        assert nn_baseline(pts, np.array([1]), dets).tolist() == [0]
+        assert nn_baseline(pts, np.array([1]), dets, margin_floor=0.1).tolist() == [0]
         dets = stack([det([1.0, 0, 0], conf=0.7), det([-1.0, 0, 0], conf=0.7)])
-        assert nn_baseline(pts, np.array([1]), dets).tolist() == [0]
+        assert nn_baseline(pts, np.array([1]), dets, margin_floor=0.1).tolist() == [0]
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(9)
@@ -187,7 +186,7 @@ class TestNnBaseline:
         dets = stack(det(rng.uniform(-4, 4, 3), conf=float(conf), cid=int(rng.integers(1, 3)),
                          extent=rng.uniform(0.5, 2.5, 3))
                      for conf in confs)
-        got = nn_baseline(pts, sems, dets)
+        got = nn_baseline(pts, sems, dets, margin_floor=0.1)
         for i in range(200):
             candidates = []
             for didx, d in enumerate(dets):
@@ -207,7 +206,7 @@ class TestNnBaseline:
         sems = rng.integers(1, 3, size=100)
         dets = stack(det(rng.uniform(-4, 4, 3), cid=int(rng.integers(1, 3)),
                          extent=rng.uniform(1, 3, 3)) for _ in range(5))
-        assign = nn_baseline(pts, sems, dets)
+        assign = nn_baseline(pts, sems, dets, margin_floor=0.1)
         for i, a in enumerate(assign):
             if a >= 0:
                 assert dets.class_id[a] == sems[i]
@@ -246,9 +245,11 @@ class TestGatherPairs:
             assert np.all(pairs.det[pairs.group(d)] == d)
 
     def test_empty_inputs(self):
-        pairs = gather_pairs(np.zeros((0, 3)), np.zeros(0, dtype=int), stack([det([0, 0, 0])]))
+        pairs = gather_pairs(np.zeros((0, 3)), np.zeros(0, dtype=int), stack([det([0, 0, 0])]),
+                             margin_floor=0.1)
         assert len(pairs) == 0 and pairs.offsets.tolist() == [0, 0]
-        pairs = gather_pairs(np.zeros((3, 3)), np.ones(3, dtype=int), stack([]))
+        pairs = gather_pairs(np.zeros((3, 3)), np.ones(3, dtype=int), stack([]),
+                             margin_floor=0.1)
         assert len(pairs) == 0 and pairs.offsets.tolist() == [0]
 
 
@@ -264,7 +265,8 @@ class TestNnBaselineAgainstReference:
             want = nn_baseline_reference(pts, sems, dets, **margins)
             np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
             pairs = gather_pairs(pts, sems, dets, **margins)
-            np.testing.assert_array_equal(nn_baseline(pts, sems, dets, pairs=pairs), want)
+            np.testing.assert_array_equal(nn_baseline(pts, sems, dets, **margins, pairs=pairs),
+                                          want)
             if grid and len(pairs):
                 dist = np.linalg.norm(pts[pairs.point] - dets.center[pairs.det], axis=1)
                 keys = set()
@@ -276,14 +278,15 @@ class TestNnBaselineAgainstReference:
 
     def test_empty_detections_and_points(self):
         pts = np.random.default_rng(13).uniform(-1, 1, size=(5, 3))
-        assert nn_baseline(pts, np.ones(5, dtype=int), stack([])).tolist() == [-1] * 5
-        assert nn_baseline(np.zeros((0, 3)), np.zeros(0, dtype=int),
-                           stack([det([0, 0, 0])])).shape == (0,)
+        assert nn_baseline(pts, np.ones(5, dtype=int), stack([]),
+                           margin_floor=0.1).tolist() == [-1] * 5
+        assert nn_baseline(np.zeros((0, 3)), np.zeros(0, dtype=int), stack([det([0, 0, 0])]),
+                           margin_floor=0.1).shape == (0,)
 
 
 # Row scenes: adjacent same-class boxes a few decimeters apart.
 ROW_TAX = mp.default_taxonomy()
-ROW_SPEC = GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
+ROW_SPEC = GridSpec()
 
 
 def row_scene(seed):
@@ -318,7 +321,8 @@ def per_detection_scores(model, pair_cfg, inputs, dets, pairs):
     out = [np.zeros(0)]
     for d, one in enumerate(dets):
         idx = pairs.point[pairs.group(d)]
-        table = PairTable(np.zeros(idx.size, dtype=np.int64), idx, np.array([0, idx.size]))
+        table = PairTable(np.zeros(idx.size, dtype=np.int64), idx, np.array([0, idx.size]),
+                          margin_floor=0.1)
         out.append(mlp_scores(model, pair_cfg, inputs, stack([one]), table))
     return np.concatenate(out)
 
@@ -368,8 +372,7 @@ class TestBuildTrainingPairs:
                              spawn_radius_range=(8.0, 12.0))
         seq, _ = mp.generate_sequence(cfg, mp.default_taxonomy())
         tcfg = MembershipTrainConfig(
-            PairFeatureConfig(mp.default_taxonomy().num_channels, include_point_features=False,
-                              include_bev=False),
+            PairFeatureConfig(mp.default_taxonomy().num_channels),
             seed=1, margin_floor=0.3)
         pairs, labels = build_training_pairs([seq], mp.default_taxonomy(), tcfg)
         assert pairs.shape[1] == tcfg.features.width
@@ -378,13 +381,13 @@ class TestBuildTrainingPairs:
 
 # ---------------------------------------------------------------- one pair path
 
-FEATURE_SETS = {"geo": (False, False), "geo+bev": (False, True), "full": (True, True)}
+# Each feature set's (point, BEV) block widths, as multiples of the provider's.
+FEATURE_SETS = {"geo": (0, 0), "geo+bev": (0, 1), "full": (1, 1)}
 
 
 def feature_config(name, num_classes, point_dim, bev_dim):
-    include_point, include_bev = FEATURE_SETS[name]
-    return PairFeatureConfig(num_classes, point_dim if include_point else 0,
-                             bev_dim if include_bev else 0, include_point, include_bev)
+    point_share, bev_share = FEATURE_SETS[name]
+    return PairFeatureConfig(num_classes, point_dim * point_share, bev_dim * bev_share)
 
 
 class TestAssemblyAgainstReference:

@@ -360,19 +360,22 @@ class TestMembershipAccuracy:
     def test_perfect_assignment(self):
         pts, gt_inst, centers, classes, dets = self.scene()
         assign = np.array([0, 0, 0, 1, 1, 1])
-        acc, n = membership_accuracy(pts, gt_inst, centers, classes, dets, assign)
+        acc, n = membership_accuracy(pts, gt_inst, centers, classes, dets, assign,
+                                     margin_floor=0.1)
         assert acc == 1.0 and n == 6
 
     def test_everything_swapped(self):
         pts, gt_inst, centers, classes, dets = self.scene()
         assign = np.array([1, 1, 1, 0, 0, 0])
-        acc, _ = membership_accuracy(pts, gt_inst, centers, classes, dets, assign)
+        acc, _ = membership_accuracy(pts, gt_inst, centers, classes, dets, assign,
+                                     margin_floor=0.1)
         assert acc == 0.0
 
     def test_unassigned_counts_wrong(self):
         pts, gt_inst, centers, classes, dets = self.scene()
         assign = np.array([0, 0, -1, 1, 1, 1])
-        acc, _ = membership_accuracy(pts, gt_inst, centers, classes, dets, assign)
+        acc, _ = membership_accuracy(pts, gt_inst, centers, classes, dets, assign,
+                                     margin_floor=0.1)
         assert abs(acc - 5 / 6) < 1e-12
 
     def test_matches_per_point_count(self):
@@ -385,7 +388,8 @@ class TestMembershipAccuracy:
             dets = stack((rng.uniform(-3, 3, size=3), 0.9, int(rng.integers(1, 3)),
                           rng.uniform(0.5, 2.0, size=3)) for _ in range(4))
             assign = rng.integers(-1, 4, size=150)
-            acc, n = membership_accuracy(pts, gt_inst, centers, classes, dets, assign)
+            acc, n = membership_accuracy(pts, gt_inst, centers, classes, dets, assign,
+                                         margin_floor=0.1)
             matched = match_instances_to_detections(centers, classes, dets)
             in_roi = np.zeros(150, dtype=bool)
             for det in dets:

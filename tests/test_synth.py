@@ -17,7 +17,7 @@ from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
 from modalpanoptic.targets import build_trajectories, instance_boxes, modal_center
 from modalpanoptic.voxels import GridSpec
 
-from fakes import rotated
+from fakes import PAPER_GRID, rotated
 from oracles import (
     bev_mean_reference,
     flip_semantics_reference,
@@ -26,7 +26,7 @@ from oracles import (
 )
 
 TAX = mp.default_taxonomy()
-SPEC = GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
+SPEC = GridSpec()
 
 
 def simulate_all(seq, trajs, registry, noise, seed=0, provider=None):
@@ -135,7 +135,7 @@ class TestGenerateSequence:
         # A 0.6 m tall box sits below the sensor, which rides 1 m above the ground.
         cfg = mp.SceneConfig(seed=8, sweep_count=1, count_range=(1, 1),
                              box_specs={1: mp.BoxSpec((2.25, 1.0, 0.3), (0.0, 0.0, 0.0))},
-                             motion="static", min_separation=1.0)
+                             motion="static", min_separation=1.0, points_per_m2=60.0)
         seq, reg = mp.generate_sequence(cfg, TAX)
         inst = next(iter(reg.instances.values()))
         sweep = seq.sweeps[0]
@@ -364,7 +364,7 @@ class TestHandcraftedFeaturesOracle:
     """Array features must equal the per-point loop byte for byte."""
 
     @pytest.mark.parametrize("name", sorted(FEATURE_SCENES))
-    @pytest.mark.parametrize("spec", [SPEC, GridSpec()], ids=["test-grid", "default-grid"])
+    @pytest.mark.parametrize("spec", [SPEC, PAPER_GRID], ids=["test-grid", "default-grid"])
     def test_scene_bytes(self, name, spec):
         seq, _ = mp.generate_sequence(FEATURE_SCENES[name], TAX)
         provider = HandcraftedFeatures(spec)
@@ -427,8 +427,8 @@ class TestFeaturesOncePerSweep:
         seq, _ = mp.generate_sequence(simple_cfg(seed=6, sweep_count=3), TAX)
         provider = CountingFeatures(SPEC)
         cfg = MembershipTrainConfig(PairFeatureConfig(
-            TAX.num_channels, HandcraftedFeatures.DIM, HandcraftedFeatures.DIM,
-            include_point_features=include_point, include_bev=True))
+            TAX.num_channels, HandcraftedFeatures.DIM if include_point else 0,
+            HandcraftedFeatures.DIM), margin_floor=0.1)
         build_training_pairs([seq], TAX, cfg, provider)
         assert provider.calls == len(seq.sweeps)
 

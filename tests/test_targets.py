@@ -356,10 +356,11 @@ def generated_sequences(draw):
     """Crowded pass-motion or orbit-ego scenes, each optionally yaw-rotated per sweep."""
     seed = draw(st.integers(0, 10_000))
     if draw(st.booleans()):
-        cfg = mp.SceneConfig(seed=seed, sweep_count=4, count_range=(6, 8), min_separation=4.0)
+        cfg = mp.SceneConfig(seed=seed, sweep_count=4, count_range=(6, 8), min_separation=4.0,
+                             points_per_m2=60.0)
     else:
         cfg = mp.SceneConfig(seed=seed, sweep_count=4, count_range=(3, 4), min_separation=6.0,
-                             ego_motion="orbit", orbit_radius=8.0)
+                             ego_motion="orbit", orbit_radius=8.0, points_per_m2=60.0)
     seq, _ = mp.generate_sequence(cfg, mp.default_taxonomy())
     if draw(st.booleans()):
         seq = rotated(seq, draw(st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4)))
@@ -493,7 +494,8 @@ class TestTrajectoryTable:
 
     def test_select_carries_every_column(self):
         seq, _ = mp.generate_sequence(mp.SceneConfig(seed=3, sweep_count=3, count_range=(3, 4),
-                                                     min_separation=6.0), mp.default_taxonomy())
+                                                     min_separation=6.0, points_per_m2=60.0),
+                                      mp.default_taxonomy())
         table = build_trajectories(rotated(seq, [0.4, 1.1, -2.0]), mp.default_taxonomy())
         rows = np.flatnonzero(table.sweep_index == 1)
         got = table.select(rows)

@@ -22,7 +22,7 @@ from modalpanoptic.voxels import GridSpec
 from fakes import row as det, stack
 
 TAX = mp.default_taxonomy()
-SPEC = GridSpec((0.1, 0.1, 0.2), 40.0, -2.0, 3.0, 2)
+SPEC = GridSpec()
 
 
 def associate(tracks, dets, velocities, **kw):
@@ -116,7 +116,7 @@ class TestGreedyAssociate:
 def run_tracked(seed=21, noise=NO_NOISE, score=oracle_scores, sweep_count=10, drop_sweep=None,
                 max_age=2):
     cfg = mp.SceneConfig(seed=seed, sweep_count=sweep_count, count_range=(3, 4),
-                         min_separation=8.0)
+                         min_separation=8.0, points_per_m2=60.0)
     seq, reg = mp.generate_sequence(cfg, TAX)
     inputs = list(prepare_sweep_inputs(seq, mp.build_trajectories(seq, TAX), TAX, SPEC,
                                        ExtentStrategy("MAX"), noise, registry=reg, seed=7))
@@ -183,7 +183,8 @@ class TestOneSweepAlive:
 
     @pytest.mark.parametrize("track", [True, False])
     def test_maps_released_sweep_by_sweep(self, track):
-        cfg = mp.SceneConfig(seed=26, sweep_count=10, count_range=(3, 4), min_separation=8.0)
+        cfg = mp.SceneConfig(seed=26, sweep_count=10, count_range=(3, 4), min_separation=8.0,
+                             points_per_m2=60.0)
         seq, reg = mp.generate_sequence(cfg, TAX)
         stream = prepare_sweep_inputs(seq, mp.build_trajectories(seq, TAX), TAX, SPEC,
                                       ExtentStrategy("MAX"), NO_NOISE, registry=reg)
@@ -215,7 +216,8 @@ class TestSweepRecords:
     """Each streamed sweep lists all of its labeled instances, trained on or not."""
 
     def test_dsb_suppressed_instances_stay_listed(self):
-        cfg = mp.SceneConfig(seed=27, sweep_count=6, count_range=(6, 8), min_separation=4.0)
+        cfg = mp.SceneConfig(seed=27, sweep_count=6, count_range=(6, 8), min_separation=4.0,
+                             points_per_m2=60.0)
         seq, reg = mp.generate_sequence(cfg, TAX)
         table = mp.build_trajectories(seq, TAX)
         strategy = ExtentStrategy("DSB", dsb_min_points=150)

@@ -4,11 +4,13 @@ import pytest
 from modalpanoptic.voxels import (
     BevMap,
     GridSpec,
+    _group_sums,
     flatten_bev,
     interpolate_bev_many,
     voxelize,
 )
 
+from fakes import PAPER_GRID
 from oracles import (
     bev_mean_reference,
     bilinear_4term,
@@ -28,14 +30,15 @@ def pts(rows):
 
 class TestGridSpec:
     def test_paper_defaults(self):
-        spec = GridSpec()
+        spec = PAPER_GRID
         assert (spec.width, spec.depth) == (1440, 1440)
         assert spec.bev_width == spec.bev_depth == 180
         assert spec.height == 40  # z in [-5, 3] at 0.2 m
 
     def test_inexact_division_rejected(self):
         with pytest.raises(ValueError):
-            GridSpec(voxel_size=(0.3, 0.3, 0.2), planar_range=1.0)
+            GridSpec(voxel_size=(0.3, 0.3, 0.2), planar_range=1.0, z_min=-5.0, z_max=3.0,
+                     bev_downsample=8)
 
     def test_bev_downsample_must_divide(self):
         with pytest.raises(ValueError):
@@ -58,7 +61,7 @@ def random_cloud(seed, n, scale):
 
 class TestVoxelize:
     def test_origin_point_index(self):
-        grid = voxelize(pts([(0.0, 0.0, 0.0)]), GridSpec())
+        grid = voxelize(pts([(0.0, 0.0, 0.0)]), PAPER_GRID)
         assert grid.occupied.dtype == np.int64
         assert grid.occupied.tolist() == [[720, 720, 25]]
         assert grid.starts.tolist() == [0, 1]
@@ -67,14 +70,14 @@ class TestVoxelize:
 
     def test_out_of_range_dropped(self):
         xy = 60.0 / np.sqrt(2.0)
-        grid = voxelize(pts([(xy, xy, 0.0)]), GridSpec())
+        grid = voxelize(pts([(xy, xy, 0.0)]), PAPER_GRID)
         assert grid.dropped == 1
         assert len(grid) == 0
         assert grid.occupied.shape == (0, 3)
         assert grid.starts.tolist() == [0]
 
     def test_nearby_points_share_voxel(self):
-        grid = voxelize(pts([(1.0, 1.0, 0.0), (1.0005, 1.0, 0.0)]), GridSpec())
+        grid = voxelize(pts([(1.0, 1.0, 0.0), (1.0005, 1.0, 0.0)]), PAPER_GRID)
         assert len(grid) == 1
         assert list(cells(grid).values()) == [[0, 1]]
 
@@ -139,6 +142,19 @@ class TestVoxelFeatureReduction:
         xy = 60.0 / np.sqrt(2.0)
         grid = voxelize(pts([(xy, xy, 0.0)]), SMALL, features=np.ones((1, 3)))
         assert grid.features.shape == (0, 3)
+
+
+def test_group_sums_match_per_axis_bincounts():
+    # Each group adds its rows from 0.0 in row order, the way a per-axis
+    # bincount does, so the two agree bit for bit.
+    rng = np.random.default_rng(50)
+    for _ in range(200):
+        groups, n, f = int(rng.integers(1, 12)), int(rng.integers(0, 60)), int(rng.integers(1, 4))
+        group = rng.integers(0, groups, size=n)
+        rows = rng.normal(size=(n, f)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+        want = np.column_stack([np.bincount(group, weights=rows[:, k], minlength=groups)
+                                for k in range(f)])
+        assert _group_sums(group, rows, groups).tobytes() == want.tobytes()
 
 
 class TestFlattenBev:
