@@ -48,9 +48,8 @@ strategies = {
 print("\nrunning detection + fusion with the nearest-center membership:")
 for name, strategy in strategies.items():
     acc = mp.PqAccumulator(taxonomy)
-    for (seq, reg), trajs in zip(scenes, scene_trajs):
-        inputs = prepare_sweep_inputs(seq, trajs, taxonomy, spec, strategy, NO_NOISE,
-                                      registry=reg)
+    for (seq, _), trajs in zip(scenes, scene_trajs):
+        inputs = prepare_sweep_inputs(seq, trajs, taxonomy, spec, strategy, NO_NOISE)
         for sweep, lab in zip(seq.sweeps,
                               infer_sequence(inputs, taxonomy, spec, nn_scores)):
             acc.add(mp.PanopticLabeling(sweep.sem_labels, sweep.inst_labels), lab)

@@ -11,7 +11,7 @@ family.
 from .cloud import PanopticLabeling, PointCloudSweep, SweepSequence
 from .voxels import GridSpec, SparseGrid, voxelize
 from .targets import ExtentStrategy, build_trajectories, instance_boxes, render_bev_targets
-from .inference import PredictedMaps, fuse_panoptic
+from .inference import fuse_panoptic
 from .metrics import LstqAccumulator, PqAccumulator
 from .synth import BoxSpec, SceneConfig, default_taxonomy, generate_sequence, simulate_detector
 

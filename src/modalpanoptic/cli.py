@@ -274,7 +274,7 @@ def _run_inference(args, track: bool) -> int:
         )
         stream = prepare_sweep_inputs(seq, trajectories, taxonomy, spec,
                                       _strategy(args, class_means), _noise(args),
-                                      registry=None, provider=provider, seed=seed)
+                                      provider=provider, seed=seed)
         if track:
             return panoptic_track_sequence(stream, taxonomy, spec, score, seq.period, pcfg)
         return infer_sequence(stream, taxonomy, spec, score, pcfg)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -14,22 +14,24 @@ from .voxels import BevMap, GridSpec, SparseGrid
 NMS_THRESHOLD = 0.3
 NMS_MAX_DETECTIONS = 500
 CONFLICT_RULES = ("first_wins", "argmax")  # fuse_panoptic's overlap rules
+DEFAULT_CONFLICT = CONFLICT_RULES[0]
 
 
 @dataclass(frozen=True)
 class PredictedMaps:
     """Simulated (or one day, regressed) first-stage outputs for one sweep.
 
-    The heatmaps, height and velocity maps are sparse: only listed cells
-    are stored and every other cell reads 0.0, which is what detection
-    reads anyway (heatmap peaks, offsets at detected centers). Heatmap
-    values must lie in [0, 1]; as with a dense ``min``/``max`` scan, a map
-    holding a NaN passes that check.
+    The heatmaps and the height, velocity and extent maps are sparse: only
+    listed cells are stored and every other cell reads 0.0, which is what
+    detection reads anyway (heatmap peaks, box attributes at detected
+    centers). Heatmap values must lie in [0, 1]; as with a dense
+    ``min``/``max`` scan, a map holding a NaN passes that check.
     """
 
     heatmaps: SparseGrid       # (K, W', D') in [0, 1]
     height: SparseGrid         # (W', D') meters
     velocity: SparseGrid       # (W', D', 2) m/s
+    extent: SparseGrid         # (W', D', 3) half extent, meters
     point_sem: np.ndarray      # (N,) predicted class per point
     bev_features: BevMap
     point_features: np.ndarray  # (N, P)
@@ -39,43 +41,14 @@ class PredictedMaps:
         if values.min(initial=0.0) < 0 or values.max(initial=0.0) > 1:
             raise ValueError("heatmap values must lie in [0, 1]")
         k, w, d = self.heatmaps.shape
-        if self.height.shape != (w, d) or self.velocity.shape != (w, d, 2):
-            raise ValueError("height/velocity shapes do not match the heatmaps")
-
-
-class ExtentProvider(Protocol):
-    def extents_for(self, class_ids: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """(D, 3) extents for detections of (D,) classes at (D, 3) centers."""
-
-
-@dataclass(frozen=True)
-class NearestCenterExtents:
-    """Per-sweep lookup: extent of the nearest known same-class center."""
-
-    centers: np.ndarray    # (M, 3)
-    class_ids: np.ndarray  # (M,)
-    extents: np.ndarray    # (M, 3)
-    default: np.ndarray | None = None
-
-    def extents_for(self, class_ids: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Planar-nearest same-class entry per detection, the lower index on ties."""
-        same = np.asarray(self.class_ids) == class_ids[:, None]
-        known = same.any(axis=1)
-        out = np.empty((class_ids.size, 3))
-        if known.any():
-            dist = np.linalg.norm(self.centers[:, :2] - centers[known, None, :2], axis=2)
-            out[known] = self.extents[np.argmin(np.where(same[known], dist, np.inf), axis=1)]
-        if not known.all():
-            if self.default is None:
-                raise KeyError(f"no extent entry for class {class_ids[~known][0]}")
-            out[~known] = self.default
-        return out
+        if self.height.shape != (w, d) or self.velocity.shape != (w, d, 2) \
+                or self.extent.shape != (w, d, 3):
+            raise ValueError("height/velocity/extent shapes do not match the heatmaps")
 
 
 def nms_detect(
     maps: PredictedMaps,
     spec: GridSpec,
-    extent_provider: ExtentProvider,
     threshold: float = NMS_THRESHOLD,
     max_detections: int = NMS_MAX_DETECTIONS,
 ) -> Detections:
@@ -89,8 +62,8 @@ def nms_detect(
     an unlisted cell reads 0.0), and each neighbour is looked up in the
     sparse map, so the work scales with those entries, not with the grid.
     Ties in confidence fall to (class, x, y) order. Detection centers snap
-    to cell centers with z read from the height map; extents come from the
-    provider.
+    to cell centers; z and the extent are the height and extent maps' values
+    at the peak cell.
     """
     hm = maps.heatmaps
     _, w, d = hm.shape
@@ -110,8 +83,9 @@ def nms_detect(
     # Flat indices ascend in (class, x, y) order, which breaks confidence ties.
     order = np.lexsort((flat, -value))[:max(max_detections, 0)]
     cls, x, y = np.unravel_index(flat[order], hm.shape)
-    center = np.column_stack([*spec.bev_cell_center(x, y), maps.height.at(x * d + y)])
-    return Detections(center, value[order], cls, extent_provider.extents_for(cls, center))
+    cell = x * d + y
+    center = np.column_stack([*spec.bev_cell_center(x, y), maps.height.at(cell)])
+    return Detections(center, value[order], cls, maps.extent.at(cell))
 
 
 @dataclass(frozen=True)
@@ -138,7 +112,7 @@ def fuse_panoptic(
     taxonomy: Taxonomy,
     margin_frac: float = ROI_MARGIN_FRAC,
     margin_floor: float = ROI_MARGIN_FLOOR,
-    conflict: str = "first_wins",
+    conflict: str = DEFAULT_CONFLICT,
 ) -> FusionResult:
     """Fuse semantics, detections and memberships into per-point (class, id).
 

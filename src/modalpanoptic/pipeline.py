@@ -2,8 +2,10 @@
 
 The extent a detector would predict for an object is modeled as the
 componentwise mean of that object's per-sweep training extents under the
-chosen strategy (the value a regressor converges to for one identity), so
-switching strategies changes inference exactly the way retraining would.
+chosen strategy (the value a regressor converges to for one identity). The
+simulated first stage writes it into its extent map at the object's center
+cell, where detection reads it as it reads height, so switching strategies
+changes inference exactly the way retraining would.
 """
 
 from __future__ import annotations
@@ -12,15 +14,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .cloud import PanopticLabeling, PointCloudSweep, SweepSequence, Taxonomy, apply_pose, \
-    invert_pose
-from .inference import NearestCenterExtents
+from .cloud import PanopticLabeling, SweepSequence, Taxonomy
 from .targets import ExtentStrategy, Trajectories, aggregate_extent, widen_unobserved_axes
-from .synth import DetectorNoise, SceneRegistry, simulate_detector
+from .synth import DetectorNoise, simulate_detector
 from .tracking import PipelineConfig, Scorer, SweepInputs, infer_sweep
 from .voxels import FeatureProvider, GridSpec, _group_sums
-
-FALLBACK_EXTENT = np.array([1.0, 1.0, 1.0])
 
 
 def build_extent_model(
@@ -54,35 +52,27 @@ def prepare_sweep_inputs(
     spec: GridSpec,
     strategy: ExtentStrategy,
     noise: DetectorNoise,
-    registry: SceneRegistry | None = None,
     provider: FeatureProvider | None = None,
     seed: int = 0,
 ) -> Iterator[SweepInputs]:
-    """A lazy stream of each sweep's simulated detector outputs plus strategy extents.
+    """A lazy stream of each sweep's simulated detector outputs.
 
     ``trajectories`` is the caller's ``build_trajectories(seq, taxonomy)``,
     built once per sequence. This call builds the per-sequence extent model;
     the returned iterator then runs ``simulate_detector`` for one sweep per
     step, so a consumer that drops each ``SweepInputs`` before asking for
     the next keeps one sweep's maps alive at a time. Iterate it once. Only
-    the trained records reach ``simulate_detector``, and each sweep's extent
-    lookup holds those records' world centers mapped into the sensor frame
-    with their instance's estimate; ``SweepInputs.trajectories`` holds all.
+    the trained records reach ``simulate_detector``, each with its
+    instance's estimate as the extent to predict; ``SweepInputs.trajectories``
+    holds all.
     """
     predicted, suppressed = build_extent_model(trajectories, strategy)
     trained = trajectories.select(~suppressed)
     extents = predicted[trajectories.row_instance[~suppressed]]
-
-    def sweep_inputs(t: int, sweep: PointCloudSweep) -> SweepInputs:
-        rows = np.flatnonzero(trained.sweep_index == t)
-        entries = NearestCenterExtents(
-            apply_pose(invert_pose(sweep.ego_pose), trained.center[rows]),
-            trained.class_id[rows], extents[rows], FALLBACK_EXTENT)
-        maps = simulate_detector(sweep, t, trained, registry, noise, spec, taxonomy,
-                                 provider=provider, seed=seed)
-        return SweepInputs(sweep, maps, entries, trajectories, t)
-
-    return (sweep_inputs(t, sweep) for t, sweep in enumerate(seq.sweeps))
+    return (SweepInputs(sweep, simulate_detector(sweep, t, trained, extents, noise, spec,
+                                                 taxonomy, provider=provider, seed=seed),
+                        trajectories, t)
+            for t, sweep in enumerate(seq.sweeps))
 
 
 def infer_sequence(

@@ -27,6 +27,7 @@ GROUND_POINTS_PER_M2 = 1.5  # at REF_RANGE
 GROUND_RADIUS = 30.0  # meters of ground disk around the sensor
 SENSOR_HEIGHT = 1.0  # meters above the ground plane
 MOTIONS = ("pass", "drift", "static")  # SceneConfig.motion
+EGO_MOTIONS = ("static", "orbit")  # SceneConfig.ego_motion
 
 _NEIGHBOR_RADIUS = 0.6  # meters, for the handcrafted local features
 _PAIR_CHUNK = 1 << 13  # candidate pairs expanded at a time by point_features
@@ -75,7 +76,7 @@ class SceneConfig:
     pair_gap_range: tuple[float, float] | None = None  # adjacent same-class rows
     pair_offset_range: tuple[float, float] = (0.3, 1.8)
     row_partners: int = 1              # boxes added beside each base instance
-    ego_motion: str = "static"         # static | orbit
+    ego_motion: str = "static"         # one of EGO_MOTIONS
     orbit_radius: float = 8.0
     spawn_radius_range: tuple[float, float] | None = None  # drift/static placement
 
@@ -88,7 +89,7 @@ class SceneConfig:
             raise ValueError("bad instance count range")
         if self.motion not in MOTIONS:
             raise ValueError(f"unknown motion {self.motion!r}")
-        if self.ego_motion not in ("static", "orbit"):
+        if self.ego_motion not in EGO_MOTIONS:
             raise ValueError(f"unknown ego motion {self.ego_motion!r}")
 
 
@@ -438,27 +439,28 @@ def simulate_detector(
     sweep: PointCloudSweep,
     sweep_index: int,
     trajectories: Trajectories,
-    registry: SceneRegistry | None,
+    extents: np.ndarray,
     noise: DetectorNoise,
     spec: GridSpec,
     taxonomy: Taxonomy | None = None,
     provider: FeatureProvider | None = None,
     seed: int = 0,
 ) -> PredictedMaps:
-    """Backbone-output simulation for one sweep: semantics, heatmaps, height, velocity, features.
+    """Backbone-output simulation for one sweep: semantics, heatmaps, box maps, features.
 
     ``sweep`` is sweep ``sweep_index`` of a sequence, and ``trajectories``
     holds the records the detector was trained on: the caller's
     ``targets.build_trajectories(seq, taxonomy)``, built once per sequence,
-    or rows selected from it. Each instance with a record at this sweep gets
-    a peak on its ``class_id`` heatmap at the sensor-frame ``sensor_center``,
-    with jitter, sized by ``sensor_extent`` and scaled by a noisy
-    confidence; dropped instances, and instances without a record here,
-    leave no peak. Velocity cells carry the instance's planar velocity plus
-    noise; with a registry that is the generator truth, otherwise the
-    record's world-frame ``velocity`` (what a trained offset head
-    regresses). The maps come back sparse, as ``render_bev_targets`` lists
-    them. A record whose point count the sweep does not match raises.
+    or rows selected from it. ``extents`` is (R, 3), one row per record: the
+    half extent the detector was trained to predict. Each instance with a
+    record at this sweep gets a peak on its ``class_id`` heatmap at the
+    sensor-frame ``sensor_center``, with jitter, sized by its ``extents``
+    row and scaled by a noisy confidence; dropped instances, and instances
+    without a record here, leave no peak. The peak's center cell carries
+    the record's height, its ``extents`` row, and its world-frame
+    ``velocity`` plus noise (what a trained offset head regresses). The maps
+    come back sparse, as ``render_bev_targets`` lists them. A record whose
+    point count the sweep does not match raises.
 
     Deterministic per (inputs, seed, sweep_index): the sweep draws from
     ``SeedSequence(seed, spawn_key=(sweep_index,))``, the stream
@@ -473,6 +475,9 @@ def simulate_detector(
     sem_pred = sweep.sem_labels.astype(np.int32)
     if noise.semantic_flip_probability > 0:
         flip_semantics(sem_pred, class_ids, noise.semantic_flip_probability, rng)
+    extents = np.asarray(extents, dtype=np.float64)
+    if extents.shape != (len(trajectories), 3):
+        raise ValueError(f"need one (3,) extent per trajectory row, got {extents.shape}")
     rows = np.flatnonzero(trajectories.sweep_index == sweep_index)
     iid = trajectories.instance_id[rows]
     count = np.bincount(sweep.inst_labels[sweep.inst_labels > NO_INSTANCE],
@@ -489,19 +494,15 @@ def simulate_detector(
             continue
         conf = float(np.clip(1.0 - abs(rng.normal(0.0, noise.confidence_noise)), 0.05, 1.0)) \
             if noise.confidence_noise else 1.0
-        if registry is not None:
-            vel = registry.instances[int(trajectories.instance_id[row])].velocity[:2].copy()
-        else:
-            vel = trajectories.velocity[row]
+        vel = trajectories.velocity[row]
         if noise.velocity_noise:
             vel = vel + rng.normal(0.0, noise.velocity_noise, 2)
         picked.append(row)
         jittered.append(center)
         velocities.append(vel)
         peaks.append(conf)
-    rendered = render_bev_targets(jittered, trajectories.class_id[picked],
-                                  trajectories.sensor_extent[picked], velocities, spec,
-                                  taxonomy.num_channels, peak_scale=peaks)
+    rendered = render_bev_targets(jittered, trajectories.class_id[picked], extents[picked],
+                                  velocities, spec, taxonomy.num_channels, peak_scale=peaks)
     if provider is not None:
         point_feats = provider.point_features(sweep)
         bev_feats = provider.bev_map(sweep, point_feats)
@@ -509,5 +510,5 @@ def simulate_detector(
         point_feats = np.zeros((len(sweep), 0))
         bev_feats = BevMap(np.zeros((spec.bev_width, spec.bev_depth, 0)),
                            spec.bev_cell_size, spec.planar_range)
-    return PredictedMaps(rendered.heatmaps, rendered.height, rendered.velocity,
+    return PredictedMaps(rendered.heatmaps, rendered.height, rendered.velocity, rendered.extent,
                          sem_pred, bev_feats, point_feats)

@@ -66,9 +66,9 @@ class Trajectories:
     Rows are sorted by (instance id, sweep index), and the rows of the i-th
     instance are ``offsets[i]:offsets[i + 1]``. ``center``, ``extent`` and
     the planar velocity target ``velocity`` are in the world frame;
-    ``sensor_center`` and ``sensor_extent`` are the same record's box in its
-    own sweep's sensor frame. An instance keeps one class over its rows.
-    Validated once, on creation.
+    ``sensor_center`` is the same record's center in its own sweep's sensor
+    frame, where the simulated first stage places its peaks. An instance
+    keeps one class over its rows. Validated once, on creation.
     """
 
     instance_id: np.ndarray    # (R,) int64
@@ -78,7 +78,6 @@ class Trajectories:
     center: np.ndarray         # (R, 3) world frame, meters
     extent: np.ndarray         # (R, 3) world-frame shrink-wrapped half extent, meters
     sensor_center: np.ndarray  # (R, 3) sensor frame of the record's sweep, meters
-    sensor_extent: np.ndarray  # (R, 3) sensor-frame shrink-wrapped half extent, meters
     velocity: np.ndarray       # (R, 2) world frame, m/s
     offsets: np.ndarray = field(init=False)       # (I + 1,) row offsets per instance
     row_instance: np.ndarray = field(init=False)  # (R,) instance index of each row
@@ -86,18 +85,18 @@ class Trajectories:
     def __post_init__(self):
         for name in ("instance_id", "sweep_index", "class_id", "point_count"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        for name in ("center", "extent", "sensor_center", "sensor_extent", "velocity"):
+        for name in ("center", "extent", "sensor_center", "velocity"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         iid, sweep = self.instance_id, self.sweep_index
         r = iid.shape[0] if iid.ndim == 1 else -1
-        boxes = (self.center, self.extent, self.sensor_center, self.sensor_extent)
+        boxes = (self.center, self.extent, self.sensor_center)
         if (sweep.shape != (r,) or self.class_id.shape != (r,) or self.point_count.shape != (r,)
                 or any(box.shape != (r, 3) for box in boxes) or self.velocity.shape != (r, 2)):
             raise ValueError("trajectories need (R,) ids/sweeps/classes/counts, (R, 3) "
-                             "centers/extents in both frames and (R, 2) velocities")
+                             "extents and centers in both frames and (R, 2) velocities")
         if np.any(self.point_count < 1):
             raise ValueError("an instance record needs at least one point")
-        if np.any(self.extent < 0) or np.any(self.sensor_extent < 0):
+        if np.any(self.extent < 0):
             raise ValueError("extent components must be >= 0")
         new = np.ones(r, dtype=bool)
         new[1:] = iid[1:] != iid[:-1]
@@ -166,10 +165,10 @@ def build_trajectories(seq: SweepSequence, taxonomy: Taxonomy) -> Trajectories:
     Each sweep's points are moved into the world frame through its ego pose
     (``xyz @ R.T + t``; left as they are under an identity pose), so centers
     and extents from different sweeps are comparable; one ``instance_boxes``
-    pass keyed by (instance, sweep) then gives every world-frame box, and a
-    second pass with the same keys over the sensor-frame points gives each
-    record's box in its own sweep's frame, bit-equal to ``instance_boxes`` of
-    that sweep alone. A record's velocity is the centered difference (mu[t+1] -
+    pass keyed by (instance, sweep) then gives every world-frame box, and the
+    same grouped sums over the sensor-frame points give each record's center
+    in its own sweep's frame, bit-equal to ``instance_boxes`` of that sweep
+    alone. A record's velocity is the centered difference (mu[t+1] -
     mu[t-1]) / (2 dt) of the planar centers when the instance has both
     neighboring sweeps, one-sided when it has one, and zero when it has
     neither. Raises ``ValueError`` naming the sweep and instance when an
@@ -187,8 +186,10 @@ def build_trajectories(seq: SweepSequence, taxonomy: Taxonomy) -> Trajectories:
         sem.append(sweep.sem_labels)
     keys = np.concatenate(keys)
     key, first, points, center, extent = instance_boxes(np.concatenate(xyz), keys)
-    _, _, _, sensor_center, sensor_extent = instance_boxes(
-        np.concatenate([sweep.xyz for sweep in seq.sweeps]), keys)
+    labeled = keys > NO_INSTANCE
+    sensor_xyz = np.concatenate([sweep.xyz for sweep in seq.sweeps])[labeled]
+    sensor_center = _group_sums(np.searchsorted(key, keys[labeled]), sensor_xyz,
+                                key.size) / points[:, None]
     iid, sweep_index = np.divmod(key, count)
     class_id = np.concatenate(sem)[first]
     stuff = np.flatnonzero(~np.isin(class_id, list(taxonomy.thing_ids)))
@@ -204,7 +205,7 @@ def build_trajectories(seq: SweepSequence, taxonomy: Taxonomy) -> Trajectories:
     velocity = np.divide(delta, span[:, None], out=np.zeros((iid.size, 2)),
                          where=span[:, None] > 0)
     return Trajectories(iid, sweep_index, class_id, points, center, extent, sensor_center,
-                        sensor_extent, velocity)
+                        velocity)
 
 
 def aggregate_extent(
@@ -281,15 +282,17 @@ class BevTargets:
     """Detection-branch targets over the BEV grid, held sparsely.
 
     ``heatmaps`` lists the (class, cell) entries some Gaussian reaches with
-    a nonzero value; ``height`` and ``velocity`` list the instance center
-    cells, the only cells that carry regression targets. Every other cell
-    reads 0.0. Dense arrays are made on demand: ``heatmaps.dense()``,
-    ``height.dense()``, ``velocity.dense()`` and ``valid_mask()``.
+    a nonzero value; ``height``, ``velocity`` and ``extent`` list the
+    instance center cells, the only cells that carry regression targets.
+    Every other cell reads 0.0. Dense arrays are made on demand:
+    ``heatmaps.dense()``, ``height.dense()``, ``velocity.dense()``,
+    ``extent.dense()`` and ``valid_mask()``.
     """
 
     heatmaps: SparseGrid   # (K, W', D') in [0, 1]
     height: SparseGrid     # (W', D') meters
     velocity: SparseGrid   # (W', D', 2) m/s
+    extent: SparseGrid     # (W', D', 3) half extent, meters
 
     def valid_mask(self) -> np.ndarray:
         """Dense (W', D') bool mask of the cells carrying regression targets."""
@@ -312,7 +315,7 @@ def render_bev_targets(
     num_channels: int,
     peak_scale: np.ndarray | None = None,
 ) -> BevTargets:
-    """Render per-class center heatmaps plus height and velocity targets, sparsely.
+    """Render per-class center heatmaps plus height, velocity and extent targets, sparsely.
 
     Takes (K, 3) centers, (K,) classes, (K, 3) extents and (K, 2)
     velocities. Each object paints a 2-D Gaussian on its class channel,
@@ -320,8 +323,8 @@ def render_bev_targets(
     its ``peak_scale``, which must lie in [0, 1], so every heatmap value
     does too); overlapping Gaussians combine by a grouped maximum per
     (class, cell), and cells no Gaussian reaches with a nonzero value are
-    not listed. Height and velocity are written at the center cell only; a
-    later object overwrites an earlier one's cell. No dense grid is
+    not listed. Height, velocity and extent are written at the center cell
+    only; a later object overwrites an earlier one's cell. No dense grid is
     allocated: the result densifies byte for byte to the per-object
     ``np.maximum`` painting of ``tests/oracles.render_bev_targets_reference``.
     """
@@ -370,9 +373,10 @@ def render_bev_targets(
     first = np.flatnonzero(np.diff(key, prepend=-1))
     heat = SparseGrid((num_channels, w, d), key[first],
                       np.maximum.reduceat(np.concatenate(values)[order], first))
-    # The last object written to a center cell owns its height and velocity.
+    # The last object written to a center cell owns its height, velocity and extent.
     cell = cell_x * d + cell_y
     order = np.argsort(cell, kind="stable")
     last = order[np.flatnonzero(np.diff(cell[order], append=w * d))]
     return BevTargets(heat, SparseGrid((w, d), cell[last], center[last, 2]),
-                      SparseGrid((w, d, 2), cell[last], velocity[last]))
+                      SparseGrid((w, d, 2), cell[last], velocity[last]),
+                      SparseGrid((w, d, 3), cell[last], extent[last]))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .cloud import PanopticLabeling, PointCloudSweep, Taxonomy
 from .inference import (
-    ExtentProvider,
+    DEFAULT_CONFLICT,
     FusionResult,
     NMS_MAX_DETECTIONS,
     NMS_THRESHOLD,
@@ -115,7 +115,6 @@ class SweepInputs:
 
     sweep: PointCloudSweep
     maps: PredictedMaps
-    extent_provider: ExtentProvider
     trajectories: Trajectories
     sweep_index: int
 
@@ -130,7 +129,7 @@ class PipelineConfig:
     nms_max_detections: int = NMS_MAX_DETECTIONS
     margin_frac: float = ROI_MARGIN_FRAC
     margin_floor: float = ROI_MARGIN_FLOOR
-    conflict: str = "first_wins"
+    conflict: str = DEFAULT_CONFLICT
     gates: dict[int, float] | None = None
     default_gate: float = DEFAULT_GATE
     max_age: int = DEFAULT_MAX_AGE
@@ -144,8 +143,7 @@ def infer_sweep(
     cfg: PipelineConfig = PipelineConfig(),
 ) -> tuple[Detections, FusionResult]:
     """NMS followed by panoptic fusion for a single sweep."""
-    dets = nms_detect(inputs.maps, spec, inputs.extent_provider,
-                      cfg.nms_threshold, cfg.nms_max_detections)
+    dets = nms_detect(inputs.maps, spec, cfg.nms_threshold, cfg.nms_max_detections)
     fused = fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps,
                           lambda pairs: score(inputs, dets, pairs), taxonomy,
                           cfg.margin_frac, cfg.margin_floor, cfg.conflict)

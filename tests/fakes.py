@@ -1,9 +1,8 @@
-"""Stand-ins the tests hand to the library: fixed extents, fixed memberships, row stacking,
-sparse grids from dense arrays, sequences whose sensor frames yaw, the paper's grid."""
+"""Stand-ins the tests hand to the library: fixed memberships, row stacking, sparse grids
+from dense arrays, sequences whose sensor frames yaw, the paper's grid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,25 +30,6 @@ def stack(rows) -> Detections:
 def row(center, conf=0.9, cid=1, extent=(1.0, 1.0, 1.0)) -> DetectionRow:
     return DetectionRow(np.asarray(center, dtype=np.float64), conf, cid,
                         np.asarray(extent, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class CwmExtents:
-    """Class-wise mean extents with a fallback for unseen classes."""
-
-    stats: dict[int, np.ndarray]
-    default: np.ndarray = None
-
-    def extents_for(self, class_ids: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        out = []
-        for cid in np.asarray(class_ids).tolist():
-            if cid in self.stats:
-                out.append(self.stats[cid])
-            elif self.default is not None:
-                out.append(self.default)
-            else:
-                raise KeyError(f"no extent statistics for class {cid}")
-        return np.array(out, dtype=np.float64).reshape(-1, 3)
 
 
 def make_table_membership(table: np.ndarray) -> Callable[[PairTable], np.ndarray]:

@@ -269,15 +269,15 @@ def fuse_reference(points_xyz, point_sem, detections, membership_table,
     return sem_out, inst_out
 
 
-def nms_detect_reference(heatmaps, height, spec, extent_provider, threshold=0.3,
-                         max_detections=500):
+def nms_detect_reference(heatmaps, height, extent, spec, threshold=0.3, max_detections=500):
     """Dense 3x3 max-pooling NMS: the peak rule ``nms_detect`` must reproduce.
 
-    Takes dense (K, W', D') heatmaps and a dense (W', D') height map. Every
-    cell of every channel is compared with the maximum of its 3x3
-    neighborhood (``-inf`` beyond the grid); peaks strictly above the
-    threshold are ordered by (-confidence, class, x, y) and cut at
-    ``max_detections``.
+    Takes dense (K, W', D') heatmaps, a dense (W', D') height map and a dense
+    (W', D', 3) extent map. Every cell of every channel is compared with the
+    maximum of its 3x3 neighborhood (``-inf`` beyond the grid); peaks
+    strictly above the threshold are ordered by (-confidence, class, x, y)
+    and cut at ``max_detections``, and each reads its height and extent at
+    its own cell.
     """
     k, w, d = heatmaps.shape
     hm = heatmaps
@@ -296,8 +296,7 @@ def nms_detect_reference(heatmaps, height, spec, extent_provider, threshold=0.3,
             break
         xy = spec.bev_cell_center(int(x), int(y))
         center = np.array([xy[0], xy[1], height[x, y]])
-        extent = extent_provider.extents_for(np.array([c]), center[None, :])[0]
-        rows.append((center, float(hm[c, x, y]), int(c), extent))
+        rows.append((center, float(hm[c, x, y]), int(c), extent[x, y]))
     return stack(rows)
 
 
@@ -803,6 +802,7 @@ class DenseTargets:
     heatmaps: np.ndarray    # (K, W', D')
     height: np.ndarray      # (W', D')
     velocity: np.ndarray    # (W', D', 2)
+    extent: np.ndarray      # (W', D', 3)
     valid_mask: np.ndarray  # (W', D') bool
 
 
@@ -811,8 +811,8 @@ def render_bev_targets_reference(center, class_id, extent, velocity, spec, num_c
     """Dense per-object painting: the grids ``render_bev_targets`` must densify to.
 
     Each object paints its cut-off Gaussian patch into the dense heatmap with
-    ``np.maximum`` and writes height and velocity at its center cell, later
-    objects overwriting earlier ones.
+    ``np.maximum`` and writes height, velocity and extent at its center cell,
+    later objects overwriting earlier ones.
     """
     center = np.reshape(np.asarray(center, dtype=np.float64), (-1, 3))
     class_id = np.asarray(class_id, dtype=np.int64)
@@ -822,6 +822,7 @@ def render_bev_targets_reference(center, class_id, extent, velocity, spec, num_c
     hm = np.zeros((num_channels, spec.bev_width, spec.bev_depth))
     height = np.zeros((spec.bev_width, spec.bev_depth))
     vel_map = np.zeros((spec.bev_width, spec.bev_depth, 2))
+    ext_map = np.zeros((spec.bev_width, spec.bev_depth, 3))
     valid = np.zeros((spec.bev_width, spec.bev_depth), dtype=bool)
     cs = spec.bev_cell_size
     cell_x, cell_y = spec.bev_cell_of(center)
@@ -840,17 +841,19 @@ def render_bev_targets_reference(center, class_id, extent, velocity, spec, num_c
         np.maximum(region, patch, out=region)
         height[cx, cy] = center[i, 2]
         vel_map[cx, cy] = velocity[i]
+        ext_map[cx, cy] = extent[i]
         valid[cx, cy] = True
-    return DenseTargets(hm, height, vel_map, valid)
+    return DenseTargets(hm, height, vel_map, ext_map, valid)
 
 
-def simulate_detector_reference(seq, trajectories, registry, noise, spec, taxonomy,
+def simulate_detector_reference(seq, trajectories, extents, noise, spec, taxonomy,
                                 provider=None, seed=0):
     """Every sweep of a sequence at once, each from ``SeedSequence(seed).spawn(n)[t]``.
 
-    Returns one (dense targets, point semantics, point features, BEV
-    features, generator) tuple per sweep, the generator as the sweep's
-    draws left it.
+    Each record's peak sits at its instance's modal center in that sweep's
+    points and is rendered from the record's ``extents`` row. Returns one
+    (dense targets, point semantics, point features, BEV features,
+    generator) tuple per sweep, the generator as the sweep's draws left it.
     """
     class_ids = [c for c in taxonomy.class_ids if c not in taxonomy.ignore_ids]
     out = []
@@ -860,7 +863,7 @@ def simulate_detector_reference(seq, trajectories, registry, noise, spec, taxono
         sem_pred = sweep.sem_labels.astype(np.int32)
         if noise.semantic_flip_probability > 0:
             flip_semantics(sem_pred, class_ids, noise.semantic_flip_probability, rng)
-        ids, first, _, centers, extents = instance_boxes(sweep.xyz, sweep.inst_labels)
+        ids, first, _, centers, _ = instance_boxes(sweep.xyz, sweep.inst_labels)
         objects = []
         for row in np.flatnonzero(trajectories.sweep_index == t):
             k = int(np.flatnonzero(ids == trajectories.instance_id[row])[0])
@@ -872,11 +875,10 @@ def simulate_detector_reference(seq, trajectories, registry, noise, spec, taxono
                 continue
             conf = float(np.clip(1.0 - abs(rng.normal(0.0, noise.confidence_noise)), 0.05, 1.0)) \
                 if noise.confidence_noise else 1.0
-            vel = (registry.instances[int(ids[k])].velocity[:2].copy() if registry is not None
-                   else trajectories.velocity[row])
+            vel = trajectories.velocity[row]
             if noise.velocity_noise:
                 vel = vel + rng.normal(0.0, noise.velocity_noise, 2)
-            objects.append((center, sweep.sem_labels[first[k]], extents[k], vel, conf))
+            objects.append((center, sweep.sem_labels[first[k]], extents[row], vel, conf))
         center, cls, extent, vel, conf = (list(col) for col in zip(*objects)) if objects \
             else ([], [], [], [], [])
         dense = render_bev_targets_reference(center, cls, extent, vel, spec,

@@ -101,9 +101,8 @@ def test_acceptance_1_extent_strategy_trend(extent_corpus):
     pq = {}
     for name, strategy in strategies.items():
         acc = mp.PqAccumulator(TAX)
-        for (seq, reg), trajs in zip(seqs, seq_trajs):
-            inputs = prepare_sweep_inputs(seq, trajs, TAX, SPEC, strategy, NO_NOISE,
-                                          registry=reg)
+        for (seq, _), trajs in zip(seqs, seq_trajs):
+            inputs = prepare_sweep_inputs(seq, trajs, TAX, SPEC, strategy, NO_NOISE)
             labs = infer_sequence(inputs, TAX, SPEC, nn_scores, pcfg)
             for sweep, lab in zip(seq.sweeps, labs):
                 acc.add(mp.PanopticLabeling(sweep.sem_labels, sweep.inst_labels), lab)
@@ -145,12 +144,11 @@ def mlp_assignments(model, cfgm, inputs, dets):
 def eval_membership(test_scenes, provider, assign_of):
     results = []
     noise = DetectorNoise(center_jitter=0.3)
-    for seq, reg in test_scenes:
+    for seq, _ in test_scenes:
         inputs = prepare_sweep_inputs(seq, build_trajectories(seq, TAX), TAX, SPEC,
-                                      ExtentStrategy("MAX"), noise,
-                                      registry=reg, provider=provider, seed=99)
+                                      ExtentStrategy("MAX"), noise, provider=provider, seed=99)
         for inp in inputs:
-            dets = nms_detect(inp.maps, SPEC, inp.extent_provider, 0.3, 500)
+            dets = nms_detect(inp.maps, SPEC, 0.3, 500)
             sweep = inp.sweep
             ids = sweep.inst_labels
             uniq = np.unique(ids[ids > 0])
@@ -199,9 +197,9 @@ def test_acceptance_3_perfect_input_identity():
     for seed in (11, 12, 13):
         cfg = mp.SceneConfig(seed=seed, sweep_count=10, count_range=(3, 4),
                              min_separation=8.0, points_per_m2=60.0)
-        seq, reg = mp.generate_sequence(cfg, TAX)
+        seq, _ = mp.generate_sequence(cfg, TAX)
         inputs = prepare_sweep_inputs(seq, build_trajectories(seq, TAX), TAX, SPEC,
-                                      ExtentStrategy("MAX"), NO_NOISE, registry=reg)
+                                      ExtentStrategy("MAX"), NO_NOISE)
         labelings = panoptic_track_sequence(inputs, TAX, SPEC, oracle_scores,
                                             seq.period, pcfg)
         gts = [mp.PanopticLabeling(s.sem_labels, s.inst_labels) for s in seq.sweeps]

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -589,6 +590,7 @@ class TestFlagDefaults:
         assert _noise(args) == DetectorNoise()
         assert args.margin_floor == cfg.margin_floor == ROI_MARGIN_FLOOR
         assert args.conflict == cfg.conflict
+        assert inspect.signature(mp.fuse_panoptic).parameters["conflict"].default == cfg.conflict
 
     def test_train_flags_are_library_defaults(self):
         args, cfg = self.parse("train-mem"), MembershipTrainConfig(PairFeatureConfig(1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modalpanoptic.cloud import ClassDef, PointCloudSweep, SweepSequence, Taxonomy
-from modalpanoptic.inference import NearestCenterExtents, PredictedMaps, fuse_panoptic, nms_detect
+from modalpanoptic.inference import PredictedMaps, fuse_panoptic, nms_detect
 from modalpanoptic.membership import (
     PairTable,
     gather_pairs,
@@ -14,7 +14,7 @@ from modalpanoptic.targets import build_trajectories
 from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import BevMap, GridSpec
 
-from fakes import CwmExtents, make_table_membership, row, sparse_of, stack, yaw_pose
+from fakes import make_table_membership, row, sparse_of, stack, yaw_pose
 from oracles import fuse_reference, nms_detect_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
@@ -27,7 +27,7 @@ def empty_bev():
                   SPEC.planar_range)
 
 
-def maps_of(heat, height=None, velocity=None, point_sem=None, n_points=0):
+def maps_of(heat, height=None, velocity=None, extent=None, point_sem=None, n_points=0):
     k = TAX.num_channels
     hm = np.zeros((k, SPEC.bev_width, SPEC.bev_depth))
     for cid, grid in heat.items():
@@ -36,6 +36,8 @@ def maps_of(heat, height=None, velocity=None, point_sem=None, n_points=0):
         sparse_of(hm),
         sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth)) if height is None else height),
         sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth, 2)) if velocity is None else velocity,
+                  vector=True),
+        sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth, 3)) if extent is None else extent,
                   vector=True),
         np.zeros(n_points, dtype=np.int32) if point_sem is None else np.asarray(point_sem, dtype=np.int32),
         empty_bev(),
@@ -49,14 +51,14 @@ class TestNmsDetect:
         grid[5, 7] = 0.9
         grid[5, 8] = 0.5
         maps = maps_of({1: grid})
-        dets = nms_detect(maps, SPEC, CwmExtents({}, default=np.ones(3)), 0.3, 10)
+        dets = nms_detect(maps, SPEC, 0.3, 10)
         assert len(dets) == 1
         assert dets.confidence[0] == 0.9
         assert dets.class_id[0] == 1
         np.testing.assert_allclose(dets.center[0, :2], SPEC.bev_cell_center(5, 7))
 
     def test_uniform_zero_gives_nothing(self):
-        dets = nms_detect(maps_of({}), SPEC, CwmExtents({}, default=np.ones(3)))
+        dets = nms_detect(maps_of({}), SPEC)
         assert len(dets) == 0
 
     def test_two_separated_peaks_match_exhaustive_scan(self):
@@ -68,7 +70,7 @@ class TestNmsDetect:
                     d2 = (i - cx) ** 2 + (j - cy) ** 2
                     grid[i, j] = max(grid[i, j], peak * np.exp(-d2 / 4.0))
         maps = maps_of({1: grid})
-        dets = nms_detect(maps, SPEC, CwmExtents({}, default=np.ones(3)), 0.3, 10)
+        dets = nms_detect(maps, SPEC, 0.3, 10)
         # Exhaustive local-maximum scan.
         want = []
         for i in range(SPEC.bev_width):
@@ -82,7 +84,7 @@ class TestNmsDetect:
     def test_threshold_strict(self):
         grid = np.zeros((SPEC.bev_width, SPEC.bev_depth))
         grid[3, 3] = 0.3
-        dets = nms_detect(maps_of({1: grid}), SPEC, CwmExtents({}, default=np.ones(3)), 0.3, 10)
+        dets = nms_detect(maps_of({1: grid}), SPEC, 0.3, 10)
         assert len(dets) == 0
 
     def test_max_detections_keeps_strongest(self):
@@ -90,23 +92,26 @@ class TestNmsDetect:
         peaks = [(2, 2, 0.9), (2, 10, 0.8), (10, 2, 0.7), (10, 10, 0.6)]
         for i, j, v in peaks:
             grid[i, j] = v
-        dets = nms_detect(maps_of({1: grid}), SPEC, CwmExtents({}, default=np.ones(3)),
-                          0.3, 2)
+        dets = nms_detect(maps_of({1: grid}), SPEC, 0.3, 2)
         assert [d.confidence for d in dets] == [0.9, 0.8]
 
     def test_height_and_extent_lookup(self):
+        # Each peak reads the height and extent listed at its own cell, whatever
+        # a same-class cell nearby lists; a peak at an unlisted cell reads 0.0.
         grid = np.zeros((SPEC.bev_width, SPEC.bev_depth))
-        grid[5, 7] = 0.9
+        grid[5, 7], grid[5, 9], grid[12, 3] = 0.9, 0.8, 0.7
         height = np.zeros_like(grid)
-        height[5, 7] = 1.25
-        provider = NearestCenterExtents(
-            centers=np.array([[*SPEC.bev_cell_center(5, 7), 1.25]]),
-            class_ids=np.array([1]),
-            extents=np.array([[2.0, 1.0, 0.5]]),
-        )
-        dets = nms_detect(maps_of({1: grid}, height=height), SPEC, provider, 0.3, 10)
-        assert dets.center[0, 2] == 1.25
-        np.testing.assert_array_equal(dets.extent[0], [2.0, 1.0, 0.5])
+        height[5, 7], height[5, 9] = 1.25, -0.5
+        extent = np.zeros((SPEC.bev_width, SPEC.bev_depth, 3))
+        extent[5, 7] = [2.0, 1.0, 0.5]
+        extent[5, 8] = [0.3, 0.3, 0.3]   # one cell from both peaks, no peak of its own
+        extent[5, 9] = [0.4, 0.5, 0.9]
+        extent[12, 4] = [1.5, 1.5, 1.5]  # beside the peak at (12, 3), which lists nothing
+        dets = nms_detect(maps_of({1: grid}, height=height, extent=extent), SPEC, 0.3, 10)
+        assert dets.class_id.tolist() == [1, 1, 1]
+        assert dets.center[:, 2].tolist() == [1.25, -0.5, 0.0]
+        np.testing.assert_array_equal(dets.extent, [[2.0, 1.0, 0.5], [0.4, 0.5, 0.9],
+                                                    [0.0, 0.0, 0.0]])
 
     def test_sorted_by_decreasing_confidence(self):
         rng = np.random.default_rng(1)
@@ -114,7 +119,7 @@ class TestNmsDetect:
         for _ in range(6):
             i, j = rng.integers(1, 15, 2) * 1
             grid[i, j] = max(grid[i, j], rng.uniform(0.35, 1.0))
-        dets = nms_detect(maps_of({1: grid}), SPEC, CwmExtents({}, default=np.ones(3)), 0.3, 50)
+        dets = nms_detect(maps_of({1: grid}), SPEC, 0.3, 50)
         confs = [d.confidence for d in dets]
         assert confs == sorted(confs, reverse=True)
 
@@ -131,44 +136,11 @@ class TestPredictedMapsRange:
         else:
             assert maps_of({1: hm[1]}).heatmaps.keys.size == np.count_nonzero(hm)
 
-
-class TestNearestCenterExtents:
-    def test_matches_per_detection_scan(self):
-        rng = np.random.default_rng(6)
-        for trial in range(50):
-            m, d = int(rng.integers(0, 8)), int(rng.integers(0, 12))
-            # Centers on a coarse grid: equal distances pick the lower index.
-            centers = rng.integers(-2, 3, size=(m, 3)).astype(float)
-            provider = NearestCenterExtents(centers, rng.integers(1, 3, size=m),
-                                            rng.uniform(0.1, 2.0, size=(m, 3)),
-                                            default=np.array([0.3, 0.4, 0.5]))
-            classes = rng.integers(1, 4, size=d)
-            queries = rng.integers(-2, 3, size=(d, 3)).astype(float)
-            want = []
-            for cid, center in zip(classes, queries):
-                idx = np.flatnonzero(provider.class_ids == cid)
-                if idx.size == 0:
-                    want.append(provider.default)
-                    continue
-                dist = np.linalg.norm(centers[idx, :2] - center[:2], axis=1)
-                want.append(provider.extents[idx[np.argmin(dist)]])
-            got = provider.extents_for(classes, queries)
-            assert got.shape == (d, 3)
-            assert got.tobytes() == np.array(want).reshape(-1, 3).tobytes(), trial
-
-    def test_unknown_class_without_default(self):
-        provider = NearestCenterExtents(np.zeros((1, 3)), np.array([1]), np.ones((1, 3)))
-        with pytest.raises(KeyError, match="class 2"):
-            provider.extents_for(np.array([1, 2]), np.zeros((2, 3)))
-
-
-def position_extents():
-    """An extent provider whose bytes depend on where the detection sits."""
-    xy = np.array([SPEC.bev_cell_center(i, j) for i in range(0, 16, 3) for j in range(0, 16, 3)])
-    n = len(xy)
-    return NearestCenterExtents(np.column_stack([xy, np.zeros(n)]),
-                                np.arange(n) % 3 + 1, 0.5 + np.arange(3 * n).reshape(n, 3) / 7,
-                                default=np.array([0.3, 0.4, 0.5]))
+    @pytest.mark.parametrize("field, shape", [("height", (16, 15)), ("velocity", (16, 16, 3)),
+                                              ("extent", (16, 16, 2)), ("extent", (16, 16))])
+    def test_box_maps_must_match_the_heatmaps(self, field, shape):
+        with pytest.raises(ValueError, match="shapes do not match the heatmaps"):
+            maps_of({}, **{field: np.ones(shape)})
 
 
 def assert_same_detections(got, want):
@@ -182,12 +154,15 @@ def assert_same_detections(got, want):
 
 def check_nms_against_reference(hm, threshold=0.3, max_detections=500):
     _, w, d = hm.shape
-    height = np.random.default_rng(0).normal(size=(w, d))
+    rng = np.random.default_rng(0)
+    height = rng.normal(size=(w, d))
+    # Every fourth cell lists no extent, so peaks there read 0.0.
+    extent = rng.uniform(0.1, 2.0, size=(w, d, 3)) * (rng.uniform(size=(w, d, 1)) < 0.75)
     maps = PredictedMaps(sparse_of(hm), sparse_of(height), sparse_of(np.zeros((w, d, 2)), True),
-                         np.zeros(0, dtype=np.int32), empty_bev(), np.zeros((0, 0)))
-    provider = position_extents()
-    want = nms_detect_reference(hm, height, SPEC, provider, threshold, max_detections)
-    got = nms_detect(maps, SPEC, provider, threshold, max_detections)
+                         sparse_of(extent, True), np.zeros(0, dtype=np.int32), empty_bev(),
+                         np.zeros((0, 0)))
+    want = nms_detect_reference(hm, height, extent, SPEC, threshold, max_detections)
+    got = nms_detect(maps, SPEC, threshold, max_detections)
     assert_same_detections(got, want)
     return got
 
@@ -401,8 +376,7 @@ def inputs_of(pts, sems, inst=None, pose=None):
     sweep = PointCloudSweep(0.0, np.column_stack([pts, np.zeros(len(pts))]), sems, inst,
                             np.eye(4) if pose is None else pose)
     table = build_trajectories(SweepSequence((sweep,), 1.0), TAX)
-    return SweepInputs(sweep, maps_of({}, point_sem=sems), CwmExtents({}, default=np.ones(3)),
-                       table, 0)
+    return SweepInputs(sweep, maps_of({}, point_sem=sems), table, 0)
 
 
 def one_group(n_points):
@@ -449,8 +423,7 @@ class TestMembershipAdapters:
         sweeps = tuple(PointCloudSweep(float(t), np.column_stack([xyz[t], np.zeros(len(xyz[t]))]),
                                        np.ones(len(ids[t])), ids[t]) for t in (0, 1))
         table = build_trajectories(SweepSequence(sweeps, 1.0), TAX)
-        inputs = SweepInputs(sweeps[1], maps_of({}, point_sem=np.ones(4)),
-                             CwmExtents({}, default=np.ones(3)), table, 1)
+        inputs = SweepInputs(sweeps[1], maps_of({}, point_sem=np.ones(4)), table, 1)
         probs = oracle_scores(inputs, stack([row(np.array([0.05, 0, 0]), 1.0)]), one_group(4))
         np.testing.assert_array_equal(probs, [1.0, 1.0, 0.0, 0.0])
 

@@ -308,11 +308,11 @@ def row_model():
     model, _ = train_membership_stage2([row_scene(600)[0]], ROW_TAX, cfg, provider)
     sweeps = []
     for seed in (700, 701):
-        seq, reg = row_scene(seed)
+        seq, _ = row_scene(seed)
         sweeps += prepare_sweep_inputs(seq, mp.build_trajectories(seq, ROW_TAX), ROW_TAX,
                                        ROW_SPEC, ExtentStrategy("MAX"),
-                                       DetectorNoise(center_jitter=0.3), registry=reg,
-                                       provider=provider, seed=99)
+                                       DetectorNoise(center_jitter=0.3), provider=provider,
+                                       seed=99)
     return model, cfg.features, sweeps
 
 
@@ -332,7 +332,7 @@ class TestBatchedMlpScores:
         model, pair_cfg, sweeps = row_model
         scored = 0
         for inputs in sweeps:
-            dets = nms_detect(inputs.maps, ROW_SPEC, inputs.extent_provider)
+            dets = nms_detect(inputs.maps, ROW_SPEC)
             pairs = gather_pairs(inputs.sweep.xyz, inputs.maps.point_sem, dets, 0.1, 0.3)
             batch = mlp_scores(model, pair_cfg, inputs, dets, pairs)
             single = per_detection_scores(model, pair_cfg, inputs, dets, pairs)
@@ -347,7 +347,7 @@ class TestBatchedMlpScores:
         model, pair_cfg, sweeps = row_model
         claimed = 0
         for inputs in sweeps:
-            dets = nms_detect(inputs.maps, ROW_SPEC, inputs.extent_provider)
+            dets = nms_detect(inputs.maps, ROW_SPEC)
             fused = [fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps,
                                    partial(score, model, pair_cfg, inputs, dets), ROW_TAX,
                                    0.1, 0.3, conflict)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import modalpanoptic as mp
 from modalpanoptic.synth import (
+    EGO_MOTIONS,
+    MOTIONS,
     NO_NOISE,
     DetectorNoise,
     HandcraftedFeatures,
@@ -29,10 +31,12 @@ TAX = mp.default_taxonomy()
 SPEC = GridSpec()
 
 
-def simulate_all(seq, trajs, registry, noise, seed=0, provider=None):
-    """``simulate_detector`` on every sweep of ``seq``, in order."""
-    return [mp.simulate_detector(sweep, t, trajs, registry, noise, SPEC, TAX, provider=provider,
-                                 seed=seed) for t, sweep in enumerate(seq.sweeps)]
+def simulate_all(seq, trajs, noise, seed=0, provider=None):
+    """``simulate_detector`` on every sweep of ``seq``, in order, each record predicting
+    its own shrink-wrapped extent."""
+    return [mp.simulate_detector(sweep, t, trajs, trajs.extent, noise, SPEC, TAX,
+                                 provider=provider, seed=seed)
+            for t, sweep in enumerate(seq.sweeps)]
 
 
 def simple_cfg(**kw):
@@ -40,6 +44,14 @@ def simple_cfg(**kw):
                 min_separation=8.0, points_per_m2=40.0)
     base.update(kw)
     return mp.SceneConfig(**base)
+
+
+@pytest.mark.parametrize("field, allowed", [("motion", MOTIONS), ("ego_motion", EGO_MOTIONS)])
+def test_scene_motions_are_the_named_tuples(field, allowed):
+    for value in allowed:
+        assert getattr(mp.SceneConfig(**{field: value}), field) == value
+    with pytest.raises(ValueError, match=f"unknown {field.replace('_', ' ')} 'yaw'"):
+        mp.SceneConfig(**{field: "yaw"})
 
 
 class TestVisibleFaces:
@@ -185,9 +197,10 @@ class TestGenerateSequence:
 class TestSimulateDetector:
     def test_zero_noise_heatmap_peaks_at_centers(self):
         cfg = simple_cfg(seed=11)
-        seq, reg = mp.generate_sequence(cfg, TAX)
+        seq, _ = mp.generate_sequence(cfg, TAX)
         trajs = build_trajectories(seq, TAX)
-        maps = mp.simulate_detector(seq.sweeps[0], 0, trajs, reg, NO_NOISE, SPEC, TAX)
+        extents = trajs.max_extents[trajs.row_instance]
+        maps = mp.simulate_detector(seq.sweeps[0], 0, trajs, extents, NO_NOISE, SPEC, TAX)
         sweep = seq.sweeps[0]
         ids = sweep.inst_labels
         for iid in np.unique(ids[ids > 0]):
@@ -197,19 +210,22 @@ class TestSimulateDetector:
             cid = int(sweep.sem_labels[ids == iid][0])
             assert maps.heatmaps.dense()[cid, cx, cy] == 1.0
             assert maps.height.dense()[cx, cy] == pytest.approx(center[2])
+            row = np.flatnonzero((trajs.sweep_index == 0) & (trajs.instance_id == iid))
+            assert maps.extent.dense()[cx, cy].tobytes() == extents[row[0]].tobytes()
 
     def test_drop_probability_one_empties_heatmaps(self):
         cfg = simple_cfg(seed=12)
-        seq, reg = mp.generate_sequence(cfg, TAX)
+        seq, _ = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(drop_probability=1.0)
-        for m in simulate_all(seq, build_trajectories(seq, TAX), reg, noise):
+        for m in simulate_all(seq, build_trajectories(seq, TAX), noise):
             assert m.heatmaps.dense().max() == 0.0
+            assert m.extent.keys.size == 0
 
     def test_semantic_flips_respect_probability(self):
         cfg = simple_cfg(seed=13)
-        seq, reg = mp.generate_sequence(cfg, TAX)
+        seq, _ = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(semantic_flip_probability=0.2)
-        maps = simulate_all(seq, build_trajectories(seq, TAX), reg, noise, seed=3)
+        maps = simulate_all(seq, build_trajectories(seq, TAX), noise, seed=3)
         frac = np.mean([np.mean(m.point_sem != s.sem_labels)
                         for m, s in zip(maps, seq.sweeps)])
         assert 0.15 < frac < 0.25
@@ -217,19 +233,17 @@ class TestSimulateDetector:
     def test_center_jitter_within_tolerance(self):
         # Detected peak cells stay within jitter + one cell of the true
         # modal centers with overwhelming frequency.
-        from fakes import CwmExtents
         from modalpanoptic.inference import nms_detect
 
         cfg = simple_cfg(seed=14, count_range=(2, 2), min_separation=12.0)
-        seq, reg = mp.generate_sequence(cfg, TAX)
+        seq, _ = mp.generate_sequence(cfg, TAX)
         trajs = build_trajectories(seq, TAX)
         sigma = 0.2
         hits = total = 0
         for trial in range(40):
-            maps = mp.simulate_detector(seq.sweeps[0], 0, trajs, reg,
+            maps = mp.simulate_detector(seq.sweeps[0], 0, trajs, trajs.extent,
                                         DetectorNoise(center_jitter=sigma), SPEC, TAX, seed=trial)
-            provider = CwmExtents({}, default=np.ones(3))
-            dets = nms_detect(maps, SPEC, provider, 0.3, 50)
+            dets = nms_detect(maps, SPEC, 0.3, 50)
             sweep = seq.sweeps[0]
             ids = sweep.inst_labels
             for iid in np.unique(ids[ids > 0]):
@@ -242,42 +256,53 @@ class TestSimulateDetector:
 
     def test_determinism(self):
         cfg = simple_cfg(seed=15)
-        seq, reg = mp.generate_sequence(cfg, TAX)
+        seq, _ = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(center_jitter=0.1, semantic_flip_probability=0.1)
         trajs = build_trajectories(seq, TAX)
-        a = simulate_all(seq, trajs, reg, noise, seed=5)
-        b = simulate_all(seq, trajs, reg, noise, seed=5)
+        a = simulate_all(seq, trajs, noise, seed=5)
+        b = simulate_all(seq, trajs, noise, seed=5)
         for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma.heatmaps.dense(), mb.heatmaps.dense())
             np.testing.assert_array_equal(ma.point_sem, mb.point_sem)
             np.testing.assert_array_equal(ma.velocity.dense(), mb.velocity.dense())
+            np.testing.assert_array_equal(ma.extent.dense(), mb.extent.dense())
 
     def test_trajectories_of_another_sequence_rejected(self):
-        seq, reg = mp.generate_sequence(simple_cfg(seed=17), TAX)
+        seq, _ = mp.generate_sequence(simple_cfg(seed=17), TAX)
         other, _ = mp.generate_sequence(simple_cfg(seed=18, count_range=(4, 4)), TAX)
+        table = build_trajectories(other, TAX)
         with pytest.raises(ValueError, match="sweep 0: trajectories hold an instance"):
-            mp.simulate_detector(seq.sweeps[0], 0, build_trajectories(other, TAX), reg, NO_NOISE,
-                                 SPEC, TAX)
+            mp.simulate_detector(seq.sweeps[0], 0, table, table.extent, NO_NOISE, SPEC, TAX)
 
-    @pytest.mark.parametrize("with_registry, subset", [(True, False), (False, True)])
-    def test_sweeps_match_the_per_sequence_reference(self, monkeypatch, with_registry, subset):
-        seq, reg = mp.generate_sequence(simple_cfg(seed=19, sweep_count=5, count_range=(4, 5),
-                                                   min_separation=5.0), TAX)
+    def test_one_extent_per_record_required(self):
+        seq, _ = mp.generate_sequence(simple_cfg(seed=17), TAX)
+        table = build_trajectories(seq, TAX)
+        for extents in (table.extent[1:], table.extent[:, :2], table.extent[0]):
+            with pytest.raises(ValueError, match="one .3,. extent per trajectory row"):
+                mp.simulate_detector(seq.sweeps[0], 0, table, extents, NO_NOISE, SPEC, TAX)
+
+    # Extents to predict: each instance's componentwise maximum, or each
+    # record's own shrink-wrapped extent.
+    @pytest.mark.parametrize("max_extents, subset", [(True, False), (False, True)])
+    def test_sweeps_match_the_per_sequence_reference(self, monkeypatch, max_extents, subset):
+        seq, _ = mp.generate_sequence(simple_cfg(seed=19, sweep_count=5, count_range=(4, 5),
+                                                 min_separation=5.0), TAX)
         trajs = build_trajectories(seq, TAX)
         if subset:
             trajs = trajs.select(trajs.point_count >= 30)
-        reg = reg if with_registry else None
+        extents = trajs.max_extents[trajs.row_instance] if max_extents else trajs.extent
         noise = DetectorNoise(center_jitter=0.2, confidence_noise=0.2, drop_probability=0.2,
                               semantic_flip_probability=0.05, velocity_noise=0.3)
         provider = HandcraftedFeatures(SPEC)
-        want = simulate_detector_reference(seq, trajs, reg, noise, SPEC, TAX, provider, seed=9)
+        want = simulate_detector_reference(seq, trajs, extents, noise, SPEC, TAX, provider,
+                                           seed=9)
         made, default_rng = [], np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng",
                             lambda *args: made.append(default_rng(*args)) or made[-1])
         centers = 0
         # Last sweep first: each sweep seeds its own stream.
         for t in reversed(range(len(seq))):
-            got = mp.simulate_detector(seq.sweeps[t], t, trajs, reg, noise, SPEC, TAX,
+            got = mp.simulate_detector(seq.sweeps[t], t, trajs, extents, noise, SPEC, TAX,
                                        provider=provider, seed=9)
             dense, sem, feats, bev, rng = want[t]
             assert len(made) == len(seq) - t
@@ -285,6 +310,7 @@ class TestSimulateDetector:
             assert got.heatmaps.dense().tobytes() == dense.heatmaps.tobytes()
             assert got.height.dense().tobytes() == dense.height.tobytes()
             assert got.velocity.dense().tobytes() == dense.velocity.tobytes()
+            assert got.extent.dense().tobytes() == dense.extent.tobytes()
             assert got.point_sem.tobytes() == sem.tobytes()
             assert got.point_features.tobytes() == feats.tobytes()
             assert got.bev_features.data.tobytes() == bev.tobytes()
@@ -292,35 +318,37 @@ class TestSimulateDetector:
         assert centers > len(seq)
 
     def test_yawed_sensor_frames_match_the_per_sequence_reference(self):
-        # World and sensor boxes differ here, so a world-frame column read in
-        # place of a sensor-frame one moves or resizes the peaks.
+        # World and sensor centers differ by a turn here, so a world-frame
+        # column read in place of a sensor-frame one moves the peaks.
         seq, _ = mp.generate_sequence(simple_cfg(seed=19, sweep_count=4, count_range=(4, 5),
                                                  min_separation=5.0), TAX)
         seq = rotated(seq, [0.3 + 0.7 * t for t in range(len(seq))])
         trajs = build_trajectories(seq, TAX)
-        assert not np.array_equal(trajs.extent, trajs.sensor_extent)
         noise = DetectorNoise(center_jitter=0.2, confidence_noise=0.2, drop_probability=0.2,
                               velocity_noise=0.3)
-        want = simulate_detector_reference(seq, trajs, None, noise, SPEC, TAX, seed=9)
-        for t, got in enumerate(simulate_all(seq, trajs, None, noise, seed=9)):
+        want = simulate_detector_reference(seq, trajs, trajs.extent, noise, SPEC, TAX, seed=9)
+        for t, got in enumerate(simulate_all(seq, trajs, noise, seed=9)):
             dense = want[t][0]
             assert got.heatmaps.dense().tobytes() == dense.heatmaps.tobytes(), t
             assert got.height.dense().tobytes() == dense.height.tobytes(), t
             assert got.velocity.dense().tobytes() == dense.velocity.tobytes(), t
+            assert got.extent.dense().tobytes() == dense.extent.tobytes(), t
 
     def test_velocity_from_registry_vs_labels(self):
         cfg = simple_cfg(seed=16, motion="pass", sweep_count=6)
         seq, reg = mp.generate_sequence(cfg, TAX)
         trajs = build_trajectories(seq, TAX)
-        with_reg = simulate_all(seq, trajs, reg, NO_NOISE)
-        label_only = simulate_all(seq, trajs, None, NO_NOISE)
         # Interior sweeps: centered differences of modal centers track the
         # true velocity to within sampling noise of the centers.
         t = 2
-        truth, labels = with_reg[t].velocity.dense(), label_only[t].velocity.dense()
-        cells = np.argwhere(truth.any(axis=2))
-        for cx, cy in cells:
-            np.testing.assert_allclose(labels[cx, cy], truth[cx, cy], atol=0.2)
+        maps = simulate_all(seq, trajs, NO_NOISE)[t]
+        rows = np.flatnonzero(trajs.sweep_index == t)
+        rows = rows[SPEC.in_range(trajs.sensor_center[rows])]
+        assert rows.size
+        for row in rows:
+            cx, cy = SPEC.bev_cell_of(trajs.sensor_center[row])
+            truth = reg.instances[int(trajs.instance_id[row])].velocity[:2]
+            np.testing.assert_allclose(maps.velocity.dense()[cx, cy], truth, atol=0.2)
 
 
 class TestHandcraftedFeatures:
@@ -415,9 +443,9 @@ class CountingFeatures(HandcraftedFeatures):
 
 class TestFeaturesOncePerSweep:
     def test_simulate_detector(self):
-        seq, reg = mp.generate_sequence(simple_cfg(seed=5, sweep_count=3), TAX)
+        seq, _ = mp.generate_sequence(simple_cfg(seed=5, sweep_count=3), TAX)
         provider = CountingFeatures(SPEC)
-        maps = simulate_all(seq, build_trajectories(seq, TAX), reg, NO_NOISE, provider=provider)
+        maps = simulate_all(seq, build_trajectories(seq, TAX), NO_NOISE, provider=provider)
         assert provider.calls == len(seq.sweeps)
         assert maps[0].bev_features.data.tobytes() == provider.bev_map(
             seq.sweeps[0], maps[0].point_features).data.tobytes()

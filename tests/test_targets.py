@@ -42,18 +42,17 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 def record(iid, cid, center, extent, count=10, idx=0, sensor=None):
     """One (instance, sweep) row: id, sweep, class, point count, center, extent, then the
-    sensor-frame center and extent, which are the world ones unless ``sensor`` gives them."""
-    sensor_center, sensor_extent = (center, extent) if sensor is None else sensor
+    sensor-frame center, which is the world one unless ``sensor`` gives it."""
     return (iid, idx, cid, count, np.asarray(center, float), np.asarray(extent, float),
-            np.asarray(sensor_center, float), np.asarray(sensor_extent, float))
+            np.asarray(center if sensor is None else sensor, float))
 
 
 def traj(records):
     """A table of the given rows, sorted by (instance, sweep), with zero velocities."""
-    iid, sweep, cid, count, center, extent, sensor_center, sensor_extent = zip(*records)
+    iid, sweep, cid, count, center, extent, sensor_center = zip(*records)
     return Trajectories(iid, sweep, cid, count, np.reshape(center, (-1, 3)),
                         np.reshape(extent, (-1, 3)), np.array(sensor_center),
-                        np.array(sensor_extent), np.zeros((len(records), 2)))
+                        np.zeros((len(records), 2)))
 
 
 def extent_sw(points, center):
@@ -73,7 +72,7 @@ def point_sequence(centers, period=0.5):
 
 def boxes_of(records, spec=SPEC):
     """``render_bev_targets``' (center, class, extent, velocity) columns of ``record`` rows."""
-    _, _, cid, _, center, extent, _, _ = zip(*records)
+    _, _, cid, _, center, extent, _ = zip(*records)
     return (np.reshape(center, (-1, 3)), np.array(cid), np.reshape(extent, (-1, 3)),
             np.zeros((len(records), 2)))
 
@@ -224,6 +223,7 @@ class TestRenderBevTargets:
         assert out.heatmaps.dense()[1].max() == 1.0
         assert out.heatmaps.dense()[[0, 2, 3]].max() == 0.0
         assert out.height.dense()[50, 60] == 0.5
+        assert out.extent.dense()[50, 60].tolist() == [1.0, 0.5, 0.4]
         assert out.valid_mask()[50, 60]
         assert out.valid_mask().sum() == 1
 
@@ -307,20 +307,23 @@ class TestSparseRenderMatchesDense:
         assert got.heatmaps.dense().tobytes() == want.heatmaps.tobytes()
         assert got.height.dense().tobytes() == want.height.tobytes()
         assert got.velocity.dense().tobytes() == want.velocity.tobytes()
+        assert got.extent.dense().tobytes() == want.extent.tobytes()
         assert got.valid_mask().tobytes() == want.valid_mask.tobytes()
         assert np.all(got.heatmaps.values > 0)
 
     def test_same_cell_last_writer_and_overlap_maximum(self):
         xy = cell_center(SPEC, 98, 50)  # two cells from the border: patches clip
         center = [[xy[0], xy[1], 0.5], [xy[0] + 0.1, xy[1], -0.25], [xy[0] - 0.8, xy[1], 1.0]]
-        args = (center, [1, 1, 1], [[1.0, 0.8, 0.5]] * 3, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
-                SPEC, TAX.num_channels)
+        args = (center, [1, 1, 1], [[1.0, 0.8, 0.5], [1.1, 0.7, 0.6], [0.9, 0.9, 0.4]],
+                [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], SPEC, TAX.num_channels)
         got = render_bev_targets(*args, peak_scale=[1.0, 0.0, 0.5])
         want = render_bev_targets_reference(*args, peak_scale=[1.0, 0.0, 0.5])
         assert got.heatmaps.dense().tobytes() == want.heatmaps.tobytes()
         assert got.height.dense()[98, 50] == -0.25
         np.testing.assert_array_equal(got.velocity.dense()[98, 50], [3.0, 4.0])
-        assert got.height.keys.tolist() == [96 * 100 + 50, 98 * 100 + 50]
+        np.testing.assert_array_equal(got.extent.dense()[98, 50], [1.1, 0.7, 0.6])
+        assert got.height.keys.tolist() == got.extent.keys.tolist() == [96 * 100 + 50,
+                                                                         98 * 100 + 50]
 
 
 class TestVelocityTarget:
@@ -418,14 +421,13 @@ def assert_table_is_reference(table, seq, taxonomy):
         assert table.extent[r].tobytes() == rec.extent.tobytes(), r
         want = velocity_reference(records, rec.sweep_index, seq.period)
         assert table.velocity[r].tobytes() == want.tobytes(), r
-    # The sensor-frame columns are each sweep's own grouping, bit for bit.
+    # The sensor-frame centers are each sweep's own grouping, bit for bit.
     for t, sweep in enumerate(seq.sweeps):
-        ids, first, _, centers, extents = instance_boxes(sweep.xyz, sweep.inst_labels)
+        ids, first, _, centers, _ = instance_boxes(sweep.xyz, sweep.inst_labels)
         at = table.sweep_index == t
         assert table.instance_id[at].tolist() == ids.tolist(), t
         assert table.class_id[at].tolist() == sweep.sem_labels[first].tolist(), t
         assert table.sensor_center[at].tobytes() == centers.tobytes(), t
-        assert table.sensor_extent[at].tobytes() == extents.tobytes(), t
 
 
 def assert_aggregates_are_reference(table, seq, taxonomy):
@@ -479,7 +481,7 @@ class TestTrajectoryTable:
         perm = np.lexsort((base.sweep_index, mapped))
         np.testing.assert_array_equal(got.instance_id, mapped[perm])
         for name in ("sweep_index", "class_id", "point_count", "center", "extent",
-                     "sensor_center", "sensor_extent", "velocity"):
+                     "sensor_center", "velocity"):
             assert getattr(got, name).tobytes() == getattr(base, name)[perm].tobytes(), name
 
     def test_columns_and_offsets(self):
@@ -500,7 +502,7 @@ class TestTrajectoryTable:
         rows = np.flatnonzero(table.sweep_index == 1)
         got = table.select(rows)
         columns = ("instance_id", "sweep_index", "class_id", "point_count", "center", "extent",
-                   "sensor_center", "sensor_extent", "velocity")
+                   "sensor_center", "velocity")
         assert {c.name for c in dataclasses.fields(table) if c.init} == set(columns)
         for name in columns:
             assert getattr(got, name).tobytes() == getattr(table, name)[rows].tobytes(), name
@@ -520,8 +522,9 @@ class TestTrajectoryTable:
           record(1, 2, [0, 0, 0], [1, 1, 1], idx=1)], "instance 1 changes class at sweep 1"),
         ([record(1, 1, [0, 0, 0], [1, -1, 1])], "extent"),
         ([record(1, 1, [0, 0, 0], [1, 1, 1], count=0)], "at least one point"),
-        ([record(1, 1, [0, 0, 0], [1, 1, 1], sensor=([0, 0, 0], [1, -1, 1]))], "extent"),
-        ([record(1, 1, [0, 0, 0], [1, 1, 1], sensor=([0, 0], [1, 1, 1]))], "both frames"),
+        ([record(1, 1, [0, 0, 0], [1, 1, 1], idx=0),
+          record(1, 1, [0, 0, 0], [1, 1, -1], idx=1)], "extent"),
+        ([record(1, 1, [0, 0, 0], [1, 1, 1], sensor=[0, 0])], "both frames"),
     ])
     def test_malformed_rows_rejected(self, rows, message):
         with pytest.raises(ValueError, match=message):

@@ -6,6 +6,7 @@ import pytest
 
 import modalpanoptic as mp
 from modalpanoptic.cloud import PanopticLabeling
+from modalpanoptic.inference import nms_detect
 from modalpanoptic.membership import oracle_scores
 from modalpanoptic.pipeline import build_extent_model, infer_sequence, prepare_sweep_inputs
 from modalpanoptic.synth import NO_NOISE
@@ -19,7 +20,7 @@ from modalpanoptic.tracking import (
 )
 from modalpanoptic.voxels import GridSpec
 
-from fakes import row as det, stack
+from fakes import rotated, row as det, stack
 
 TAX = mp.default_taxonomy()
 SPEC = GridSpec()
@@ -117,14 +118,13 @@ def run_tracked(seed=21, noise=NO_NOISE, score=oracle_scores, sweep_count=10, dr
                 max_age=2):
     cfg = mp.SceneConfig(seed=seed, sweep_count=sweep_count, count_range=(3, 4),
                          min_separation=8.0, points_per_m2=60.0)
-    seq, reg = mp.generate_sequence(cfg, TAX)
+    seq, _ = mp.generate_sequence(cfg, TAX)
     inputs = list(prepare_sweep_inputs(seq, mp.build_trajectories(seq, TAX), TAX, SPEC,
-                                       ExtentStrategy("MAX"), noise, registry=reg, seed=7))
+                                       ExtentStrategy("MAX"), noise, seed=7))
     if drop_sweep is not None:
         # Zero the heatmaps of one middle sweep: a detector dropout.
         m = inputs[drop_sweep].maps
-        blank = mp.PredictedMaps(mp.SparseGrid(m.heatmaps.shape, [], []), m.height, m.velocity,
-                                 m.point_sem, m.bev_features, m.point_features)
+        blank = dataclasses.replace(m, heatmaps=mp.SparseGrid(m.heatmaps.shape, [], []))
         inputs[drop_sweep] = dataclasses.replace(inputs[drop_sweep], maps=blank)
     pcfg = PipelineConfig(margin_floor=0.25, default_gate=3.0, max_age=max_age)
     labelings = panoptic_track_sequence(inputs, TAX, SPEC, score, seq.period, pcfg)
@@ -185,9 +185,9 @@ class TestOneSweepAlive:
     def test_maps_released_sweep_by_sweep(self, track):
         cfg = mp.SceneConfig(seed=26, sweep_count=10, count_range=(3, 4), min_separation=8.0,
                              points_per_m2=60.0)
-        seq, reg = mp.generate_sequence(cfg, TAX)
+        seq, _ = mp.generate_sequence(cfg, TAX)
         stream = prepare_sweep_inputs(seq, mp.build_trajectories(seq, TAX), TAX, SPEC,
-                                      ExtentStrategy("MAX"), NO_NOISE, registry=reg)
+                                      ExtentStrategy("MAX"), NO_NOISE)
         alive, most, yielded = set(), [0], []
 
         def watched(per_sweep):
@@ -218,12 +218,12 @@ class TestSweepRecords:
     def test_dsb_suppressed_instances_stay_listed(self):
         cfg = mp.SceneConfig(seed=27, sweep_count=6, count_range=(6, 8), min_separation=4.0,
                              points_per_m2=60.0)
-        seq, reg = mp.generate_sequence(cfg, TAX)
+        seq, _ = mp.generate_sequence(cfg, TAX)
         table = mp.build_trajectories(seq, TAX)
         strategy = ExtentStrategy("DSB", dsb_min_points=150)
         _, suppressed = build_extent_model(table, strategy)
         assert suppressed.any() and not suppressed.all()
-        stream = prepare_sweep_inputs(seq, table, TAX, SPEC, strategy, NO_NOISE, registry=reg)
+        stream = prepare_sweep_inputs(seq, table, TAX, SPEC, strategy, NO_NOISE)
         listed = 0
         for t, (sweep, inputs) in enumerate(zip(seq.sweeps, stream)):
             # The oracle's candidate sources: every labeled instance of the sweep.
@@ -234,3 +234,40 @@ class TestSweepRecords:
             assert inputs.trajectories.sensor_center[rows].tobytes() == centers.tobytes(), t
             listed += int(rows.sum())
         assert listed == len(table)
+
+
+def class_cell(class_id, center):
+    return (int(class_id), *map(int, SPEC.bev_cell_of(center)))
+
+
+class TestDetectedExtents:
+    """Without noise each detection reads its own instance's extent estimate at its peak."""
+
+    @pytest.mark.parametrize("yawed", [False, True])
+    @pytest.mark.parametrize("strategy", [ExtentStrategy("MAX"),
+                                          ExtentStrategy("DSB", dsb_min_points=60)],
+                             ids=["MAX", "DSB"])
+    def test_each_detection_reads_its_estimate(self, yawed, strategy):
+        cfg = mp.SceneConfig(seed=28, sweep_count=6, count_range=(5, 6), min_separation=6.0,
+                             ego_motion="orbit", points_per_m2=60.0)
+        seq, _ = mp.generate_sequence(cfg, TAX)
+        if yawed:
+            seq = rotated(seq, [0.4 + 0.9 * t for t in range(len(seq))])
+        table = mp.build_trajectories(seq, TAX)
+        predicted, suppressed = build_extent_model(table, strategy)
+        detected = 0
+        for t, inputs in enumerate(prepare_sweep_inputs(seq, table, TAX, SPEC, strategy,
+                                                        NO_NOISE)):
+            rows = np.flatnonzero((table.sweep_index == t) & ~suppressed)
+            rows = rows[SPEC.in_range(table.sensor_center[rows])]
+            # Each trained record's peak is the only one of its class in its cell.
+            source = {class_cell(table.class_id[r], table.sensor_center[r]): r for r in rows}
+            assert len(source) == rows.size, t
+            dets = nms_detect(inputs.maps, SPEC)
+            assert len(dets) == rows.size, t
+            for d in dets:
+                r = source[class_cell(d.class_id, d.center)]
+                assert d.extent.tobytes() == predicted[table.row_instance[r]].tobytes(), (t, r)
+            detected += len(dets)
+        assert detected > 2 * len(seq)
+        assert suppressed.any() == (strategy.variant == "DSB")
