@@ -186,10 +186,15 @@ def dataset_taxonomy(root) -> Taxonomy:
 
 
 def write_predictions(pred_root, name: str, labelings) -> Path:
+    """One ``NNNNNN.label`` per labeling; higher-numbered frames of an earlier run are removed."""
     out = Path(pred_root) / name
     out.mkdir(parents=True, exist_ok=True)
+    labelings = list(labelings)
     for idx, lab in enumerate(labelings):
         write_label_file(out / f"{idx:06d}.label", lab.sem, lab.inst)
+    for frame in out.glob("[0-9]" * 6 + ".label"):
+        if int(frame.stem) >= len(labelings):
+            frame.unlink()
     return out
 
 

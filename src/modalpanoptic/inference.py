@@ -59,27 +59,42 @@ def nms_detect(
     which is ``hm == max(3x3)`` with out-of-bounds cells at ``-inf``; a NaN
     neighbour vetoes the peak. Only the listed heatmap entries above the
     threshold are tested (every cell when the threshold is negative, since
-    an unlisted cell reads 0.0), and each neighbour is looked up in the
-    sparse map, so the work scales with those entries, not with the grid.
+    an unlisted cell reads 0.0), so the work scales with those entries, not
+    with the grid.
+
+    The y-neighbours (0, -1) and (0, +1) are tested first, by key order:
+    keys ascend in (class, x, y) order, so a listed y-neighbour is the
+    previous or next key, except at y = 0 and y = D' - 1, where that key
+    lies in another row or channel and the neighbour is out of bounds. The
+    six x-neighbours of the few cells left, along each ridge, are then
+    looked up in the sparse map in one call.
+
     Ties in confidence fall to (class, x, y) order. Detection centers snap
     to cell centers; z and the extent are the height and extent maps' values
-    at the peak cell.
+    at the peak cell. Those maps are per cell, not per class: two classes
+    peaking in one cell read the same height and extent.
     """
     hm = maps.heatmaps
     _, w, d = hm.shape
     if threshold < 0:
-        flat = np.arange(np.prod(hm.shape))
-        value = hm.at(flat)
+        keys = np.arange(np.prod(hm.shape))
+        values = hm.at(keys)
     else:
-        flat, value = hm.keys, hm.values
-    above = value > threshold
-    flat, value = flat[above], value[above]
-    for dx, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
-        x, y = flat // d % w + dx, flat % d + dy
-        inside = (x >= 0) & (x < w) & (y >= 0) & (y < d)
-        keep = ~inside
-        keep[inside] = value[inside] >= hm.at(flat[inside] + (dx * d + dy))
-        flat, value = flat[keep], value[keep]
+        keys, values = hm.keys, hm.values
+    pos = np.flatnonzero(values > threshold)
+    flat, value = keys[pos], values[pos]
+    for dy, edge in ((-1, 0), (1, d - 1)):
+        near = np.clip(pos + dy, 0, keys.size - 1)  # a clipped one reads its own key
+        listed = keys[near] == flat + dy
+        keep = (flat % d == edge) | (value >= np.where(listed, values[near], 0.0))
+        pos, flat, value = pos[keep], flat[keep], value[keep]
+    dx, dy = np.array([[-1, -1, -1, 1, 1, 1], [-1, 0, 1, -1, 0, 1]])
+    x, y = (flat // d % w)[:, None] + dx, (flat % d)[:, None] + dy
+    inside = (x >= 0) & (x < w) & (y >= 0) & (y < d)
+    # An out-of-bounds neighbour reads the cell itself, which never vetoes it.
+    near = np.where(inside, flat[:, None] + (dx * d + dy), flat[:, None])
+    keep = np.all(value[:, None] >= hm.at(near), axis=1)
+    flat, value = flat[keep], value[keep]
     # Flat indices ascend in (class, x, y) order, which breaks confidence ties.
     order = np.lexsort((flat, -value))[:max(max_detections, 0)]
     cls, x, y = np.unravel_index(flat[order], hm.shape)
@@ -120,8 +135,9 @@ def fuse_panoptic(
     class is its own, and ``membership(pairs)`` scores the whole table in one
     call, one probability per pair. A pair whose membership strictly exceeds
     0.5 is a claim. Claimed points take the detection class and a fresh id
-    (starting at 1, in detection order). Leftover points fall back to their
-    predicted semantics with instance 0.
+    (starting at 1, in detection order; a detection that wins no point takes
+    no id). Leftover points fall back to their predicted semantics with
+    instance 0.
 
     ``conflict`` picks the overlap rule: "first_wins" gives a contested point
     to its first (most confident) claimant; "argmax" to the claimant with
@@ -152,7 +168,7 @@ def fuse_panoptic(
     claimed = point_det >= 0
     sem_out = np.asarray(maps.point_sem, dtype=np.int32).copy()
     inst_out = np.zeros(n, dtype=np.int32)
-    _, rank = np.unique(point_det[claimed], return_inverse=True)
-    inst_out[claimed] = rank + 1
+    claiming = np.bincount(det[first], minlength=len(detections)) > 0
+    inst_out[claimed] = np.cumsum(claiming)[point_det[claimed]]
     sem_out[claimed] = detections.class_id[point_det[claimed]]
     return FusionResult(PanopticLabeling(sem_out, inst_out), point_det)

@@ -104,10 +104,13 @@ def roi_points(
 
 def roi_mask(detections: Detections, points_xyz: np.ndarray, margin_frac: float,
              margin_floor: float) -> np.ndarray:
-    """(D, N) mask: point n lies strictly inside detection d's inflated RoI."""
-    pts = np.asarray(points_xyz, dtype=np.float64)[:, :3]
-    radius = roi_radius(detections, margin_frac, margin_floor)
-    return np.all(np.abs(pts - detections.center[:, None, :]) < radius[:, None, :], axis=2)
+    """(D, N) mask: point n lies strictly inside detection d's inflated RoI, axis by axis."""
+    pts = np.asarray(points_xyz, dtype=np.float64)
+    center, radius = detections.center, roi_radius(detections, margin_frac, margin_floor)
+    inside = np.abs(pts[:, 0] - center[:, 0, None]) < radius[:, 0, None]
+    for axis in (1, 2):
+        inside &= np.abs(pts[:, axis] - center[:, axis, None]) < radius[:, axis, None]
+    return inside
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,9 @@ def nn_baseline(
     qualifies. Ties break toward the lower index, which is the higher
     confidence: ``Detections`` rows are in decreasing confidence.
     ``pairs`` is the table ``gather_pairs`` builds from the same arguments,
-    when the caller already has it.
+    when the caller already has it. The tie rule rests on the table's
+    order: its pairs come grouped by ascending detection, so a stable sort
+    by (point, distance) keeps tied pairs in detection order.
     """
     pts = np.asarray(points_xyz, dtype=np.float64)[:, :3]
     if pairs is None:
@@ -286,8 +291,8 @@ def nn_baseline(
     best = np.full(pts.shape[0], -1, dtype=np.int64)
     if len(pairs) == 0:
         return best
-    dist = np.linalg.norm(pts[pairs.point] - detections.center[pairs.det], axis=1)
-    order = np.lexsort((pairs.det, dist, pairs.point))
+    dx, dy, dz = (pts[pairs.point] - detections.center[pairs.det]).T
+    order = np.lexsort((np.sqrt(dx * dx + dy * dy + dz * dz), pairs.point))
     point, det = pairs.point[order], pairs.det[order]
     first = np.concatenate([[True], point[1:] != point[:-1]])
     best[point[first]] = det[first]

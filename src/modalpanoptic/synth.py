@@ -490,9 +490,11 @@ def simulate_detector(
             continue
         center = trajectories.sensor_center[row] + rng.normal(0.0, noise.center_jitter, 3) \
             if noise.center_jitter else trajectories.sensor_center[row]
-        if not spec.in_range(center[None, :])[0]:
+        # ``spec.in_range`` and ``np.clip`` on scalars: array calls cost more per row.
+        x, y, z = center.tolist()
+        if not (np.hypot(x, y) < spec.planar_range and spec.z_min <= z < spec.z_max):
             continue
-        conf = float(np.clip(1.0 - abs(rng.normal(0.0, noise.confidence_noise)), 0.05, 1.0)) \
+        conf = min(max(1.0 - abs(rng.normal(0.0, noise.confidence_noise)), 0.05), 1.0) \
             if noise.confidence_noise else 1.0
         vel = trajectories.velocity[row]
         if noise.velocity_noise:

@@ -324,7 +324,8 @@ def render_bev_targets(
     does too); overlapping Gaussians combine by a grouped maximum per
     (class, cell), and cells no Gaussian reaches with a nonzero value are
     not listed. Height, velocity and extent are written at the center cell
-    only; a later object overwrites an earlier one's cell. No dense grid is
+    only, per cell and not per class: a later object overwrites an earlier
+    one's cell, whatever its class. No dense grid is
     allocated: the result densifies byte for byte to the per-object
     ``np.maximum`` painting of ``tests/oracles.render_bev_targets_reference``.
     """

@@ -217,6 +217,24 @@ class TestCli:
         assert float(lstq["s_assoc"]) == 1.0
         assert float(lstq["lstq"]) == 1.0
 
+    def test_shorter_rerun_removes_stale_frames(self, tmp_path):
+        # A 3-sweep corpus tracked into the output of a 4-sweep one: frame
+        # 000003 is removed, nothing else is, and eval reads the tree.
+        pred = tmp_path / "pred"
+        for sweeps in ("4", "3"):
+            data = tmp_path / f"data{sweeps}"
+            assert main(["synth", "--out", str(data), "--sequences", "1", "--sweeps", sweeps,
+                         "--seed", "11", "--min-instances", "2", "--max-instances", "2"]) == 0
+            assert main(["track", "--data", str(data), "--out", str(pred),
+                         "--membership", "oracle"]) == 0
+            (pred / "notes.txt").write_text("kept")
+            (pred / "0000" / "notes.txt").write_text("kept")
+        assert sorted(p.name for p in (pred / "0000").iterdir()) \
+            == ["000000.label", "000001.label", "000002.label", "notes.txt"]
+        assert (pred / "notes.txt").is_file()
+        assert main(["eval", "--data", str(tmp_path / "data3"), "--pred", str(pred),
+                     "--out", str(tmp_path / "eval")]) == 0
+
     def test_targets_dump(self, tmp_path):
         data = tmp_path / "data"
         out = tmp_path / "targets"

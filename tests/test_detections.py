@@ -142,6 +142,23 @@ class TestGatherPairsProperties:
             np.testing.assert_array_equal(np.sort(perm[moved.point[moved.group(d)]]),
                                           base.point[base.group(d)])
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("margins", [(0.0, 0.5), (0.5, 0.25)])
+    def test_each_face_alone_matches_reference(self, axis, margins):
+        # Inflated half size 1.5 around (0.5, -0.5, 1.0) under both margin
+        # rules. Along one axis only, points sit exactly on each face, just
+        # inside it and just outside it; the other coordinates stay at the
+        # center.
+        center = np.array([0.5, -0.5, 1.0])
+        dets = stack([(center, 0.9, 1, np.ones(3))])
+        offsets = [-1.5, 1.5, -1.25, 1.25, -1.75, 1.75]
+        pts = np.repeat(center[None, :], len(offsets), axis=0)
+        pts[:, axis] += offsets
+        sem = np.ones(len(pts), dtype=np.int64)
+        got = gather_pairs(pts, sem, dets, *margins)
+        assert_same_pairs(got, gather_pairs_reference(pts, sem, dets, *margins))
+        assert got.point.tolist() == [2, 3]
+
     def test_points_on_faces_are_outside(self):
         # frac 0 and floor 0.5 around extent 1: faces at exactly 1.5.
         dets = stack([(np.zeros(3), 0.9, 1, np.ones(3))])
@@ -233,6 +250,28 @@ class TestFusePanopticProperties:
         np.testing.assert_array_equal(got.sem, want_sem)
         np.testing.assert_array_equal(got.inst, want_inst)
         assert got.sem.dtype == got.inst.dtype == np.int32
+
+    @pytest.mark.parametrize("conflict", ["first_wins", "argmax"])
+    def test_ids_skip_detections_that_claim_nothing(self, conflict):
+        # Detections 1 and 2 claim nothing (low membership; every point of
+        # detection 2 is also detection 0's and 0 wins it), detection 4
+        # has no same-class point: ids count only detections 0 and 3.
+        pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [3.0, 0, 0], [6.0, 0, 0], [6.5, 0, 0]])
+        dets = stack((np.array([x, 0.0, 0.0]), conf, cid, np.ones(3))
+                     for x, conf, cid in ((0.0, 0.9, 1), (3.0, 0.8, 1), (0.5, 0.7, 1),
+                                          (6.0, 0.6, 1), (6.0, 0.5, 2)))
+        table = np.array([[0.9, 0.9, 0.0, 0.0, 0.0], [0.0, 0.0, 0.2, 0.0, 0.0],
+                          [0.8, 0.8, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.9, 0.9],
+                          [0.9, 0.9, 0.9, 0.9, 0.9]])
+        sem = np.array([1, 1, 1, 1, 1])
+        got = fuse_panoptic(pts, dets, maps_of({}, point_sem=sem), make_table_membership(table),
+                            TAX, 0.0, 0.5, conflict)
+        want_sem, want_inst = fuse_reference(pts, sem, dets, table, set(TAX.thing_ids), 0.0, 0.5,
+                                             conflict=conflict)
+        np.testing.assert_array_equal(got.sem, want_sem)
+        np.testing.assert_array_equal(got.inst, want_inst)
+        assert got.inst.tolist() == [1, 1, 0, 2, 2]
+        assert got.point_detection.tolist() == [0, 0, -1, 3, 3]
 
     def test_argmax_ties_go_to_the_earlier_detection(self):
         dets = stack([(np.zeros(3), 0.9, 1, np.ones(3)), (np.zeros(3), 0.9, 1, np.ones(3))])

@@ -247,6 +247,23 @@ class TestNmsMatchesDenseReference:
         # Every zero cell away from the two peaks is a 3x3 maximum above -0.5.
         assert len(dets) == np.prod(self.SHAPE) - 8 - 3
 
+    @pytest.mark.parametrize("threshold", [0.3, -1.0])
+    def test_key_neighbours_across_row_and_channel_ends(self, threshold):
+        # Each pair is adjacent in key order but not in the grid: the higher
+        # cell must not veto the lower one, whichever comes first.
+        hm = np.zeros(self.SHAPE)
+        k, w, d = self.SHAPE
+        hm[1, 5, d - 1], hm[1, 6, 0] = 0.6, 0.9   # row end, then a higher row start
+        hm[1, 8, d - 1], hm[1, 9, 0] = 0.9, 0.6   # a higher row end, then row start
+        hm[1, w - 1, d - 1], hm[2, 0, 0] = 0.5, 0.8   # channel end, then next channel
+        hm[2, w - 1, d - 1], hm[3, 0, 0] = 0.8, 0.5
+        hm[0, 0, 0], hm[k - 1, w - 1, d - 1] = 0.7, 0.65  # the first and last keys
+        dets = check_nms_against_reference(hm, threshold, max_detections=10 ** 6)
+        assert {(c, v) for c, v in zip(dets.class_id.tolist(), dets.confidence.tolist())
+                if v > 0} == {(1, 0.6), (1, 0.9), (1, 0.5), (2, 0.8), (3, 0.5), (0, 0.7),
+                              (k - 1, 0.65)}
+        assert np.count_nonzero(dets.confidence) == 10
+
     def test_nan_cell(self):
         hm = np.zeros(self.SHAPE)
         hm[1, 5, 5] = 0.9

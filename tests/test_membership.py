@@ -276,6 +276,19 @@ class TestNnBaselineAgainstReference:
         if grid:
             assert ties > 100  # the grid really exercises the tie rule
 
+    def test_exact_ties_between_non_adjacent_detections(self):
+        # Point 0 is 1 m from detections 0 and 2, and detection 1 (another
+        # class) lies between them in row order; point 1 is 1 m from
+        # detections 1 and 3 and outside 0 and 2. All four are equally
+        # confident, so each point goes to the lower of its tied indices.
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
+        sems = np.array([1, 2])
+        dets = stack([det([1.0, 0, 0], conf=0.9), det([0.0, 11.0, 0], conf=0.9, cid=2),
+                      det([-1.0, 0, 0], conf=0.9), det([0.0, 9.0, 0], conf=0.9, cid=2)])
+        want = nn_baseline_reference(pts, sems, dets, margin_floor=0.1)
+        assert want.tolist() == [0, 1]
+        np.testing.assert_array_equal(nn_baseline(pts, sems, dets, margin_floor=0.1), want)
+
     def test_empty_detections_and_points(self):
         pts = np.random.default_rng(13).uniform(-1, 1, size=(5, 3))
         assert nn_baseline(pts, np.ones(5, dtype=int), stack([]),

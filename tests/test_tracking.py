@@ -5,22 +5,33 @@ import numpy as np
 import pytest
 
 import modalpanoptic as mp
+from modalpanoptic.cli import _noise, build_parser, main
 from modalpanoptic.cloud import PanopticLabeling
+from modalpanoptic.dataio import dataset_taxonomy, list_sequences, read_sequence, write_predictions
 from modalpanoptic.inference import nms_detect
 from modalpanoptic.membership import oracle_scores
 from modalpanoptic.pipeline import build_extent_model, infer_sequence, prepare_sweep_inputs
 from modalpanoptic.synth import NO_NOISE
-from modalpanoptic.targets import ExtentStrategy
+from modalpanoptic.targets import ExtentStrategy, class_wise_mean_extents
 from modalpanoptic.tracking import (
     PipelineConfig,
     TrackIdOverflow,
     Tracklet,
+    class_gates,
     greedy_associate,
     panoptic_track_sequence,
 )
 from modalpanoptic.voxels import GridSpec
 
 from fakes import rotated, row as det, stack
+from oracles import (
+    fuse_reference,
+    gather_pairs_reference,
+    greedy_associate_reference,
+    nms_detect_reference,
+    nn_baseline_reference,
+    simulate_detector_reference,
+)
 
 TAX = mp.default_taxonomy()
 SPEC = GridSpec()
@@ -271,3 +282,63 @@ class TestDetectedExtents:
             detected += len(dets)
         assert detected > 2 * len(seq)
         assert suppressed.any() == (strategy.variant == "DSB")
+
+
+# The bench's crowded scenes and detector noise, cut to one short sequence.
+CROWDED = ["--sequences", "1", "--sweeps", "3", "--seed", "1007000", "--min-instances", "8",
+           "--max-instances", "12", "--min-separation", "4.0"]
+NN_NOISE = ["--center-jitter", "0.15", "--drop-probability", "0.05", "--confidence-noise", "0.1",
+            "--semantic-flip", "0.02", "--velocity-noise", "0.2"]
+
+
+def track_by_references(seq, taxonomy, noise, seed):
+    """``track --membership nn`` on one sequence, every per-sweep kernel a reference."""
+    trajectories = mp.build_trajectories(seq, taxonomy)
+    gates = class_gates(class_wise_mean_extents(trajectories, taxonomy)) or None
+    cfg = PipelineConfig(gates=gates)
+    predicted, suppressed = build_extent_model(trajectories, ExtentStrategy("MAX"))
+    extents = predicted[trajectories.row_instance[~suppressed]]
+    margins = (cfg.margin_frac, cfg.margin_floor)
+    tracks, next_id, ages, out = [], 1, {}, []
+    simulated = simulate_detector_reference(seq, trajectories.select(~suppressed), extents, noise,
+                                            SPEC, taxonomy, seed=seed)
+    for t, (sweep, (dense, sem, *_)) in enumerate(zip(seq.sweeps, simulated)):
+        dets = nms_detect_reference(dense.heatmaps, dense.height, dense.extent, SPEC,
+                                    cfg.nms_threshold, cfg.nms_max_detections)
+        pairs = gather_pairs_reference(sweep.xyz, sem, dets, *margins)
+        best = nn_baseline_reference(sweep.xyz, sem, dets, *margins)
+        table = np.zeros((len(dets), len(sweep)))
+        table[pairs.det, pairs.point] = best[pairs.point] == pairs.det
+        sem_out, inst = fuse_reference(sweep.xyz, sem, dets, table, set(taxonomy.thing_ids),
+                                       *margins, cfg.conflict)
+        # Fused id k belongs to the k-th detection that is some point's nearest.
+        point_det = np.append(np.unique(best[best >= 0]), -1)[inst - 1]
+        ix, iy = SPEC.bev_cell_of(dets.center)
+        velocities = dense.velocity[np.clip(ix, 0, SPEC.bev_width - 1),
+                                    np.clip(iy, 0, SPEC.bev_depth - 1)]
+        tracks, det_track, next_id = greedy_associate_reference(
+            tracks, dets.to_world(sweep.ego_pose), velocities, seq.period, t, next_id,
+            cfg.gates, cfg.default_gate, cfg.max_age, ages)
+        out.append(PanopticLabeling(sem_out, np.array(det_track + [0], np.int32)[point_det]))
+    return out
+
+
+class TestWholeLoopAgainstReferences:
+    def test_nn_track_labels_match_chained_references(self, tmp_path):
+        data, pred, want = tmp_path / "data", tmp_path / "pred", tmp_path / "want"
+        assert main(["synth", "--out", str(data)] + CROWDED) == 0
+        assert main(["track", "--data", str(data), "--out", str(pred), "--seed", "7",
+                     "--membership", "nn"] + NN_NOISE) == 0
+        taxonomy = dataset_taxonomy(data)
+        noise = _noise(build_parser().parse_args(["track", "--data", "", "--out", ""] + NN_NOISE))
+        assert noise.drop_probability > 0 and noise.semantic_flip_probability > 0
+        instances = set()
+        for name in list_sequences(data):
+            labelings = track_by_references(read_sequence(data, name), taxonomy, noise, seed=7)
+            write_predictions(want, name, labelings)
+            instances.update(np.unique(np.concatenate([lab.inst for lab in labelings])).tolist())
+        assert len(instances) > 8
+        for frame in sorted(want.rglob("*.label")):
+            assert (pred / frame.relative_to(want)).read_bytes() == frame.read_bytes(), frame
+        assert sorted(p.relative_to(pred) for p in pred.rglob("*")) \
+            == sorted(p.relative_to(want) for p in want.rglob("*"))
