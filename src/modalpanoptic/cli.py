@@ -248,13 +248,12 @@ def cmd_train_mem(args) -> int:
 def _run_inference(args, track: bool) -> int:
     taxonomy = dataio.dataset_taxonomy(args.data)
     spec = _grid(args)
-    pair_cfg = _pair_config(args, taxonomy)
-    needs_features = args.membership == "mlp" and pair_cfg.needs_features
-    provider = HandcraftedFeatures(spec) if needs_features else None
     if args.membership == "mlp":
         if not args.model:
             raise MissingInput("--membership mlp requires --model")
-        score = partial(mlp_scores, load_model(args.model), pair_cfg)
+        pair_cfg = _pair_config(args, taxonomy)
+        provider = HandcraftedFeatures(spec) if pair_cfg.needs_features else None
+        score = partial(mlp_scores, load_model(args.model), pair_cfg, provider)
     else:
         score = oracle_scores if args.membership == "oracle" else nn_scores
     seed = _seed_of(args)
@@ -273,16 +272,17 @@ def _run_inference(args, track: bool) -> int:
             max_age=args.max_age if track else DEFAULT_MAX_AGE,
         )
         stream = prepare_sweep_inputs(seq, trajectories, taxonomy, spec,
-                                      _strategy(args, class_means), _noise(args),
-                                      provider=provider, seed=seed)
+                                      _strategy(args, class_means), _noise(args), seed=seed)
         if track:
             return panoptic_track_sequence(stream, taxonomy, spec, score, seq.period, pcfg)
         return infer_sequence(stream, taxonomy, spec, score, pcfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name in dataio.list_sequences(args.data):
+    names = dataio.list_sequences(args.data)
+    for name in names:
         dataio.write_predictions(out, name, predict(dataio.read_sequence(args.data, name)))
+    dataio.prune_predictions(out, names)
     print(f"wrote predictions to {out}")
     return 0
 

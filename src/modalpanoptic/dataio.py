@@ -24,6 +24,7 @@ from .cloud import POINT_DIMS, PointCloudSweep, RigidTransformError, SweepSequen
 
 SEM_MASK = 0xFFFF
 MAX_PACKED_ID = 0xFFFF
+_PREDICTED_FRAME = "[0-9]" * 6 + ".label"
 
 
 class TruncatedRecord(ValueError):
@@ -192,10 +193,28 @@ def write_predictions(pred_root, name: str, labelings) -> Path:
     labelings = list(labelings)
     for idx, lab in enumerate(labelings):
         write_label_file(out / f"{idx:06d}.label", lab.sem, lab.inst)
-    for frame in out.glob("[0-9]" * 6 + ".label"):
+    for frame in out.glob(_PREDICTED_FRAME):
         if int(frame.stem) >= len(labelings):
             frame.unlink()
     return out
+
+
+def prune_predictions(pred_root, names) -> None:
+    """Remove the sequence directories of an earlier run that ``names`` does not list.
+
+    Only a directory that holds nothing but ``NNNNNN.label`` files goes, as
+    ``write_predictions`` leaves one; any other entry, symbolic links
+    included, is kept.
+    """
+    keep = set(names)
+    for directory in Path(pred_root).iterdir():
+        if directory.name in keep or directory.is_symlink() or not directory.is_dir():
+            continue
+        entries = list(directory.iterdir())
+        if all(entry.is_file() and entry.match(_PREDICTED_FRAME) for entry in entries):
+            for entry in entries:
+                entry.unlink()
+            directory.rmdir()
 
 
 def read_predictions(pred_root, name: str):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .cloud import PanopticLabeling, Taxonomy
 from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detections, PairTable, gather_pairs
-from .voxels import BevMap, GridSpec, SparseGrid
+from .voxels import GridSpec, SparseGrid
 
 NMS_THRESHOLD = 0.3
 NMS_MAX_DETECTIONS = 500
@@ -21,11 +21,13 @@ DEFAULT_CONFLICT = CONFLICT_RULES[0]
 class PredictedMaps:
     """Simulated (or one day, regressed) first-stage outputs for one sweep.
 
-    The heatmaps and the height, velocity and extent maps are sparse: only
-    listed cells are stored and every other cell reads 0.0, which is what
-    detection reads anyway (heatmap peaks, box attributes at detected
-    centers). Heatmap values must lie in [0, 1]; as with a dense
-    ``min``/``max`` scan, a map holding a NaN passes that check.
+    Backbone features are not among them: a learned membership scorer asks
+    its ``FeatureProvider`` for the few it reads, after detection. The
+    heatmaps and the height, velocity and extent maps are sparse: only listed
+    cells are stored and every other cell reads 0.0, which is what detection
+    reads anyway (heatmap peaks, box attributes at detected centers).
+    Heatmap values must lie in [0, 1]; as with a dense ``min``/``max`` scan,
+    a map holding a NaN passes that check.
     """
 
     heatmaps: SparseGrid       # (K, W', D') in [0, 1]
@@ -33,8 +35,6 @@ class PredictedMaps:
     velocity: SparseGrid       # (W', D', 2) m/s
     extent: SparseGrid         # (W', D', 3) half extent, meters
     point_sem: np.ndarray      # (N,) predicted class per point
-    bev_features: BevMap
-    point_features: np.ndarray  # (N, P)
 
     def __post_init__(self):
         values = self.heatmaps.values

@@ -13,10 +13,11 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .cloud import SweepSequence, Taxonomy, apply_pose
+from .cloud import PointCloudSweep, SweepSequence, Taxonomy, apply_pose
 from .mlp import MlpModel, OptimizerState, build_mlp, forward, train_epochs
 from .targets import build_trajectories, widen_unobserved_axes
-from .voxels import BevMap, FeatureProvider, interpolate_bev_many
+from .voxels import (BevMap, FeatureProvider, column_points, covers, interpolate_bev_many,
+                     stencil_columns)
 
 if TYPE_CHECKING:
     from .tracking import SweepInputs
@@ -310,21 +311,64 @@ def nn_scores(inputs: SweepInputs, detections: Detections, pairs: PairTable) -> 
     return (assignment[pairs.point] == pairs.det).astype(np.float64)
 
 
+def features_for_pairs(
+    provider: FeatureProvider,
+    cfg: PairFeatureConfig,
+    sweep: PointCloudSweep,
+    detections: Detections,
+    pairs: PairTable,
+) -> tuple[np.ndarray | None, BevMap | None]:
+    """The point features and BEV map ``assemble_pair_features`` reads for ``pairs``.
+
+    One ``provider.point_features`` call computes the rows read: the pair
+    points' rows for the point block and, for the BEV block, every in-range
+    point of each column the bilinear stencils of the pair points and of the
+    detections that own pairs touch (``stencil_columns``). ``bev_map`` pools
+    those whole columns. Every value read is the one full-sweep features
+    give; the (N, P) point features hold zeros in the rows no pair reads,
+    and the map is empty outside the read columns. ``None`` stands for a
+    block the configuration leaves out.
+    """
+    if provider is None:
+        raise ValueError("feature configuration requires a provider")
+    points = np.unique(pairs.point)
+    rows = points if cfg.point_feature_dim > 0 else points[:0]
+    if cfg.bev_feature_dim > 0:
+        owners = np.flatnonzero(np.diff(pairs.offsets))
+        read = stencil_columns(provider.spec, np.concatenate(
+            [sweep.xyz[points, :2], detections.center[owners, :2]]))
+        pooled = column_points(sweep.points, provider.spec, read)
+        rows = np.union1d(rows, pooled)
+    feats = provider.point_features(sweep, rows)
+    point_features = np.zeros((len(sweep), feats.shape[1]))
+    point_features[rows] = feats
+    bev = None
+    if cfg.bev_feature_dim > 0:
+        bev = provider.bev_map(sweep, pooled, point_features[pooled])
+    return (point_features if cfg.point_feature_dim > 0 else None), bev
+
+
 def mlp_scores(
     model: MlpModel,
     pair_cfg: PairFeatureConfig,
+    provider: FeatureProvider | None,
     inputs: SweepInputs,
     detections: Detections,
     pairs: PairTable,
 ) -> np.ndarray:
     """Pair-scorer membership: the whole table assembled and scored in one forward.
 
-    Bind the model and configuration first, e.g. ``partial(mlp_scores, model, cfg)``.
+    Bind the model, configuration and feature provider first, e.g.
+    ``partial(mlp_scores, model, cfg, provider)``; the provider may be
+    ``None`` when the configuration reads no features. Features are computed
+    per sweep, after the pairs are known, and only where the pairs read them
+    (``features_for_pairs``).
     """
-    maps = inputs.maps
+    feats = bev = None
+    if pair_cfg.needs_features:
+        feats, bev = features_for_pairs(provider, pair_cfg, inputs.sweep, detections, pairs)
     return predict_membership(model, assemble_pair_features(
-        inputs.sweep.xyz, maps.point_sem, detections, pairs, pair_cfg,
-        maps.point_features, maps.bev_features))
+        inputs.sweep.xyz, inputs.maps.point_sem, detections, pairs, pair_cfg, feats, bev))
 
 
 def oracle_scores(inputs: SweepInputs, detections: Detections, pairs: PairTable) -> np.ndarray:
@@ -382,7 +426,9 @@ def build_training_pairs(
     the margin, neighboring-instance points never enter the training set and
     the scorer sees no boundary negatives. A pair is positive when its point
     belongs to the detection's instance. With BEV pair features, a jittered
-    center that leaves the BEV footprint is dropped.
+    center that leaves the BEV footprint is dropped. Features come from one
+    ``provider.point_features`` call per sweep, only where the pairs read
+    them (``features_for_pairs``).
     """
     pair_cfg = cfg.features
     if pair_cfg.needs_features and provider is None:
@@ -398,22 +444,20 @@ def build_training_pairs(
         for t, sweep in enumerate(seq.sweeps):
             # Pairs live in the sweep's own sensor frame, exactly like the
             # pairs the scorer will see at inference time.
-            feats = bev = None
-            if pair_cfg.needs_features:
-                feats = provider.point_features(sweep)
-                if pair_cfg.bev_feature_dim > 0:
-                    bev = provider.bev_map(sweep, feats)
             at = np.flatnonzero(table.sweep_index == t)
             centers = table.sensor_center[at] + rng.normal(0.0, cfg.center_jitter, (at.size, 3))
-            if bev is not None:
+            if pair_cfg.bev_feature_dim > 0:
                 # Inference proposes centers only on grid cells, so a center
                 # jittered off the BEV footprint has no map to read there.
-                on_grid = bev.covers(centers[:, :2])
+                on_grid = covers(provider.spec.planar_range, centers[:, :2])
                 at, centers = at[on_grid], centers[on_grid]
             dets = Detections(centers, np.ones(at.size), table.class_id[at],
                               seq_extents[table.row_instance[at]])
             pairs = gather_pairs(sweep.xyz, sweep.sem_labels, dets, cfg.margin_frac,
                                  cfg.margin_floor)
+            feats = bev = None
+            if pair_cfg.needs_features:
+                feats, bev = features_for_pairs(provider, pair_cfg, sweep, dets, pairs)
             if len(pairs):
                 rows.append(assemble_pair_features(sweep.xyz, sweep.sem_labels, dets, pairs,
                                                    pair_cfg, feats, bev))

@@ -18,7 +18,7 @@ from .cloud import PanopticLabeling, SweepSequence, Taxonomy
 from .targets import ExtentStrategy, Trajectories, aggregate_extent, widen_unobserved_axes
 from .synth import DetectorNoise, simulate_detector
 from .tracking import PipelineConfig, Scorer, SweepInputs, infer_sweep
-from .voxels import FeatureProvider, GridSpec, _group_sums
+from .voxels import GridSpec, _group_sums
 
 
 def build_extent_model(
@@ -52,7 +52,6 @@ def prepare_sweep_inputs(
     spec: GridSpec,
     strategy: ExtentStrategy,
     noise: DetectorNoise,
-    provider: FeatureProvider | None = None,
     seed: int = 0,
 ) -> Iterator[SweepInputs]:
     """A lazy stream of each sweep's simulated detector outputs.
@@ -70,7 +69,7 @@ def prepare_sweep_inputs(
     trained = trajectories.select(~suppressed)
     extents = predicted[trajectories.row_instance[~suppressed]]
     return (SweepInputs(sweep, simulate_detector(sweep, t, trained, extents, noise, spec,
-                                                 taxonomy, provider=provider, seed=seed),
+                                                 taxonomy, seed=seed),
                         trajectories, t)
             for t, sweep in enumerate(seq.sweeps))
 

@@ -348,14 +348,18 @@ class HandcraftedFeatures(FeatureProvider):
     recognize which body a boundary point sits on: the local mass of a point
     near an instance gap leans toward its own object.
 
-    The neighborhood of a point is every point within 0.6 m in the plane,
-    found among the 9 surrounding 0.6 m grid cells. Its centroid is a
-    sequential float64 sum divided by the count, taken over the cells in
-    ``dx`` order then ``dy`` order (each over -1, 0, 1) and, within a cell,
-    over points in ascending index; the distance test is
+    Features are computed on demand: ``point_features(sweep, rows)`` returns
+    the rows of points ``rows`` only, each the value it has in a full-sweep
+    pass. The neighborhood of a point is every point of the sweep within
+    0.6 m in the plane, found among the 9 surrounding 0.6 m grid cells, and
+    the ground estimate is the 5th percentile of every point's height. The
+    centroid is a sequential float64 sum divided by the count, taken over the
+    cells in ``dx`` order then ``dy`` order (each over -1, 0, 1) and, within
+    a cell, over points in ascending index; the distance test is
     ``sqrt(dx*dx + dy*dy) <= 0.6``. Outputs are fixed bit for bit by that
     contract, which ``tests/oracles.handcrafted_features_reference`` spells
-    out as a per-point loop.
+    out as a per-point loop. ``bev_map`` pools the points it is given into
+    BEV column means (``voxelize`` then ``flatten_bev``).
     """
 
     DIM = 6
@@ -363,58 +367,52 @@ class HandcraftedFeatures(FeatureProvider):
     def __init__(self, spec: GridSpec):
         self.spec = spec
 
-    def point_features(self, sweep: PointCloudSweep) -> np.ndarray:
+    def point_features(self, sweep: PointCloudSweep, rows: np.ndarray) -> np.ndarray:
         xyz = sweep.xyz
-        n = xyz.shape[0]
-        out = np.zeros((n, self.DIM))
-        if n == 0:
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.zeros((rows.size, self.DIM))
+        if rows.size == 0:
             return out
-        # Occupied cells as CSR ranges of `order`: cell keys encoded so that
-        # sorted codes follow (kx, ky) order and a neighbor is code + dx*span + dy.
+        # Cell keys encoded so that sorted codes follow (kx, ky) order, with
+        # ky in [1, span - 2]: the cells (kx + dx, ky - 1 .. ky + 1) are one
+        # contiguous code range, so each point's 9 neighbor cells are 3 runs
+        # of the sorted order, in dx order, each in dy order.
         keys = np.floor(xyz[:, :2] / _NEIGHBOR_RADIUS).astype(np.int64)
         keys -= keys.min(axis=0) - 1
         span = int(keys[:, 1].max()) + 2
         code = keys[:, 0] * span + keys[:, 1]
         order = np.argsort(code, kind="stable")  # ascending index within a cell
         sorted_code = code[order]
-        starts = np.flatnonzero(np.concatenate([[True], sorted_code[1:] != sorted_code[:-1]]))
-        cell_code = sorted_code[starts]
-        cell_size = np.diff(np.append(starts, n))
-        step = np.array([-1, 0, 1])
-        nb_code = cell_code[:, None] + (step[:, None] * span + step[None, :]).ravel()
-        nb = np.minimum(np.searchsorted(cell_code, nb_code), cell_code.size - 1)
-        hit = cell_code[nb] == nb_code
-        nb_start = np.where(hit, starts[nb], 0)  # (cells, 9), dx-major
-        nb_size = np.where(hit, cell_size[nb], 0)
-        # Expand (point, candidate) pairs a bounded chunk of whole points at a time.
-        point_cell = np.repeat(np.arange(cell_code.size), cell_size)  # per sorted point
-        point_pairs = nb_size.sum(axis=1)[point_cell]
-        chunk = (np.cumsum(point_pairs) - point_pairs) // _PAIR_CHUNK
-        cuts = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [n]])
+        runs = code[rows, None] + np.array([-1, 0, 1]) * span
+        run_start = np.searchsorted(sorted_code, runs - 1, side="left")  # (rows, 3)
+        run_size = np.searchsorted(sorted_code, runs + 1, side="right") - run_start
+        row_pairs = run_size.sum(axis=1)
+        # Expand (row, candidate) pairs a bounded chunk of whole rows at a time.
+        chunk = (np.cumsum(row_pairs) - row_pairs) // _PAIR_CHUNK
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [rows.size]])
         sorted_xyz = [xyz[order, axis] for axis in range(3)]
-        sx, sy = sorted_xyz[:2]
-        for p0, p1 in zip(cuts[:-1], cuts[1:]):
-            seg_size = nb_size[point_cell[p0:p1]].ravel()
-            seg_start = nb_start[point_cell[p0:p1]].ravel()
-            owner = np.repeat(np.arange(p1 - p0), point_pairs[p0:p1])
-            cand = np.arange(owner.size) - np.repeat(np.cumsum(seg_size) - seg_size - seg_start,
-                                                     seg_size)
-            dx = sx[cand] - sx[p0 + owner]
-            dy = sy[cand] - sy[p0 + owner]
+        own = [xyz[rows, axis] for axis in range(3)]
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            seg_size = run_size[r0:r1].ravel()
+            owner = np.repeat(np.arange(r1 - r0), row_pairs[r0:r1])
+            cand = np.arange(owner.size) - np.repeat(
+                np.cumsum(seg_size) - seg_size - run_start[r0:r1].ravel(), seg_size)
+            dx = sorted_xyz[0][cand] - np.repeat(own[0][r0:r1], row_pairs[r0:r1])
+            dy = sorted_xyz[1][cand] - np.repeat(own[1][r0:r1], row_pairs[r0:r1])
             close = np.sqrt(dx * dx + dy * dy) <= _NEIGHBOR_RADIUS
             owner, cand = owner[close], cand[close]
-            count = np.bincount(owner, minlength=p1 - p0)
-            me = order[p0:p1]
-            out[me, 0] = np.log1p(count)
+            count = np.bincount(owner, minlength=r1 - r0)
+            out[r0:r1, 0] = np.log1p(count)
             for axis, coord in enumerate(sorted_xyz):
-                total = np.bincount(owner, weights=coord[cand], minlength=p1 - p0)
-                out[me, 2 + axis] = total / count - coord[p0:p1]
-        out[:, 1] = xyz[:, 2] - np.percentile(xyz[:, 2], 5.0)
-        out[:, 5] = np.hypot(xyz[:, 0], xyz[:, 1]) / 10.0
+                total = np.bincount(owner, weights=coord[cand], minlength=r1 - r0)
+                out[r0:r1, 2 + axis] = total / count - own[axis][r0:r1]
+        out[:, 1] = own[2] - np.percentile(xyz[:, 2], 5.0)
+        out[:, 5] = np.hypot(own[0], own[1]) / 10.0
         return out
 
-    def bev_map(self, sweep: PointCloudSweep, point_features: np.ndarray) -> BevMap:
-        return flatten_bev(voxelize(sweep.points, self.spec, point_features))
+    def bev_map(self, sweep: PointCloudSweep, rows: np.ndarray,
+                point_features: np.ndarray) -> BevMap:
+        return flatten_bev(voxelize(sweep.points[rows], self.spec, point_features))
 
 
 def flip_semantics(labels: np.ndarray, class_ids, probability: float,
@@ -443,10 +441,9 @@ def simulate_detector(
     noise: DetectorNoise,
     spec: GridSpec,
     taxonomy: Taxonomy | None = None,
-    provider: FeatureProvider | None = None,
     seed: int = 0,
 ) -> PredictedMaps:
-    """Backbone-output simulation for one sweep: semantics, heatmaps, box maps, features.
+    """Backbone-output simulation for one sweep: semantics, heatmaps and box maps.
 
     ``sweep`` is sweep ``sweep_index`` of a sequence, and ``trajectories``
     holds the records the detector was trained on: the caller's
@@ -505,12 +502,5 @@ def simulate_detector(
         peaks.append(conf)
     rendered = render_bev_targets(jittered, trajectories.class_id[picked], extents[picked],
                                   velocities, spec, taxonomy.num_channels, peak_scale=peaks)
-    if provider is not None:
-        point_feats = provider.point_features(sweep)
-        bev_feats = provider.bev_map(sweep, point_feats)
-    else:
-        point_feats = np.zeros((len(sweep), 0))
-        bev_feats = BevMap(np.zeros((spec.bev_width, spec.bev_depth, 0)),
-                           spec.bev_cell_size, spec.planar_range)
     return PredictedMaps(rendered.heatmaps, rendered.height, rendered.velocity, rendered.extent,
-                         sem_pred, bev_feats, point_feats)
+                         sem_pred)

@@ -122,18 +122,23 @@ class SparseVoxelGrid:
 
 
 class FeatureProvider(Protocol):
-    """Per-point encoder features and a BEV feature map for one sweep.
+    """Per-point encoder features and a BEV feature map for one sweep, on demand.
 
-    Stands in for the convolutional backbone: implementations supply the
-    point-level feature rows and the flattened planar feature map consumed by
-    the membership stage. ``bev_map`` pools the rows ``point_features``
-    returned for the same sweep, so a caller computes them once per sweep and
-    passes them in.
+    Stands in for the convolutional backbone. The membership stage asks only
+    for what its pair scorer reads: ``point_features`` returns the feature
+    rows of the points ``rows``, and ``bev_map`` pools the in-range points
+    ``rows``, given their feature rows, into a map on the BEV grid of
+    ``spec``. A column of that map is the full-sweep value when ``rows``
+    holds every in-range point of it (``column_points`` lists them), so a
+    caller computes each point's row once per sweep and pools whole columns.
     """
 
-    def point_features(self, sweep: PointCloudSweep) -> np.ndarray: ...
+    spec: GridSpec
 
-    def bev_map(self, sweep: PointCloudSweep, point_features: np.ndarray) -> "BevMap": ...
+    def point_features(self, sweep: PointCloudSweep, rows: np.ndarray) -> np.ndarray: ...
+
+    def bev_map(self, sweep: PointCloudSweep, rows: np.ndarray,
+                point_features: np.ndarray) -> "BevMap": ...
 
 
 def voxelize(points: np.ndarray, spec: GridSpec,
@@ -173,34 +178,42 @@ def _group_sums(group: np.ndarray, rows: np.ndarray, groups: int) -> np.ndarray:
     return np.bincount(codes, weights=rows.ravel(), minlength=groups * f).reshape(groups, f)
 
 
-@dataclass(frozen=True)
-class BevMap:
-    """Dense (W', D', C) planar feature map over the grid footprint."""
+def covers(planar_range: float, xys: np.ndarray) -> np.ndarray:
+    """Which (M, 2) planar positions lie inside the BEV footprint [-range, range)^2."""
+    return np.all((xys >= -planar_range) & (xys < planar_range), axis=-1)
 
-    data: np.ndarray
+
+@dataclass(frozen=True, eq=False)
+class BevMap:
+    """A (W', D', C) planar feature map over the grid footprint, stored by column.
+
+    ``columns`` is a (W', D', C) ``SparseGrid``: each listed BEV column
+    ``ix * D' + iy`` holds its (C,) feature row, and every other column reads
+    0.0. Validated once, on creation.
+    """
+
+    columns: SparseGrid
     cell_size: float
     planar_range: float
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 3:
+        if len(self.columns.shape) != 3 or self.columns.values.ndim != 2:
             raise ValueError("BEV data must be (W', D', C)")
-        if not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(self.columns.values)):
             raise ValueError("BEV features must be finite")
-        object.__setattr__(self, "data", data)
 
     @property
     def width(self) -> int:
-        return self.data.shape[0]
+        return self.columns.shape[0]
 
     @property
     def depth(self) -> int:
-        return self.data.shape[1]
+        return self.columns.shape[1]
 
-    def covers(self, xys: np.ndarray) -> np.ndarray:
-        """Which (M, 2) planar positions lie inside the footprint [-range, range)^2."""
-        r = self.planar_range
-        return np.all((xys >= -r) & (xys < r), axis=-1)
+    @property
+    def data(self) -> np.ndarray:
+        """The whole map as one dense (W', D', C) array."""
+        return self.columns.dense()
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,47 +263,76 @@ class SparseGrid:
 
 
 def flatten_bev(grid: SparseVoxelGrid) -> BevMap:
-    """Mean of the voxel features in each BEV column, as a dense (W', D', F) map.
+    """Mean of the voxel features in each BEV column, as a (W', D', F) map.
 
     A column is a (bev_downsample x bev_downsample x H) block of voxels.
-    Only occupied columns are reduced: each sums its voxel means from +0.0 in
-    ascending key order, then divides by its voxel count. Empty columns are
-    zero.
+    Only occupied columns are reduced and listed: each sums its voxel means
+    from +0.0 in ascending key order, then divides by its voxel count. Empty
+    columns read zero.
     """
     if grid.features is None:
         raise ValueError("grid carries no feature vectors")
     spec = grid.spec
-    ds = spec.bev_downsample
     channels = grid.features.shape[1]
-    column = (grid.occupied[:, 0] // ds) * spec.bev_depth + grid.occupied[:, 1] // ds
-    columns, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
-    data = np.zeros((spec.bev_width * spec.bev_depth, channels))
-    data[columns] = _group_sums(inverse, grid.features, columns.size) / counts[:, None]
-    return BevMap(data.reshape(spec.bev_width, spec.bev_depth, channels),
+    columns, inverse, counts = np.unique(_bev_column(spec, grid.occupied), return_inverse=True,
+                                         return_counts=True)
+    means = _group_sums(inverse, grid.features, columns.size) / counts[:, None]
+    return BevMap(SparseGrid((spec.bev_width, spec.bev_depth, channels), columns, means),
                   spec.bev_cell_size, spec.planar_range)
+
+
+def _stencil(xys: np.ndarray, planar_range: float, cell_size: float, width: int,
+             depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bilinear stencil of each (M, 2) query: the (4, M) flat cells ``ix * depth + iy``
+    of its corners (00, 10, 01, 11) and its (M, 1) weights ``fu`` and ``fv``."""
+    q = np.atleast_2d(np.asarray(xys, dtype=np.float64))
+    if not covers(planar_range, q).all():
+        raise ValueError("query outside grid range")
+    u = (q[:, 0] + planar_range) / cell_size - 0.5
+    v = (q[:, 1] + planar_range) / cell_size - 0.5
+    i0 = np.clip(np.floor(u).astype(np.int64), 0, max(width - 2, 0))
+    j0 = np.clip(np.floor(v).astype(np.int64), 0, max(depth - 2, 0))
+    fu = np.clip(u - i0, 0.0, 1.0)[:, None]
+    fv = np.clip(v - j0, 0.0, 1.0)[:, None]
+    i1 = np.minimum(i0 + 1, width - 1) * depth
+    j1 = np.minimum(j0 + 1, depth - 1)
+    i0 = i0 * depth
+    return np.stack([i0 + j0, i1 + j0, i0 + j1, i1 + j1]), fu, fv
 
 
 def interpolate_bev_many(bev: BevMap, xys: np.ndarray) -> np.ndarray:
     """Bilinear feature lookup among the four cell centers around each (M, 2) query.
 
     Queries must fall inside the grid footprint; within half a cell of the
-    border the stencil clamps to edge cells.
+    border the stencil clamps to edge cells. ``stencil_columns`` lists the
+    cells a set of queries reads.
     """
-    q = np.atleast_2d(np.asarray(xys, dtype=np.float64))
-    if not bev.covers(q).all():
-        raise ValueError("query outside grid range")
-    r = bev.planar_range
-    cs = bev.cell_size
-    u = (q[:, 0] + r) / cs - 0.5
-    v = (q[:, 1] + r) / cs - 0.5
-    i0 = np.clip(np.floor(u).astype(np.int64), 0, max(bev.width - 2, 0))
-    j0 = np.clip(np.floor(v).astype(np.int64), 0, max(bev.depth - 2, 0))
-    fu = np.clip(u - i0, 0.0, 1.0)[:, None]
-    fv = np.clip(v - j0, 0.0, 1.0)[:, None]
-    i1 = np.minimum(i0 + 1, bev.width - 1)
-    j1 = np.minimum(j0 + 1, bev.depth - 1)
-    d = bev.data
-    return ((1 - fu) * (1 - fv) * d[i0, j0]
-            + fu * (1 - fv) * d[i1, j0]
-            + (1 - fu) * fv * d[i0, j1]
-            + fu * fv * d[i1, j1])
+    cells, fu, fv = _stencil(xys, bev.planar_range, bev.cell_size, bev.width, bev.depth)
+    f00, f10, f01, f11 = bev.columns.at(cells)
+    return ((1 - fu) * (1 - fv) * f00
+            + fu * (1 - fv) * f10
+            + (1 - fu) * fv * f01
+            + fu * fv * f11)
+
+
+def stencil_columns(spec: GridSpec, xys: np.ndarray) -> np.ndarray:
+    """Ascending flat BEV columns ``ix * D' + iy`` that ``interpolate_bev_many`` reads
+    for the (M, 2) queries ``xys`` on the BEV grid of ``spec``; it raises as that does."""
+    return np.unique(_stencil(xys, spec.planar_range, spec.bev_cell_size, spec.bev_width,
+                              spec.bev_depth)[0])
+
+
+def column_points(points: np.ndarray, spec: GridSpec, columns: np.ndarray) -> np.ndarray:
+    """Ascending indices of the in-range rows of ``points`` whose BEV column is listed.
+
+    A row's column is that of its voxel, as ``flatten_bev`` pools it.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    kept = np.flatnonzero(spec.in_range(pts))
+    return kept[np.isin(_bev_column(spec, spec.voxel_index(pts[kept])), columns)]
+
+
+def _bev_column(spec: GridSpec, voxels: np.ndarray) -> np.ndarray:
+    """Flat BEV column ``ix * D' + iy`` of each (M, 3) voxel key."""
+    ds = spec.bev_downsample
+    return (voxels[:, 0] // ds) * spec.bev_depth + voxels[:, 1] // ds

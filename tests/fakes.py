@@ -1,5 +1,5 @@
 """Stand-ins the tests hand to the library: fixed memberships, row stacking, sparse grids
-from dense arrays, sequences whose sensor frames yaw, the paper's grid."""
+and BEV maps from dense arrays, sequences whose sensor frames yaw, the paper's grid."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from modalpanoptic.cloud import PointCloudSweep, SweepSequence
 from modalpanoptic.membership import DetectionRow, Detections, PairTable
-from modalpanoptic.voxels import GridSpec, SparseGrid
+from modalpanoptic.voxels import BevMap, GridSpec, SparseGrid
 
 # The paper's grid: 0.075 m voxels in x and y, 0.2 m in z, 54 m planar range,
 # z from -5 to 3 m, BEV stride 8. ``GridSpec()`` is the smaller grid the CLI runs.
@@ -49,6 +49,14 @@ def sparse_of(dense, vector: bool = False) -> SparseGrid:
     listed = cells != 0
     keys = np.flatnonzero(listed.any(axis=1) if vector else listed)
     return SparseGrid(dense.shape, keys, cells[keys])
+
+
+def dense_bev(data, cell_size, planar_range) -> BevMap:
+    """A BEV map that lists every column of the dense (W', D', C) ``data``."""
+    data = np.asarray(data, dtype=np.float64)
+    w, d, c = data.shape
+    return BevMap(SparseGrid(data.shape, np.arange(w * d), data.reshape(-1, c)), cell_size,
+                  planar_range)
 
 
 def yaw_pose(yaw, translation):

@@ -13,7 +13,7 @@ import numpy as np
 
 from modalpanoptic.cloud import PointCloudSweep, check_rigid, invert_pose
 from modalpanoptic.losses import bce_loss
-from modalpanoptic.membership import PairTable
+from modalpanoptic.membership import PairTable, assemble_pair_features, predict_membership
 from modalpanoptic.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, recalibrate_batchnorm
 from modalpanoptic.synth import flip_semantics
 from modalpanoptic.targets import (
@@ -530,6 +530,51 @@ def pair_rows_reference(points_xyz, point_sem, detections, pairs, cfg, point_fea
     return np.concatenate(rows)
 
 
+def eager_features(provider, sweep):
+    """Every point's feature row and the full BEV map of one sweep, as a first stage
+    that computes its features before detection would."""
+    every = np.arange(len(sweep))
+    feats = provider.point_features(sweep, every)
+    return feats, provider.bev_map(sweep, every, feats)
+
+
+def stencil_cells_reference(spec, x, y):
+    """The four BEV cells (ix, iy) a bilinear lookup at (x, y) reads on ``spec``'s grid:
+    the cell centers around the query, clamped to the edge cells at the border."""
+    r, cs = spec.planar_range, spec.bev_cell_size
+    i0 = min(max(math.floor((x + r) / cs - 0.5), 0), spec.bev_width - 2)
+    j0 = min(max(math.floor((y + r) / cs - 0.5), 0), spec.bev_depth - 2)
+    return {(i0 + a, j0 + b) for a in (0, 1) for b in (0, 1)}
+
+
+def feature_rows_reference(sweep, detections, pairs, spec):
+    """The sorted rows a full pair encoding reads: the pair points, plus every
+    in-range point whose voxel's BEV column is a corner of some bilinear stencil
+    around a pair point or around a detection that owns a pair."""
+    xyz = sweep.xyz
+    queries = [xyz[i, :2] for i in set(pairs.point.tolist())]
+    queries += [detections.center[k, :2] for k in set(pairs.det.tolist())]
+    corners = set()
+    for x, y in queries:
+        corners.update(stencil_cells_reference(spec, x, y))
+    ds = spec.bev_downsample
+    rows = set(pairs.point.tolist())
+    for i in range(len(xyz)):
+        if spec.in_range(xyz[i])[0]:
+            ix, iy, _ = spec.voxel_index(xyz[i])[0]
+            if (ix // ds, iy // ds) in corners:
+                rows.add(i)
+    return sorted(rows)
+
+
+def mlp_scores_reference(model, pair_cfg, provider, inputs, detections, pairs):
+    """``mlp_scores`` over eager full-sweep features: the pair rows read them in place."""
+    feats, bev = eager_features(provider, inputs.sweep) if pair_cfg.needs_features \
+        else (None, None)
+    return predict_membership(model, assemble_pair_features(
+        inputs.sweep.xyz, inputs.maps.point_sem, detections, pairs, pair_cfg, feats, bev))
+
+
 def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skipped=None):
     """Training rows and labels one ground-truth instance at a time.
 
@@ -555,11 +600,8 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
     rows, labels = [], []
     for seq, trajs in zip(sequences, per_seq):
         for sweep in seq.sweeps:
-            feats = bev = None
-            if pair_cfg.point_feature_dim > 0 or pair_cfg.bev_feature_dim > 0:
-                feats = provider.point_features(sweep)
-                if pair_cfg.bev_feature_dim > 0:
-                    bev = provider.bev_map(sweep, feats)
+            feats, bev = eager_features(provider, sweep) \
+                if pair_cfg.point_feature_dim > 0 or pair_cfg.bev_feature_dim > 0 else (None, None)
             xyz, inst, sem = sweep.xyz, sweep.inst_labels, sweep.sem_labels
             for iid in sorted(set(inst[inst > 0].tolist())):
                 members = np.flatnonzero(inst == iid)
@@ -575,7 +617,8 @@ def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skip
                 radius = extent + np.maximum(cfg.margin_frac * extent, cfg.margin_floor)
                 roi = np.flatnonzero(np.all(np.abs(xyz - center) < radius, axis=1)
                                      & (sem == cid))
-                off_grid = bev is not None and not bev.covers(center[None, :2])[0]
+                off_grid = bev is not None and not all(
+                    -bev.planar_range <= c < bev.planar_range for c in center[:2])
                 if roi.size == 0 or off_grid:
                     if skipped is not None:
                         skipped.append(center)
@@ -846,14 +889,13 @@ def render_bev_targets_reference(center, class_id, extent, velocity, spec, num_c
     return DenseTargets(hm, height, vel_map, ext_map, valid)
 
 
-def simulate_detector_reference(seq, trajectories, extents, noise, spec, taxonomy,
-                                provider=None, seed=0):
+def simulate_detector_reference(seq, trajectories, extents, noise, spec, taxonomy, seed=0):
     """Every sweep of a sequence at once, each from ``SeedSequence(seed).spawn(n)[t]``.
 
     Each record's peak sits at its instance's modal center in that sweep's
     points and is rendered from the record's ``extents`` row. Returns one
-    (dense targets, point semantics, point features, BEV features,
-    generator) tuple per sweep, the generator as the sweep's draws left it.
+    (dense targets, point semantics, generator) tuple per sweep, the
+    generator as the sweep's draws left it.
     """
     class_ids = [c for c in taxonomy.class_ids if c not in taxonomy.ignore_ids]
     out = []
@@ -883,8 +925,5 @@ def simulate_detector_reference(seq, trajectories, extents, noise, spec, taxonom
             else ([], [], [], [], [])
         dense = render_bev_targets_reference(center, cls, extent, vel, spec,
                                              taxonomy.num_channels, conf)
-        feats = provider.point_features(sweep) if provider else np.zeros((len(sweep), 0))
-        bev = provider.bev_map(sweep, feats).data if provider \
-            else np.zeros((spec.bev_width, spec.bev_depth, 0))
-        out.append((dense, sem_pred, feats, bev, rng))
+        out.append((dense, sem_pred, rng))
     return out

@@ -134,19 +134,19 @@ def membership_setup():
     return train_seqs, test_scenes, provider
 
 
-def mlp_assignments(model, cfgm, inputs, dets):
+def mlp_assignments(model, cfgm, provider, inputs, dets):
     # Each point goes to the detection with the highest membership above 0.5.
-    score = partial(mlp_scores, model, cfgm.features, inputs, dets)
+    score = partial(mlp_scores, model, cfgm.features, provider, inputs, dets)
     return mp.fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps, score, TAX,
                             conflict="argmax", **MARGIN).point_detection
 
 
-def eval_membership(test_scenes, provider, assign_of):
+def eval_membership(test_scenes, assign_of):
     results = []
     noise = DetectorNoise(center_jitter=0.3)
     for seq, _ in test_scenes:
         inputs = prepare_sweep_inputs(seq, build_trajectories(seq, TAX), TAX, SPEC,
-                                      ExtentStrategy("MAX"), noise, provider=provider, seed=99)
+                                      ExtentStrategy("MAX"), noise, seed=99)
         for inp in inputs:
             dets = nms_detect(inp.maps, SPEC, 0.3, 500)
             sweep = inp.sweep
@@ -177,12 +177,13 @@ def test_acceptance_2_membership_trend(membership_setup):
     assert train_time < 600.0, f"training took {train_time:.0f}s"
 
     nn_acc = eval_membership(
-        test_scenes, provider,
+        test_scenes,
         lambda inp, dets: nn_baseline(inp.sweep.xyz, inp.maps.point_sem, dets, **MARGIN))
     full_acc = eval_membership(
-        test_scenes, provider, lambda inp, dets: mlp_assignments(full_model, full_cfg, inp, dets))
+        test_scenes,
+        lambda inp, dets: mlp_assignments(full_model, full_cfg, provider, inp, dets))
     geo_acc = eval_membership(
-        test_scenes, provider, lambda inp, dets: mlp_assignments(geo_model, geo_cfg, inp, dets))
+        test_scenes, lambda inp, dets: mlp_assignments(geo_model, geo_cfg, None, inp, dets))
 
     assert full_acc >= nn_acc + 0.05, f"full {full_acc:.3f} vs NN {nn_acc:.3f}"
     assert full_acc >= geo_acc, f"full {full_acc:.3f} vs geo {geo_acc:.3f}"

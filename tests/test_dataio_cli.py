@@ -1,5 +1,6 @@
 import inspect
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,10 @@ from modalpanoptic.targets import EXTENT_STRATEGIES
 from modalpanoptic.tracking import PipelineConfig
 
 from oracles import transform_to_frame
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from worker import check_predictions, sweep_sizes  # noqa: E402
 
 
 def tree_bytes(root):
@@ -234,6 +239,39 @@ class TestCli:
         assert (pred / "notes.txt").is_file()
         assert main(["eval", "--data", str(tmp_path / "data3"), "--pred", str(pred),
                      "--out", str(tmp_path / "eval")]) == 0
+
+    @pytest.mark.parametrize("command", ["track", "infer"])
+    def test_smaller_corpus_removes_stale_sequences(self, tmp_path, command):
+        # A 2-sequence corpus written over the output of a 3-sequence one:
+        # sequence 0002 goes, but a directory holding any other file stays,
+        # and so does a link to a directory of frames.
+        pred, elsewhere = tmp_path / "pred", tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "000000.label").write_bytes(b"")
+        for count in ("3", "2"):
+            data = tmp_path / f"data{count}"
+            assert main(["synth", "--out", str(data), "--sequences", count, "--sweeps", "2",
+                         "--seed", "11", "--min-instances", "2", "--max-instances", "2"]) == 0
+            if count == "2":
+                for name in ("notes", "0009"):
+                    (pred / name).mkdir()
+                    (pred / name / "000000.label").write_bytes(b"")
+                (pred / "notes" / "readme.txt").write_text("kept")
+                (pred / "0009" / "000001").mkdir()
+                (pred / "link").symlink_to(elsewhere)
+            assert main([command, "--data", str(data), "--out", str(pred),
+                         "--membership", "oracle"]) == 0
+        assert sorted(p.name for p in pred.iterdir()) == ["0000", "0001", "0009", "link", "notes"]
+        assert sorted(p.name for p in (pred / "notes").iterdir()) \
+            == ["000000.label", "readme.txt"]
+        assert (elsewhere / "000000.label").is_file()
+        assert main(["eval", "--data", str(tmp_path / "data2"), "--pred", str(pred),
+                     "--out", str(tmp_path / "eval")]) == 0
+        shutil.rmtree(pred / "notes")
+        shutil.rmtree(pred / "0009")
+        (pred / "link").unlink()
+        assert check_predictions(tmp_path / "data2", pred, sweep_sizes(tmp_path / "data2")) \
+            is None
 
     def test_targets_dump(self, tmp_path):
         data = tmp_path / "data"

@@ -12,7 +12,7 @@ from modalpanoptic.membership import (
 )
 from modalpanoptic.targets import build_trajectories
 from modalpanoptic.tracking import SweepInputs
-from modalpanoptic.voxels import BevMap, GridSpec
+from modalpanoptic.voxels import GridSpec
 
 from fakes import make_table_membership, row, sparse_of, stack, yaw_pose
 from oracles import fuse_reference, nms_detect_reference
@@ -20,11 +20,6 @@ from oracles import fuse_reference, nms_detect_reference
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
                 ClassDef(3, "road", "stuff")), 5)
 SPEC = GridSpec((0.5, 0.5, 0.5), 8.0, -2.0, 2.0, 2)  # 32x32 voxels, 16x16 BEV
-
-
-def empty_bev():
-    return BevMap(np.zeros((SPEC.bev_width, SPEC.bev_depth, 0)), SPEC.bev_cell_size,
-                  SPEC.planar_range)
 
 
 def maps_of(heat, height=None, velocity=None, extent=None, point_sem=None, n_points=0):
@@ -40,8 +35,6 @@ def maps_of(heat, height=None, velocity=None, extent=None, point_sem=None, n_poi
         sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth, 3)) if extent is None else extent,
                   vector=True),
         np.zeros(n_points, dtype=np.int32) if point_sem is None else np.asarray(point_sem, dtype=np.int32),
-        empty_bev(),
-        np.zeros((n_points if point_sem is None else len(point_sem), 0)),
     )
 
 
@@ -159,8 +152,7 @@ def check_nms_against_reference(hm, threshold=0.3, max_detections=500):
     # Every fourth cell lists no extent, so peaks there read 0.0.
     extent = rng.uniform(0.1, 2.0, size=(w, d, 3)) * (rng.uniform(size=(w, d, 1)) < 0.75)
     maps = PredictedMaps(sparse_of(hm), sparse_of(height), sparse_of(np.zeros((w, d, 2)), True),
-                         sparse_of(extent, True), np.zeros(0, dtype=np.int32), empty_bev(),
-                         np.zeros((0, 0)))
+                         sparse_of(extent, True), np.zeros(0, dtype=np.int32))
     want = nms_detect_reference(hm, height, extent, SPEC, threshold, max_detections)
     got = nms_detect(maps, SPEC, threshold, max_detections)
     assert_same_detections(got, want)

@@ -25,9 +25,9 @@ from modalpanoptic.mlp import Layer, MlpModel, build_mlp
 from modalpanoptic.pipeline import prepare_sweep_inputs
 from modalpanoptic.synth import DetectorNoise, HandcraftedFeatures
 from modalpanoptic.targets import ExtentStrategy
-from modalpanoptic.voxels import BevMap, GridSpec
+from modalpanoptic.voxels import GridSpec
 
-from fakes import row as det, stack
+from fakes import dense_bev, row as det, stack
 from oracles import build_training_pairs_reference, nn_baseline_reference, pair_rows_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
@@ -114,7 +114,7 @@ class TestPairFeatures:
         assert cfg.width == (3 + 5 + 2 + 4) + (3 + 2 + 4)
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1, 1, size=(7, 3))
-        bev = BevMap(rng.normal(size=(6, 6, 2)), cell_size=1.0, planar_range=3.0)
+        bev = dense_bev(rng.normal(size=(6, 6, 2)), cell_size=1.0, planar_range=3.0)
         rows = assemble_pair_features(pts, np.ones(7, dtype=int), stack([det(np.zeros(3))]),
                                       one_group(7), cfg,
                                       point_features=rng.normal(size=(7, 5)), bev=bev)
@@ -324,46 +324,55 @@ def row_model():
         seq, _ = row_scene(seed)
         sweeps += prepare_sweep_inputs(seq, mp.build_trajectories(seq, ROW_TAX), ROW_TAX,
                                        ROW_SPEC, ExtentStrategy("MAX"),
-                                       DetectorNoise(center_jitter=0.3), provider=provider,
-                                       seed=99)
-    return model, cfg.features, sweeps
+                                       DetectorNoise(center_jitter=0.3), seed=99)
+    return model, cfg.features, provider, sweeps
 
 
-def per_detection_scores(model, pair_cfg, inputs, dets, pairs):
+def per_detection_scores(model, pair_cfg, provider, inputs, dets, pairs):
     """One forward per detection group."""
     out = [np.zeros(0)]
     for d, one in enumerate(dets):
         idx = pairs.point[pairs.group(d)]
         table = PairTable(np.zeros(idx.size, dtype=np.int64), idx, np.array([0, idx.size]),
                           margin_floor=0.1)
-        out.append(mlp_scores(model, pair_cfg, inputs, stack([one]), table))
+        out.append(mlp_scores(model, pair_cfg, provider, inputs, stack([one]), table))
     return np.concatenate(out)
 
 
 class TestBatchedMlpScores:
     def test_one_forward_matches_per_detection_forwards(self, row_model):
-        model, pair_cfg, sweeps = row_model
+        model, pair_cfg, provider, sweeps = row_model
         scored = 0
         for inputs in sweeps:
             dets = nms_detect(inputs.maps, ROW_SPEC)
             pairs = gather_pairs(inputs.sweep.xyz, inputs.maps.point_sem, dets, 0.1, 0.3)
-            batch = mlp_scores(model, pair_cfg, inputs, dets, pairs)
-            single = per_detection_scores(model, pair_cfg, inputs, dets, pairs)
+            batch = mlp_scores(model, pair_cfg, provider, inputs, dets, pairs)
+            single = per_detection_scores(model, pair_cfg, provider, inputs, dets, pairs)
             assert batch.shape == single.shape == (len(pairs),)
             np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
             assert np.all(np.abs(batch - 0.5) > 1e-12)  # no claim flips at 0.5
             scored += len(pairs)
         assert scored > 1000
 
+    def test_feature_blocks_need_a_provider(self, row_model):
+        model, pair_cfg, _, sweeps = row_model
+        inputs = sweeps[0]
+        dets = nms_detect(inputs.maps, ROW_SPEC)
+        pairs = gather_pairs(inputs.sweep.xyz, inputs.maps.point_sem, dets, 0.1, 0.3)
+        with pytest.raises(ValueError, match="requires a provider"):
+            mlp_scores(model, pair_cfg, None, inputs, dets, pairs)
+        with pytest.raises(ValueError, match="requires a provider"):
+            build_training_pairs([row_scene(600)[0]], ROW_TAX, MembershipTrainConfig(pair_cfg))
+
     @pytest.mark.parametrize("conflict", ["first_wins", "argmax"])
     def test_fused_labels_equal(self, row_model, conflict):
-        model, pair_cfg, sweeps = row_model
+        model, pair_cfg, provider, sweeps = row_model
         claimed = 0
         for inputs in sweeps:
             dets = nms_detect(inputs.maps, ROW_SPEC)
             fused = [fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps,
-                                   partial(score, model, pair_cfg, inputs, dets), ROW_TAX,
-                                   0.1, 0.3, conflict)
+                                   partial(score, model, pair_cfg, provider, inputs, dets),
+                                   ROW_TAX, 0.1, 0.3, conflict)
                      for score in (mlp_scores, per_detection_scores)]
             np.testing.assert_array_equal(fused[0].sem, fused[1].sem)
             np.testing.assert_array_equal(fused[0].inst, fused[1].inst)
@@ -420,7 +429,7 @@ class TestAssemblyAgainstReference:
                 dets = stack(rows)
             pairs = gather_pairs(pts, sems, dets, 0.1, float(rng.choice([0.1, 0.3])))
             feats = rng.normal(size=(len(pts), 3))
-            bev = BevMap(rng.normal(size=(16, 16, 2)), cell_size=1.0, planar_range=8.0)
+            bev = dense_bev(rng.normal(size=(16, 16, 2)), cell_size=1.0, planar_range=8.0)
             got = assemble_pair_features(pts, sems, dets, pairs, cfg, feats, bev)
             want = pair_rows_reference(pts, sems, dets, pairs, cfg, feats, bev)
             assert got.shape == want.shape == (len(pairs), cfg.width), f"trial {trial}"

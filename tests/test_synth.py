@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,14 +16,19 @@ from modalpanoptic.synth import (
     flip_semantics,
     visible_faces,
 )
+from modalpanoptic.inference import nms_detect
 from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
-                                      build_training_pairs)
+                                      build_training_pairs, features_for_pairs, gather_pairs,
+                                      mlp_scores)
+from modalpanoptic.mlp import build_mlp
 from modalpanoptic.targets import build_trajectories, instance_boxes, modal_center
-from modalpanoptic.voxels import GridSpec
+from modalpanoptic.tracking import SweepInputs
+from modalpanoptic.voxels import GridSpec, interpolate_bev_many
 
 from fakes import PAPER_GRID, rotated
 from oracles import (
     bev_mean_reference,
+    feature_rows_reference,
     flip_semantics_reference,
     handcrafted_features_reference,
     simulate_detector_reference,
@@ -31,12 +38,15 @@ TAX = mp.default_taxonomy()
 SPEC = GridSpec()
 
 
-def simulate_all(seq, trajs, noise, seed=0, provider=None):
+def simulate_all(seq, trajs, noise, seed=0):
     """``simulate_detector`` on every sweep of ``seq``, in order, each record predicting
     its own shrink-wrapped extent."""
-    return [mp.simulate_detector(sweep, t, trajs, trajs.extent, noise, SPEC, TAX,
-                                 provider=provider, seed=seed)
+    return [mp.simulate_detector(sweep, t, trajs, trajs.extent, noise, SPEC, TAX, seed=seed)
             for t, sweep in enumerate(seq.sweeps)]
+
+
+def every_row(sweep):
+    return np.arange(len(sweep))
 
 
 def simple_cfg(**kw):
@@ -293,9 +303,7 @@ class TestSimulateDetector:
         extents = trajs.max_extents[trajs.row_instance] if max_extents else trajs.extent
         noise = DetectorNoise(center_jitter=0.2, confidence_noise=0.2, drop_probability=0.2,
                               semantic_flip_probability=0.05, velocity_noise=0.3)
-        provider = HandcraftedFeatures(SPEC)
-        want = simulate_detector_reference(seq, trajs, extents, noise, SPEC, TAX, provider,
-                                           seed=9)
+        want = simulate_detector_reference(seq, trajs, extents, noise, SPEC, TAX, seed=9)
         made, default_rng = [], np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng",
                             lambda *args: made.append(default_rng(*args)) or made[-1])
@@ -303,8 +311,8 @@ class TestSimulateDetector:
         # Last sweep first: each sweep seeds its own stream.
         for t in reversed(range(len(seq))):
             got = mp.simulate_detector(seq.sweeps[t], t, trajs, extents, noise, SPEC, TAX,
-                                       provider=provider, seed=9)
-            dense, sem, feats, bev, rng = want[t]
+                                       seed=9)
+            dense, sem, rng = want[t]
             assert len(made) == len(seq) - t
             assert made[-1].bit_generator.state == rng.bit_generator.state
             assert got.heatmaps.dense().tobytes() == dense.heatmaps.tobytes()
@@ -312,8 +320,6 @@ class TestSimulateDetector:
             assert got.velocity.dense().tobytes() == dense.velocity.tobytes()
             assert got.extent.dense().tobytes() == dense.extent.tobytes()
             assert got.point_sem.tobytes() == sem.tobytes()
-            assert got.point_features.tobytes() == feats.tobytes()
-            assert got.bev_features.data.tobytes() == bev.tobytes()
             centers += got.height.keys.size
         assert centers > len(seq)
 
@@ -355,11 +361,12 @@ class TestHandcraftedFeatures:
     def test_shapes_and_determinism(self):
         seq, _ = mp.generate_sequence(simple_cfg(seed=17, sweep_count=1), TAX)
         provider = HandcraftedFeatures(SPEC)
-        f1 = provider.point_features(seq.sweeps[0])
-        f2 = provider.point_features(seq.sweeps[0])
+        every = every_row(seq.sweeps[0])
+        f1 = provider.point_features(seq.sweeps[0], every)
+        f2 = provider.point_features(seq.sweeps[0], every)
         assert f1.shape == (len(seq.sweeps[0]), HandcraftedFeatures.DIM)
         np.testing.assert_array_equal(f1, f2)
-        bev = provider.bev_map(seq.sweeps[0], f1)
+        bev = provider.bev_map(seq.sweeps[0], every, f1)
         assert bev.data.shape == (SPEC.bev_width, SPEC.bev_depth, HandcraftedFeatures.DIM)
 
 
@@ -397,10 +404,10 @@ class TestHandcraftedFeaturesOracle:
         seq, _ = mp.generate_sequence(FEATURE_SCENES[name], TAX)
         provider = HandcraftedFeatures(spec)
         for sweep in seq.sweeps:
-            feats = provider.point_features(sweep)
+            feats = provider.point_features(sweep, every_row(sweep))
             ref = handcrafted_features_reference(sweep.xyz)
             assert feats.tobytes() == ref.tobytes()
-            bev = provider.bev_map(sweep, feats)
+            bev = provider.bev_map(sweep, every_row(sweep), feats)
             assert bev.data.tobytes() == bev_mean_reference(sweep.points, spec, ref).tobytes()
 
     @pytest.mark.parametrize("xyz", [
@@ -417,7 +424,7 @@ class TestHandcraftedFeaturesOracle:
     ], ids=["empty", "single", "duplicates", "on-cell-edges", "radius-apart", "radius-ring"])
     def test_edge_case_bytes(self, xyz):
         sweep = bare_sweep(xyz)
-        feats = HandcraftedFeatures(SPEC).point_features(sweep)
+        feats = HandcraftedFeatures(SPEC).point_features(sweep, every_row(sweep))
         assert feats.shape == (len(sweep), HandcraftedFeatures.DIM)
         assert feats.tobytes() == handcrafted_features_reference(sweep.xyz).tobytes()
 
@@ -427,28 +434,79 @@ class TestHandcraftedFeaturesOracle:
         xyz = np.concatenate([rng.uniform(-0.9, 0.9, size=(900, 3)),
                               rng.uniform(-20, 20, size=(300, 3))])
         sweep = bare_sweep(xyz)
-        feats = HandcraftedFeatures(SPEC).point_features(sweep)
+        feats = HandcraftedFeatures(SPEC).point_features(sweep, every_row(sweep))
         assert feats.tobytes() == handcrafted_features_reference(sweep.xyz).tobytes()
 
 
+# Planar coordinates on 0.6 m cell boundaries, or anywhere in a few cells
+# around the origin, negative ones included.
+_CELL_EDGE_OR_FREE = st.one_of(st.integers(-5, 5).map(lambda k: 0.6 * k),
+                               st.floats(-3.0, 3.0, allow_nan=False, width=32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_CELL_EDGE_OR_FREE, _CELL_EDGE_OR_FREE, st.floats(-2.0, 2.0)),
+                min_size=1, max_size=40),
+       st.data())
+def test_point_features_of_rows_match_reference(points, data):
+    """Any row set reads the full-sweep oracle's rows: every point is a candidate."""
+    copies = data.draw(st.lists(st.integers(0, len(points) - 1), max_size=10))
+    sweep = bare_sweep(points + [points[i] for i in copies])
+    n = len(sweep)
+    rows = data.draw(st.one_of(
+        st.just([]), st.integers(0, n - 1).map(lambda i: [i]), st.just(list(range(n))),
+        st.lists(st.integers(0, n - 1), unique=True)), label="rows")
+    rows = np.asarray(rows, dtype=np.int64)
+    got = HandcraftedFeatures(SPEC).point_features(sweep, rows)
+    want = handcrafted_features_reference(sweep.xyz)[rows]
+    assert got.shape == (rows.size, HandcraftedFeatures.DIM)
+    assert got.tobytes() == want.tobytes()
+
+
 class CountingFeatures(HandcraftedFeatures):
+    """Records the rows of every ``point_features`` call."""
+
     def __init__(self, spec):
         super().__init__(spec)
-        self.calls = 0
+        self.asked = []
 
-    def point_features(self, sweep):
-        self.calls += 1
-        return super().point_features(sweep)
+    def point_features(self, sweep, rows):
+        self.asked.append(np.array(rows))
+        return super().point_features(sweep, rows)
 
 
 class TestFeaturesOncePerSweep:
     def test_simulate_detector(self):
+        # The simulated first stage computes no features. The MLP scorer asks
+        # once per sweep, for the rows its pair encoding reads and no others.
         seq, _ = mp.generate_sequence(simple_cfg(seed=5, sweep_count=3), TAX)
+        trajs = build_trajectories(seq, TAX)
         provider = CountingFeatures(SPEC)
-        maps = simulate_all(seq, build_trajectories(seq, TAX), NO_NOISE, provider=provider)
-        assert provider.calls == len(seq.sweeps)
-        assert maps[0].bev_features.data.tobytes() == provider.bev_map(
-            seq.sweeps[0], maps[0].point_features).data.tobytes()
+        pair_cfg = PairFeatureConfig(TAX.num_channels, HandcraftedFeatures.DIM,
+                                     HandcraftedFeatures.DIM)
+        score = partial(mlp_scores, build_mlp([pair_cfg.width, 8, 1], batchnorm=True, seed=0),
+                        pair_cfg, provider)
+        maps = simulate_all(seq, trajs, NO_NOISE)
+        assert provider.asked == []
+        tables = []
+        for t, (sweep, sweep_maps) in enumerate(zip(seq.sweeps, maps)):
+            dets = nms_detect(sweep_maps, SPEC)
+            pairs = gather_pairs(sweep.xyz, sweep_maps.point_sem, dets)
+            assert score(SweepInputs(sweep, sweep_maps, trajs, t), dets, pairs).shape \
+                == (len(pairs),)
+            tables.append((sweep, dets, pairs))
+        assert len(provider.asked) == len(seq.sweeps)
+        for rows, (sweep, dets, pairs) in zip(provider.asked, tables):
+            want = feature_rows_reference(sweep, dets, pairs, SPEC)
+            assert len(pairs) and rows.tolist() == want
+            assert len(want) < len(sweep)
+            # What the pairs read equals the eager full-sweep features and map.
+            feats, bev = features_for_pairs(provider, pair_cfg, sweep, dets, pairs)
+            full = provider.point_features(sweep, every_row(sweep))
+            assert feats[rows].tobytes() == full[rows].tobytes()
+            queries = np.concatenate([sweep.xyz[pairs.point, :2], dets.center[pairs.det, :2]])
+            assert interpolate_bev_many(bev, queries).tobytes() == interpolate_bev_many(
+                provider.bev_map(sweep, every_row(sweep), full), queries).tobytes()
 
     @pytest.mark.parametrize("include_point", [True, False])
     def test_build_training_pairs(self, include_point):
@@ -458,7 +516,8 @@ class TestFeaturesOncePerSweep:
             TAX.num_channels, HandcraftedFeatures.DIM if include_point else 0,
             HandcraftedFeatures.DIM), margin_floor=0.1)
         build_training_pairs([seq], TAX, cfg, provider)
-        assert provider.calls == len(seq.sweeps)
+        assert len(provider.asked) == len(seq.sweeps)
+        assert all(0 < rows.size < len(sweep) for rows, sweep in zip(provider.asked, seq.sweeps))
 
 
 @settings(max_examples=200, deadline=None)

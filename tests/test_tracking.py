@@ -1,17 +1,25 @@
 import dataclasses
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 import modalpanoptic as mp
-from modalpanoptic.cli import _noise, build_parser, main
+from modalpanoptic.cli import _noise, _pair_config, build_parser, main
 from modalpanoptic.cloud import PanopticLabeling
-from modalpanoptic.dataio import dataset_taxonomy, list_sequences, read_sequence, write_predictions
+from modalpanoptic.dataio import (
+    dataset_taxonomy,
+    list_sequences,
+    read_sequence,
+    write_predictions,
+    write_sequence,
+)
 from modalpanoptic.inference import nms_detect
 from modalpanoptic.membership import oracle_scores
+from modalpanoptic.mlp import load_model
 from modalpanoptic.pipeline import build_extent_model, infer_sequence, prepare_sweep_inputs
-from modalpanoptic.synth import NO_NOISE
+from modalpanoptic.synth import NO_NOISE, HandcraftedFeatures
 from modalpanoptic.targets import ExtentStrategy, class_wise_mean_extents
 from modalpanoptic.tracking import (
     PipelineConfig,
@@ -28,6 +36,7 @@ from oracles import (
     fuse_reference,
     gather_pairs_reference,
     greedy_associate_reference,
+    mlp_scores_reference,
     nms_detect_reference,
     nn_baseline_reference,
     simulate_detector_reference,
@@ -338,6 +347,60 @@ class TestWholeLoopAgainstReferences:
             write_predictions(want, name, labelings)
             instances.update(np.unique(np.concatenate([lab.inst for lab in labelings])).tolist())
         assert len(instances) > 8
+        for frame in sorted(want.rglob("*.label")):
+            assert (pred / frame.relative_to(want)).read_bytes() == frame.read_bytes(), frame
+        assert sorted(p.relative_to(pred) for p in pred.rglob("*")) \
+            == sorted(p.relative_to(want) for p in want.rglob("*"))
+
+
+# The bench's row scenes and their detector noise, cut to two short sequences.
+ROWS = ["--sequences", "2", "--sweeps", "2", "--seed", "1000000", "--motion", "drift",
+        "--min-instances", "2", "--max-instances", "3", "--min-separation", "10",
+        "--max-range", "24", "--pair-gap", "0.1", "0.35", "--row-partners", "2",
+        "--min-speed", "0.5", "--max-speed", "1.5"]
+ROW_NOISE = ["--center-jitter", "0.15", "--semantic-flip", "0.01", "--margin-floor", "0.3"]
+
+
+def mlp_track_by_reference(seq, taxonomy, args, model):
+    """``track --membership mlp`` on one sequence, the scorer reading eager full-sweep
+    features: every point's row and the full BEV map, made before detection."""
+    trajectories = mp.build_trajectories(seq, taxonomy)
+    pair_cfg = _pair_config(args, taxonomy)
+    score = partial(mlp_scores_reference, model, pair_cfg, HandcraftedFeatures(SPEC))
+    gates = class_gates(class_wise_mean_extents(trajectories, taxonomy)) or None
+    cfg = PipelineConfig(margin_floor=args.margin_floor, gates=gates)
+    stream = prepare_sweep_inputs(seq, trajectories, taxonomy, SPEC, ExtentStrategy("MAX"),
+                                  _noise(args), seed=args.seed)
+    return panoptic_track_sequence(stream, taxonomy, SPEC, score, seq.period, cfg)
+
+
+class TestMlpWholeLoopAgainstEagerFeatures:
+    @pytest.mark.parametrize("corpus", ["rows", "rotated"])
+    @pytest.mark.parametrize("features", ["full", "geo+bev"])
+    def test_track_labels_match(self, tmp_path, corpus, features):
+        data, pred, want = tmp_path / "data", tmp_path / "pred", tmp_path / "want"
+        model = tmp_path / "model.bin"
+        assert main(["synth", "--out", str(data)] + ROWS) == 0
+        taxonomy = dataset_taxonomy(data)
+        if corpus == "rotated":
+            for name in list_sequences(data):
+                seq = read_sequence(data, name)
+                write_sequence(data, name, rotated(seq, [0.4 + 1.1 * t for t in range(len(seq))]),
+                               taxonomy)
+        assert main(["train-mem", "--data", str(data), "--out", str(model), "--features", features,
+                     "--epochs", "3", "--optimizer", "adam", "--learning-rate", "1e-3",
+                     "--margin-floor", "0.3"]) == 0
+        track = ["track", "--data", str(data), "--out", str(pred), "--seed", "7",
+                 "--membership", "mlp", "--model", str(model), "--features", features] + ROW_NOISE
+        assert main(track) == 0
+        args = build_parser().parse_args(track)
+        claimed = 0
+        for name in list_sequences(data):
+            labelings = mlp_track_by_reference(read_sequence(data, name), taxonomy, args,
+                                               load_model(model))
+            write_predictions(want, name, labelings)
+            claimed += sum(np.count_nonzero(lab.inst) for lab in labelings)
+        assert claimed > 300
         for frame in sorted(want.rglob("*.label")):
             assert (pred / frame.relative_to(want)).read_bytes() == frame.read_bytes(), frame
         assert sorted(p.relative_to(pred) for p in pred.rglob("*")) \

@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from modalpanoptic.voxels import (
-    BevMap,
     GridSpec,
     _group_sums,
+    column_points,
     flatten_bev,
     interpolate_bev_many,
+    stencil_columns,
     voxelize,
 )
 
-from fakes import PAPER_GRID
+from fakes import PAPER_GRID, dense_bev
 from oracles import (
     bev_mean_reference,
     bilinear_4term,
     interpolate_bev_reference,
+    stencil_cells_reference,
     voxel_features_reference,
 )
 
@@ -226,7 +228,7 @@ class TestInterpolateBev:
     def make_bev(self, seed=4):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(8, 8, 3))
-        return BevMap(data, cell_size=1.0, planar_range=4.0)
+        return dense_bev(data, cell_size=1.0, planar_range=4.0)
 
     def one(self, bev, x, y):
         return interpolate_bev_many(bev, np.array([[x, y]]))[0]
@@ -268,3 +270,60 @@ class TestInterpolateBev:
         for x, y in [(4.5, 0.0), (4.0, 0.0), (0.0, -4.01)]:
             with pytest.raises(ValueError):
                 self.one(bev, x, y)
+
+
+def stencil_queries(spec):
+    """Planar positions at cell centers, on cell edges, and within half a cell of
+    the footprint's border, where the bilinear stencil clamps to the edge cells."""
+    r, cs = spec.planar_range, spec.bev_cell_size
+    cells = np.arange(spec.bev_width)
+    axis = np.concatenate([-r + (cells + 0.5) * cs, -r + cells * cs,
+                           [-r + 0.25 * cs, r - 0.25 * cs, r - 0.5 * cs, np.nextafter(r, 0.0)]])
+    return np.array([(x, y) for x in axis for y in axis])
+
+
+class TestStencilColumns:
+    """A map pooled from the points of the stencil columns only reads, through
+    ``interpolate_bev_many``, the bytes of the full map."""
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_restricted_map_reads_the_full_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        cloud = random_cloud(seed, 1500, [8.5, 8.5, 2.2])  # some points out of range
+        feats = rng.normal(size=(len(cloud), 3))
+        full = flatten_bev(voxelize(cloud, SMALL, features=feats))
+        candidates = stencil_queries(SMALL)
+        d = SMALL.bev_depth
+        partial_maps = 0
+        for _ in range(40):
+            queries = candidates[rng.choice(len(candidates), int(rng.integers(1, 6)))]
+            columns = stencil_columns(SMALL, queries)
+            want = sorted(ix * d + iy for x, y in queries
+                          for ix, iy in stencil_cells_reference(SMALL, x, y))
+            assert columns.tolist() == sorted(set(want))
+            rows = column_points(cloud, SMALL, columns)
+            assert np.all(SMALL.in_range(cloud[rows]))
+            restricted = flatten_bev(voxelize(cloud[rows], SMALL, features=feats[rows]))
+            got = interpolate_bev_many(restricted, queries)
+            assert got.tobytes() == interpolate_bev_many(full, queries).tobytes()
+            flat = restricted.data.reshape(-1, 3)
+            assert flat[columns].tobytes() == full.data.reshape(-1, 3)[columns].tobytes()
+            assert not np.any(np.delete(flat, columns, axis=0))
+            partial_maps += bool(np.any(full.data)) and not np.array_equal(restricted.data,
+                                                                         full.data)
+        assert partial_maps == 40
+
+    def test_column_points_follow_the_pooled_voxels(self):
+        cloud = random_cloud(10, 600, [8.5, 8.5, 2.2])
+        grid = voxelize(cloud, SMALL)
+        column = grid.occupied[:, 0] // 2 * SMALL.bev_depth + grid.occupied[:, 1] // 2
+        picked = np.unique(column)[::3]
+        owner = np.repeat(column, np.diff(grid.starts))
+        want = np.sort(grid.point_index[np.isin(owner, picked)])
+        assert column_points(cloud, SMALL, picked).tolist() == want.tolist()
+
+    def test_query_outside_the_footprint_rejected(self):
+        r = SMALL.planar_range
+        for q in [(r, 0.0), (0.0, -np.nextafter(r, np.inf)), (np.nan, 0.0)]:
+            with pytest.raises(ValueError, match="query outside grid range"):
+                stencil_columns(SMALL, np.array([[0.0, 0.0], q]))
