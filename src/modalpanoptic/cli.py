@@ -1,8 +1,7 @@
 """Command line pipeline: synth, targets, train-mem, infer, track, eval, report.
 
 Every command is deterministic given its seed: rerunning with identical
-arguments produces byte-identical outputs. ``MODAL_PANOPTIC_SEED`` overrides
-the configured seed (useful in CI).
+arguments produces byte-identical outputs.
 
 Flag defaults come from the library types and constants that own each knob
 (``GridSpec``, ``SceneConfig``, ``DetectorNoise``, ``ROI_MARGIN_FLOOR``, ...) and
@@ -18,7 +17,6 @@ that has it, and flags on the command line override the file.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -70,11 +68,6 @@ EXIT_BAD_DATA = 4
 
 class MissingInput(FileNotFoundError):
     pass
-
-
-def _seed_of(args) -> int:
-    env = os.environ.get("MODAL_PANOPTIC_SEED")
-    return int(env) if env else args.seed
 
 
 def _strategy(args, class_means: dict[int, np.ndarray]) -> ExtentStrategy:
@@ -138,13 +131,12 @@ def _write_registry(path, registry) -> None:
 
 
 def cmd_synth(args) -> int:
-    seed = _seed_of(args)
     taxonomy = default_taxonomy(args.min_instance_points)
     pair_gap = tuple(args.pair_gap) if args.pair_gap else None
     tasks = []
     for i in range(args.sequences):
         cfg = SceneConfig(
-            seed=seed + i,
+            seed=args.seed + i,
             sweep_count=args.sweeps,
             period=args.period,
             count_range=(args.min_instances, args.max_instances),
@@ -210,7 +202,8 @@ def _membership_rows(sweep, trajectories, rows, max_extents) -> np.ndarray:
     ``max_extents`` row.
     """
     gt = Detections(trajectories.sensor_center[rows], np.ones(rows.size),
-                    trajectories.class_id[rows], max_extents[trajectories.row_instance[rows]])
+                    trajectories.class_id[rows], max_extents[trajectories.row_instance[rows]],
+                    trajectories.velocity[rows])
     # Zero margins leave each RoI the uninflated box.
     det, point = np.nonzero(roi_mask(gt, sweep.xyz, 0.0, 0.0))
     label = sweep.inst_labels[point] == trajectories.instance_id[rows][det]
@@ -233,7 +226,7 @@ def cmd_train_mem(args) -> int:
         optimizer=args.optimizer,
         batch_size=args.batch_size,
         hidden_dims=(args.hidden,) * len(MembershipTrainConfig.hidden_dims),
-        seed=_seed_of(args),
+        seed=args.seed,
     )
     model, trace = train_membership_stage2(sequences, taxonomy, cfg, provider)
     save_model(model, args.out)
@@ -256,7 +249,6 @@ def _run_inference(args, track: bool) -> int:
         score = partial(mlp_scores, load_model(args.model), pair_cfg, provider)
     else:
         score = oracle_scores if args.membership == "oracle" else nn_scores
-    seed = _seed_of(args)
 
     def predict(seq) -> list[PanopticLabeling]:
         # One sequence per call: none of it is alive while the next is read.
@@ -272,7 +264,7 @@ def _run_inference(args, track: bool) -> int:
             max_age=args.max_age if track else DEFAULT_MAX_AGE,
         )
         stream = prepare_sweep_inputs(seq, trajectories, taxonomy, spec,
-                                      _strategy(args, class_means), _noise(args), seed=seed)
+                                      _strategy(args, class_means), _noise(args), seed=args.seed)
         if track:
             return panoptic_track_sequence(stream, taxonomy, spec, score, seq.period, pcfg)
         return infer_sequence(stream, taxonomy, spec, score, pcfg)

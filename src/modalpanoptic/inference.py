@@ -9,7 +9,8 @@ import numpy as np
 
 from .cloud import PanopticLabeling, Taxonomy
 from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detections, PairTable, gather_pairs
-from .voxels import GridSpec, SparseGrid
+from .targets import BevTargets
+from .voxels import GridSpec
 
 NMS_THRESHOLD = 0.3
 NMS_MAX_DETECTIONS = 500
@@ -17,37 +18,8 @@ CONFLICT_RULES = ("first_wins", "argmax")  # fuse_panoptic's overlap rules
 DEFAULT_CONFLICT = CONFLICT_RULES[0]
 
 
-@dataclass(frozen=True)
-class PredictedMaps:
-    """Simulated (or one day, regressed) first-stage outputs for one sweep.
-
-    Backbone features are not among them: a learned membership scorer asks
-    its ``FeatureProvider`` for the few it reads, after detection. The
-    heatmaps and the height, velocity and extent maps are sparse: only listed
-    cells are stored and every other cell reads 0.0, which is what detection
-    reads anyway (heatmap peaks, box attributes at detected centers).
-    Heatmap values must lie in [0, 1]; as with a dense ``min``/``max`` scan,
-    a map holding a NaN passes that check.
-    """
-
-    heatmaps: SparseGrid       # (K, W', D') in [0, 1]
-    height: SparseGrid         # (W', D') meters
-    velocity: SparseGrid       # (W', D', 2) m/s
-    extent: SparseGrid         # (W', D', 3) half extent, meters
-    point_sem: np.ndarray      # (N,) predicted class per point
-
-    def __post_init__(self):
-        values = self.heatmaps.values
-        if values.min(initial=0.0) < 0 or values.max(initial=0.0) > 1:
-            raise ValueError("heatmap values must lie in [0, 1]")
-        k, w, d = self.heatmaps.shape
-        if self.height.shape != (w, d) or self.velocity.shape != (w, d, 2) \
-                or self.extent.shape != (w, d, 3):
-            raise ValueError("height/velocity/extent shapes do not match the heatmaps")
-
-
 def nms_detect(
-    maps: PredictedMaps,
+    maps: BevTargets,
     spec: GridSpec,
     threshold: float = NMS_THRESHOLD,
     max_detections: int = NMS_MAX_DETECTIONS,
@@ -70,9 +42,12 @@ def nms_detect(
     looked up in the sparse map in one call.
 
     Ties in confidence fall to (class, x, y) order. Detection centers snap
-    to cell centers; z and the extent are the height and extent maps' values
-    at the peak cell. Those maps are per cell, not per class: two classes
-    peaking in one cell read the same height and extent.
+    to cell centers; every other box attribute is read at the peak cell: z
+    from the height map, the half extent from the extent map and the planar
+    velocity (world-frame m/s, as the map stores it) from the velocity map.
+    Those maps are per cell, not per class: two classes peaking in one cell
+    read the same height, extent and velocity, and a peak at a cell a map
+    does not list reads 0.0 there.
     """
     hm = maps.heatmaps
     _, w, d = hm.shape
@@ -100,7 +75,7 @@ def nms_detect(
     cls, x, y = np.unravel_index(flat[order], hm.shape)
     cell = x * d + y
     center = np.column_stack([*spec.bev_cell_center(x, y), maps.height.at(cell)])
-    return Detections(center, value[order], cls, maps.extent.at(cell))
+    return Detections(center, value[order], cls, maps.extent.at(cell), maps.velocity.at(cell))
 
 
 @dataclass(frozen=True)
@@ -122,7 +97,7 @@ class FusionResult:
 def fuse_panoptic(
     points_xyz: np.ndarray,
     detections: Detections,
-    maps: PredictedMaps,
+    point_sem: np.ndarray,
     membership: Callable[[PairTable], np.ndarray],
     taxonomy: Taxonomy,
     margin_frac: float = ROI_MARGIN_FRAC,
@@ -132,12 +107,12 @@ def fuse_panoptic(
     """Fuse semantics, detections and memberships into per-point (class, id).
 
     ``gather_pairs`` collects each detection's RoI points whose predicted
-    class is its own, and ``membership(pairs)`` scores the whole table in one
-    call, one probability per pair. A pair whose membership strictly exceeds
-    0.5 is a claim. Claimed points take the detection class and a fresh id
-    (starting at 1, in detection order; a detection that wins no point takes
-    no id). Leftover points fall back to their predicted semantics with
-    instance 0.
+    class ``point_sem`` is its own, and ``membership(pairs)`` scores the
+    whole table in one call, one probability per pair. A pair whose
+    membership strictly exceeds 0.5 is a claim. Claimed points take the
+    detection class and a fresh id (starting at 1, in detection order; a
+    detection that wins no point takes no id). Leftover points fall back to
+    their predicted semantics with instance 0.
 
     ``conflict`` picks the overlap rule: "first_wins" gives a contested point
     to its first (most confident) claimant; "argmax" to the claimant with
@@ -151,7 +126,7 @@ def fuse_panoptic(
     foreign = detections.class_id[~np.isin(detections.class_id, taxonomy.class_ids)]
     if foreign.size:
         raise ValueError(f"detection class {foreign[0]} not in the taxonomy")
-    pairs = gather_pairs(points_xyz, maps.point_sem, detections, margin_frac, margin_floor)
+    pairs = gather_pairs(points_xyz, point_sem, detections, margin_frac, margin_floor)
     probs = np.asarray(membership(pairs), dtype=np.float64)
     if probs.shape != (len(pairs),):
         raise ValueError(f"membership gave {probs.shape} scores for {len(pairs)} pairs")
@@ -166,7 +141,7 @@ def fuse_panoptic(
     point_det = np.full(n, -1, dtype=np.int64)
     point_det[point[first]] = det[first]
     claimed = point_det >= 0
-    sem_out = np.asarray(maps.point_sem, dtype=np.int32).copy()
+    sem_out = np.asarray(point_sem, dtype=np.int32).copy()
     inst_out = np.zeros(n, dtype=np.int32)
     claiming = np.bincount(det[first], minlength=len(detections)) > 0
     inst_out[claimed] = np.cumsum(claiming)[point_det[claimed]]

@@ -33,35 +33,42 @@ class DetectionRow(NamedTuple):
     confidence: float
     class_id: int
     extent: np.ndarray     # (3,) per-axis half extent, meters
+    velocity: np.ndarray   # (2,) world frame, m/s
 
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """One sweep's detected modal centers, one row per detection, as arrays.
+    """One sweep's detected boxes, one row per ``nms_detect`` peak, as arrays.
 
-    Validated once, on creation: (D, 3) centers and half extents, (D,)
-    confidences and class ids, extents >= 0, confidences in [0, 1] and
-    non-increasing down the rows, which is the order fusion consumes them in.
-    ``len`` counts the rows and iteration yields ``DetectionRow``s; that is
-    all ``bench/spans.py`` reads of them (``len``, then each row's
-    ``.center``, ``.class_id`` and ``.extent``).
+    Velocities are world-frame m/s, as the velocity map stores them, so
+    ``to_world`` moves only the centers. Validated once, on creation: (D, 3)
+    centers and half extents, (D, 2) velocities, (D,) confidences and class
+    ids, finite extents >= 0, confidences in [0, 1] and non-increasing down the
+    rows, which is the order fusion consumes them in. ``len`` counts the
+    rows and iteration yields ``DetectionRow``s; that is all
+    ``bench/spans.py`` reads of them (``len``, then each row's ``.center``,
+    ``.class_id`` and ``.extent``).
     """
 
     center: np.ndarray      # (D, 3) meters
     confidence: np.ndarray  # (D,)
     class_id: np.ndarray    # (D,) int64
     extent: np.ndarray      # (D, 3) per-axis half extent, meters
+    velocity: np.ndarray    # (D, 2) world frame, m/s
 
     def __post_init__(self):
         for name, dtype in (("center", np.float64), ("confidence", np.float64),
-                            ("class_id", np.int64), ("extent", np.float64)):
+                            ("class_id", np.int64), ("extent", np.float64),
+                            ("velocity", np.float64)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         d = self.confidence.shape[0] if self.confidence.ndim == 1 else -1
         if (self.confidence.shape != (d,) or self.class_id.shape != (d,)
-                or self.center.shape != (d, 3) or self.extent.shape != (d, 3)):
-            raise ValueError("detections need (D, 3) centers/extents, (D,) confidences/classes")
-        if np.any(self.extent < 0):
-            raise ValueError("extent components must be >= 0")
+                or self.center.shape != (d, 3) or self.extent.shape != (d, 3)
+                or self.velocity.shape != (d, 2)):
+            raise ValueError("detections need (D, 3) centers/extents, (D, 2) velocities, "
+                             "(D,) confidences/classes")
+        if not np.all((self.extent >= 0) & (self.extent < np.inf)):
+            raise ValueError("extent components must be finite and >= 0")
         if not np.all((self.confidence >= 0.0) & (self.confidence <= 1.0)):
             raise ValueError("confidence must lie in [0, 1]")
         if np.any(self.confidence[1:] > self.confidence[:-1]):
@@ -72,12 +79,12 @@ class Detections:
 
     def __iter__(self) -> Iterator[DetectionRow]:
         return map(DetectionRow, self.center, self.confidence.tolist(),
-                   self.class_id.tolist(), self.extent)
+                   self.class_id.tolist(), self.extent, self.velocity)
 
     def to_world(self, pose: np.ndarray) -> Detections:
         """The same detections with centers mapped through a 4x4 rigid pose."""
         return Detections(apply_pose(pose, self.center), self.confidence, self.class_id,
-                          self.extent)
+                          self.extent, self.velocity)
 
 
 def roi_radius(det, margin_frac: float, margin_floor: float) -> np.ndarray:
@@ -95,12 +102,12 @@ def roi_points(
     """Indices of points strictly inside the detection's axis-aligned box.
 
     The box is the predicted extent around the center, optionally inflated by
-    a per-axis margin; training targets use the uninflated box.
+    a per-axis margin (zero margins without ``inflate``): one row of ``roi_mask``.
     """
-    pts = np.asarray(points_xyz, dtype=np.float64)
-    radius = roi_radius(det, margin_frac, margin_floor) if inflate else det.extent
-    inside = np.all(np.abs(pts[:, :3] - det.center) < radius, axis=1)
-    return np.flatnonzero(inside)
+    one = det._replace(center=np.reshape(det.center, (1, 3)),
+                       extent=np.reshape(det.extent, (1, 3)))
+    margins = (margin_frac, margin_floor) if inflate else (0.0, 0.0)
+    return np.flatnonzero(roi_mask(one, points_xyz, *margins)[0])
 
 
 def roi_mask(detections: Detections, points_xyz: np.ndarray, margin_frac: float,
@@ -306,7 +313,7 @@ def nn_baseline(
 
 def nn_scores(inputs: SweepInputs, detections: Detections, pairs: PairTable) -> np.ndarray:
     """Hard membership induced by the nearest-center baseline assignment."""
-    assignment = nn_baseline(inputs.sweep.xyz, inputs.maps.point_sem, detections,
+    assignment = nn_baseline(inputs.sweep.xyz, inputs.point_sem, detections,
                              pairs.margin_frac, pairs.margin_floor, pairs=pairs)
     return (assignment[pairs.point] == pairs.det).astype(np.float64)
 
@@ -368,7 +375,7 @@ def mlp_scores(
     if pair_cfg.needs_features:
         feats, bev = features_for_pairs(provider, pair_cfg, inputs.sweep, detections, pairs)
     return predict_membership(model, assemble_pair_features(
-        inputs.sweep.xyz, inputs.maps.point_sem, detections, pairs, pair_cfg, feats, bev))
+        inputs.sweep.xyz, inputs.point_sem, detections, pairs, pair_cfg, feats, bev))
 
 
 def oracle_scores(inputs: SweepInputs, detections: Detections, pairs: PairTable) -> np.ndarray:
@@ -452,7 +459,7 @@ def build_training_pairs(
                 on_grid = covers(provider.spec.planar_range, centers[:, :2])
                 at, centers = at[on_grid], centers[on_grid]
             dets = Detections(centers, np.ones(at.size), table.class_id[at],
-                              seq_extents[table.row_instance[at]])
+                              seq_extents[table.row_instance[at]], table.velocity[at])
             pairs = gather_pairs(sweep.xyz, sweep.sem_labels, dets, cfg.margin_frac,
                                  cfg.margin_floor)
             feats = bev = None

@@ -1,8 +1,9 @@
 """Minimal feed-forward network: dense layers, batch norm, SGD and Adam.
 
-Enough machinery to train the point-to-center membership head and the
-per-point feature MLP, with exact reverse-mode gradients that are verified
-against finite differences in the test suite.
+Enough machinery to train the point-to-center membership head, with exact
+reverse-mode gradients that are verified against finite differences in the
+test suite. The head's inputs are pair rows; the per-point features among
+them come from ``synth.HandcraftedFeatures``, not from a network.
 
 Parameters live in one flat float64 vector, ``MlpModel.params.flat``: layer
 by layer, the row-major weights, then the bias and, for a batch-norm layer,

@@ -68,8 +68,8 @@ def prepare_sweep_inputs(
     predicted, suppressed = build_extent_model(trajectories, strategy)
     trained = trajectories.select(~suppressed)
     extents = predicted[trajectories.row_instance[~suppressed]]
-    return (SweepInputs(sweep, simulate_detector(sweep, t, trained, extents, noise, spec,
-                                                 taxonomy, seed=seed),
+    return (SweepInputs(sweep, *simulate_detector(sweep, t, trained, extents, noise, spec,
+                                                  taxonomy, seed=seed),
                         trajectories, t)
             for t, sweep in enumerate(seq.sweeps))
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import NO_INSTANCE, ClassDef, PointCloudSweep, SweepSequence, Taxonomy
-from .inference import PredictedMaps
-from .targets import Trajectories, render_bev_targets
+from .targets import BevTargets, Trajectories, render_bev_targets
 from .voxels import BevMap, FeatureProvider, GridSpec, flatten_bev, voxelize
 
 CAR = 1
@@ -31,6 +30,7 @@ EGO_MOTIONS = ("static", "orbit")  # SceneConfig.ego_motion
 
 _NEIGHBOR_RADIUS = 0.6  # meters, for the handcrafted local features
 _PAIR_CHUNK = 1 << 13  # candidate pairs expanded at a time by point_features
+_CELL_KEY_LIMIT = 1 << 30  # |neighbor cell key| bound; keeps every cell code below 2**63
 
 
 def default_taxonomy(min_instance_points: int = 15) -> Taxonomy:
@@ -356,7 +356,9 @@ class HandcraftedFeatures(FeatureProvider):
     centroid is a sequential float64 sum divided by the count, taken over the
     cells in ``dx`` order then ``dy`` order (each over -1, 0, 1) and, within
     a cell, over points in ascending index; the distance test is
-    ``sqrt(dx*dx + dy*dy) <= 0.6``. Outputs are fixed bit for bit by that
+    ``sqrt(dx*dx + dy*dy) <= 0.6``. Cell keys beyond 2**30 cells (6.4e8 m)
+    from the origin are clamped to that bound, which merges those far cells
+    and finds the same neighbors. Outputs are fixed bit for bit by that
     contract, which ``tests/oracles.handcrafted_features_reference`` spells
     out as a per-point loop. ``bev_map`` pools the points it is given into
     BEV column means (``voxelize`` then ``flatten_bev``).
@@ -376,8 +378,10 @@ class HandcraftedFeatures(FeatureProvider):
         # Cell keys encoded so that sorted codes follow (kx, ky) order, with
         # ky in [1, span - 2]: the cells (kx + dx, ky - 1 .. ky + 1) are one
         # contiguous code range, so each point's 9 neighbor cells are 3 runs
-        # of the sorted order, in dx order, each in dy order.
-        keys = np.floor(xyz[:, :2] / _NEIGHBOR_RADIUS).astype(np.int64)
+        # of the sorted order, in dx order, each in dy order. Clamping keeps
+        # codes in int64 and moves no two keys apart, so no neighbor is lost.
+        keys = np.clip(np.floor(xyz[:, :2] / _NEIGHBOR_RADIUS), -_CELL_KEY_LIMIT,
+                       _CELL_KEY_LIMIT).astype(np.int64)
         keys -= keys.min(axis=0) - 1
         span = int(keys[:, 1].max()) + 2
         code = keys[:, 0] * span + keys[:, 1]
@@ -442,8 +446,8 @@ def simulate_detector(
     spec: GridSpec,
     taxonomy: Taxonomy | None = None,
     seed: int = 0,
-) -> PredictedMaps:
-    """Backbone-output simulation for one sweep: semantics, heatmaps and box maps.
+) -> tuple[BevTargets, np.ndarray]:
+    """Backbone-output simulation for one sweep: (BEV maps, (N,) point semantics).
 
     ``sweep`` is sweep ``sweep_index`` of a sequence, and ``trajectories``
     holds the records the detector was trained on: the caller's
@@ -455,9 +459,12 @@ def simulate_detector(
     row and scaled by a noisy confidence; dropped instances, and instances
     without a record here, leave no peak. The peak's center cell carries
     the record's height, its ``extents`` row, and its world-frame
-    ``velocity`` plus noise (what a trained offset head regresses). The maps
-    come back sparse, as ``render_bev_targets`` lists them. A record whose
-    point count the sweep does not match raises.
+    ``velocity`` plus noise in m/s (what a trained offset head regresses).
+    The maps are ``render_bev_targets``' sparse ``BevTargets``, the one type
+    of first-stage map, which ``inference.nms_detect`` reads every box
+    attribute from at each peak. The semantics are the labels with
+    ``semantic_flip_probability`` noise. A record whose point count the
+    sweep does not match raises.
 
     Deterministic per (inputs, seed, sweep_index): the sweep draws from
     ``SeedSequence(seed, spawn_key=(sweep_index,))``, the stream
@@ -500,7 +507,6 @@ def simulate_detector(
         jittered.append(center)
         velocities.append(vel)
         peaks.append(conf)
-    rendered = render_bev_targets(jittered, trajectories.class_id[picked], extents[picked],
-                                  velocities, spec, taxonomy.num_channels, peak_scale=peaks)
-    return PredictedMaps(rendered.heatmaps, rendered.height, rendered.velocity, rendered.extent,
-                         sem_pred)
+    maps = render_bev_targets(jittered, trajectories.class_id[picked], extents[picked],
+                              velocities, spec, taxonomy.num_channels, peak_scale=peaks)
+    return maps, sem_pred

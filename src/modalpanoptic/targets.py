@@ -279,20 +279,32 @@ def save_cwm_stats(stats: dict[int, np.ndarray], path) -> None:
 
 @dataclass(frozen=True)
 class BevTargets:
-    """Detection-branch targets over the BEV grid, held sparsely.
+    """The first stage's BEV maps, held sparsely: training targets and simulated outputs.
 
     ``heatmaps`` lists the (class, cell) entries some Gaussian reaches with
-    a nonzero value; ``height``, ``velocity`` and ``extent`` list the
-    instance center cells, the only cells that carry regression targets.
-    Every other cell reads 0.0. Dense arrays are made on demand:
-    ``heatmaps.dense()``, ``height.dense()``, ``velocity.dense()``,
-    ``extent.dense()`` and ``valid_mask()``.
+    a nonzero value; ``height``, ``velocity`` (world-frame m/s) and
+    ``extent`` list the instance center cells, the only cells that carry box
+    attributes, which ``inference.nms_detect`` reads at each peak. Every
+    other cell reads 0.0. Heatmap values must lie in [0, 1] (as with a dense
+    ``min``/``max`` scan, a NaN passes) and the box maps share the heatmaps'
+    grid. Dense arrays are made on demand: ``heatmaps.dense()``,
+    ``height.dense()``, ``velocity.dense()``, ``extent.dense()`` and
+    ``valid_mask()``.
     """
 
     heatmaps: SparseGrid   # (K, W', D') in [0, 1]
     height: SparseGrid     # (W', D') meters
-    velocity: SparseGrid   # (W', D', 2) m/s
+    velocity: SparseGrid   # (W', D', 2) world frame, m/s
     extent: SparseGrid     # (W', D', 3) half extent, meters
+
+    def __post_init__(self):
+        values = self.heatmaps.values
+        if values.min(initial=0.0) < 0 or values.max(initial=0.0) > 1:
+            raise ValueError("heatmap values must lie in [0, 1]")
+        _, w, d = self.heatmaps.shape
+        if self.height.shape != (w, d) or self.velocity.shape != (w, d, 2) \
+                or self.extent.shape != (w, d, 3):
+            raise ValueError("height/velocity/extent shapes do not match the heatmaps")
 
     def valid_mask(self) -> np.ndarray:
         """Dense (W', D') bool mask of the cells carrying regression targets."""

@@ -13,12 +13,11 @@ from .inference import (
     FusionResult,
     NMS_MAX_DETECTIONS,
     NMS_THRESHOLD,
-    PredictedMaps,
     fuse_panoptic,
     nms_detect,
 )
 from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detections, PairTable
-from .targets import Trajectories
+from .targets import BevTargets, Trajectories
 from .voxels import GridSpec
 
 MAX_TRACK_ID = 65535  # the on-disk label format packs ids into 16 bits
@@ -49,7 +48,6 @@ def class_gates(cwm_stats: dict[int, np.ndarray]) -> dict[int, float]:
 def greedy_associate(
     tracks: list[Tracklet],
     detections: Detections,
-    velocities: np.ndarray,
     dt: float,
     sweep_index: int,
     next_track_id: int,
@@ -60,17 +58,19 @@ def greedy_associate(
     """Match detections to tracks by velocity-compensated planar distance.
 
     Candidate pairs share a class and satisfy
-    ``|track.last_center - (det.center - v dt)| < gate``; pairs are consumed
+    ``|track.last_center - (det.center - v dt)| < gate``, where ``v`` is the
+    detection's ``velocity``, the world-frame m/s that ``nms_detect`` read
+    at its peak; centers must be in the world frame too. Pairs are consumed
     greedily in increasing (distance, track id, detection, track) order, one
     detection per track. Unmatched detections open new tracks; tracks
     unmatched for more than ``max_age`` sweeps (``sweep_index - last_seen``)
-    are dropped. ``velocities`` holds each detection's (D, 2) regressed
-    velocity, and the track a detection ends on keeps a copy of its row.
+    are dropped. The track a detection ends on keeps a copy of its velocity
+    row, so no track holds on to the array it came from.
     Returns (alive tracks, per-detection track ids, next free id).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    velocities = np.array(velocities, dtype=np.float64).reshape(len(detections), 2)
+    velocities = detections.velocity.copy()
     predicted = detections.center[:, :2] - velocities * dt
     det_track = np.full(len(detections), -1, dtype=np.int64)
     last = np.array([tr.last_center[:2] for tr in tracks]).reshape(-1, 2)
@@ -111,10 +111,12 @@ class SweepInputs:
     """Everything inference needs for one sweep, sweep ``sweep_index`` of a
     sequence whose full trajectory table (every labeled instance, trained on
     or not) is ``trajectories``; ``membership.oracle_scores`` reads that
-    sweep's rows of it."""
+    sweep's rows of it. ``maps`` (every box attribute ``nms_detect`` reads,
+    velocity included) and ``point_sem`` are ``simulate_detector``'s result."""
 
     sweep: PointCloudSweep
-    maps: PredictedMaps
+    maps: BevTargets
+    point_sem: np.ndarray
     trajectories: Trajectories
     sweep_index: int
 
@@ -144,7 +146,7 @@ def infer_sweep(
 ) -> tuple[Detections, FusionResult]:
     """NMS followed by panoptic fusion for a single sweep."""
     dets = nms_detect(inputs.maps, spec, cfg.nms_threshold, cfg.nms_max_detections)
-    fused = fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps,
+    fused = fuse_panoptic(inputs.sweep.xyz, dets, inputs.point_sem,
                           lambda pairs: score(inputs, dets, pairs), taxonomy,
                           cfg.margin_frac, cfg.margin_floor, cfg.conflict)
     return dets, fused
@@ -174,13 +176,8 @@ def panoptic_track_sequence(
     for inputs in per_sweep:
         t = len(out)
         dets, fused = infer_sweep(inputs, taxonomy, spec, score, cfg)
-        # The regressed velocity is read at each detection's own BEV cell, in
-        # the sweep frame where the maps live.
-        ix, iy = spec.bev_cell_of(dets.center)
-        velocities = inputs.maps.velocity.at(np.clip(ix, 0, spec.bev_width - 1) * spec.bev_depth
-                                             + np.clip(iy, 0, spec.bev_depth - 1))
         tracks, det_track, next_id = greedy_associate(
-            tracks, dets.to_world(inputs.sweep.ego_pose), velocities, dt, t, next_id,
+            tracks, dets.to_world(inputs.sweep.ego_pose), dt, t, next_id,
             cfg.gates, cfg.default_gate, cfg.max_age)
         del inputs
         # Point detection -1 (unclaimed) reads the appended instance 0.

@@ -17,19 +17,22 @@ PAPER_GRID = GridSpec((0.075, 0.075, 0.2), 54.0, -5.0, 3.0, 8)
 
 
 def stack(rows) -> Detections:
-    """One ``Detections`` from ``DetectionRow``s or (center, confidence, class, extent) tuples."""
-    rows = list(rows)
+    """One ``Detections`` from ``DetectionRow``s or (center, confidence, class, extent)
+    tuples, the latter at velocity 0 m/s."""
+    rows = [(*r, np.zeros(2))[:5] for r in rows]
     if not rows:
         return Detections(np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=np.int64),
-                          np.zeros((0, 3)))
-    centers, confidences, classes, extents = zip(*rows)
+                          np.zeros((0, 3)), np.zeros((0, 2)))
+    centers, confidences, classes, extents, velocities = zip(*rows)
     return Detections(np.array(centers, dtype=np.float64), np.array(confidences),
-                      np.array(classes), np.array(extents, dtype=np.float64))
+                      np.array(classes), np.array(extents, dtype=np.float64),
+                      np.array(velocities, dtype=np.float64))
 
 
-def row(center, conf=0.9, cid=1, extent=(1.0, 1.0, 1.0)) -> DetectionRow:
+def row(center, conf=0.9, cid=1, extent=(1.0, 1.0, 1.0), velocity=(0.0, 0.0)) -> DetectionRow:
     return DetectionRow(np.asarray(center, dtype=np.float64), conf, cid,
-                        np.asarray(extent, dtype=np.float64))
+                        np.asarray(extent, dtype=np.float64),
+                        np.asarray(velocity, dtype=np.float64))
 
 
 def make_table_membership(table: np.ndarray) -> Callable[[PairTable], np.ndarray]:

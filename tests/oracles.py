@@ -269,15 +269,16 @@ def fuse_reference(points_xyz, point_sem, detections, membership_table,
     return sem_out, inst_out
 
 
-def nms_detect_reference(heatmaps, height, extent, spec, threshold=0.3, max_detections=500):
+def nms_detect_reference(heatmaps, height, extent, velocity, spec, threshold=0.3,
+                         max_detections=500):
     """Dense 3x3 max-pooling NMS: the peak rule ``nms_detect`` must reproduce.
 
-    Takes dense (K, W', D') heatmaps, a dense (W', D') height map and a dense
-    (W', D', 3) extent map. Every cell of every channel is compared with the
-    maximum of its 3x3 neighborhood (``-inf`` beyond the grid); peaks
-    strictly above the threshold are ordered by (-confidence, class, x, y)
-    and cut at ``max_detections``, and each reads its height and extent at
-    its own cell.
+    Takes dense (K, W', D') heatmaps, a dense (W', D') height map, a dense
+    (W', D', 3) extent map and a dense (W', D', 2) velocity map. Every cell
+    of every channel is compared with the maximum of its 3x3 neighborhood
+    (``-inf`` beyond the grid); peaks strictly above the threshold are
+    ordered by (-confidence, class, x, y) and cut at ``max_detections``, and
+    each reads its height, extent and velocity at its own cell.
     """
     k, w, d = heatmaps.shape
     hm = heatmaps
@@ -296,7 +297,7 @@ def nms_detect_reference(heatmaps, height, extent, spec, threshold=0.3, max_dete
             break
         xy = spec.bev_cell_center(int(x), int(y))
         center = np.array([xy[0], xy[1], height[x, y]])
-        rows.append((center, float(hm[c, x, y]), int(c), extent[x, y]))
+        rows.append((center, float(hm[c, x, y]), int(c), extent[x, y], velocity[x, y]))
     return stack(rows)
 
 
@@ -572,7 +573,7 @@ def mlp_scores_reference(model, pair_cfg, provider, inputs, detections, pairs):
     feats, bev = eager_features(provider, inputs.sweep) if pair_cfg.needs_features \
         else (None, None)
     return predict_membership(model, assemble_pair_features(
-        inputs.sweep.xyz, inputs.maps.point_sem, detections, pairs, pair_cfg, feats, bev))
+        inputs.sweep.xyz, inputs.point_sem, detections, pairs, pair_cfg, feats, bev))
 
 
 def build_training_pairs_reference(sequences, taxonomy, cfg, provider=None, skipped=None):

@@ -42,7 +42,7 @@ from modalpanoptic.voxels import GridSpec
 
 from fakes import make_table_membership
 from oracles import fd_gradient, fuse_reference, pq_counts, rel_err, tube_s_assoc
-from test_inference import TAX as FUSE_TAX, maps_of, random_fusion_case
+from test_inference import TAX as FUSE_TAX, random_fusion_case
 
 TAX = mp.default_taxonomy()
 SPEC = GridSpec()
@@ -137,7 +137,7 @@ def membership_setup():
 def mlp_assignments(model, cfgm, provider, inputs, dets):
     # Each point goes to the detection with the highest membership above 0.5.
     score = partial(mlp_scores, model, cfgm.features, provider, inputs, dets)
-    return mp.fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps, score, TAX,
+    return mp.fuse_panoptic(inputs.sweep.xyz, dets, inputs.point_sem, score, TAX,
                             conflict="argmax", **MARGIN).point_detection
 
 
@@ -178,7 +178,7 @@ def test_acceptance_2_membership_trend(membership_setup):
 
     nn_acc = eval_membership(
         test_scenes,
-        lambda inp, dets: nn_baseline(inp.sweep.xyz, inp.maps.point_sem, dets, **MARGIN))
+        lambda inp, dets: nn_baseline(inp.sweep.xyz, inp.point_sem, dets, **MARGIN))
     full_acc = eval_membership(
         test_scenes,
         lambda inp, dets: mlp_assignments(full_model, full_cfg, provider, inp, dets))
@@ -329,8 +329,7 @@ def test_acceptance_6_fusion_conformance():
         pts, sems, dets, table = random_fusion_case(
             rng, n_points=int(rng.integers(20, 120)),
             n_dets=int(rng.integers(1, 7)), include_half=True)
-        maps = maps_of({}, point_sem=sems)
-        got = mp.fuse_panoptic(pts, dets, maps, make_table_membership(table), FUSE_TAX,
+        got = mp.fuse_panoptic(pts, dets, sems, make_table_membership(table), FUSE_TAX,
                                margin_frac=0.1, margin_floor=0.1)
         want_sem, want_inst = fuse_reference(pts, sems, dets, table,
                                              set(FUSE_TAX.thing_ids),

@@ -156,14 +156,6 @@ class TestCli:
         assert main(SYNTH_ARGS + ["--out", str(b)]) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("MODAL_PANOPTIC_SEED", "99")
-        assert main(SYNTH_ARGS + ["--out", str(a)]) == 0
-        monkeypatch.delenv("MODAL_PANOPTIC_SEED")
-        assert main(SYNTH_ARGS + ["--seed", "99", "--out", str(b)]) == 0
-        assert tree_bytes(a) == tree_bytes(b)
-
     def test_full_pipeline_and_self_eval(self, tmp_path):
         data = tmp_path / "data"
         pred = tmp_path / "pred"
@@ -272,6 +264,35 @@ class TestCli:
         (pred / "link").unlink()
         assert check_predictions(tmp_path / "data2", pred, sweep_sizes(tmp_path / "data2")) \
             is None
+
+    @pytest.mark.parametrize("command", [
+        ["train-mem", "--features", "full"],
+        ["train-mem", "--features", "geo+bev"],
+        ["track", "--membership", "mlp", "--features", "full"],
+    ], ids=["train-mem-full", "train-mem-geo+bev", "track-mlp-full"])
+    def test_far_point_in_a_sweep(self, tmp_path, command):
+        # One ground point moved to (1e20, 1e20, 0) m: the 0.6 m neighbor
+        # cell keys of the point features must still give int64 cell codes.
+        data, model, out = tmp_path / "data", tmp_path / "model.bin", tmp_path / "out"
+        assert main(["synth", "--out", str(data), "--sequences", "1", "--sweeps", "1",
+                     "--seed", "1000000", "--motion", "drift", "--min-instances", "2",
+                     "--max-instances", "3", "--min-separation", "10", "--max-range", "24",
+                     "--pair-gap", "0.1", "0.35", "--row-partners", "2"]) == 0
+        train = ["train-mem", "--data", str(data), "--out", str(model), "--epochs", "1",
+                 "--margin-floor", "0.3"]
+        if command[0] == "track":
+            assert main(train + command[-2:]) == 0  # the model, before the point moves
+        sweep = read_sequence(data, "0000").sweeps[0]
+        ground = np.flatnonzero(sweep.sem_labels == GROUND)[0]
+        path = data / "sequences" / "0000" / "velodyne" / "000000.bin"
+        points = read_point_bin(path)
+        points[ground, :3] = (1e20, 1e20, 0.0)
+        write_point_bin(path, points)
+        if command[0] == "track":
+            run = command + ["--data", str(data), "--out", str(out), "--model", str(model)]
+        else:
+            run = train + command[1:]
+        assert main(run) == 0
 
     def test_targets_dump(self, tmp_path):
         data = tmp_path / "data"

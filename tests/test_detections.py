@@ -6,6 +6,7 @@ distances tie and land exactly on a gate.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from modalpanoptic.tracking import Tracklet, greedy_associate
 
 from fakes import make_table_membership, stack
 from oracles import fuse_reference, gather_pairs_reference, greedy_associate_reference
-from test_inference import maps_of
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
                 ClassDef(3, "road", "stuff")), 5)
@@ -40,11 +40,23 @@ class TestDetections:
     ])
     def test_wrong_shape_rejected(self, center, confidence, class_id, extent):
         with pytest.raises(ValueError, match="D, 3"):
-            Detections(center, confidence, class_id, extent)
+            Detections(center, confidence, class_id, extent, np.zeros((len(center), 2)))
+
+    @pytest.mark.parametrize("velocity", [np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(2)])
+    def test_wrong_velocity_shape_rejected(self, velocity):
+        with pytest.raises(ValueError, match=r"\(D, 2\) velocities"):
+            Detections(three(2), np.ones(2), np.ones(2, dtype=int), three(2), velocity)
 
     def test_negative_extent_rejected(self):
         with pytest.raises(ValueError, match="extent"):
             stack([(np.zeros(3), 0.9, 1, [1.0, -0.01, 1.0])])
+
+    @pytest.mark.parametrize("extent", [np.inf, np.nan])
+    def test_non_finite_extent_rejected(self, extent):
+        # An RoI's radius is extent + max(frac * extent, floor): with zero
+        # margins it equals the extent only when the extent is finite.
+        with pytest.raises(ValueError, match="finite"):
+            stack([(np.zeros(3), 0.9, 1, [1.0, extent, 1.0])])
 
     @pytest.mark.parametrize("confidence", [-0.1, 1.5, np.nan])
     def test_confidence_outside_unit_interval_rejected(self, confidence):
@@ -68,6 +80,7 @@ class TestDetections:
         assert type(rows[0].confidence) is float and type(rows[0].class_id) is int
         np.testing.assert_array_equal(rows[1].center, [4.0, 5.0, 6.0])
         np.testing.assert_array_equal(rows[1].extent, [1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(rows[1].velocity, [0.0, 0.0])
 
     def test_to_world_matches_each_row(self):
         rng = np.random.default_rng(0)
@@ -76,12 +89,15 @@ class TestDetections:
             pose = np.eye(4)
             pose[:2, :2] = [[np.cos(yaw), -np.sin(yaw)], [np.sin(yaw), np.cos(yaw)]]
             pose[:3, 3] = rng.uniform(-50, 50, 3)
-            dets = stack((rng.uniform(-40, 40, 3), 0.5, 1, np.ones(3)) for _ in range(30))
+            dets = stack((rng.uniform(-40, 40, 3), 0.5, 1, np.ones(3), rng.normal(size=2))
+                         for _ in range(30))
             moved = dets.to_world(pose)
             want = np.array([pose[:3, :3] @ c + pose[:3, 3] for c in dets.center])
             assert moved.center.tobytes() == want.tobytes()
             np.testing.assert_array_equal(moved.extent, dets.extent)
             np.testing.assert_array_equal(moved.class_id, dets.class_id)
+            # Velocities are world-frame already: no pose moves them.
+            assert moved.velocity.tobytes() == dets.velocity.tobytes()
 
 
 # ---------------------------------------------------------------- RoI pairs
@@ -179,7 +195,7 @@ def association_scenes(draw):
         velocities = np.array(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 2),
                                             min_size=len(dets), max_size=len(dets))),
                               dtype=np.float64).reshape(-1, 2)
-        sweeps.append((dets, velocities))
+        sweeps.append((dataclasses.replace(dets, velocity=velocities), velocities))
     gates = draw(st.sampled_from([None, {1: 0.5}, {1: 1.0, 2: 1.5}]))
     return sweeps, gates, draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.integers(0, 2))
 
@@ -197,7 +213,7 @@ class TestGreedyAssociateProperties:
         got_tracks, want_tracks, got_id, want_id, ages = [], [], 1, 1, {}
         for t, (dets, velocities) in enumerate(sweeps):
             got_tracks, got_ids, got_id = greedy_associate(
-                got_tracks, dets, velocities, 0.5, t, got_id, gates, default_gate, max_age)
+                got_tracks, dets, 0.5, t, got_id, gates, default_gate, max_age)
             want_tracks, want_ids, want_id = greedy_associate_reference(
                 want_tracks, dets, velocities, 0.5, t, want_id, gates, default_gate, max_age,
                 ages)
@@ -215,15 +231,14 @@ class TestGreedyAssociateProperties:
                       for tid, x in zip((5, 3), xs)]
             for order in ((0, 1), (1, 0)):
                 _, ids, _ = greedy_associate(copy.deepcopy([tracks[i] for i in order]), rows,
-                                             np.zeros((1, 2)), 0.5, 1, 9)
+                                             0.5, 1, 9)
                 assert ids == [3]
 
     def test_distance_on_the_gate_does_not_match(self):
         rows = stack([(np.array([1.0, 0.0, 0.0]), 0.9, 1, np.ones(3))])
         tracks, _, next_id = greedy_associate([], stack([(np.zeros(3), 0.9, 1, np.ones(3))]),
-                                              np.zeros((1, 2)), 0.5, 0, 1)
-        _, ids, _ = greedy_associate(tracks, rows, np.zeros((1, 2)), 0.5, 1, next_id,
-                                     default_gate=1.0)
+                                              0.5, 0, 1)
+        _, ids, _ = greedy_associate(tracks, rows, 0.5, 1, next_id, default_gate=1.0)
         assert ids == [2]
 
 
@@ -243,7 +258,7 @@ class TestFusePanopticProperties:
     @given(fusion_scenes(), st.sampled_from(["first_wins", "argmax"]))
     def test_equals_reference(self, scene, conflict):
         pts, sem, dets, margins, table = scene
-        got = fuse_panoptic(pts, dets, maps_of({}, point_sem=sem), make_table_membership(table),
+        got = fuse_panoptic(pts, dets, sem, make_table_membership(table),
                             TAX, *margins, conflict)
         want_sem, want_inst = fuse_reference(pts, sem, dets, table, set(TAX.thing_ids),
                                              *margins, conflict=conflict)
@@ -264,7 +279,7 @@ class TestFusePanopticProperties:
                           [0.8, 0.8, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.9, 0.9],
                           [0.9, 0.9, 0.9, 0.9, 0.9]])
         sem = np.array([1, 1, 1, 1, 1])
-        got = fuse_panoptic(pts, dets, maps_of({}, point_sem=sem), make_table_membership(table),
+        got = fuse_panoptic(pts, dets, sem, make_table_membership(table),
                             TAX, 0.0, 0.5, conflict)
         want_sem, want_inst = fuse_reference(pts, sem, dets, table, set(TAX.thing_ids), 0.0, 0.5,
                                              conflict=conflict)
@@ -276,7 +291,7 @@ class TestFusePanopticProperties:
     def test_argmax_ties_go_to_the_earlier_detection(self):
         dets = stack([(np.zeros(3), 0.9, 1, np.ones(3)), (np.zeros(3), 0.9, 1, np.ones(3))])
         table = np.array([[0.6, 0.7], [0.6, 0.8]])
-        got = fuse_panoptic(np.zeros((2, 3)), dets, maps_of({}, point_sem=[1, 1]),
+        got = fuse_panoptic(np.zeros((2, 3)), dets, [1, 1],
                             make_table_membership(table), TAX, margin_floor=0.1,
                             conflict="argmax")
         assert got.point_detection.tolist() == [0, 1]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modalpanoptic.cloud import ClassDef, PointCloudSweep, SweepSequence, Taxonomy
-from modalpanoptic.inference import PredictedMaps, fuse_panoptic, nms_detect
+from modalpanoptic.inference import fuse_panoptic, nms_detect
 from modalpanoptic.membership import (
     PairTable,
     gather_pairs,
@@ -10,7 +10,7 @@ from modalpanoptic.membership import (
     nn_scores,
     oracle_scores,
 )
-from modalpanoptic.targets import build_trajectories
+from modalpanoptic.targets import BevTargets, build_trajectories
 from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import GridSpec
 
@@ -22,19 +22,18 @@ TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
 SPEC = GridSpec((0.5, 0.5, 0.5), 8.0, -2.0, 2.0, 2)  # 32x32 voxels, 16x16 BEV
 
 
-def maps_of(heat, height=None, velocity=None, extent=None, point_sem=None, n_points=0):
+def maps_of(heat, height=None, velocity=None, extent=None):
     k = TAX.num_channels
     hm = np.zeros((k, SPEC.bev_width, SPEC.bev_depth))
     for cid, grid in heat.items():
         hm[cid] = grid
-    return PredictedMaps(
+    return BevTargets(
         sparse_of(hm),
         sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth)) if height is None else height),
         sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth, 2)) if velocity is None else velocity,
                   vector=True),
         sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth, 3)) if extent is None else extent,
                   vector=True),
-        np.zeros(n_points, dtype=np.int32) if point_sem is None else np.asarray(point_sem, dtype=np.int32),
     )
 
 
@@ -89,8 +88,9 @@ class TestNmsDetect:
         assert [d.confidence for d in dets] == [0.9, 0.8]
 
     def test_height_and_extent_lookup(self):
-        # Each peak reads the height and extent listed at its own cell, whatever
-        # a same-class cell nearby lists; a peak at an unlisted cell reads 0.0.
+        # Each peak reads the height, extent and velocity listed at its own
+        # cell, whatever a same-class cell nearby lists; a peak at an unlisted
+        # cell reads 0.0.
         grid = np.zeros((SPEC.bev_width, SPEC.bev_depth))
         grid[5, 7], grid[5, 9], grid[12, 3] = 0.9, 0.8, 0.7
         height = np.zeros_like(grid)
@@ -100,11 +100,19 @@ class TestNmsDetect:
         extent[5, 8] = [0.3, 0.3, 0.3]   # one cell from both peaks, no peak of its own
         extent[5, 9] = [0.4, 0.5, 0.9]
         extent[12, 4] = [1.5, 1.5, 1.5]  # beside the peak at (12, 3), which lists nothing
-        dets = nms_detect(maps_of({1: grid}, height=height, extent=extent), SPEC, 0.3, 10)
+        velocity = np.zeros((SPEC.bev_width, SPEC.bev_depth, 2))
+        velocity[5, 7] = [3.0, -1.5]
+        velocity[5, 8] = [9.0, 9.0]      # one cell from both peaks, no peak of its own
+        velocity[5, 9] = [0.0, 0.25]     # one zero component: the cell is still listed
+        velocity[12, 2] = [-4.0, 2.0]    # beside the peak at (12, 3), which lists nothing
+        dets = nms_detect(maps_of({1: grid}, height=height, extent=extent, velocity=velocity),
+                          SPEC, 0.3, 10)
         assert dets.class_id.tolist() == [1, 1, 1]
         assert dets.center[:, 2].tolist() == [1.25, -0.5, 0.0]
         np.testing.assert_array_equal(dets.extent, [[2.0, 1.0, 0.5], [0.4, 0.5, 0.9],
                                                     [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(dets.velocity, [[3.0, -1.5], [0.0, 0.25], [0.0, 0.0]])
+        assert [r.velocity.tolist() for r in dets] == dets.velocity.tolist()
 
     def test_sorted_by_decreasing_confidence(self):
         rng = np.random.default_rng(1)
@@ -118,6 +126,8 @@ class TestNmsDetect:
 
 
 class TestPredictedMapsRange:
+    """``BevTargets``, the one first-stage map type, checks its heatmap range and shapes."""
+
     @pytest.mark.parametrize("cells", [[], [0.5, 1.0], [1.5], [-0.1], [np.nan], [np.nan, 2.0],
                                        [0.5, -np.inf], [np.inf]])
     def test_accepts_what_a_dense_scan_accepts(self, cells):
@@ -141,6 +151,7 @@ def assert_same_detections(got, want):
     for g, w in zip(got, want):
         assert g.center.tobytes() == w.center.tobytes()
         assert g.extent.tobytes() == w.extent.tobytes()
+        assert g.velocity.tobytes() == w.velocity.tobytes()
         assert (g.confidence, g.class_id) == (w.confidence, w.class_id)
         assert type(g.confidence) is float and type(g.class_id) is int
 
@@ -149,11 +160,13 @@ def check_nms_against_reference(hm, threshold=0.3, max_detections=500):
     _, w, d = hm.shape
     rng = np.random.default_rng(0)
     height = rng.normal(size=(w, d))
-    # Every fourth cell lists no extent, so peaks there read 0.0.
+    # Every fourth cell lists no extent and, independently, no velocity, so
+    # peaks there read 0.0.
     extent = rng.uniform(0.1, 2.0, size=(w, d, 3)) * (rng.uniform(size=(w, d, 1)) < 0.75)
-    maps = PredictedMaps(sparse_of(hm), sparse_of(height), sparse_of(np.zeros((w, d, 2)), True),
-                         sparse_of(extent, True), np.zeros(0, dtype=np.int32))
-    want = nms_detect_reference(hm, height, extent, SPEC, threshold, max_detections)
+    velocity = np.where(rng.uniform(size=(w, d, 1)) < 0.75, rng.normal(size=(w, d, 2)), 0.0)
+    maps = BevTargets(sparse_of(hm), sparse_of(height), sparse_of(velocity, True),
+                      sparse_of(extent, True))
+    want = nms_detect_reference(hm, height, extent, velocity, SPEC, threshold, max_detections)
     got = nms_detect(maps, SPEC, threshold, max_detections)
     assert_same_detections(got, want)
     return got
@@ -285,9 +298,8 @@ def random_fusion_case(rng, n_points=60, n_dets=4, include_half=False):
 class TestFusePanoptic:
     def test_stuff_only_scene(self):
         pts = np.zeros((4, 3))
-        maps = maps_of({}, point_sem=[3, 3, 3, 3])
-        result = fuse_panoptic(pts, stack([]), maps, make_table_membership(np.zeros((0, 4))),
-                               TAX, margin_floor=0.1)
+        result = fuse_panoptic(pts, stack([]), [3, 3, 3, 3],
+                               make_table_membership(np.zeros((0, 4))), TAX, margin_floor=0.1)
         np.testing.assert_array_equal(result.sem, [3, 3, 3, 3])
         np.testing.assert_array_equal(result.inst, [0, 0, 0, 0])
 
@@ -296,8 +308,7 @@ class TestFusePanoptic:
         sems = [1, 1, 1, 3]
         det = row(np.array([0.2, 0, 0]), 0.9)
         table = np.array([[0.9, 0.500000, 0.51, 0.9]])  # membership 0.5 exactly -> out
-        maps = maps_of({}, point_sem=sems)
-        result = fuse_panoptic(pts, stack([det]), maps, make_table_membership(table), TAX,
+        result = fuse_panoptic(pts, stack([det]), sems, make_table_membership(table), TAX,
                                margin_floor=0.1)
         np.testing.assert_array_equal(result.inst, [1, 0, 1, 0])
         assert result.sem[1] == 1  # falls back to predicted semantics
@@ -306,9 +317,8 @@ class TestFusePanoptic:
     def test_class_mismatch_filtered(self):
         pts = np.zeros((2, 3))
         det = row(np.zeros(3), 0.9)
-        maps = maps_of({}, point_sem=[2, 1])
         table = np.ones((1, 2))
-        result = fuse_panoptic(pts, stack([det]), maps, make_table_membership(table), TAX,
+        result = fuse_panoptic(pts, stack([det]), [2, 1], make_table_membership(table), TAX,
                                margin_floor=0.1)
         np.testing.assert_array_equal(result.inst, [0, 1])
 
@@ -316,9 +326,8 @@ class TestFusePanoptic:
         pts = np.zeros((1, 3))
         d1 = row(np.array([0.1, 0, 0]), 0.9)
         d2 = row(np.array([-0.1, 0, 0]), 0.6)
-        maps = maps_of({}, point_sem=[1])
         table = np.array([[0.7], [0.99]])
-        result = fuse_panoptic(pts, stack([d1, d2]), maps, make_table_membership(table), TAX,
+        result = fuse_panoptic(pts, stack([d1, d2]), [1], make_table_membership(table), TAX,
                                margin_floor=0.1)
         assert result.point_detection[0] == 0  # first (more confident) keeps it
 
@@ -326,9 +335,8 @@ class TestFusePanoptic:
         pts = np.zeros((1, 3))
         d1 = row(np.array([0.1, 0, 0]), 0.9)
         d2 = row(np.array([-0.1, 0, 0]), 0.6)
-        maps = maps_of({}, point_sem=[1])
         table = np.array([[0.7], [0.99]])
-        result = fuse_panoptic(pts, stack([d1, d2]), maps, make_table_membership(table), TAX,
+        result = fuse_panoptic(pts, stack([d1, d2]), [1], make_table_membership(table), TAX,
                                margin_floor=0.1, conflict="argmax")
         assert result.point_detection[0] == 1
 
@@ -338,8 +346,7 @@ class TestFusePanoptic:
             pts, sems, dets, table = random_fusion_case(
                 rng, n_points=int(rng.integers(20, 80)),
                 n_dets=int(rng.integers(1, 6)), include_half=True)
-            maps = maps_of({}, point_sem=sems)
-            got = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX,
+            got = fuse_panoptic(pts, dets, sems, make_table_membership(table), TAX,
                                 margin_frac=0.1, margin_floor=0.1)
             want_sem, want_inst = fuse_reference(pts, sems, dets, table,
                                                  set(TAX.thing_ids),
@@ -351,8 +358,7 @@ class TestFusePanoptic:
         rng = np.random.default_rng(3)
         for _ in range(25):
             pts, sems, dets, table = random_fusion_case(rng)
-            maps = maps_of({}, point_sem=sems)
-            result = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX,
+            result = fuse_panoptic(pts, dets, sems, make_table_membership(table), TAX,
                                    margin_floor=0.1)
             result.labeling.validate(TAX)
             inst = result.inst
@@ -372,9 +378,8 @@ class TestFusePanoptic:
     def test_determinism(self):
         rng = np.random.default_rng(4)
         pts, sems, dets, table = random_fusion_case(rng)
-        maps = maps_of({}, point_sem=sems)
-        a = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX, margin_floor=0.1)
-        b = fuse_panoptic(pts, dets, maps, make_table_membership(table), TAX, margin_floor=0.1)
+        a = fuse_panoptic(pts, dets, sems, make_table_membership(table), TAX, margin_floor=0.1)
+        b = fuse_panoptic(pts, dets, sems, make_table_membership(table), TAX, margin_floor=0.1)
         np.testing.assert_array_equal(a.sem, b.sem)
         np.testing.assert_array_equal(a.inst, b.inst)
 
@@ -385,7 +390,7 @@ def inputs_of(pts, sems, inst=None, pose=None):
     sweep = PointCloudSweep(0.0, np.column_stack([pts, np.zeros(len(pts))]), sems, inst,
                             np.eye(4) if pose is None else pose)
     table = build_trajectories(SweepSequence((sweep,), 1.0), TAX)
-    return SweepInputs(sweep, maps_of({}, point_sem=sems), table, 0)
+    return SweepInputs(sweep, maps_of({}), np.asarray(sems), table, 0)
 
 
 def one_group(n_points):
@@ -432,7 +437,7 @@ class TestMembershipAdapters:
         sweeps = tuple(PointCloudSweep(float(t), np.column_stack([xyz[t], np.zeros(len(xyz[t]))]),
                                        np.ones(len(ids[t])), ids[t]) for t in (0, 1))
         table = build_trajectories(SweepSequence(sweeps, 1.0), TAX)
-        inputs = SweepInputs(sweeps[1], maps_of({}, point_sem=np.ones(4)), table, 1)
+        inputs = SweepInputs(sweeps[1], maps_of({}), np.ones(4), table, 1)
         probs = oracle_scores(inputs, stack([row(np.array([0.05, 0, 0]), 1.0)]), one_group(4))
         np.testing.assert_array_equal(probs, [1.0, 1.0, 0.0, 0.0])
 

@@ -345,7 +345,7 @@ class TestBatchedMlpScores:
         scored = 0
         for inputs in sweeps:
             dets = nms_detect(inputs.maps, ROW_SPEC)
-            pairs = gather_pairs(inputs.sweep.xyz, inputs.maps.point_sem, dets, 0.1, 0.3)
+            pairs = gather_pairs(inputs.sweep.xyz, inputs.point_sem, dets, 0.1, 0.3)
             batch = mlp_scores(model, pair_cfg, provider, inputs, dets, pairs)
             single = per_detection_scores(model, pair_cfg, provider, inputs, dets, pairs)
             assert batch.shape == single.shape == (len(pairs),)
@@ -358,7 +358,7 @@ class TestBatchedMlpScores:
         model, pair_cfg, _, sweeps = row_model
         inputs = sweeps[0]
         dets = nms_detect(inputs.maps, ROW_SPEC)
-        pairs = gather_pairs(inputs.sweep.xyz, inputs.maps.point_sem, dets, 0.1, 0.3)
+        pairs = gather_pairs(inputs.sweep.xyz, inputs.point_sem, dets, 0.1, 0.3)
         with pytest.raises(ValueError, match="requires a provider"):
             mlp_scores(model, pair_cfg, None, inputs, dets, pairs)
         with pytest.raises(ValueError, match="requires a provider"):
@@ -370,7 +370,7 @@ class TestBatchedMlpScores:
         claimed = 0
         for inputs in sweeps:
             dets = nms_detect(inputs.maps, ROW_SPEC)
-            fused = [fuse_panoptic(inputs.sweep.xyz, dets, inputs.maps,
+            fused = [fuse_panoptic(inputs.sweep.xyz, dets, inputs.point_sem,
                                    partial(score, model, pair_cfg, provider, inputs, dets),
                                    ROW_TAX, 0.1, 0.3, conflict)
                      for score in (mlp_scores, per_detection_scores)]

@@ -21,7 +21,7 @@ from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
                                       build_training_pairs, features_for_pairs, gather_pairs,
                                       mlp_scores)
 from modalpanoptic.mlp import build_mlp
-from modalpanoptic.targets import build_trajectories, instance_boxes, modal_center
+from modalpanoptic.targets import BevTargets, build_trajectories, instance_boxes, modal_center
 from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import GridSpec, interpolate_bev_many
 
@@ -39,8 +39,8 @@ SPEC = GridSpec()
 
 
 def simulate_all(seq, trajs, noise, seed=0):
-    """``simulate_detector`` on every sweep of ``seq``, in order, each record predicting
-    its own shrink-wrapped extent."""
+    """``simulate_detector``'s (maps, point semantics) on every sweep of ``seq``, in order,
+    each record predicting its own shrink-wrapped extent."""
     return [mp.simulate_detector(sweep, t, trajs, trajs.extent, noise, SPEC, TAX, seed=seed)
             for t, sweep in enumerate(seq.sweeps)]
 
@@ -210,7 +210,7 @@ class TestSimulateDetector:
         seq, _ = mp.generate_sequence(cfg, TAX)
         trajs = build_trajectories(seq, TAX)
         extents = trajs.max_extents[trajs.row_instance]
-        maps = mp.simulate_detector(seq.sweeps[0], 0, trajs, extents, NO_NOISE, SPEC, TAX)
+        maps, _ = mp.simulate_detector(seq.sweeps[0], 0, trajs, extents, NO_NOISE, SPEC, TAX)
         sweep = seq.sweeps[0]
         ids = sweep.inst_labels
         for iid in np.unique(ids[ids > 0]):
@@ -227,7 +227,7 @@ class TestSimulateDetector:
         cfg = simple_cfg(seed=12)
         seq, _ = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(drop_probability=1.0)
-        for m in simulate_all(seq, build_trajectories(seq, TAX), noise):
+        for m, _ in simulate_all(seq, build_trajectories(seq, TAX), noise):
             assert m.heatmaps.dense().max() == 0.0
             assert m.extent.keys.size == 0
 
@@ -236,8 +236,8 @@ class TestSimulateDetector:
         seq, _ = mp.generate_sequence(cfg, TAX)
         noise = DetectorNoise(semantic_flip_probability=0.2)
         maps = simulate_all(seq, build_trajectories(seq, TAX), noise, seed=3)
-        frac = np.mean([np.mean(m.point_sem != s.sem_labels)
-                        for m, s in zip(maps, seq.sweeps)])
+        frac = np.mean([np.mean(sem != s.sem_labels)
+                        for (_, sem), s in zip(maps, seq.sweeps)])
         assert 0.15 < frac < 0.25
 
     def test_center_jitter_within_tolerance(self):
@@ -251,8 +251,9 @@ class TestSimulateDetector:
         sigma = 0.2
         hits = total = 0
         for trial in range(40):
-            maps = mp.simulate_detector(seq.sweeps[0], 0, trajs, trajs.extent,
-                                        DetectorNoise(center_jitter=sigma), SPEC, TAX, seed=trial)
+            maps, _ = mp.simulate_detector(seq.sweeps[0], 0, trajs, trajs.extent,
+                                           DetectorNoise(center_jitter=sigma), SPEC, TAX,
+                                           seed=trial)
             dets = nms_detect(maps, SPEC, 0.3, 50)
             sweep = seq.sweeps[0]
             ids = sweep.inst_labels
@@ -271,9 +272,9 @@ class TestSimulateDetector:
         trajs = build_trajectories(seq, TAX)
         a = simulate_all(seq, trajs, noise, seed=5)
         b = simulate_all(seq, trajs, noise, seed=5)
-        for ma, mb in zip(a, b):
+        for (ma, sa), (mb, sb) in zip(a, b):
             np.testing.assert_array_equal(ma.heatmaps.dense(), mb.heatmaps.dense())
-            np.testing.assert_array_equal(ma.point_sem, mb.point_sem)
+            np.testing.assert_array_equal(sa, sb)
             np.testing.assert_array_equal(ma.velocity.dense(), mb.velocity.dense())
             np.testing.assert_array_equal(ma.extent.dense(), mb.extent.dense())
 
@@ -310,8 +311,8 @@ class TestSimulateDetector:
         centers = 0
         # Last sweep first: each sweep seeds its own stream.
         for t in reversed(range(len(seq))):
-            got = mp.simulate_detector(seq.sweeps[t], t, trajs, extents, noise, SPEC, TAX,
-                                       seed=9)
+            got, got_sem = mp.simulate_detector(seq.sweeps[t], t, trajs, extents, noise, SPEC,
+                                                TAX, seed=9)
             dense, sem, rng = want[t]
             assert len(made) == len(seq) - t
             assert made[-1].bit_generator.state == rng.bit_generator.state
@@ -319,7 +320,8 @@ class TestSimulateDetector:
             assert got.height.dense().tobytes() == dense.height.tobytes()
             assert got.velocity.dense().tobytes() == dense.velocity.tobytes()
             assert got.extent.dense().tobytes() == dense.extent.tobytes()
-            assert got.point_sem.tobytes() == sem.tobytes()
+            assert type(got) is BevTargets
+            assert got_sem.tobytes() == sem.tobytes()
             centers += got.height.keys.size
         assert centers > len(seq)
 
@@ -333,7 +335,7 @@ class TestSimulateDetector:
         noise = DetectorNoise(center_jitter=0.2, confidence_noise=0.2, drop_probability=0.2,
                               velocity_noise=0.3)
         want = simulate_detector_reference(seq, trajs, trajs.extent, noise, SPEC, TAX, seed=9)
-        for t, got in enumerate(simulate_all(seq, trajs, noise, seed=9)):
+        for t, (got, _) in enumerate(simulate_all(seq, trajs, noise, seed=9)):
             dense = want[t][0]
             assert got.heatmaps.dense().tobytes() == dense.heatmaps.tobytes(), t
             assert got.height.dense().tobytes() == dense.height.tobytes(), t
@@ -347,7 +349,7 @@ class TestSimulateDetector:
         # Interior sweeps: centered differences of modal centers track the
         # true velocity to within sampling noise of the centers.
         t = 2
-        maps = simulate_all(seq, trajs, NO_NOISE)[t]
+        maps = simulate_all(seq, trajs, NO_NOISE)[t][0]
         rows = np.flatnonzero(trajs.sweep_index == t)
         rows = rows[SPEC.in_range(trajs.sensor_center[rows])]
         assert rows.size
@@ -463,6 +465,26 @@ def test_point_features_of_rows_match_reference(points, data):
     assert got.tobytes() == want.tobytes()
 
 
+def test_far_points_find_their_neighbors():
+    """Cell keys too large for int64 are clamped; counts match an O(N^2) scan, far and near."""
+    rng = np.random.default_rng(8)
+    near = rng.uniform(-2.0, 2.0, size=(60, 3))
+    far = [(1e20, 1e20, 0.0), (1e20, 1e20, 0.5), (1e20, 0.0, 0.0), (1e20, 0.5, 0.0),
+           (-1e20, 3.0, 0.0), (-1e20, 3.4, 0.0), (0.0, -1e19, 0.0), (0.55, -1e19, 0.0),
+           (6.5e8, 0.0, 0.0), (6.5e8, 0.59, 0.0), (-6.5e8, -6.5e8, 0.0), (1e20, -1e20, 0.0)]
+    sweep = bare_sweep(np.concatenate([near, far]))
+    xy = sweep.xyz[:, :2]
+    dx = xy[:, None, 0] - xy[None, :, 0]
+    dy = xy[:, None, 1] - xy[None, :, 1]
+    close = np.sqrt(dx * dx + dy * dy) <= 0.6
+    count = close.sum(axis=1)
+    assert count[len(near):].tolist() == [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1]
+    feats = HandcraftedFeatures(SPEC).point_features(sweep, every_row(sweep))
+    assert feats[:, 0].tobytes() == np.log1p(count).tobytes()
+    centroid = (close @ sweep.xyz) / count[:, None] - sweep.xyz
+    np.testing.assert_allclose(feats[:, 2:5], centroid, rtol=0, atol=1e-9)
+
+
 class CountingFeatures(HandcraftedFeatures):
     """Records the rows of every ``point_features`` call."""
 
@@ -489,10 +511,10 @@ class TestFeaturesOncePerSweep:
         maps = simulate_all(seq, trajs, NO_NOISE)
         assert provider.asked == []
         tables = []
-        for t, (sweep, sweep_maps) in enumerate(zip(seq.sweeps, maps)):
+        for t, (sweep, (sweep_maps, sem)) in enumerate(zip(seq.sweeps, maps)):
             dets = nms_detect(sweep_maps, SPEC)
-            pairs = gather_pairs(sweep.xyz, sweep_maps.point_sem, dets)
-            assert score(SweepInputs(sweep, sweep_maps, trajs, t), dets, pairs).shape \
+            pairs = gather_pairs(sweep.xyz, sem, dets)
+            assert score(SweepInputs(sweep, sweep_maps, sem, trajs, t), dets, pairs).shape \
                 == (len(pairs),)
             tables.append((sweep, dets, pairs))
         assert len(provider.asked) == len(seq.sweeps)

@@ -49,19 +49,23 @@ SPEC = GridSpec()
 def associate(tracks, dets, velocities, **kw):
     args = dict(dt=0.5, sweep_index=kw.pop("sweep_index", 0), next_track_id=kw.pop("next_track_id", 1))
     args.update(kw)
-    return greedy_associate(tracks, stack(dets), np.reshape(velocities, (-1, 2)), **args)
+    rows = [d._replace(velocity=v) for d, v in zip(dets, np.reshape(velocities, (-1, 2)))]
+    return greedy_associate(tracks, stack(rows), **args)
 
 
 class TestGreedyAssociate:
     def test_tracks_copy_the_sampled_velocity(self):
-        # The velocities are views into a sweep's velocity map; tracks must
-        # not keep that map alive.
+        # The detections' velocities are views into a sweep's velocity map;
+        # tracks must not keep that map alive.
         velocity = np.arange(32, dtype=np.float64).reshape(4, 4, 2)
-        tracks, _, next_id = greedy_associate([], stack([det([0.0, 0, 0])]), velocity[1, 2:3],
-                                              dt=0.5, sweep_index=0, next_track_id=1)
-        tracks, ids, _ = greedy_associate(tracks, stack([det([0.0, 0, 0]), det([9.0, 0, 0])]),
-                                          np.broadcast_to(velocity[0, 0], (2, 2)), dt=0.5,
-                                          sweep_index=1, next_track_id=next_id)
+        first = dataclasses.replace(stack([det([0.0, 0, 0])]), velocity=velocity[1, 2:3])
+        second = dataclasses.replace(stack([det([0.0, 0, 0]), det([9.0, 0, 0])]),
+                                     velocity=np.broadcast_to(velocity[0, 0], (2, 2)))
+        assert np.shares_memory(first.velocity, velocity)
+        assert np.shares_memory(second.velocity, velocity)
+        tracks, _, next_id = greedy_associate([], first, dt=0.5, sweep_index=0, next_track_id=1)
+        tracks, ids, _ = greedy_associate(tracks, second, dt=0.5, sweep_index=1,
+                                          next_track_id=next_id)
         assert ids == [1, 2]
         for track in tracks:
             assert track.last_velocity.tolist() == [0.0, 1.0]
@@ -312,8 +316,8 @@ def track_by_references(seq, taxonomy, noise, seed):
     simulated = simulate_detector_reference(seq, trajectories.select(~suppressed), extents, noise,
                                             SPEC, taxonomy, seed=seed)
     for t, (sweep, (dense, sem, *_)) in enumerate(zip(seq.sweeps, simulated)):
-        dets = nms_detect_reference(dense.heatmaps, dense.height, dense.extent, SPEC,
-                                    cfg.nms_threshold, cfg.nms_max_detections)
+        dets = nms_detect_reference(dense.heatmaps, dense.height, dense.extent, dense.velocity,
+                                    SPEC, cfg.nms_threshold, cfg.nms_max_detections)
         pairs = gather_pairs_reference(sweep.xyz, sem, dets, *margins)
         best = nn_baseline_reference(sweep.xyz, sem, dets, *margins)
         table = np.zeros((len(dets), len(sweep)))

@@ -47,6 +47,16 @@ class TestGridSpec:
             GridSpec(voxel_size=(0.5, 0.5, 0.5), planar_range=8.0, z_min=-2, z_max=2,
                      bev_downsample=7)
 
+    @pytest.mark.parametrize("spec", [GridSpec(), PAPER_GRID, SMALL],
+                             ids=["default", "paper", "small"])
+    def test_cell_centers_fall_in_their_cells(self, spec):
+        # A detection's center is its peak cell's center, so a lookup by
+        # center reads the cell ``nms_detect`` read its box attributes at.
+        ix, iy = np.meshgrid(np.arange(spec.bev_width), np.arange(spec.bev_depth), indexing="ij")
+        ix, iy = ix.ravel(), iy.ravel()
+        gx, gy = spec.bev_cell_of(np.column_stack(spec.bev_cell_center(ix, iy)))
+        assert gx.tolist() == ix.tolist() and gy.tolist() == iy.tolist()
+
 
 def cells(grid):
     """{voxel key: its input rows} read from the grid's CSR arrays."""
