@@ -33,11 +33,10 @@ for row in trajectories.offsets[:-1]:
 
 at = np.flatnonzero(trajectories.sweep_index == 1)
 velocities = dict(zip(trajectories.instance_id[at].tolist(), trajectories.velocity[at]))
-# Targets are rendered in the sweep frame; poses here are translation-only.
-pose = seq.sweeps[1].ego_pose
-targets = mp.render_bev_targets(trajectories.center[at] - pose[:3, 3], trajectories.class_id[at],
+# Targets are rendered in the sweep's own sensor frame.
+targets = mp.render_bev_targets(trajectories.sensor_center[at], trajectories.class_id[at],
                                 trajectories.extent[at], trajectories.velocity[at], spec,
                                 taxonomy.num_channels)
-print(f"\nheatmap peak value: {targets.heatmaps.dense().max():.3f} "
-      f"({int(targets.valid_mask().sum())} center cells carry regression targets)")
+print(f"\nheatmap peak value: {targets.heatmaps.values.max():.3f} "
+      f"({targets.boxes.keys.size} center cells carry box targets)")
 print("true velocities:", {i: np.round(v, 2).tolist() for i, v in velocities.items()})

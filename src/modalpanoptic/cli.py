@@ -1,4 +1,4 @@
-"""Command line pipeline: synth, targets, train-mem, infer, track, eval, report.
+"""Command line pipeline: synth, targets, train-mem, infer, track, eval.
 
 Every command is deterministic given its seed: rerunning with identical
 arguments produces byte-identical outputs.
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .cloud import PanopticLabeling, apply_pose, invert_pose
+from .cloud import PanopticLabeling
 from .inference import CONFLICT_RULES, NMS_MAX_DETECTIONS, NMS_THRESHOLD
 from .membership import (
     ROI_MARGIN_FLOOR,
@@ -178,14 +178,13 @@ def cmd_targets(args) -> int:
             at = trajectories.sweep_index == t
             rows = np.flatnonzero(at & ~excluded)
             rendered = render_bev_targets(
-                apply_pose(invert_pose(sweep.ego_pose), trajectories.center[rows]),
-                trajectories.class_id[rows], extents[rows], trajectories.velocity[rows],
-                spec, taxonomy.num_channels)
+                trajectories.sensor_center[rows], trajectories.class_id[rows], extents[rows],
+                trajectories.velocity[rows], spec, taxonomy.num_channels)
             frame = f"{t:06d}"
-            np.save(seq_out / f"{frame}_heatmaps.npy", rendered.heatmaps.dense())
-            np.save(seq_out / f"{frame}_height.npy", rendered.height.dense())
-            np.save(seq_out / f"{frame}_velocity.npy", rendered.velocity.dense())
-            np.save(seq_out / f"{frame}_valid.npy", rendered.valid_mask())
+            for name, grid in (("heatmaps", rendered.heatmaps), ("boxes", rendered.boxes)):
+                cells = np.stack(np.unravel_index(grid.keys, grid.shape[:3]), axis=1)
+                np.save(seq_out / f"{frame}_{name}_cells.npy", cells.astype(np.int64))
+                np.save(seq_out / f"{frame}_{name}.npy", grid.values)
             rows = _membership_rows(sweep, trajectories, np.flatnonzero(at), max_extents)
             np.save(seq_out / f"{frame}_membership.npy", rows)
     stats = class_wise_mean_extents(tables, taxonomy)
@@ -312,6 +311,11 @@ def cmd_eval(args) -> int:
 
 
 def _read_csv_value(path, row_name, column):
+    """The float in ``column`` of the row named ``row_name`` of an ``eval`` CSV.
+
+    A missing column or row, or a row whose cell count differs from the
+    header's, raises ``ValueError`` naming ``path``.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     if column not in header:
@@ -324,60 +328,6 @@ def _read_csv_value(path, row_name, column):
                                  f"header has {len(header)}")
             return float(cells[header.index(column)])
     raise ValueError(f"{path}: no row {row_name!r}")
-
-
-def cmd_report(args) -> int:
-    runs = []
-    for spec in args.runs:
-        if "=" not in spec:
-            raise ValueError(f"--runs entries look like name=EVALDIR, got {spec!r}")
-        name, _, path = spec.partition("=")
-        path = Path(path)
-        if not (path / "pq.csv").exists():
-            raise MissingInput(f"{path}/pq.csv does not exist")
-        entry = {"name": name, "pq": _read_csv_value(path / "pq.csv", "all", "pq")}
-        lstq_path = path / "lstq.csv"
-        if lstq_path.exists():
-            entry["lstq"] = _read_csv_value(lstq_path, "lstq", "value")
-        runs.append(entry)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    columns = ["name", "pq"] + (["lstq"] if any("lstq" in r for r in runs) else [])
-    lines = [",".join(columns)]
-    for r in runs:
-        lines.append(",".join(str(r.get(c, "")) for c in columns))
-    (out / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "chart.svg").write_text(_bar_chart_svg(runs), encoding="utf-8")
-    print("\n".join(lines))
-    return 0
-
-
-def _bar_chart_svg(runs) -> str:
-    """Simple PQ bar chart; deterministic text output."""
-    width, height, pad = 640, 360, 48
-    bar_zone = width - 2 * pad
-    n = max(len(runs), 1)
-    bar_w = bar_zone / n * 0.6
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" '
-        f'stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-        f'<text x="{pad}" y="{pad - 12}" font-size="14">PQ by run</text>',
-    ]
-    for i, r in enumerate(runs):
-        x = pad + bar_zone * (i + 0.2) / n
-        h = (height - 2 * pad) * max(0.0, min(1.0, r["pq"]))
-        y = height - pad - h
-        parts.append(f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" height="{h:.1f}" '
-                     f'fill="#4878b0"/>')
-        parts.append(f'<text x="{x:.1f}" y="{height - pad + 16}" font-size="12">'
-                     f'{r["name"]}</text>')
-        parts.append(f'<text x="{x:.1f}" y="{y - 4:.1f}" font-size="12">{r["pq"]:.3f}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,8 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("targets", help="dump detection/membership training targets",
-                       parents=[extent, grid])
+    p = sub.add_parser(
+        "targets", help="dump detection/membership training targets", parents=[extent, grid],
+        description="Per sweep FRAME of each sequence, writes the sparse first-stage targets: "
+                    "FRAME_heatmaps_cells.npy and FRAME_boxes_cells.npy hold (M, 3) int64 "
+                    "(class, ix, iy) BEV cells, FRAME_heatmaps.npy their (M,) heatmap values "
+                    "and FRAME_boxes.npy their (M, 6) box rows: z, half extent (3) and "
+                    "world-frame velocity (2); every unlisted cell is 0. "
+                    "FRAME_membership.npy holds (detection, point, label) rows, and cwm.tsv "
+                    "the class-mean extents.")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_targets)
@@ -479,11 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="comparison table and SVG chart across runs")
-    p.add_argument("--runs", nargs="+", required=True, metavar="NAME=EVALDIR")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
 
     for sub_parser in sub.choices.values():
         sub_parser.add_argument(

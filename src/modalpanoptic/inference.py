@@ -9,7 +9,7 @@ import numpy as np
 
 from .cloud import PanopticLabeling, Taxonomy
 from .membership import ROI_MARGIN_FLOOR, ROI_MARGIN_FRAC, Detections, PairTable, gather_pairs
-from .targets import BevTargets
+from .targets import BOX_EXTENT, BOX_VELOCITY, BOX_Z, BevTargets
 from .voxels import GridSpec
 
 NMS_THRESHOLD = 0.3
@@ -42,12 +42,11 @@ def nms_detect(
     looked up in the sparse map in one call.
 
     Ties in confidence fall to (class, x, y) order. Detection centers snap
-    to cell centers; every other box attribute is read at the peak cell: z
-    from the height map, the half extent from the extent map and the planar
-    velocity (world-frame m/s, as the map stores it) from the velocity map.
-    Those maps are per cell, not per class: two classes peaking in one cell
-    read the same height, extent and velocity, and a peak at a cell a map
-    does not list reads 0.0 there.
+    to cell centers; every other box attribute is read from the box row at
+    the peak's own (class, x, y) key, in one lookup: z, the half extent and
+    the planar velocity (world-frame m/s, as the grid stores it). Two
+    classes peaking in one cell read their own rows, and a peak at a key
+    the box grid does not list reads 0.0.
     """
     hm = maps.heatmaps
     _, w, d = hm.shape
@@ -72,10 +71,11 @@ def nms_detect(
     flat, value = flat[keep], value[keep]
     # Flat indices ascend in (class, x, y) order, which breaks confidence ties.
     order = np.lexsort((flat, -value))[:max(max_detections, 0)]
-    cls, x, y = np.unravel_index(flat[order], hm.shape)
-    cell = x * d + y
-    center = np.column_stack([*spec.bev_cell_center(x, y), maps.height.at(cell)])
-    return Detections(center, value[order], cls, maps.extent.at(cell), maps.velocity.at(cell))
+    flat = flat[order]
+    cls, x, y = np.unravel_index(flat, hm.shape)
+    box = maps.boxes.at(flat)
+    center = np.column_stack([*spec.bev_cell_center(x, y), box[:, BOX_Z]])
+    return Detections(center, value[order], cls, box[:, BOX_EXTENT], box[:, BOX_VELOCITY])
 
 
 @dataclass(frozen=True)

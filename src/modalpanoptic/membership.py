@@ -40,11 +40,13 @@ class DetectionRow(NamedTuple):
 class Detections:
     """One sweep's detected boxes, one row per ``nms_detect`` peak, as arrays.
 
-    Velocities are world-frame m/s, as the velocity map stores them, so
-    ``to_world`` moves only the centers. Validated once, on creation: (D, 3)
-    centers and half extents, (D, 2) velocities, (D,) confidences and class
-    ids, finite extents >= 0, confidences in [0, 1] and non-increasing down the
-    rows, which is the order fusion consumes them in. ``len`` counts the
+    Each row's z, extent and velocity are the box row at its peak's own
+    (class, x, y) key. Velocities are world-frame m/s, as the box grid
+    stores them, so ``to_world`` moves only the centers. Validated once, on
+    creation: (D, 3) centers and half extents, (D, 2) velocities, (D,)
+    confidences and class ids, finite extents >= 0, confidences in [0, 1]
+    and non-increasing down the rows, which is the order fusion consumes
+    them in. ``len`` counts the
     rows and iteration yields ``DetectionRow``s; that is all
     ``bench/spans.py`` reads of them (``len``, then each row's ``.center``,
     ``.class_id`` and ``.extent``).

@@ -3,9 +3,9 @@
 The extent a detector would predict for an object is modeled as the
 componentwise mean of that object's per-sweep training extents under the
 chosen strategy (the value a regressor converges to for one identity). The
-simulated first stage writes it into its extent map at the object's center
-cell, where detection reads it as it reads height, so switching strategies
-changes inference exactly the way retraining would.
+simulated first stage writes it into the object's box row, at its center cell
+on its class channel, where detection reads it with z and velocity, so
+switching strategies changes inference exactly the way retraining would.
 """
 
 from __future__ import annotations

@@ -457,14 +457,15 @@ def simulate_detector(
     record at this sweep gets a peak on its ``class_id`` heatmap at the
     sensor-frame ``sensor_center``, with jitter, sized by its ``extents``
     row and scaled by a noisy confidence; dropped instances, and instances
-    without a record here, leave no peak. The peak's center cell carries
-    the record's height, its ``extents`` row, and its world-frame
-    ``velocity`` plus noise in m/s (what a trained offset head regresses).
-    The maps are ``render_bev_targets``' sparse ``BevTargets``, the one type
-    of first-stage map, which ``inference.nms_detect`` reads every box
-    attribute from at each peak. The semantics are the labels with
-    ``semantic_flip_probability`` noise. A record whose point count the
-    sweep does not match raises.
+    without a record here, leave no peak. The box row at the peak's
+    (class, x, y) key carries the jittered center's z, the record's
+    ``extents`` row, and its world-frame ``velocity`` plus noise in m/s
+    (what a trained offset head regresses), so two classes in one cell keep
+    their own boxes. The maps are ``render_bev_targets``' sparse
+    ``BevTargets``, the one type of first-stage map, which
+    ``inference.nms_detect`` reads every box attribute from at each peak.
+    The semantics are the labels with ``semantic_flip_probability`` noise.
+    A record whose point count the sweep does not match raises.
 
     Deterministic per (inputs, seed, sweep_index): the sweep draws from
     ``SeedSequence(seed, spawn_key=(sweep_index,))``, the stream

@@ -37,6 +37,10 @@ CWM_SMALL_FRACTION = 0.25
 SIGMA_MIN_CELLS = 2.0
 GAUSSIAN_CUTOFF_SIGMAS = 3.0
 
+# Columns of a ``BevTargets.boxes`` row: z, half extent, planar velocity.
+BOX_Z, BOX_EXTENT, BOX_VELOCITY = 0, slice(1, 4), slice(4, 6)
+BOX_COLUMNS = 6
+
 
 @dataclass(frozen=True)
 class ExtentStrategy:
@@ -281,36 +285,26 @@ def save_cwm_stats(stats: dict[int, np.ndarray], path) -> None:
 class BevTargets:
     """The first stage's BEV maps, held sparsely: training targets and simulated outputs.
 
-    ``heatmaps`` lists the (class, cell) entries some Gaussian reaches with
-    a nonzero value; ``height``, ``velocity`` (world-frame m/s) and
-    ``extent`` list the instance center cells, the only cells that carry box
-    attributes, which ``inference.nms_detect`` reads at each peak. Every
-    other cell reads 0.0. Heatmap values must lie in [0, 1] (as with a dense
-    ``min``/``max`` scan, a NaN passes) and the box maps share the heatmaps'
-    grid. Dense arrays are made on demand: ``heatmaps.dense()``,
-    ``height.dense()``, ``velocity.dense()``, ``extent.dense()`` and
-    ``valid_mask()``.
+    Both grids are keyed by the flat (class, x, y) cell. ``heatmaps`` lists
+    the entries some Gaussian reaches with a nonzero value; ``boxes`` lists
+    each object's center cell on its own class channel, one row per key laid
+    out as ``BOX_Z``, ``BOX_EXTENT`` and ``BOX_VELOCITY`` say (z in meters,
+    half extent in meters, world-frame velocity in m/s), which
+    ``inference.nms_detect`` reads at each peak. Every other cell reads 0.0.
+    Heatmap values must lie in [0, 1] (as with a dense ``min``/``max``
+    scan, a NaN passes) and the box grid shares the heatmaps' cells.
     """
 
-    heatmaps: SparseGrid   # (K, W', D') in [0, 1]
-    height: SparseGrid     # (W', D') meters
-    velocity: SparseGrid   # (W', D', 2) world frame, m/s
-    extent: SparseGrid     # (W', D', 3) half extent, meters
+    heatmaps: SparseGrid  # (K, W', D') in [0, 1]
+    boxes: SparseGrid     # (K, W', D', BOX_COLUMNS)
 
     def __post_init__(self):
         values = self.heatmaps.values
         if values.min(initial=0.0) < 0 or values.max(initial=0.0) > 1:
             raise ValueError("heatmap values must lie in [0, 1]")
-        _, w, d = self.heatmaps.shape
-        if self.height.shape != (w, d) or self.velocity.shape != (w, d, 2) \
-                or self.extent.shape != (w, d, 3):
-            raise ValueError("height/velocity/extent shapes do not match the heatmaps")
-
-    def valid_mask(self) -> np.ndarray:
-        """Dense (W', D') bool mask of the cells carrying regression targets."""
-        mask = np.zeros(self.height.shape, dtype=bool)
-        mask.reshape(-1)[self.height.keys] = True
-        return mask
+        if self.boxes.shape != self.heatmaps.shape + (BOX_COLUMNS,) \
+                or self.boxes.values.ndim != 2:
+            raise ValueError("the box grid's shape does not match the heatmaps")
 
 
 def heatmap_sigma(extent: np.ndarray, spec: GridSpec) -> float:
@@ -327,7 +321,7 @@ def render_bev_targets(
     num_channels: int,
     peak_scale: np.ndarray | None = None,
 ) -> BevTargets:
-    """Render per-class center heatmaps plus height, velocity and extent targets, sparsely.
+    """Render per-class center heatmaps plus box targets, sparsely.
 
     Takes (K, 3) centers, (K,) classes, (K, 3) extents and (K, 2)
     velocities. Each object paints a 2-D Gaussian on its class channel,
@@ -335,11 +329,12 @@ def render_bev_targets(
     its ``peak_scale``, which must lie in [0, 1], so every heatmap value
     does too); overlapping Gaussians combine by a grouped maximum per
     (class, cell), and cells no Gaussian reaches with a nonzero value are
-    not listed. Height, velocity and extent are written at the center cell
-    only, per cell and not per class: a later object overwrites an earlier
-    one's cell, whatever its class. No dense grid is
-    allocated: the result densifies byte for byte to the per-object
-    ``np.maximum`` painting of ``tests/oracles.render_bev_targets_reference``.
+    not listed. Each object's box row (center z, extent and velocity) is
+    written at its center cell on its own class channel, the heatmap's
+    (class, x, y) key; a later object of the same class overwrites an
+    earlier one's row in that cell. No dense grid is allocated: the result
+    densifies byte for byte to the per-object painting of
+    ``tests/oracles.render_bev_targets_reference``.
     """
     center = np.reshape(np.asarray(center, dtype=np.float64), (-1, 3))
     class_id = np.asarray(class_id, dtype=np.int64)
@@ -386,10 +381,12 @@ def render_bev_targets(
     first = np.flatnonzero(np.diff(key, prepend=-1))
     heat = SparseGrid((num_channels, w, d), key[first],
                       np.maximum.reduceat(np.concatenate(values)[order], first))
-    # The last object written to a center cell owns its height, velocity and extent.
-    cell = cell_x * d + cell_y
-    order = np.argsort(cell, kind="stable")
-    last = order[np.flatnonzero(np.diff(cell[order], append=w * d))]
-    return BevTargets(heat, SparseGrid((w, d), cell[last], center[last, 2]),
-                      SparseGrid((w, d, 2), cell[last], velocity[last]),
-                      SparseGrid((w, d, 3), cell[last], extent[last]))
+    # The last object written to a (class, cell) key owns its box row.
+    peak = (class_id * w + cell_x) * d + cell_y
+    order = np.argsort(peak, kind="stable")
+    last = order[np.flatnonzero(np.diff(peak[order], append=num_channels * w * d))]
+    box = np.empty((last.size, BOX_COLUMNS))
+    box[:, BOX_Z] = center[last, 2]
+    box[:, BOX_EXTENT] = extent[last]
+    box[:, BOX_VELOCITY] = velocity[last]
+    return BevTargets(heat, SparseGrid((num_channels, w, d, BOX_COLUMNS), peak[last], box))

@@ -210,11 +210,6 @@ class BevMap:
     def depth(self) -> int:
         return self.columns.shape[1]
 
-    @property
-    def data(self) -> np.ndarray:
-        """The whole map as one dense (W', D', C) array."""
-        return self.columns.dense()
-
 
 @dataclass(frozen=True, eq=False)
 class SparseGrid:
@@ -222,7 +217,7 @@ class SparseGrid:
 
     ``keys`` index the cells of ``shape`` in C order. A cell is one entry
     when ``values`` is (M,), as in a (K, W', D') heatmap, or the trailing
-    axis when ``values`` is (M, C), as in a (W', D', 2) velocity map. A cell
+    axis when ``values`` is (M, C), as in a (K, W', D', 6) box grid. A cell
     that is not listed reads 0.0. Validated once, on creation.
     """
 

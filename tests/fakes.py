@@ -54,6 +54,13 @@ def sparse_of(dense, vector: bool = False) -> SparseGrid:
     return SparseGrid(dense.shape, keys, cells[keys])
 
 
+def listed(grid: SparseGrid) -> np.ndarray:
+    """Dense bool mask of the cells a sparse grid lists."""
+    mask = np.zeros(grid.shape[:len(grid.shape) + 1 - grid.values.ndim], dtype=bool)
+    mask.reshape(-1)[grid.keys] = True
+    return mask
+
+
 def dense_bev(data, cell_size, planar_range) -> BevMap:
     """A BEV map that lists every column of the dense (W', D', C) ``data``."""
     data = np.asarray(data, dtype=np.float64)

@@ -85,7 +85,7 @@ def interpolate_bev_reference(bev, xy):
     fv = np.clip(v - j0, 0.0, 1.0)
     i1 = min(i0 + 1, bev.width - 1)
     j1 = min(j0 + 1, bev.depth - 1)
-    d = bev.data
+    d = bev.columns.dense()
     return ((1 - fu) * (1 - fv) * d[i0, j0]
             + fu * (1 - fv) * d[i1, j0]
             + (1 - fu) * fv * d[i0, j1]
@@ -269,16 +269,15 @@ def fuse_reference(points_xyz, point_sem, detections, membership_table,
     return sem_out, inst_out
 
 
-def nms_detect_reference(heatmaps, height, extent, velocity, spec, threshold=0.3,
-                         max_detections=500):
+def nms_detect_reference(heatmaps, boxes, spec, threshold=0.3, max_detections=500):
     """Dense 3x3 max-pooling NMS: the peak rule ``nms_detect`` must reproduce.
 
-    Takes dense (K, W', D') heatmaps, a dense (W', D') height map, a dense
-    (W', D', 3) extent map and a dense (W', D', 2) velocity map. Every cell
-    of every channel is compared with the maximum of its 3x3 neighborhood
-    (``-inf`` beyond the grid); peaks strictly above the threshold are
-    ordered by (-confidence, class, x, y) and cut at ``max_detections``, and
-    each reads its height, extent and velocity at its own cell.
+    Takes dense (K, W', D') heatmaps and a dense (K, W', D', 6) box grid
+    whose rows are z, half extent (3) and velocity (2). Every cell of every
+    channel is compared with the maximum of its 3x3 neighborhood (``-inf``
+    beyond the grid); peaks strictly above the threshold are ordered by
+    (-confidence, class, x, y) and cut at ``max_detections``, and each reads
+    its z, extent and velocity from the row at its own (class, x, y).
     """
     k, w, d = heatmaps.shape
     hm = heatmaps
@@ -296,8 +295,9 @@ def nms_detect_reference(heatmaps, height, extent, velocity, spec, threshold=0.3
         if len(rows) >= max_detections:
             break
         xy = spec.bev_cell_center(int(x), int(y))
-        center = np.array([xy[0], xy[1], height[x, y]])
-        rows.append((center, float(hm[c, x, y]), int(c), extent[x, y], velocity[x, y]))
+        z, ex, ey, ez, vx, vy = boxes[c, x, y]
+        center = np.array([xy[0], xy[1], z])
+        rows.append((center, float(hm[c, x, y]), int(c), [ex, ey, ez], [vx, vy]))
     return stack(rows)
 
 
@@ -843,11 +843,9 @@ def train_epochs_reference(model, features, labels, kind, learning_rate, epochs,
 
 @dataclass(frozen=True)
 class DenseTargets:
-    heatmaps: np.ndarray    # (K, W', D')
-    height: np.ndarray      # (W', D')
-    velocity: np.ndarray    # (W', D', 2)
-    extent: np.ndarray      # (W', D', 3)
-    valid_mask: np.ndarray  # (W', D') bool
+    heatmaps: np.ndarray  # (K, W', D')
+    boxes: np.ndarray     # (K, W', D', 6): z, half extent (3), velocity (2)
+    valid: np.ndarray     # (K, W', D') bool: the cells a box was written to
 
 
 def render_bev_targets_reference(center, class_id, extent, velocity, spec, num_channels,
@@ -855,8 +853,9 @@ def render_bev_targets_reference(center, class_id, extent, velocity, spec, num_c
     """Dense per-object painting: the grids ``render_bev_targets`` must densify to.
 
     Each object paints its cut-off Gaussian patch into the dense heatmap with
-    ``np.maximum`` and writes height, velocity and extent at its center cell,
-    later objects overwriting earlier ones.
+    ``np.maximum`` and writes its z, extent and velocity into the box grid
+    at its center cell on its own class channel, later objects of that
+    class overwriting earlier ones.
     """
     center = np.reshape(np.asarray(center, dtype=np.float64), (-1, 3))
     class_id = np.asarray(class_id, dtype=np.int64)
@@ -864,10 +863,8 @@ def render_bev_targets_reference(center, class_id, extent, velocity, spec, num_c
     velocity = np.reshape(np.asarray(velocity, dtype=np.float64), (-1, 2))
     scale = np.ones(len(center)) if peak_scale is None else np.asarray(peak_scale, float)
     hm = np.zeros((num_channels, spec.bev_width, spec.bev_depth))
-    height = np.zeros((spec.bev_width, spec.bev_depth))
-    vel_map = np.zeros((spec.bev_width, spec.bev_depth, 2))
-    ext_map = np.zeros((spec.bev_width, spec.bev_depth, 3))
-    valid = np.zeros((spec.bev_width, spec.bev_depth), dtype=bool)
+    boxes = np.zeros(hm.shape + (6,))
+    valid = np.zeros(hm.shape, dtype=bool)
     cs = spec.bev_cell_size
     cell_x, cell_y = spec.bev_cell_of(center)
     for i in range(len(center)):
@@ -883,11 +880,10 @@ def render_bev_targets_reference(center, class_id, extent, velocity, spec, num_c
         patch[d2 > (GAUSSIAN_CUTOFF_SIGMAS * sigma) ** 2] = 0.0
         region = hm[class_id[i], x_lo:x_hi + 1, y_lo:y_hi + 1]
         np.maximum(region, patch, out=region)
-        height[cx, cy] = center[i, 2]
-        vel_map[cx, cy] = velocity[i]
-        ext_map[cx, cy] = extent[i]
-        valid[cx, cy] = True
-    return DenseTargets(hm, height, vel_map, ext_map, valid)
+        c = class_id[i]
+        boxes[c, cx, cy] = [center[i, 2], *extent[i], *velocity[i]]
+        valid[c, cx, cy] = True
+    return DenseTargets(hm, boxes, valid)
 
 
 def simulate_detector_reference(seq, trajectories, extents, noise, spec, taxonomy, seed=0):

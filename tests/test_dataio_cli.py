@@ -1,5 +1,6 @@
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 import modalpanoptic as mp
-from modalpanoptic.cli import _grid, _noise, build_parser, main
-from modalpanoptic.cloud import apply_pose, invert_pose
+from modalpanoptic.cli import _grid, _noise, _read_csv_value, build_parser, main
 from modalpanoptic.dataio import (
     LabelRangeError,
     TruncatedRecord,
+    dataset_taxonomy,
     decode_labels,
     encode_labels,
+    list_sequences,
     read_label_file,
     read_point_bin,
     read_predictions,
@@ -28,10 +30,11 @@ from modalpanoptic.inference import CONFLICT_RULES
 from modalpanoptic.membership import ROI_MARGIN_FLOOR, MembershipTrainConfig, PairFeatureConfig
 from modalpanoptic.mlp import OPTIMIZERS
 from modalpanoptic.synth import CAR, GROUND, MOTIONS, DetectorNoise
-from modalpanoptic.targets import EXTENT_STRATEGIES
+from modalpanoptic.targets import EXTENT_STRATEGIES, aggregate_extent, class_wise_mean_extents
 from modalpanoptic.tracking import PipelineConfig
 
-from oracles import transform_to_frame
+from fakes import rotated
+from oracles import render_bev_targets_reference, transform_to_frame
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -303,6 +306,12 @@ class TestCli:
         assert (out / "cwm.tsv").exists()
         hm = np.load(out / "0000" / "000000_heatmaps.npy")
         assert hm.max() == 1.0
+        cells = np.load(out / "0000" / "000000_heatmaps_cells.npy")
+        assert cells.dtype == np.int64 and cells.shape == (hm.size, 3)
+        boxes = np.load(out / "0000" / "000000_boxes.npy")
+        assert boxes.shape == (np.load(out / "0000" / "000000_boxes_cells.npy").shape[0], 6)
+        assert boxes.shape[0] > 0
+        assert not list(out.rglob("*_height.npy")) + list(out.rglob("*_valid.npy"))
         members = np.load(out / "0000" / "000000_membership.npy")
         assert members.shape[1] == 3
         # Rows are (detection, point, label): each detection's positives are one
@@ -316,8 +325,8 @@ class TestCli:
             assert not np.any(inst[point[(det == d) & (label == 0)]] == owners[0])
 
     def test_targets_sensor_frame_is_the_inference_frame(self, tmp_path):
-        # Under poses that roll, pitch and yaw, centers must reach the sensor
-        # frame through ``invert_pose``, as ``prepare_sweep_inputs`` takes them.
+        # Under poses that roll, pitch and yaw, targets are rendered at each
+        # record's ``sensor_center``, where ``simulate_detector`` puts its peaks.
         tax = mp.default_taxonomy()
         seq, _ = mp.generate_sequence(mp.SceneConfig(seed=207, sweep_count=4, count_range=(3, 4),
                                                      points_per_m2=60.0), tax)
@@ -339,15 +348,16 @@ class TestCli:
         spec = mp.GridSpec()  # the grid the CLI runs by default
         for t, sweep in enumerate(seq.sweeps):
             rows = np.flatnonzero(table.sweep_index == t)
-            want = mp.render_bev_targets(
-                apply_pose(invert_pose(sweep.ego_pose), table.center[rows]),
-                table.class_id[rows], table.extent[rows], table.velocity[rows], spec,
-                tax.num_channels)
-            height = np.load(out / "0000" / f"{t:06d}_height.npy")
-            heatmaps = np.load(out / "0000" / f"{t:06d}_heatmaps.npy")
-            assert height.tobytes() == want.height.dense().tobytes(), t
-            np.testing.assert_array_equal(np.argwhere(heatmaps == 1.0),
-                                          np.argwhere(want.heatmaps.dense() == 1.0))
+            want = mp.render_bev_targets(table.sensor_center[rows], table.class_id[rows],
+                                         table.extent[rows], table.velocity[rows], spec,
+                                         tax.num_channels)
+            for name in ("heatmaps", "boxes"):
+                grid = getattr(want, name)
+                cells = np.load(out / "0000" / f"{t:06d}_{name}_cells.npy")
+                values = np.load(out / "0000" / f"{t:06d}_{name}.npy")
+                assert np.ravel_multi_index(cells.T, grid.shape[:3]).tolist() \
+                    == grid.keys.tolist(), (t, name)
+                assert values.tobytes() == grid.values.tobytes(), (t, name)
 
     @pytest.mark.parametrize("command", ["track", "targets"])
     def test_instance_on_stuff_points_exit_code(self, tmp_path, capsys, command):
@@ -377,30 +387,12 @@ class TestCli:
             trees.append(tree_bytes(out))
         assert trees[0] == trees[1]
 
-    def test_report_builds_table_and_svg(self, tmp_path):
-        data = tmp_path / "data"
-        pred = tmp_path / "pred"
-        evald = tmp_path / "eval"
-        out = tmp_path / "report"
-        assert main(SYNTH_ARGS + ["--out", str(data)]) == 0
-        assert main(["infer", "--data", str(data), "--out", str(pred),
-                     "--membership", "oracle", "--margin-floor", "0.3"]) == 0
-        assert main(["eval", "--data", str(data), "--pred", str(pred),
-                     "--out", str(evald)]) == 0
-        assert main(["report", "--runs", f"oracle={evald}", "--out", str(out)]) == 0
-        table = (out / "table.csv").read_text()
-        assert table.splitlines()[0].startswith("name,pq")
-        svg = (out / "chart.svg").read_text()
-        assert svg.startswith("<svg") and "oracle" in svg
-
     @pytest.mark.parametrize("pq_csv", ["", "class,pq,sq,rq\nall\n"])
-    def test_report_malformed_csv_exit_code(self, tmp_path, capsys, pq_csv):
-        evald = tmp_path / "eval"
-        evald.mkdir()
-        (evald / "pq.csv").write_text(pq_csv)
-        code = main(["report", "--runs", f"run={evald}", "--out", str(tmp_path / "report")])
-        assert code == 4
-        assert str(evald / "pq.csv") in capsys.readouterr().err
+    def test_read_csv_value_names_a_malformed_file(self, tmp_path, pq_csv):
+        path = tmp_path / "pq.csv"
+        path.write_text(pq_csv)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            _read_csv_value(path, "all", "pq")
 
     def test_truncated_model_exit_code(self, tmp_path, capsys):
         data, model = tmp_path / "data", tmp_path / "model.bin"
@@ -608,10 +600,13 @@ class TestCli:
             out = tmp_path / f"targets-{strategy}"
             assert main(["targets", "--data", str(data), "--out", str(out),
                          "--strategy", strategy]) == 0
-            frames[strategy] = [(out / "0000" / f"00000{t}_heatmaps.npy").read_bytes()
-                                for t in (0, 1)]
+            frames[strategy] = [{name: (out / "0000" / f"00000{t}_{name}.npy").read_bytes()
+                                 for name in ("heatmaps_cells", "heatmaps", "boxes_cells",
+                                              "boxes")} for t in (0, 1)]
         assert frames["CWM"][0] == frames["SW"][0]
-        assert frames["CWM"][1] != frames["SW"][1]
+        # The class mean widens the heatmap and is the box row's extent.
+        assert frames["CWM"][1]["heatmaps"] != frames["SW"][1]["heatmaps"]
+        assert frames["CWM"][1]["boxes"] != frames["SW"][1]["boxes"]
         assert main(["track", "--data", str(data), "--out", str(tmp_path / "pred"),
                      "--strategy", "CWM"]) == 0
         assert len(read_predictions(tmp_path / "pred", "0000")) == 2
@@ -633,6 +628,78 @@ BARE = {
     "infer": ["infer", "--data", "d", "--out", "o"],
     "track": ["track", "--data", "d", "--out", "o"],
 }
+
+
+def read_target_grid(root, frame, name, shape):
+    """One ``targets`` grid of a sweep, densified from its cells and values files.
+
+    Returns the dense grid, the mask of its listed cells and the values as
+    written. The cells must be (M, 3) int64 and ascend in (class, ix, iy) order.
+    """
+    cells = np.load(root / f"{frame}_{name}_cells.npy")
+    values = np.load(root / f"{frame}_{name}.npy")
+    assert cells.dtype == np.int64 and cells.shape == (len(values), 3)
+    assert np.all(np.diff(np.ravel_multi_index(cells.T, shape)) > 0)
+    dense = np.zeros(shape + values.shape[1:])
+    dense[tuple(cells.T)] = values
+    listed = np.zeros(shape, dtype=bool)
+    listed[tuple(cells.T)] = True
+    return dense, listed, values
+
+
+@pytest.fixture(scope="module")
+def target_corpora(tmp_path_factory):
+    """A crowded corpus (the benchmark's ``track_nn`` layout, 3 sweeps) and a corpus
+    whose sensor frames yaw away from the world frame."""
+    root = tmp_path_factory.mktemp("corpora")
+    assert main(["synth", "--out", str(root / "crowded"), "--seed", "7", "--sweeps", "3",
+                 "--min-instances", "8", "--max-instances", "12",
+                 "--min-separation", "4.0"]) == 0
+    tax = mp.default_taxonomy()
+    seq, _ = mp.generate_sequence(mp.SceneConfig(seed=31, sweep_count=3, count_range=(4, 6),
+                                                 points_per_m2=60.0), tax)
+    write_sequence(root / "rotated", "0000", rotated(seq, [0.4 + 0.9 * t for t in range(3)]),
+                   tax)
+    return root
+
+
+class TestTargetsOnDisk:
+    @pytest.mark.parametrize("corpus", ["crowded", "rotated"])
+    @pytest.mark.parametrize("strategy", EXTENT_STRATEGIES)
+    def test_grids_densify_to_the_reference(self, tmp_path, target_corpora, corpus, strategy):
+        data = target_corpora / corpus
+        run = ["targets", "--data", str(data), "--strategy", strategy, "--dsb-min-points", "40"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(run + ["--out", str(a)]) == 0
+        assert main(run + ["--out", str(b)]) == 0
+        assert tree_bytes(a) == tree_bytes(b)
+        tax, spec = dataset_taxonomy(data), mp.GridSpec()
+        shape = (tax.num_channels, spec.bev_width, spec.bev_depth)
+        box_rows = 0
+        for name in list_sequences(data):
+            seq = read_sequence(data, name)
+            table = mp.build_trajectories(seq, tax)
+            extra = {"DSB": {"dsb_min_points": 40},
+                     "CWM": {"cwm_stats": class_wise_mean_extents(table, tax)}}
+            extents, excluded = aggregate_extent(
+                table, mp.ExtentStrategy(strategy, **extra.get(strategy, {})))
+            for t in range(len(seq)):
+                rows = np.flatnonzero((table.sweep_index == t) & ~excluded)
+                want = render_bev_targets_reference(
+                    table.sensor_center[rows], table.class_id[rows], extents[rows],
+                    table.velocity[rows], spec, tax.num_channels)
+                frame = f"{t:06d}"
+                heat, listed, _ = read_target_grid(a / name, frame, "heatmaps", shape)
+                assert heat.tobytes() == want.heatmaps.tobytes(), frame
+                assert listed.tobytes() == (want.heatmaps != 0).tobytes(), frame
+                boxes, listed, values = read_target_grid(a / name, frame, "boxes", shape)
+                assert boxes.tobytes() == want.boxes.tobytes(), frame
+                assert listed.tobytes() == want.valid.tobytes(), frame
+                # Each box row carries one of the sweep's strategy extents.
+                carried = (values[:, None, 1:4] == extents[rows][None]).all(axis=2)
+                assert carried.any(axis=1).all(), frame
+                box_rows += len(values)
+        assert box_rows > 0
 
 
 class TestFlagDefaults:

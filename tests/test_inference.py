@@ -10,31 +10,27 @@ from modalpanoptic.membership import (
     nn_scores,
     oracle_scores,
 )
-from modalpanoptic.targets import BevTargets, build_trajectories
+from modalpanoptic.targets import BevTargets, build_trajectories, render_bev_targets
 from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import GridSpec
 
 from fakes import make_table_membership, row, sparse_of, stack, yaw_pose
-from oracles import fuse_reference, nms_detect_reference
+from oracles import fuse_reference, nms_detect_reference, render_bev_targets_reference
 
 TAX = Taxonomy((ClassDef(1, "car", "thing"), ClassDef(2, "ped", "thing"),
                 ClassDef(3, "road", "stuff")), 5)
 SPEC = GridSpec((0.5, 0.5, 0.5), 8.0, -2.0, 2.0, 2)  # 32x32 voxels, 16x16 BEV
 
 
-def maps_of(heat, height=None, velocity=None, extent=None):
+def maps_of(heat, boxes=None):
+    """Sparse maps from ``{class: (W', D') heatmap}`` and a dense (K, W', D', 6) box grid
+    (rows z, half extent, velocity; all zero when not given)."""
     k = TAX.num_channels
     hm = np.zeros((k, SPEC.bev_width, SPEC.bev_depth))
     for cid, grid in heat.items():
         hm[cid] = grid
-    return BevTargets(
-        sparse_of(hm),
-        sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth)) if height is None else height),
-        sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth, 2)) if velocity is None else velocity,
-                  vector=True),
-        sparse_of(np.zeros((SPEC.bev_width, SPEC.bev_depth, 3)) if extent is None else extent,
-                  vector=True),
-    )
+    return BevTargets(sparse_of(hm),
+                      sparse_of(np.zeros(hm.shape + (6,)) if boxes is None else boxes, True))
 
 
 class TestNmsDetect:
@@ -88,31 +84,46 @@ class TestNmsDetect:
         assert [d.confidence for d in dets] == [0.9, 0.8]
 
     def test_height_and_extent_lookup(self):
-        # Each peak reads the height, extent and velocity listed at its own
-        # cell, whatever a same-class cell nearby lists; a peak at an unlisted
-        # cell reads 0.0.
+        # Each peak reads the z, extent and velocity listed at its own
+        # (class, x, y) key, whatever a cell nearby or another class in the
+        # same cell lists; a peak at an unlisted key reads 0.0.
         grid = np.zeros((SPEC.bev_width, SPEC.bev_depth))
         grid[5, 7], grid[5, 9], grid[12, 3] = 0.9, 0.8, 0.7
-        height = np.zeros_like(grid)
-        height[5, 7], height[5, 9] = 1.25, -0.5
-        extent = np.zeros((SPEC.bev_width, SPEC.bev_depth, 3))
-        extent[5, 7] = [2.0, 1.0, 0.5]
-        extent[5, 8] = [0.3, 0.3, 0.3]   # one cell from both peaks, no peak of its own
-        extent[5, 9] = [0.4, 0.5, 0.9]
-        extent[12, 4] = [1.5, 1.5, 1.5]  # beside the peak at (12, 3), which lists nothing
-        velocity = np.zeros((SPEC.bev_width, SPEC.bev_depth, 2))
-        velocity[5, 7] = [3.0, -1.5]
-        velocity[5, 8] = [9.0, 9.0]      # one cell from both peaks, no peak of its own
-        velocity[5, 9] = [0.0, 0.25]     # one zero component: the cell is still listed
-        velocity[12, 2] = [-4.0, 2.0]    # beside the peak at (12, 3), which lists nothing
-        dets = nms_detect(maps_of({1: grid}, height=height, extent=extent, velocity=velocity),
-                          SPEC, 0.3, 10)
+        boxes = np.zeros((TAX.num_channels, SPEC.bev_width, SPEC.bev_depth, 6))
+        boxes[1, 5, 7] = [1.25, 2.0, 1.0, 0.5, 3.0, -1.5]
+        boxes[1, 5, 8] = [7.0, 0.3, 0.3, 0.3, 9.0, 9.0]     # beside both peaks, no peak itself
+        boxes[1, 5, 9] = [-0.5, 0.4, 0.5, 0.9, 0.0, 0.25]
+        boxes[1, 12, 4] = [1.0, 1.5, 1.5, 1.5, -4.0, 2.0]   # beside the unlisted peak (12, 3)
+        boxes[2, 12, 3] = [2.0, 0.4, 0.4, 0.9, 0.0, -1.0]   # the unlisted peak's cell, class 2
+        boxes[2, 5, 7] = [0.9, 0.4, 0.4, 0.9, 0.0, -1.0]    # a peak's cell, on class 2
+        dets = nms_detect(maps_of({1: grid}, boxes), SPEC, 0.3, 10)
         assert dets.class_id.tolist() == [1, 1, 1]
         assert dets.center[:, 2].tolist() == [1.25, -0.5, 0.0]
         np.testing.assert_array_equal(dets.extent, [[2.0, 1.0, 0.5], [0.4, 0.5, 0.9],
                                                     [0.0, 0.0, 0.0]])
         np.testing.assert_array_equal(dets.velocity, [[3.0, -1.5], [0.0, 0.25], [0.0, 0.0]])
         assert [r.velocity.tolist() for r in dets] == dets.velocity.tolist()
+
+    def test_car_and_pedestrian_in_one_cell_read_their_own_boxes(self):
+        # Centers 5 cm apart in one 1 m cell: each class peaks there on its
+        # own channel and reads its own z, extent and velocity, whichever
+        # object is written last.
+        xy = SPEC.bev_cell_center(6, 9)
+        center = [[xy[0] - 0.02, xy[1], 0.3], [xy[0] + 0.03, xy[1], 0.9]]
+        extent = [[2.0, 0.9, 0.8], [0.4, 0.4, 0.9]]
+        velocity = [[5.0, 0.5], [0.0, -1.0]]
+        for order in ([0, 1], [1, 0]):
+            args = (np.take(center, order, axis=0), np.take([1, 2], order),
+                    np.take(extent, order, axis=0), np.take(velocity, order, axis=0), SPEC,
+                    TAX.num_channels)
+            dets = nms_detect(render_bev_targets(*args), SPEC)
+            assert dets.class_id.tolist() == [1, 2]
+            assert [c.tolist() for c in SPEC.bev_cell_of(dets.center)] == [[6, 6], [9, 9]]
+            assert dets.center[:, 2].tolist() == [0.3, 0.9]
+            assert dets.extent.tolist() == extent
+            assert dets.velocity.tolist() == velocity
+            want = render_bev_targets_reference(*args)
+            assert_same_detections(dets, nms_detect_reference(want.heatmaps, want.boxes, SPEC))
 
     def test_sorted_by_decreasing_confidence(self):
         rng = np.random.default_rng(1)
@@ -139,11 +150,15 @@ class TestPredictedMapsRange:
         else:
             assert maps_of({1: hm[1]}).heatmaps.keys.size == np.count_nonzero(hm)
 
-    @pytest.mark.parametrize("field, shape", [("height", (16, 15)), ("velocity", (16, 16, 3)),
-                                              ("extent", (16, 16, 2)), ("extent", (16, 16))])
-    def test_box_maps_must_match_the_heatmaps(self, field, shape):
-        with pytest.raises(ValueError, match="shapes do not match the heatmaps"):
-            maps_of({}, **{field: np.ones(shape)})
+    @pytest.mark.parametrize("shape, vector", [
+        ((TAX.num_channels, 16, 15, 6), True), ((TAX.num_channels, 16, 16, 5), True),
+        ((TAX.num_channels + 1, 16, 16, 6), True), ((16, 16, 6), True),
+        ((TAX.num_channels, 16, 16, 6), False),
+    ], ids=["cells", "columns", "channels", "per-cell", "per-entry"])
+    def test_box_grid_must_match_the_heatmaps(self, shape, vector):
+        hm = np.zeros((TAX.num_channels, SPEC.bev_width, SPEC.bev_depth))
+        with pytest.raises(ValueError, match="box grid's shape does not match the heatmaps"):
+            BevTargets(sparse_of(hm), sparse_of(np.ones(shape), vector))
 
 
 def assert_same_detections(got, want):
@@ -157,16 +172,19 @@ def assert_same_detections(got, want):
 
 
 def check_nms_against_reference(hm, threshold=0.3, max_detections=500):
-    _, w, d = hm.shape
     rng = np.random.default_rng(0)
-    height = rng.normal(size=(w, d))
-    # Every fourth cell lists no extent and, independently, no velocity, so
-    # peaks there read 0.0.
-    extent = rng.uniform(0.1, 2.0, size=(w, d, 3)) * (rng.uniform(size=(w, d, 1)) < 0.75)
-    velocity = np.where(rng.uniform(size=(w, d, 1)) < 0.75, rng.normal(size=(w, d, 2)), 0.0)
-    maps = BevTargets(sparse_of(hm), sparse_of(height), sparse_of(velocity, True),
-                      sparse_of(extent, True))
-    want = nms_detect_reference(hm, height, extent, velocity, SPEC, threshold, max_detections)
+    cells = hm.shape + (1,)
+    # Every fourth row carries a zero extent and, independently, a zero
+    # velocity; every fourth (class, cell) key lists no row at all, so peaks
+    # there read 0.0. Each class lists its own rows, also in a shared cell.
+    boxes = np.concatenate([
+        rng.normal(size=cells),
+        rng.uniform(0.1, 2.0, size=hm.shape + (3,)) * (rng.uniform(size=cells) < 0.75),
+        np.where(rng.uniform(size=cells) < 0.75, rng.normal(size=hm.shape + (2,)), 0.0),
+    ], axis=-1)
+    boxes = np.where(rng.uniform(size=cells) < 0.75, boxes, 0.0)
+    maps = BevTargets(sparse_of(hm), sparse_of(boxes, True))
+    want = nms_detect_reference(hm, boxes, SPEC, threshold, max_detections)
     got = nms_detect(maps, SPEC, threshold, max_detections)
     assert_same_detections(got, want)
     return got

@@ -21,11 +21,19 @@ from modalpanoptic.membership import (MembershipTrainConfig, PairFeatureConfig,
                                       build_training_pairs, features_for_pairs, gather_pairs,
                                       mlp_scores)
 from modalpanoptic.mlp import build_mlp
-from modalpanoptic.targets import BevTargets, build_trajectories, instance_boxes, modal_center
+from modalpanoptic.targets import (
+    BOX_EXTENT,
+    BOX_VELOCITY,
+    BOX_Z,
+    BevTargets,
+    build_trajectories,
+    instance_boxes,
+    modal_center,
+)
 from modalpanoptic.tracking import SweepInputs
 from modalpanoptic.voxels import GridSpec, interpolate_bev_many
 
-from fakes import PAPER_GRID, rotated
+from fakes import PAPER_GRID, listed, rotated
 from oracles import (
     bev_mean_reference,
     feature_rows_reference,
@@ -219,9 +227,10 @@ class TestSimulateDetector:
             cx, cy = SPEC.bev_cell_of(center[:2])
             cid = int(sweep.sem_labels[ids == iid][0])
             assert maps.heatmaps.dense()[cid, cx, cy] == 1.0
-            assert maps.height.dense()[cx, cy] == pytest.approx(center[2])
+            box = maps.boxes.dense()[cid, cx, cy]
+            assert box[BOX_Z] == pytest.approx(center[2])
             row = np.flatnonzero((trajs.sweep_index == 0) & (trajs.instance_id == iid))
-            assert maps.extent.dense()[cx, cy].tobytes() == extents[row[0]].tobytes()
+            assert box[BOX_EXTENT].tobytes() == extents[row[0]].tobytes()
 
     def test_drop_probability_one_empties_heatmaps(self):
         cfg = simple_cfg(seed=12)
@@ -229,7 +238,7 @@ class TestSimulateDetector:
         noise = DetectorNoise(drop_probability=1.0)
         for m, _ in simulate_all(seq, build_trajectories(seq, TAX), noise):
             assert m.heatmaps.dense().max() == 0.0
-            assert m.extent.keys.size == 0
+            assert m.boxes.keys.size == 0
 
     def test_semantic_flips_respect_probability(self):
         cfg = simple_cfg(seed=13)
@@ -275,8 +284,7 @@ class TestSimulateDetector:
         for (ma, sa), (mb, sb) in zip(a, b):
             np.testing.assert_array_equal(ma.heatmaps.dense(), mb.heatmaps.dense())
             np.testing.assert_array_equal(sa, sb)
-            np.testing.assert_array_equal(ma.velocity.dense(), mb.velocity.dense())
-            np.testing.assert_array_equal(ma.extent.dense(), mb.extent.dense())
+            np.testing.assert_array_equal(ma.boxes.dense(), mb.boxes.dense())
 
     def test_trajectories_of_another_sequence_rejected(self):
         seq, _ = mp.generate_sequence(simple_cfg(seed=17), TAX)
@@ -317,12 +325,11 @@ class TestSimulateDetector:
             assert len(made) == len(seq) - t
             assert made[-1].bit_generator.state == rng.bit_generator.state
             assert got.heatmaps.dense().tobytes() == dense.heatmaps.tobytes()
-            assert got.height.dense().tobytes() == dense.height.tobytes()
-            assert got.velocity.dense().tobytes() == dense.velocity.tobytes()
-            assert got.extent.dense().tobytes() == dense.extent.tobytes()
+            assert got.boxes.dense().tobytes() == dense.boxes.tobytes()
+            assert listed(got.boxes).tobytes() == dense.valid.tobytes()
             assert type(got) is BevTargets
             assert got_sem.tobytes() == sem.tobytes()
-            centers += got.height.keys.size
+            centers += got.boxes.keys.size
         assert centers > len(seq)
 
     def test_yawed_sensor_frames_match_the_per_sequence_reference(self):
@@ -338,9 +345,8 @@ class TestSimulateDetector:
         for t, (got, _) in enumerate(simulate_all(seq, trajs, noise, seed=9)):
             dense = want[t][0]
             assert got.heatmaps.dense().tobytes() == dense.heatmaps.tobytes(), t
-            assert got.height.dense().tobytes() == dense.height.tobytes(), t
-            assert got.velocity.dense().tobytes() == dense.velocity.tobytes(), t
-            assert got.extent.dense().tobytes() == dense.extent.tobytes(), t
+            assert got.boxes.dense().tobytes() == dense.boxes.tobytes(), t
+            assert listed(got.boxes).tobytes() == dense.valid.tobytes(), t
 
     def test_velocity_from_registry_vs_labels(self):
         cfg = simple_cfg(seed=16, motion="pass", sweep_count=6)
@@ -356,7 +362,8 @@ class TestSimulateDetector:
         for row in rows:
             cx, cy = SPEC.bev_cell_of(trajs.sensor_center[row])
             truth = reg.instances[int(trajs.instance_id[row])].velocity[:2]
-            np.testing.assert_allclose(maps.velocity.dense()[cx, cy], truth, atol=0.2)
+            box = maps.boxes.dense()[trajs.class_id[row], cx, cy]
+            np.testing.assert_allclose(box[BOX_VELOCITY], truth, atol=0.2)
 
 
 class TestHandcraftedFeatures:
@@ -369,7 +376,7 @@ class TestHandcraftedFeatures:
         assert f1.shape == (len(seq.sweeps[0]), HandcraftedFeatures.DIM)
         np.testing.assert_array_equal(f1, f2)
         bev = provider.bev_map(seq.sweeps[0], every, f1)
-        assert bev.data.shape == (SPEC.bev_width, SPEC.bev_depth, HandcraftedFeatures.DIM)
+        assert bev.columns.shape == (SPEC.bev_width, SPEC.bev_depth, HandcraftedFeatures.DIM)
 
 
 def bench_row_cfg(seed):
@@ -410,7 +417,8 @@ class TestHandcraftedFeaturesOracle:
             ref = handcrafted_features_reference(sweep.xyz)
             assert feats.tobytes() == ref.tobytes()
             bev = provider.bev_map(sweep, every_row(sweep), feats)
-            assert bev.data.tobytes() == bev_mean_reference(sweep.points, spec, ref).tobytes()
+            want = bev_mean_reference(sweep.points, spec, ref)
+            assert bev.columns.dense().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("xyz", [
         np.zeros((0, 3)),

@@ -25,7 +25,7 @@ from modalpanoptic.targets import (
 )
 from modalpanoptic.voxels import GridSpec
 
-from fakes import rotated, yaw_pose
+from fakes import listed, rotated, yaw_pose
 from oracles import (
     aggregate_extent_reference,
     build_trajectories_reference,
@@ -222,10 +222,9 @@ class TestRenderBevTargets:
         assert out.heatmaps.dense()[1, 50, 60] == 1.0
         assert out.heatmaps.dense()[1].max() == 1.0
         assert out.heatmaps.dense()[[0, 2, 3]].max() == 0.0
-        assert out.height.dense()[50, 60] == 0.5
-        assert out.extent.dense()[50, 60].tolist() == [1.0, 0.5, 0.4]
-        assert out.valid_mask()[50, 60]
-        assert out.valid_mask().sum() == 1
+        # The box row is z, half extent, velocity, at the peak's (class, x, y) key.
+        assert out.boxes.dense()[1, 50, 60].tolist() == [0.5, 1.0, 0.5, 0.4, 0.0, 0.0]
+        assert out.boxes.keys.tolist() == [(1 * SPEC.bev_width + 50) * SPEC.bev_depth + 60]
 
     def test_value_at_sigma(self):
         center_xy = cell_center(SPEC, 50, 60)
@@ -305,10 +304,8 @@ class TestSparseRenderMatchesDense:
         want = render_bev_targets_reference(center, cls, extent, velocity, SPEC,
                                             TAX.num_channels, peak_scale=scale)
         assert got.heatmaps.dense().tobytes() == want.heatmaps.tobytes()
-        assert got.height.dense().tobytes() == want.height.tobytes()
-        assert got.velocity.dense().tobytes() == want.velocity.tobytes()
-        assert got.extent.dense().tobytes() == want.extent.tobytes()
-        assert got.valid_mask().tobytes() == want.valid_mask.tobytes()
+        assert got.boxes.dense().tobytes() == want.boxes.tobytes()
+        assert listed(got.boxes).tobytes() == want.valid.tobytes()
         assert np.all(got.heatmaps.values > 0)
 
     def test_same_cell_last_writer_and_overlap_maximum(self):
@@ -319,11 +316,10 @@ class TestSparseRenderMatchesDense:
         got = render_bev_targets(*args, peak_scale=[1.0, 0.0, 0.5])
         want = render_bev_targets_reference(*args, peak_scale=[1.0, 0.0, 0.5])
         assert got.heatmaps.dense().tobytes() == want.heatmaps.tobytes()
-        assert got.height.dense()[98, 50] == -0.25
-        np.testing.assert_array_equal(got.velocity.dense()[98, 50], [3.0, 4.0])
-        np.testing.assert_array_equal(got.extent.dense()[98, 50], [1.1, 0.7, 0.6])
-        assert got.height.keys.tolist() == got.extent.keys.tolist() == [96 * 100 + 50,
-                                                                         98 * 100 + 50]
+        assert got.boxes.dense().tobytes() == want.boxes.tobytes()
+        np.testing.assert_array_equal(got.boxes.dense()[1, 98, 50],
+                                      [-0.25, 1.1, 0.7, 0.6, 3.0, 4.0])
+        assert got.boxes.keys.tolist() == [(100 + 96) * 100 + 50, (100 + 98) * 100 + 50]
 
 
 class TestVelocityTarget:

@@ -316,8 +316,8 @@ def track_by_references(seq, taxonomy, noise, seed):
     simulated = simulate_detector_reference(seq, trajectories.select(~suppressed), extents, noise,
                                             SPEC, taxonomy, seed=seed)
     for t, (sweep, (dense, sem, *_)) in enumerate(zip(seq.sweeps, simulated)):
-        dets = nms_detect_reference(dense.heatmaps, dense.height, dense.extent, dense.velocity,
-                                    SPEC, cfg.nms_threshold, cfg.nms_max_detections)
+        dets = nms_detect_reference(dense.heatmaps, dense.boxes, SPEC, cfg.nms_threshold,
+                                    cfg.nms_max_detections)
         pairs = gather_pairs_reference(sweep.xyz, sem, dets, *margins)
         best = nn_baseline_reference(sweep.xyz, sem, dets, *margins)
         table = np.zeros((len(dets), len(sweep)))
@@ -327,8 +327,8 @@ def track_by_references(seq, taxonomy, noise, seed):
         # Fused id k belongs to the k-th detection that is some point's nearest.
         point_det = np.append(np.unique(best[best >= 0]), -1)[inst - 1]
         ix, iy = SPEC.bev_cell_of(dets.center)
-        velocities = dense.velocity[np.clip(ix, 0, SPEC.bev_width - 1),
-                                    np.clip(iy, 0, SPEC.bev_depth - 1)]
+        velocities = dense.boxes[dets.class_id, np.clip(ix, 0, SPEC.bev_width - 1),
+                                 np.clip(iy, 0, SPEC.bev_depth - 1), 4:]
         tracks, det_track, next_id = greedy_associate_reference(
             tracks, dets.to_world(sweep.ego_pose), velocities, seq.period, t, next_id,
             cfg.gates, cfg.default_gate, cfg.max_age, ages)

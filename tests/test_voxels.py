@@ -179,15 +179,15 @@ class TestFlattenBev:
         column = grid.occupied[:, 0] // 2 * SMALL.bev_depth + grid.occupied[:, 1] // 2
         assert np.unique(column, return_counts=True)[1].max() > 5
         bev = flatten_bev(grid)
-        assert bev.data.tobytes() == bev_mean_reference(cloud, SMALL, feats).tobytes()
+        assert bev.columns.dense().tobytes() == bev_mean_reference(cloud, SMALL, feats).tobytes()
 
     def test_single_voxel(self):
         feats = np.array([[3.0, -1.0]])
         bev = flatten_bev(voxelize(pts([(0.3, 0.3, 0.0)]), SMALL, features=feats))
         cell = SMALL.bev_cell_of(np.array([0.3, 0.3]))
-        np.testing.assert_array_equal(bev.data[cell], [3.0, -1.0])
-        assert np.count_nonzero(bev.data) == 2
-        assert bev.data.tobytes() == bev_mean_reference(
+        np.testing.assert_array_equal(bev.columns.dense()[cell], [3.0, -1.0])
+        assert np.count_nonzero(bev.columns.dense()) == 2
+        assert bev.columns.dense().tobytes() == bev_mean_reference(
             pts([(0.3, 0.3, 0.0)]), SMALL, feats).tobytes()
 
     def test_column_mean_of_voxel_means(self):
@@ -195,7 +195,7 @@ class TestFlattenBev:
         feats = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
         bev = flatten_bev(voxelize(cloud, SMALL, features=feats))
         cell = SMALL.bev_cell_of(np.array([0.3, 0.3]))
-        np.testing.assert_array_equal(bev.data[cell], [1.0, 0.5])
+        np.testing.assert_array_equal(bev.columns.dense()[cell], [1.0, 0.5])
 
     def test_sum_conservation(self):
         rng = np.random.default_rng(3)
@@ -206,28 +206,30 @@ class TestFlattenBev:
         bev = flatten_bev(grid)
         voxels_per_column = np.zeros((SMALL.bev_width, SMALL.bev_depth))
         np.add.at(voxels_per_column, (grid.occupied[:, 0] // 2, grid.occupied[:, 1] // 2), 1)
-        np.testing.assert_allclose((bev.data * voxels_per_column[..., None]).sum(axis=(0, 1)),
+        weighted = bev.columns.dense() * voxels_per_column[..., None]
+        np.testing.assert_allclose(weighted.sum(axis=(0, 1)),
                                    grid.features.sum(axis=0), atol=1e-9)
 
     def test_negative_zero_row(self):
         cloud = pts([(0.3, 0.3, 0.0), (0.3, 0.3, 1.0), (3.0, 3.0, 0.0)])
         feats = np.array([[-0.0, 2.0], [-0.0, -0.0], [-0.0, -0.0]])
         bev = flatten_bev(voxelize(cloud, SMALL, features=feats))
-        assert bev.data.tobytes() == bev_mean_reference(cloud, SMALL, feats).tobytes()
-        assert not np.any(np.signbit(bev.data))
+        assert bev.columns.dense().tobytes() == bev_mean_reference(cloud, SMALL, feats).tobytes()
+        assert not np.any(np.signbit(bev.columns.dense()))
 
     def test_empty_grid_keeps_channels(self):
         grid = voxelize(np.zeros((0, 4)), SMALL, features=np.zeros((0, 3)))
         bev = flatten_bev(grid)
-        assert bev.data.shape == (SMALL.bev_width, SMALL.bev_depth, 3)
-        assert not np.any(bev.data)
+        assert bev.columns.dense().shape == (SMALL.bev_width, SMALL.bev_depth, 3)
+        assert not np.any(bev.columns.dense())
 
     def test_all_out_of_range(self):
         cloud = pts([(9.0, 0.0, 0.0), (0.0, 0.0, 2.5), (-6.0, -6.0, 0.0)])
         grid = voxelize(cloud, SMALL, features=np.ones((3, 2)))
         assert (len(grid), grid.dropped) == (0, 3)
         bev = flatten_bev(grid)
-        assert bev.data.tobytes() == bev_mean_reference(cloud, SMALL, np.ones((3, 2))).tobytes()
+        want = bev_mean_reference(cloud, SMALL, np.ones((3, 2)))
+        assert bev.columns.dense().tobytes() == want.tobytes()
 
     def test_grid_without_features_rejected(self):
         with pytest.raises(ValueError, match="no feature vectors"):
@@ -245,26 +247,28 @@ class TestInterpolateBev:
 
     def test_cell_center_exact(self):
         bev = self.make_bev()
-        np.testing.assert_allclose(self.one(bev, -4.0 + 2.5, -4.0 + 5.5), bev.data[2, 5],
-                                   atol=1e-12)
+        np.testing.assert_allclose(self.one(bev, -4.0 + 2.5, -4.0 + 5.5),
+                                   bev.columns.dense()[2, 5], atol=1e-12)
 
     def test_midpoint_average(self):
         bev = self.make_bev()
-        expected = 0.5 * (bev.data[2, 5] + bev.data[3, 5])  # between cells (2,5) and (3,5)
+        data = bev.columns.dense()
+        expected = 0.5 * (data[2, 5] + data[3, 5])  # between cells (2,5) and (3,5)
         np.testing.assert_allclose(self.one(bev, -4.0 + 3.0, -4.0 + 5.5), expected, atol=1e-12)
 
     def test_border_clamps_to_edge_cells(self):
         bev = self.make_bev()
-        np.testing.assert_allclose(self.one(bev, -3.9, -3.9), bev.data[0, 0], atol=1e-12)
-        np.testing.assert_allclose(self.one(bev, 3.9, -3.9), bev.data[7, 0], atol=1e-12)
-        np.testing.assert_allclose(self.one(bev, -3.9, 3.99), bev.data[0, 7], atol=1e-12)
+        data = bev.columns.dense()
+        np.testing.assert_allclose(self.one(bev, -3.9, -3.9), data[0, 0], atol=1e-12)
+        np.testing.assert_allclose(self.one(bev, 3.9, -3.9), data[7, 0], atol=1e-12)
+        np.testing.assert_allclose(self.one(bev, -3.9, 3.99), data[0, 7], atol=1e-12)
 
     def test_matches_four_term_expansion(self):
         bev = self.make_bev()
         rng = np.random.default_rng(5)
         for _ in range(50):
             x, y = rng.uniform(-3.4, 3.4, size=2)
-            want = bilinear_4term(bev.data, 1.0, 4.0, x, y)
+            want = bilinear_4term(bev.columns.dense(), 1.0, 4.0, x, y)
             np.testing.assert_allclose(self.one(bev, x, y), want, atol=1e-12)
 
     def test_vectorized_matches_scalar(self):
@@ -316,11 +320,11 @@ class TestStencilColumns:
             restricted = flatten_bev(voxelize(cloud[rows], SMALL, features=feats[rows]))
             got = interpolate_bev_many(restricted, queries)
             assert got.tobytes() == interpolate_bev_many(full, queries).tobytes()
-            flat = restricted.data.reshape(-1, 3)
-            assert flat[columns].tobytes() == full.data.reshape(-1, 3)[columns].tobytes()
+            part, whole = restricted.columns.dense(), full.columns.dense()
+            flat = part.reshape(-1, 3)
+            assert flat[columns].tobytes() == whole.reshape(-1, 3)[columns].tobytes()
             assert not np.any(np.delete(flat, columns, axis=0))
-            partial_maps += bool(np.any(full.data)) and not np.array_equal(restricted.data,
-                                                                         full.data)
+            partial_maps += bool(np.any(whole)) and not np.array_equal(part, whole)
         assert partial_maps == 40
 
     def test_column_points_follow_the_pooled_voxels(self):
